@@ -64,7 +64,6 @@ from .freebasis import (
     certify_free_exact,
     certify_free_geometric,
     check_certificate,
-    escalate,
     find_independent,
     find_short_loxodromic,
     in_elementary,
@@ -106,7 +105,6 @@ __all__ = [
     "certify_free_exact",
     "certify_free_geometric",
     "check_certificate",
-    "escalate",
     "estimate_delta",
     "find_independent",
     "find_short_loxodromic",

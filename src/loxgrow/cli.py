@@ -124,7 +124,6 @@ def cmd_growth(args) -> int:
         S,
         n_max,
         memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP),
-        workers=args.workers,
         engine=args.engine,
     )
     _emit(table.to_csv(), args.out)
@@ -173,7 +172,6 @@ def cmd_verify_bound(args) -> int:
         n_max,
         _search_budgets(budgets),
         memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP),
-        workers=args.workers,
         engine=args.engine,
         seed=config.get("seed", 0),
     )
@@ -257,14 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = add("growth", cmd_growth, "ball counts as CSV")
     g.add_argument("--max-radius", type=int, default=None, help="override budgets.n_max")
-    g.add_argument("--workers", type=int, default=None, help="worker threads (default LOXGROW_WORKERS)")
     g.add_argument("--engine", default="auto", choices=("auto", "kernel", "python"))
 
     add("free-basis", cmd_free_basis, "free-subgroup certificate JSON")
 
     v = add("verify-bound", cmd_verify_bound, "growth brackets + certificate summary")
     v.add_argument("--max-radius", type=int, default=None, help="override budgets.n_max")
-    v.add_argument("--workers", type=int, default=None, help="worker threads (default LOXGROW_WORKERS)")
     v.add_argument("--engine", default="auto", choices=("auto", "kernel", "python"))
 
     add("delta", cmd_delta, "empirical four-point defect")

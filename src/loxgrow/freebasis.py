@@ -1,11 +1,12 @@
 """Free-subgroup certificates and the certified growth lower bound.
 
-Pipeline: escalate the generating set until it moves points far enough,
-pick a short loxodromic b, find an independent f, amplify to h = f b^n,
-conjugate a coset-separated subset S0 into T = {s h^k s^-1}, certify that T
-is a free basis (geometrically via displacement/Gromov-product margins, or
-exactly up to bounded relation length), and convert the rank into
-omega(<S>, S) >= log(2r - 1) / kappa with kappa = max_t d_S(1, t).
+Pipeline: square the generating ball until a loxodromic shows up among S
+and S*S, pick a short loxodromic b, find an independent f, amplify to
+h = f b^n, conjugate a coset-separated subset S0 into T = {s h^k s^-1},
+certify that T is a free basis (geometrically via displacement and
+Gromov-product margins, or exactly up to bounded relation length), and
+convert the rank into omega(<S>, S) >= log(2r - 1) / kappa with
+kappa = max_t d_S(1, t).
 """
 
 import hashlib
@@ -65,41 +66,6 @@ class SearchBudgets:
         if self.epsilon_margin is None:
             return backend.dist_roundoff
         return float(self.epsilon_margin)
-
-
-# -- escalation ---------------------------------------------------------------
-
-
-@dataclass
-class EscalationResult:
-    S_eff: GeneratingSet
-    rounds: int
-    displacement: object  # DisplacementRecord at the successful round
-
-
-def escalate(S, threshold_multiple=28.0, max_rounds=6, memory_cap=DEFAULT_MEMORY_CAP,
-             budget=64) -> EscalationResult:
-    """Square the generating ball until the joint displacement clears the gate.
-
-    The gate is max(28 delta, threshold_multiple * delta); on trees (delta 0)
-    any positive displacement passes immediately. Raises LikelyElementary
-    after max_rounds without success.
-    """
-    if max_rounds < 0:
-        raise ConfigError("max_rounds must be >= 0")
-    backend = S.backend
-    gate = max(28.0 * backend.delta, threshold_multiple * backend.delta)
-    S_eff = S
-    for rounds in range(max_rounds + 1):
-        rec = min_displacement_search(S_eff, budget)
-        if rec.value > gate:
-            return EscalationResult(S_eff=S_eff, rounds=rounds, displacement=rec)
-        if rounds == max_rounds:
-            break
-        S_eff = product_ball_set(S_eff, 2, memory_cap)
-    raise LikelyElementary(
-        f"joint displacement stayed <= {gate:g} after {max_rounds} escalation rounds"
-    )
 
 
 # -- loxodromic search --------------------------------------------------------
@@ -374,7 +340,10 @@ def _diagonal(max_n, max_k):
 
 def _compute_kappa(S, T, memory_cap) -> Tuple[int, str]:
     """max_t d_S(1, t); falls back to the carried symbol-word length (a sound
-    upper bound) when the breadth-first search busts the memory cap."""
+    upper bound) when the breadth-first search busts the memory cap. On exact
+    backends a search that exhausts that length without meeting t contradicts
+    the word; float roundoff can hide t from the search, so there the word
+    length stands."""
     kappa, mode = 0, "exact"
     for t in T:
         word_len = len(t.word) if t.word is not None else None
@@ -382,11 +351,17 @@ def _compute_kappa(S, T, memory_cap) -> Tuple[int, str]:
         try:
             d = word_length_in_S(S, t, cap, memory_cap)
         except BudgetExceeded:
-            d = None
+            if word_len is None:
+                raise
+            d, mode = word_len, "word-upper"
         if d is None:
             if word_len is None:
                 raise BudgetExceeded(
                     "word-length search exhausted and no symbol word to fall back on"
+                )
+            if S.backend.exact_words:
+                raise InvalidCertificate(
+                    f"no word of length <= {word_len} over S gives {word_str(t.word)}"
                 )
             d, mode = word_len, "word-upper"
         kappa = max(kappa, d)
@@ -547,8 +522,7 @@ class TheoremReport:
 
 
 def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
-                   workers=None, engine="auto", check_delta=True,
-                   seed=0) -> TheoremReport:
+                   engine="auto", check_delta=True, seed=0) -> TheoremReport:
     """Run the full pipeline and cross-check the growth brackets.
 
     Counts balls for the original S, then escalates (by squaring the ball
@@ -566,7 +540,7 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
                 f"empirical four-point defect {est:.4f} exceeds the configured "
                 f"delta {backend.delta:g}; raise delta or disable the check"
             )
-    table = ball_sizes(S, n_max, memory_cap=memory_cap, workers=workers, engine=engine)
+    table = ball_sizes(S, n_max, memory_cap=memory_cap, engine=engine)
     brackets = growth_brackets(table)
     log_card = math.log(len(S))
 
@@ -788,6 +762,44 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
 # -- independent checker ------------------------------------------------------
 
 
+def _check_T_words(S, T):
+    """Evaluate each T entry's symbol word over S and compare with the entry.
+
+    S must be identity-free and inverse-closed, with exactly one symbol
+    (label, +-1) per entry and no symbol twice; sign -1 stands for the
+    inverse. Float backends compare up to sign with a relative 1e-9.
+    """
+    backend = S.backend
+    symbols = {}
+    for s in S:
+        if s.word is None or len(s.word) != 1 or s.word[0][1] not in (1, -1):
+            raise InvalidCertificate(f"S entry {word_str(s.word)} must carry one symbol")
+        if s.word[0] in symbols:
+            raise InvalidCertificate(f"S repeats the symbol {word_str(s.word)}")
+        if backend.is_identity(s):
+            raise InvalidCertificate("S contains the identity")
+        symbols[s.word[0]] = s.canonical
+    canon = set(symbols.values())
+    if any(backend._invert(c) not in canon for c in canon):
+        raise InvalidCertificate("S is not closed under inverses")
+    letters = {(label, -sign): backend._invert(c) for (label, sign), c in symbols.items()}
+    letters.update(symbols)
+    for t in T:
+        if t.word is None or any(sym not in letters for sym in t.word):
+            raise InvalidCertificate(f"T entry {word_str(t.word)} is not a word over S")
+        value = backend._identity_canonical()
+        for sym in t.word:
+            value = backend._compose(value, letters[sym])
+        if backend.exact_words:
+            ok = value == t.canonical
+        else:
+            tol = 1e-9 * max(1.0, max(abs(x) for x in t.canonical))
+            ok = any(max(abs(v - sign * x) for v, x in zip(value, t.canonical)) <= tol
+                     for sign in (1, -1))
+        if not ok:
+            raise InvalidCertificate(f"T entry {word_str(t.word)} does not evaluate to itself")
+
+
 def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> dict:
     """Re-derive every certified quantity and compare with the stored one.
 
@@ -852,6 +864,7 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
         if not certify_free_exact(cert.T, cert.exact_check_len, memory_cap):
             fail(f"a relation of length <= {cert.exact_check_len} exists")
 
+    _check_T_words(cert.S, cert.T)
     kappa, kappa_mode = _compute_kappa(cert.S, cert.T, memory_cap)
     if (kappa, kappa_mode) != (cert.kappa, cert.kappa_mode):
         fail(

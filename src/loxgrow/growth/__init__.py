@@ -1,6 +1,6 @@
 """Ball counting and growth-rate brackets."""
 
-from .engine import KERNEL_AVAILABLE, ball_sizes, resolve_workers
+from .engine import KERNEL_AVAILABLE, ball_sizes
 from .table import (
     CSV_HEADER,
     GrowthBrackets,
@@ -16,6 +16,5 @@ __all__ = [
     "KERNEL_AVAILABLE",
     "ball_sizes",
     "growth_brackets",
-    "resolve_workers",
     "theta_ratio",
 ]

@@ -2,74 +2,31 @@
 
 These mirror the compiled kernels exactly: same generator encodings, same
 truncation semantics, same counts. They are the fallback when the extension
-is not built and the reference the compiled path is tested against.
-
-Worker chunking splits each frontier into fixed slices whose candidate lists
-are merged in slice order, so counts never depend on the worker count.
+is not built and the reference the compiled path is tested against. Every
+count comes from the one breadth-first search, ``words.spheres``.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Tuple
 
-# Keep chunks small enough that per-chunk candidate lists stay cheap.
-_CHUNK = 1 << 15
+from ..words import spheres
 
 _MAT_ID = (1, 0, 0, 1)
 
 
-def _bfs(identity, gens, compose, n_max, cap, workers=1):
-    """Breadth-first ball counts from the identity under right multiplication.
+def _ball_counts(identity, gens, compose, n_max, cap, key=None):
+    """Ball counts for radii 0..n_max from the identity, as (counts, truncated).
 
-    Returns (counts, truncated). On truncation the counts stop at the last
-    fully explored radius. A frontier that empties means the ball stabilized
-    (finite group); the constant tail is filled in.
+    On truncation the counts stop at the last fully explored radius. A
+    search that runs out of new elements means the ball stabilized (finite
+    group); the constant tail is filled in.
     """
-    seen = {identity}
-    frontier = [identity]
     counts = [1]
-    for _ in range(n_max):
-        if workers > 1 and len(frontier) > _CHUNK:
-            nxt, over = _expand_chunked(frontier, gens, compose, seen, cap, workers)
-        else:
-            nxt = []
-            over = False
-            for w in frontier:
-                for g in gens:
-                    c = compose(w, g)
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-                        if len(seen) > cap:
-                            over = True
-                            break
-                if over:
-                    break
-        if over:
-            return counts, True
-        counts.append(counts[-1] + len(nxt))
-        frontier = nxt
-        if not frontier:
-            counts.extend(counts[-1:] * (n_max - len(counts) + 1))
-            break
+    for _, sphere in zip(range(n_max), spheres(identity, gens, compose, cap, key)):
+        counts.append(counts[-1] + len(sphere))
+        if counts[-1] > cap:
+            return counts[:-1], True
+    counts.extend(counts[-1:] * (n_max + 1 - len(counts)))
     return counts, False
-
-
-def _expand_chunked(frontier, gens, compose, seen, cap, workers):
-    chunks = [frontier[i : i + _CHUNK] for i in range(0, len(frontier), _CHUNK)]
-
-    def produce(chunk):
-        return [compose(w, g) for w in chunk for g in gens]
-
-    nxt = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for cand in pool.map(produce, chunks):
-            for c in cand:
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-            if len(seen) > cap:
-                return nxt, True
-    return nxt, False
 
 
 def _free_compose(w: bytes, g: bytes) -> bytes:
@@ -80,10 +37,8 @@ def _free_compose(w: bytes, g: bytes) -> bytes:
     return w[: len(w) - cut] + g[cut:]
 
 
-def free_ball_counts(
-    gens: List[bytes], n_max: int, cap: int, workers: int = 1
-) -> Tuple[List[int], bool]:
-    return _bfs(b"", gens, _free_compose, n_max, cap, workers)
+def free_ball_counts(gens: List[bytes], n_max: int, cap: int) -> Tuple[List[int], bool]:
+    return _ball_counts(b"", gens, _free_compose, n_max, cap)
 
 
 def _product_compose_fn(p: int, q: int) -> Callable[[bytes, bytes], bytes]:
@@ -106,9 +61,9 @@ def _product_compose_fn(p: int, q: int) -> Callable[[bytes, bytes], bytes]:
 
 
 def product_ball_counts(
-    gens: List[bytes], p: int, q: int, n_max: int, cap: int, workers: int = 1
+    gens: List[bytes], p: int, q: int, n_max: int, cap: int
 ) -> Tuple[List[int], bool]:
-    return _bfs(b"", gens, _product_compose_fn(p, q), n_max, cap, workers)
+    return _ball_counts(b"", gens, _product_compose_fn(p, q), n_max, cap)
 
 
 def _mat_compose(w, g):
@@ -124,36 +79,15 @@ def _mat_compose(w, g):
 
 
 def matrix_ball_counts(
-    gens: List[Tuple[int, int, int, int]], n_max: int, cap: int, workers: int = 1
+    gens: List[Tuple[int, int, int, int]], n_max: int, cap: int
 ) -> Tuple[List[int], bool]:
-    return _bfs(_MAT_ID, gens, _mat_compose, n_max, cap, workers)
+    return _ball_counts(_MAT_ID, gens, _mat_compose, n_max, cap)
 
 
-def generic_ball_counts(identity, gens, compose, key, n_max, cap, workers=1):
+def generic_ball_counts(identity, gens, compose, key, n_max, cap):
     """Object-path fallback for backends without a byte encoding.
 
     ``compose`` and ``key`` act on canonical forms; ``key`` must be stable
     under the backend's roundoff (exact canonicals hash as themselves).
-    Worker chunking is skipped here: dedup keys differ from the carried
-    canonicals, so the loop stays inline.
     """
-    seen = {key(identity)}
-    frontier = [identity]
-    counts = [1]
-    for _ in range(n_max):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                c = compose(w, g)
-                k = key(c)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(c)
-        if len(seen) > cap:
-            return counts, True
-        counts.append(counts[-1] + len(nxt))
-        frontier = nxt
-        if not frontier:
-            counts.extend(counts[-1:] * (n_max - len(counts) + 1))
-            break
-    return counts, False
+    return _ball_counts(identity, gens, compose, n_max, cap, key)

@@ -2,11 +2,8 @@
 
 The compiled kernel is preferred whenever the backend exposes a byte or
 integer encoding; the pure twin handles everything else and any int64
-overflow the kernel reports. Worker counts only affect scheduling inside
-the pure path, never the counts.
+overflow the kernel reports.
 """
-
-import os
 
 from ..errors import ConfigError
 from ..words import DEFAULT_MEMORY_CAP
@@ -21,33 +18,18 @@ except ImportError:  # extension not built; the pure twin covers everything
 KERNEL_AVAILABLE = _kernel is not None
 
 
-def resolve_workers(workers=None) -> int:
-    if workers is None:
-        raw = os.environ.get("LOXGROW_WORKERS", "").strip()
-        if not raw:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"LOXGROW_WORKERS must be an integer, got {raw!r}")
-    workers = int(workers)
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    return workers
-
-
-def _dispatch(mod, S, enc, n_max, cap, workers):
+def _dispatch(mod, S, enc, n_max, cap):
     backend = S.backend
     kind = enc[0]
     if kind == "free_words":
         gens = [backend.canonical_bytes(g.canonical) for g in S]
-        return mod.free_ball_counts(gens, n_max, cap, workers)
+        return mod.free_ball_counts(gens, n_max, cap)
     if kind == "product_words":
         gens = [backend.canonical_bytes(g.canonical) for g in S]
-        return mod.product_ball_counts(gens, enc[1], enc[2], n_max, cap, workers)
+        return mod.product_ball_counts(gens, enc[1], enc[2], n_max, cap)
     if kind == "int_matrix":
         gens = [g.canonical for g in S]
-        return mod.matrix_ball_counts(gens, n_max, cap, workers)
+        return mod.matrix_ball_counts(gens, n_max, cap)
     raise ConfigError(f"unknown growth encoding {kind!r}")
 
 
@@ -55,7 +37,6 @@ def ball_sizes(
     S,
     n_max: int,
     memory_cap: float = DEFAULT_MEMORY_CAP,
-    workers=None,
     engine: str = "auto",
 ) -> GrowthTable:
     """Exact ball sizes #S^{<=n} for n = 0..n_max.
@@ -69,7 +50,6 @@ def ball_sizes(
         raise ConfigError("n_max must be >= 0")
     if engine not in ("auto", "kernel", "python"):
         raise ConfigError(f"unknown engine {engine!r}")
-    workers = resolve_workers(workers)
     cap = int(memory_cap)
     if cap < 1:
         raise ConfigError("memory_cap must be positive")
@@ -86,9 +66,8 @@ def ball_sizes(
             backend._growth_key,
             n_max,
             cap,
-            workers,
         )
-        return GrowthTable(counts, truncated=truncated, engine="generic", workers=workers)
+        return GrowthTable(counts, truncated=truncated, engine="generic")
 
     if engine == "kernel" and _kernel is None:
         raise ConfigError("the compiled kernel is not built; reinstall or use engine='python'")
@@ -96,14 +75,14 @@ def ball_sizes(
 
     if use_kernel:
         try:
-            counts, truncated = _dispatch(_kernel, S, enc, n_max, cap, workers)
+            counts, truncated = _dispatch(_kernel, S, enc, n_max, cap)
             tag = "kernel"
         except OverflowError:
             if engine == "kernel":
                 raise
-            counts, truncated = _dispatch(_engine_py, S, enc, n_max, cap, workers)
+            counts, truncated = _dispatch(_engine_py, S, enc, n_max, cap)
             tag = "python"
     else:
-        counts, truncated = _dispatch(_engine_py, S, enc, n_max, cap, workers)
+        counts, truncated = _dispatch(_engine_py, S, enc, n_max, cap)
         tag = "python"
-    return GrowthTable(counts, truncated=truncated, engine=tag, workers=workers)
+    return GrowthTable(counts, truncated=truncated, engine=tag)

@@ -22,7 +22,6 @@ class GrowthTable:
     balls: List[int]
     truncated: bool = False
     engine: str = ""
-    workers: int = 1
 
     def __post_init__(self):
         if not self.balls or self.balls[0] != 1:

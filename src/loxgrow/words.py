@@ -8,7 +8,8 @@ expression bounds the word length d_S from above when exact search is out of
 reach.
 """
 
-from collections import deque
+from itertools import islice
+from operator import attrgetter
 
 from .errors import BudgetExceeded, ConfigError, EmptyAfterReduction, NotSymmetric
 from .spaces.base import GroupElement, word_str
@@ -88,28 +89,49 @@ def make_generating_set(backend, inputs, symmetrize=True, labels=None):
     return GeneratingSet(backend, elems, sources)
 
 
+def spheres(identity, gens, compose, cap, key=None):
+    """Breadth-first spheres of the Cayley graph, one list per radius 1, 2, ...
+
+    Elements are found in frontier order, then generator order, via
+    ``compose(element, generator)``; ``key`` maps an element to its dedup
+    key (default: the element itself). Stops after an empty sphere (a
+    finite group). Once the visited set, identity included, passes ``cap``
+    it yields the partial sphere, ending with the element that passed the
+    cap, and stops; callers spot this as 1 + (elements yielded) > cap.
+    """
+    seen = {identity if key is None else key(identity)}
+    frontier = [identity]
+    while True:
+        sphere = []
+        for w in frontier:
+            for g in gens:
+                c = compose(w, g)
+                k = c if key is None else key(c)
+                if k not in seen:
+                    seen.add(k)
+                    sphere.append(c)
+                    if len(seen) > cap:
+                        yield sphere
+                        return
+        if not sphere:
+            return
+        yield sphere
+        frontier = sphere
+
+
 def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
     """All nontrivial products of at most n generators, as a GeneratingSet."""
     if n < 1:
         raise ConfigError("n must be >= 1")
     backend = S.backend
-    ident = backend.identity()
-    seen = {ident.canonical: ident}
-    frontier = [ident]
-    for _ in range(n):
-        nxt = []
-        for g in frontier:
-            for s in S:
-                gs = backend.compose(g, s)
-                if gs.canonical not in seen:
-                    seen[gs.canonical] = gs
-                    nxt.append(gs)
-                    if len(seen) > memory_cap:
-                        raise BudgetExceeded(
-                            f"product ball exceeded {memory_cap} elements", completed=None
-                        )
-        frontier = nxt
-    out = [g for g in seen.values() if not backend.is_identity(g)]
+    out = []
+    ball = spheres(backend.identity(), list(S), backend.compose, memory_cap,
+                   key=attrgetter("canonical"))
+    for sphere in islice(ball, n):
+        out.extend(sphere)
+        if len(out) >= memory_cap:
+            raise BudgetExceeded(f"product ball exceeded {memory_cap} elements", completed=None)
+    out = [g for g in out if not backend.is_identity(g)]
     out.sort(key=backend.sort_key)
     return GeneratingSet(backend, out, S.source_words)
 
@@ -122,29 +144,20 @@ def word_length_in_S(S, g, cap, memory_cap=DEFAULT_MEMORY_CAP):
     """
     backend = S.backend
     target = g.canonical
-    if target == backend._identity_canonical():
+    ident = backend._identity_canonical()
+    if target == ident:
         return 0
     exact = getattr(backend, "subgroup_length_exact", lambda *_: None)(S, g)
     if exact is not None:
         return exact if exact <= cap else None
-    seen = {backend._identity_canonical()}
-    frontier = [backend.identity()]
-    for radius in range(1, cap + 1):
-        nxt = []
-        for h in frontier:
-            for s in S:
-                hs = backend.compose(h, s)
-                if hs.canonical == target:
-                    return radius
-                if hs.canonical not in seen:
-                    seen.add(hs.canonical)
-                    nxt.append(hs)
-                    if len(seen) > memory_cap:
-                        raise BudgetExceeded(
-                            f"word-length search exceeded {memory_cap} elements",
-                            completed=radius - 1,
-                        )
-        frontier = nxt
-        if not frontier:
-            return None
+    visited = 1
+    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
+    for radius, sphere in enumerate(islice(ball, cap), 1):
+        if target in sphere:
+            return radius
+        visited += len(sphere)
+        if visited > memory_cap:
+            raise BudgetExceeded(
+                f"word-length search exceeded {memory_cap} elements", completed=radius - 1
+            )
     return None

@@ -55,12 +55,9 @@ def test_growth_out_file(f2_config, tmp_path, capsys):
     assert lines[-1].startswith("5,485,")
 
 
-def test_growth_deterministic_across_workers(f2_config, capsys, monkeypatch):
+def test_growth_deterministic_across_reruns_and_engines(f2_config, capsys):
     main(["growth", f2_config])
     base = capsys.readouterr().out
-    main(["growth", f2_config, "--workers", "4"])
-    assert capsys.readouterr().out == base
-    monkeypatch.setenv("LOXGROW_WORKERS", "3")
     main(["growth", f2_config])
     assert capsys.readouterr().out == base
     main(["growth", f2_config, "--engine", "python"])
@@ -95,7 +92,6 @@ def test_bad_inputs_exit_four(write_config, tmp_path, capsys):
     assert main(["growth", bad_budget]) == 4
     assert main(["growth", str(not_json)]) == 4
     assert main(["growth", str(tmp_path / "missing.json")]) == 4
-    assert main(["growth", unknown_top, "--workers", "0"]) == 4
     capsys.readouterr()
 
 
@@ -228,7 +224,7 @@ def test_verify_bound_reruns_byte_identical(write_config, tmp_path):
     })
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify-bound", cfg, "--out", str(a)]) == 0
-    assert main(["verify-bound", cfg, "--out", str(b), "--workers", "4"]) == 0
+    assert main(["verify-bound", cfg, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

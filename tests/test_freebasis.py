@@ -1,4 +1,4 @@
-"""Escalation, loxodromic search, freeness certificates, the theorem driver."""
+"""Loxodromic search, freeness certificates, the theorem driver."""
 
 import json
 import math
@@ -13,11 +13,11 @@ from loxgrow.errors import (
     ExactWordProblemUnavailable,
     HeuristicOnly,
     InvalidCertificate,
-    LikelyElementary,
     NoLoxodromicFound,
 )
 from loxgrow.freebasis import (
     SearchBudgets,
+    _compute_kappa,
     build_free_basis,
     certificate_from_payload,
     certificate_payload,
@@ -25,13 +25,12 @@ from loxgrow.freebasis import (
     certify_free_exact,
     certify_free_geometric,
     check_certificate,
-    escalate,
     find_independent,
     find_short_loxodromic,
     in_elementary,
     verify_theorem,
 )
-from loxgrow.spaces import HalfPlane, make_backend
+from loxgrow.spaces import GroupElement, HalfPlane, make_backend
 from loxgrow.words import GeneratingSet, make_generating_set
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
@@ -39,30 +38,6 @@ from conftest import PSL2Z_ELLIPTIC, SANOV
 
 def raw_set(backend, words):
     return GeneratingSet(backend, [backend.element(w) for w in words])
-
-
-# -- escalation ----------------------------------------------------------------
-
-
-def test_escalate_tree_immediate(S_f2):
-    res = escalate(S_f2)
-    assert res.rounds == 0
-    assert res.displacement.value == 1.0
-    assert res.S_eff is S_f2
-
-
-def test_escalate_elliptic_gives_up(hp):
-    S = make_generating_set(hp, PSL2Z_ELLIPTIC)
-    with pytest.raises(LikelyElementary):
-        escalate(S, max_rounds=0)
-
-
-def test_escalate_parabolic_gives_up(hp):
-    S = make_generating_set(hp, [[[1, 1], [0, 1]]])
-    with pytest.raises(LikelyElementary):
-        escalate(S, max_rounds=2)
-    with pytest.raises(ConfigError):
-        escalate(S, max_rounds=-1)
 
 
 # -- loxodromic search ----------------------------------------------------------
@@ -371,6 +346,43 @@ def test_certificate_tamper_fuzz(S_f2):
     inv = backend.invert(cert.T[0])
     t0["canonical"] = list(inv.canonical)
     t0.pop("symbols", None)
+    with pytest.raises(InvalidCertificate):
+        check_certificate(data)
+
+
+def test_forged_T_words_rejected(S_f2):
+    # one-letter words over S would make kappa 1 and omega_lower log 7,
+    # above the true rate log 3
+    payload = certificate_payload(verify_theorem(S_f2, 6).cert)
+    for t in payload["T"]:
+        t["symbols"] = [["x", 1]]
+    payload.update(kappa=1, kappa_mode="word-upper", omega_lower=math.log(7))
+    with pytest.raises(InvalidCertificate):
+        check_certificate(payload)
+
+
+def test_kappa_search_contradicting_the_word_fails(ft2):
+    # xxy needs two letters of {xx, y}; a one-letter word for it is a lie
+    S = make_generating_set(ft2, ["xx", "y"])
+    t = ft2.element("xxy")
+    honest = GeneratingSet(ft2, [GroupElement(ft2, t.canonical, (("xx", 1), ("y", 1)))])
+    assert _compute_kappa(S, honest, 1000) == (2, "exact")
+    forged = GeneratingSet(ft2, [GroupElement(ft2, t.canonical, (("xx", 1),))])
+    with pytest.raises(InvalidCertificate):
+        _compute_kappa(S, forged, 1000)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda S: S[0].update(symbols=[["x", 1], ["y", 1]]),
+    lambda S: S[0].update(symbols=[["x", 2]]),
+    lambda S: S[0].pop("symbols"),
+    lambda S: S[1].update(symbols=S[0]["symbols"]),
+    lambda S: S.append({"word": "e", "canonical": [], "symbols": [["e", 1]]}),
+    lambda S: S.append({"word": "z", "canonical": [1, 1], "symbols": [["z", 1]]}),
+], ids=["two-symbols", "bad-sign", "no-symbol", "shared-symbol", "identity", "not-symmetric"])
+def test_checker_validates_stored_S(S_f2, edit):
+    data = certificate_payload(build_free_basis(S_f2))
+    edit(data["S"])
     with pytest.raises(InvalidCertificate):
         check_certificate(data)
 

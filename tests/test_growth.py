@@ -14,9 +14,10 @@ from loxgrow.growth import (
     growth_brackets,
     theta_ratio,
 )
-from loxgrow.growth.engine import resolve_workers
 from loxgrow.spaces import FreeGroupTree, HalfPlane
 from loxgrow.words import make_generating_set, product_ball_set
+
+from conftest import SANOV
 
 PSL_TREE_BALLS = [1, 4, 8, 14, 22, 34, 50, 74, 106]
 
@@ -34,13 +35,6 @@ def test_f2_closed_form_all_engines(S_f2):
         assert table.engine == engine
     auto = ball_sizes(S_f2, 9)
     assert auto.balls == [f2_closed_form(n) for n in range(10)]
-
-
-def test_workers_do_not_change_counts(S_f2):
-    t1 = ball_sizes(S_f2, 7, workers=1)
-    t4 = ball_sizes(S_f2, 7, workers=4)
-    assert t1.balls == t4.balls
-    assert t4.workers == 4
 
 
 def test_rank_one_linear():
@@ -74,7 +68,7 @@ def test_float_backend_generic_engine(hpf):
     assert ball_sizes(exact, 5).balls == ball_sizes(exact, 5, engine="python").balls
 
 
-def test_truncation_consistent_across_engines(S_f2):
+def test_truncation_consistent_across_engines(S_f2, S_sanov, hpf):
     tables = [ball_sizes(S_f2, 10, memory_cap=200, engine="python")]
     if KERNEL_AVAILABLE:
         tables.append(ball_sizes(S_f2, 10, memory_cap=200, engine="kernel"))
@@ -82,6 +76,18 @@ def test_truncation_consistent_across_engines(S_f2):
         assert table.truncated
         assert table.balls == [f2_closed_form(n) for n in range(len(table.balls))]
     assert len({tuple(t.balls) for t in tables}) == 1
+
+    # the generic float path truncates exactly like the exact encodings,
+    # including caps that fall inside a sphere (53 < 100 < 161) and on its end
+    S_float = make_generating_set(hpf, [[[float(v) for v in row] for row in g] for g in SANOV])
+    for cap in (1, 4, 5, 100, 161, 162, 1000):
+        exact = ball_sizes(S_sanov, 8, memory_cap=cap, engine="python")
+        approx = ball_sizes(S_float, 8, memory_cap=cap)
+        assert approx.engine == "generic"
+        assert (approx.balls, approx.truncated) == (exact.balls, exact.truncated)
+        assert exact.truncated == (cap < f2_closed_form(8))
+        assert exact.balls == [f2_closed_form(n) for n in range(len(exact.balls))]
+        assert exact.balls[-1] <= cap
 
 
 def test_submultiplicative_and_step_bound(S_pt, S_sanov):
@@ -138,18 +144,6 @@ def test_theta_ratio_cyclic_shrinks():
     thetas = [theta_ratio(ball_sizes(S, n), S) for n in (10, 25, 50)]
     assert all(a > b for a, b in zip(thetas, thetas[1:]))
     assert thetas[-1] < 0.03
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("LOXGROW_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("LOXGROW_WORKERS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("LOXGROW_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        resolve_workers()
-    with pytest.raises(ConfigError):
-        resolve_workers(0)
 
 
 def test_kernel_overflow_falls_back(hp):

@@ -11,7 +11,7 @@ from loxgrow.errors import (
     EmptyAfterReduction,
     NotSymmetric,
 )
-from loxgrow.words import make_generating_set, product_ball_set, word_length_in_S
+from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
 PSL2Z_GENS = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
 
@@ -77,6 +77,27 @@ def test_word_length_memory_cap(ft2):
     assert word_length_in_S(S, ft2.element("xxxx"), 4) == 2
     with pytest.raises(BudgetExceeded):
         word_length_in_S(S, ft2.element("x" * 16), 8, memory_cap=20)
+
+
+def test_word_length_partial_sphere_at_memory_cap(ft2):
+    # the search stops at the element that passes the cap: S[0] and S[1]
+    # fill the cap of 2, so S[1] is still found and S[2] is not
+    S = make_generating_set(ft2, ["x", "xy"])
+    assert S.labels() == ["x", "X", "xy", "xy^-1"]
+    assert word_length_in_S(S, S[1], 4, memory_cap=2) == 1
+    with pytest.raises(BudgetExceeded) as exc:
+        word_length_in_S(S, S[2], 4, memory_cap=2)
+    assert exc.value.completed == 0
+
+
+def test_spheres_order_and_cap():
+    def compose(w, g):
+        return (w + g) % 6
+
+    assert list(spheres(0, [1, 5], compose, 100)) == [[1, 5], [2, 4], [3]]
+    assert list(spheres(0, [1, 5], compose, 4)) == [[1, 5], [2, 4]]
+    assert list(spheres(0, [1, 5], compose, 3)) == [[1, 5], [2]]
+    assert list(spheres(0, [1, 5], compose, 2, key=lambda w: w % 3)) == [[1, 5]]
 
 
 def test_word_length_symmetric_in_inverse(ft2, S_f2):
