@@ -47,7 +47,6 @@ from .hypcore import (
     translation_length_bracket,
 )
 from .growth import (
-    KERNEL_AVAILABLE,
     GrowthTable,
     ball_sizes,
     growth_brackets,
@@ -86,7 +85,6 @@ __all__ = [
     "HalfPlane",
     "HypothesisFailed",
     "InvalidCertificate",
-    "KERNEL_AVAILABLE",
     "LikelyElementary",
     "LoxgrowError",
     "NoLoxodromicFound",

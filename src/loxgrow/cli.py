@@ -120,12 +120,7 @@ def cmd_growth(args) -> int:
     S = _generating_set(config)
     budgets = config.get("budgets", {})
     n_max = args.max_radius if args.max_radius is not None else budgets.get("n_max", _DEFAULT_N_MAX)
-    table = ball_sizes(
-        S,
-        n_max,
-        memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP),
-        engine=args.engine,
-    )
+    table = ball_sizes(S, n_max, memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP))
     _emit(table.to_csv(), args.out)
     if table.truncated:
         print(f"growth table truncated at radius {table.n_max}", file=sys.stderr)
@@ -172,7 +167,6 @@ def cmd_verify_bound(args) -> int:
         n_max,
         _search_budgets(budgets),
         memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP),
-        engine=args.engine,
         seed=config.get("seed", 0),
     )
     summary = {
@@ -240,6 +234,12 @@ def cmd_check_cert(args) -> int:
     return 0
 
 
+def _add_ignored_engine(p):
+    # there is one engine; older command lines (and perfbench's traced runs)
+    # still pass --engine auto|python, which is accepted and ignored
+    p.add_argument("--engine", default="auto", choices=("auto", "python"), help=argparse.SUPPRESS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="loxgrow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"loxgrow {__version__}")
@@ -255,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = add("growth", cmd_growth, "ball counts as CSV")
     g.add_argument("--max-radius", type=int, default=None, help="override budgets.n_max")
-    g.add_argument("--engine", default="auto", choices=("auto", "kernel", "python"))
+    _add_ignored_engine(g)
 
     add("free-basis", cmd_free_basis, "free-subgroup certificate JSON")
 
     v = add("verify-bound", cmd_verify_bound, "growth brackets + certificate summary")
     v.add_argument("--max-radius", type=int, default=None, help="override budgets.n_max")
-    v.add_argument("--engine", default="auto", choices=("auto", "kernel", "python"))
+    _add_ignored_engine(v)
 
     add("delta", cmd_delta, "empirical four-point defect")
     add("classify", cmd_classify, "isometry type per generator")

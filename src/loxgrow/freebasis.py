@@ -319,17 +319,6 @@ class FreeBasisCertificate:
     membership_heuristic: bool = False
 
 
-def omega_lower_bound(cert: FreeBasisCertificate) -> float:
-    """log(2r - 1) / kappa, or 0 when the basis has fewer than two elements."""
-    if cert.mode not in ("geometric", "exact_only"):
-        raise InvalidCertificate(f"unknown certificate mode {cert.mode!r}")
-    if cert.r < 2:
-        return 0.0
-    if cert.kappa < 1:
-        raise InvalidCertificate("kappa must be a positive integer")
-    return math.log(2 * cert.r - 1) / cert.kappa
-
-
 def _diagonal(max_n, max_k):
     for total in range(2, max_n + max_k + 1):
         lo = max(1, total - max_k)
@@ -522,7 +511,7 @@ class TheoremReport:
 
 
 def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
-                   engine="auto", check_delta=True, seed=0) -> TheoremReport:
+                   check_delta=True, seed=0) -> TheoremReport:
     """Run the full pipeline and cross-check the growth brackets.
 
     Counts balls for the original S, then escalates (by squaring the ball
@@ -540,7 +529,7 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
                 f"empirical four-point defect {est:.4f} exceeds the configured "
                 f"delta {backend.delta:g}; raise delta or disable the check"
             )
-    table = ball_sizes(S, n_max, memory_cap=memory_cap, engine=engine)
+    table = ball_sizes(S, n_max, memory_cap=memory_cap)
     brackets = growth_brackets(table)
     log_card = math.log(len(S))
 

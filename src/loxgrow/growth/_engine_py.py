@@ -1,9 +1,10 @@
-"""Pure-Python ball-count kernels.
+"""The ball-count engine.
 
-These mirror the compiled kernels exactly: same generator encodings, same
-truncation semantics, same counts. They are the fallback when the extension
-is not built and the reference the compiled path is tested against. Every
-count comes from the one breadth-first search, ``words.spheres``.
+One counter per growth encoding: free-group words and C_p * C_q words as
+bytes, integer matrices as 4-tuples, and a generic counter on canonical
+forms for backends without an encoding. Each keeps its own compose
+function; every count comes from the one breadth-first search,
+``words.spheres``.
 """
 
 from typing import Callable, List, Tuple

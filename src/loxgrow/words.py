@@ -18,10 +18,9 @@ DEFAULT_MEMORY_CAP = 2_000_000
 
 
 class GeneratingSet:
-    def __init__(self, backend, elements, source_words=None):
+    def __init__(self, backend, elements):
         self.backend = backend
         self.elements = list(elements)
-        self.source_words = list(source_words or [])
 
     def __len__(self):
         return len(self.elements)
@@ -32,9 +31,6 @@ class GeneratingSet:
     def __getitem__(self, i):
         return self.elements[i]
 
-    def canonical_set(self):
-        return {g.canonical for g in self.elements}
-
     def labels(self):
         return [word_str(g.word) for g in self.elements]
 
@@ -42,7 +38,7 @@ class GeneratingSet:
         return f"GeneratingSet({self.labels()})"
 
 
-def make_generating_set(backend, inputs, symmetrize=True, labels=None):
+def make_generating_set(backend, inputs, symmetrize=True):
     """Normalize user generators into a symmetric GeneratingSet.
 
     ``inputs`` may be word strings (tree backends), matrices (half_plane), or
@@ -50,29 +46,21 @@ def make_generating_set(backend, inputs, symmetrize=True, labels=None):
     reuse the symbol with a flipped sign, so symbol-word length counts
     occurrences of the original generators.
     """
-    if labels is None:
-        labels = []
-        for spec in inputs:
-            if isinstance(spec, str):
-                labels.append(spec)
-            elif isinstance(spec, GroupElement):
-                labels.append(word_str(spec.word))
-            else:
-                labels.append(f"g{len(labels)}")
-    if len(labels) != len(inputs):
-        raise ConfigError("labels must match inputs one-to-one")
-
     elems = []
     seen = set()
-    sources = []
-    for spec, label in zip(inputs, labels):
+    for i, spec in enumerate(inputs):
+        if isinstance(spec, str):
+            label = spec
+        elif isinstance(spec, GroupElement):
+            label = word_str(spec.word)
+        else:
+            label = f"g{i}"
         g = backend.element(spec)
         g = GroupElement(backend, g.canonical, ((label, 1),))
         if backend.is_identity(g) or g.canonical in seen:
             continue
         seen.add(g.canonical)
         elems.append(g)
-        sources.append(label)
     if symmetrize:
         for g in list(elems):
             inv = backend.invert(g)
@@ -86,7 +74,7 @@ def make_generating_set(backend, inputs, symmetrize=True, labels=None):
     if not elems:
         raise EmptyAfterReduction("no nontrivial generators left")
     elems.sort(key=backend.sort_key)
-    return GeneratingSet(backend, elems, sources)
+    return GeneratingSet(backend, elems)
 
 
 def spheres(identity, gens, compose, cap, key=None):
@@ -133,7 +121,7 @@ def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
             raise BudgetExceeded(f"product ball exceeded {memory_cap} elements", completed=None)
     out = [g for g in out if not backend.is_identity(g)]
     out.sort(key=backend.sort_key)
-    return GeneratingSet(backend, out, S.source_words)
+    return GeneratingSet(backend, out)
 
 
 def word_length_in_S(S, g, cap, memory_cap=DEFAULT_MEMORY_CAP):

@@ -1,4 +1,4 @@
-"""Ball counting across engines, growth brackets, theta ratios."""
+"""Ball counting, growth brackets, theta ratios."""
 
 import math
 import statistics
@@ -8,8 +8,8 @@ import pytest
 from loxgrow import __version__
 from loxgrow.errors import ConfigError
 from loxgrow.growth import (
-    KERNEL_AVAILABLE,
     GrowthTable,
+    _engine_py,
     ball_sizes,
     growth_brackets,
     theta_ratio,
@@ -27,14 +27,37 @@ def f2_closed_form(n):
 
 
 def test_f2_closed_form_all_engines(S_f2):
-    engines = ["python"] + (["kernel"] if KERNEL_AVAILABLE else [])
-    for engine in engines:
-        table = ball_sizes(S_f2, 9, engine=engine)
-        assert table.balls == [f2_closed_form(n) for n in range(10)]
-        assert not table.truncated
-        assert table.engine == engine
-    auto = ball_sizes(S_f2, 9)
-    assert auto.balls == [f2_closed_form(n) for n in range(10)]
+    table = ball_sizes(S_f2, 9)
+    assert table.balls == [f2_closed_form(n) for n in range(10)]
+    assert not table.truncated
+    assert table.engine == "python"
+
+
+def test_each_encoding_calls_its_engine_counter_once(monkeypatch, S_f2, S_pt, S_sanov, hpf):
+    # ball_sizes looks the counters up on _engine_py, so wrapping them there
+    # sees every call (perfbench's growth spans rely on this)
+    calls = []
+
+    def counted(name, orig):
+        def wrapper(*args):
+            calls.append(name)
+            return orig(*args)
+
+        return wrapper
+
+    S_float = make_generating_set(hpf, [[[float(v) for v in row] for row in g] for g in SANOV])
+    cases = [
+        (S_f2, "free_ball_counts", "python"),
+        (S_pt, "product_ball_counts", "python"),
+        (S_sanov, "matrix_ball_counts", "python"),
+        (S_float, "generic_ball_counts", "generic"),
+    ]
+    for _, name, _ in cases:
+        monkeypatch.setattr(_engine_py, name, counted(name, getattr(_engine_py, name)))
+    for S, name, tag in cases:
+        calls.clear()
+        assert ball_sizes(S, 4).engine == tag
+        assert calls == [name]
 
 
 def test_rank_one_linear():
@@ -63,25 +86,19 @@ def test_float_backend_generic_engine(hpf):
     exact = make_generating_set(
         HalfPlane(), [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]
     )
-    with pytest.raises(ConfigError):
-        ball_sizes(S, 5, engine="kernel")
-    assert ball_sizes(exact, 5).balls == ball_sizes(exact, 5, engine="python").balls
+    assert ball_sizes(exact, 5).engine == "python"
 
 
 def test_truncation_consistent_across_engines(S_f2, S_sanov, hpf):
-    tables = [ball_sizes(S_f2, 10, memory_cap=200, engine="python")]
-    if KERNEL_AVAILABLE:
-        tables.append(ball_sizes(S_f2, 10, memory_cap=200, engine="kernel"))
-    for table in tables:
-        assert table.truncated
-        assert table.balls == [f2_closed_form(n) for n in range(len(table.balls))]
-    assert len({tuple(t.balls) for t in tables}) == 1
+    table = ball_sizes(S_f2, 10, memory_cap=200)
+    assert table.truncated
+    assert table.balls == [f2_closed_form(n) for n in range(len(table.balls))]
 
     # the generic float path truncates exactly like the exact encodings,
     # including caps that fall inside a sphere (53 < 100 < 161) and on its end
     S_float = make_generating_set(hpf, [[[float(v) for v in row] for row in g] for g in SANOV])
     for cap in (1, 4, 5, 100, 161, 162, 1000):
-        exact = ball_sizes(S_sanov, 8, memory_cap=cap, engine="python")
+        exact = ball_sizes(S_sanov, 8, memory_cap=cap)
         approx = ball_sizes(S_float, 8, memory_cap=cap)
         assert approx.engine == "generic"
         assert (approx.balls, approx.truncated) == (exact.balls, exact.truncated)
@@ -146,16 +163,13 @@ def test_theta_ratio_cyclic_shrinks():
     assert thetas[-1] < 0.03
 
 
-def test_kernel_overflow_falls_back(hp):
+def test_big_matrix_entries_count_exactly(hp):
+    # products of these matrices pass 2**63 by radius 4; Python ints stay exact
     big = 10**6
     S = make_generating_set(hp, [[[1, big], [0, 1]], [[1, 0], [big, 1]]])
-    auto = ball_sizes(S, 6)
-    py = ball_sizes(S, 6, engine="python")
-    assert auto.balls == py.balls == [f2_closed_form(n) for n in range(7)]
-    if KERNEL_AVAILABLE:
-        assert auto.engine == "python"
-        with pytest.raises(OverflowError):
-            ball_sizes(S, 6, engine="kernel")
+    table = ball_sizes(S, 6)
+    assert table.balls == [f2_closed_form(n) for n in range(7)]
+    assert table.engine == "python"
 
 
 def test_table_validation():
@@ -169,7 +183,5 @@ def test_table_validation():
 def test_bad_arguments(S_f2):
     with pytest.raises(ConfigError):
         ball_sizes(S_f2, -1)
-    with pytest.raises(ConfigError):
-        ball_sizes(S_f2, 3, engine="rust")
     with pytest.raises(ConfigError):
         ball_sizes(S_f2, 3, memory_cap=0)
