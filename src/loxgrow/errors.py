@@ -52,7 +52,14 @@ class NotLoxodromic(LoxgrowError):
 
 
 class ElementaryDetected(LoxgrowError):
-    """Base for outcomes where the acting subgroup looks elementary."""
+    """Base for outcomes where the acting subgroup looks elementary.
+
+    `escalation_rounds` counts the ball squarings done before the verdict.
+    """
+
+    def __init__(self, message, escalation_rounds=0):
+        super().__init__(message)
+        self.escalation_rounds = escalation_rounds
 
 
 class NoLoxodromicFound(ElementaryDetected):

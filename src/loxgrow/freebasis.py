@@ -1,12 +1,12 @@
 """Free-subgroup certificates and the certified growth lower bound.
 
-Pipeline: square the generating ball until a loxodromic shows up among S
-and S*S, pick a short loxodromic b, find an independent f, amplify to
-h = f b^n, conjugate a coset-separated subset S0 into T = {s h^k s^-1},
-certify that T is a free basis (geometrically via displacement and
-Gromov-product margins, or exactly up to bounded relation length), and
-convert the rank into omega(<S>, S) >= log(2r - 1) / kappa with
-kappa = max_t d_S(1, t).
+Pipeline (``build_free_basis``): square the generating ball S_eff until a
+loxodromic shows up among S_eff and S_eff*S_eff, pick a short loxodromic b,
+find an independent f, amplify to h = f b^n, conjugate a coset-separated
+subset S0 into T = {s h^k s^-1}, certify that T is a free basis
+(geometrically via displacement and Gromov-product margins, or exactly up
+to bounded relation length), and convert the rank into
+omega(<S>, S) >= log(2r - 1) / kappa with kappa = max_t d_S(1, t).
 """
 
 import hashlib
@@ -52,20 +52,13 @@ CERT_FORMAT = "loxgrow-cert/1"
 
 @dataclass
 class SearchBudgets:
-    """Knobs for the amplification search; defaults suit the bundled examples."""
+    """Knobs for escalation and the amplification search; defaults suit the
+    bundled examples."""
 
     max_n: int = 64
     max_k: int = 8
     exact_check_len: int = 6
-    n_test: int = 6
     max_rounds: int = 6
-    candidate_budget: int = 64
-    epsilon_margin: Optional[float] = None  # None: use the backend's dist roundoff
-
-    def margin_floor(self, backend) -> float:
-        if self.epsilon_margin is None:
-            return backend.dist_roundoff
-        return float(self.epsilon_margin)
 
 
 # -- loxodromic search --------------------------------------------------------
@@ -74,7 +67,6 @@ class SearchBudgets:
 @dataclass
 class LoxodromicPick:
     b: GroupElement
-    o: Point
     tau: float
 
 
@@ -96,15 +88,15 @@ def _loxodromic_by_criterion(g, backend, pool, max_power=16):
 def find_short_loxodromic(S, budget=64) -> LoxodromicPick:
     """Scan S and S*S for the loxodromic of largest translation length.
 
-    Ties go to the shorter word, then canonical order. The returned basepoint
-    is the joint-displacement minimizer over the candidate pool. Raises
-    NoLoxodromicFound when every candidate is elliptic or parabolic; the
-    caller escalates and retries.
+    Ties go to the shorter word, then canonical order. Float backends test
+    candidates over the basepoint pool and estimate tau at the
+    joint-displacement minimizer. Raises NoLoxodromicFound when every
+    candidate is elliptic or parabolic; build_free_basis then escalates.
     """
     backend = S.backend
-    rec = min_displacement_search(S, budget)
-    o = rec.point
-    pool = None if backend.exact_words else basepoint_candidates(S, budget)
+    if not backend.exact_words:
+        o = min_displacement_search(S, budget).point
+        pool = basepoint_candidates(S, budget)
 
     candidates = []
     seen = set()
@@ -136,13 +128,13 @@ def find_short_loxodromic(S, budget=64) -> LoxodromicPick:
             best, best_key = g, key
     if best is None:
         raise NoLoxodromicFound("no loxodromic element among S and S*S")
-    return LoxodromicPick(b=best, o=o, tau=-best_key[0])
+    return LoxodromicPick(b=best, tau=-best_key[0])
 
 
 # -- elementary-subgroup membership ------------------------------------------
 
 
-def _elementary_core(b, g, N_test, theta=1.0, window=8) -> Tuple[bool, bool]:
+def _elementary_core(b, g, N_test=6, theta=1.0, window=8) -> Tuple[bool, bool]:
     """(member, heuristic). Exact backends compare g b^n g^-1 with b^{+-n};
     float backends fall back to the axis-overlap proxy."""
     backend = b.backend
@@ -357,25 +349,46 @@ def _compute_kappa(S, T, memory_cap) -> Tuple[int, str]:
     return kappa, mode
 
 
-def build_free_basis(S, budgets=None, *, pick=None, escalation_rounds=0,
-                     kappa_set=None, memory_cap=DEFAULT_MEMORY_CAP) -> FreeBasisCertificate:
-    """Diagonal (n, k) amplification search ending in a freeness certificate.
+def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeBasisCertificate:
+    """Escalate to a loxodromic, then run the diagonal (n, k) amplification
+    search ending in a freeness certificate.
+
+    Escalation: starting from S_eff = S, while no loxodromic shows up among
+    S_eff and its pairwise products, S_eff becomes its radius-2 ball. After
+    ``budgets.max_rounds`` squarings without one it raises LikelyElementary.
+    The search then runs over S_eff; kappa is measured in the word metric
+    of S, and the certificate records the number of rounds. Any
+    ElementaryDetected raised here carries that number in
+    ``escalation_rounds``.
 
     Smallest n + k first, n ascending inside a diagonal. Phase one accepts
     the first geometrically valid (n, k); if none exists the same order is
     retried with the bounded exact certifier and the certificate is marked
-    exact-only. kappa is measured in the word metric of ``kappa_set``
-    (default: S itself).
+    exact-only.
     """
     budgets = budgets or SearchBudgets()
     backend = S.backend
-    eps = budgets.margin_floor(backend)
-    if pick is None:
-        pick = find_short_loxodromic(S, budgets.candidate_budget)
-    b, o = pick.b, pick.o
-    f = find_independent(S, b, budgets.n_test)
+    eps = backend.dist_roundoff
+    S_eff, rounds = S, 0
+    while True:
+        try:
+            b = find_short_loxodromic(S_eff).b
+            break
+        except NoLoxodromicFound:
+            if rounds >= budgets.max_rounds:
+                raise LikelyElementary(
+                    f"no loxodromic element after {rounds} ball escalations",
+                    escalation_rounds=rounds,
+                )
+            S_eff = product_ball_set(S_eff, 2, memory_cap)
+            rounds += 1
+    try:
+        f = find_independent(S_eff, b)
+    except AllElementary as exc:
+        exc.escalation_rounds = rounds
+        raise
     membership_heuristic = not backend.exact_words
-    pool = None if backend.exact_words else basepoint_candidates(S, budgets.candidate_budget)
+    pool = None if backend.exact_words else basepoint_candidates(S_eff)
 
     b_pows = {1: b}
 
@@ -399,11 +412,11 @@ def build_free_basis(S, budgets=None, *, pick=None, escalation_rounds=0,
             stage_cache[n] = None
             return None
         S0 = []
-        for s in S:
+        for s in S_eff:
             separated = True
             for prev in S0:
                 g = backend.compose(backend.invert(s), prev)
-                member, _ = _elementary_core(h, g, budgets.n_test)
+                member, _ = _elementary_core(h, g)
                 if member:
                     separated = False
                     break
@@ -431,8 +444,7 @@ def build_free_basis(S, budgets=None, *, pick=None, escalation_rounds=0,
         return h, S0, T
 
     def finalize(n, k, h, S0, T, check, x, mode):
-        kset = kappa_set if kappa_set is not None else S
-        kappa, kappa_mode = _compute_kappa(kset, T, memory_cap)
+        kappa, kappa_mode = _compute_kappa(S, T, memory_cap)
         r = len(T)
         omega = math.log(2 * r - 1) / kappa if r >= 2 else 0.0
         return FreeBasisCertificate(
@@ -445,7 +457,7 @@ def build_free_basis(S, budgets=None, *, pick=None, escalation_rounds=0,
             h=h,
             n=n,
             k=k,
-            S=kset,
+            S=S,
             S0=GeneratingSet(backend, list(S0)),
             T=T,
             r=r,
@@ -457,7 +469,7 @@ def build_free_basis(S, budgets=None, *, pick=None, escalation_rounds=0,
             kappa=kappa,
             kappa_mode=kappa_mode,
             omega_lower=omega,
-            escalation_rounds=escalation_rounds,
+            escalation_rounds=rounds,
             exact_check_len=budgets.exact_check_len,
             membership_heuristic=membership_heuristic,
         )
@@ -469,7 +481,7 @@ def build_free_basis(S, budgets=None, *, pick=None, escalation_rounds=0,
             continue
         h, S0, T = built
         best, best_x = None, None
-        for x in basepoint_candidates(T, budgets.candidate_budget):
+        for x in basepoint_candidates(T):
             try:
                 chk = certify_free_geometric(T, x, backend.delta, eps)
             except OverflowError:
@@ -511,23 +523,23 @@ class TheoremReport:
 
 
 def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
-                   check_delta=True, seed=0) -> TheoremReport:
+                   seed=0) -> TheoremReport:
     """Run the full pipeline and cross-check the growth brackets.
 
-    Counts balls for the original S, then escalates (by squaring the ball
-    whenever no loxodromic shows up among S_eff and its pairwise products)
-    and builds the free-basis certificate. Elementary outcomes are reported,
-    not raised; budget blowups propagate. The certified lower bound must not
-    exceed the certified upper bound, else the run aborts.
+    Counts balls for S, then builds the free-basis certificate with
+    build_free_basis (which escalates by itself). Elementary outcomes are
+    reported, not raised; budget blowups propagate. On the half-plane the
+    configured delta must cover an empirical four-point defect estimate.
+    The certified lower bound must not exceed the certified upper bound,
+    else the run aborts.
     """
-    budgets = budgets or SearchBudgets()
     backend = S.backend
-    if check_delta and backend.kind == "half_plane":
+    if backend.kind == "half_plane":
         est = estimate_delta(backend, 200, seed)
         if est > backend.delta:
             raise ConfigError(
                 f"empirical four-point defect {est:.4f} exceeds the configured "
-                f"delta {backend.delta:g}; raise delta or disable the check"
+                f"delta {backend.delta:g}; raise delta"
             )
     table = ball_sizes(S, n_max, memory_cap=memory_cap)
     brackets = growth_brackets(table)
@@ -536,31 +548,13 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     cert = None
     elementary = None
     reason = None
-    rounds = 0
     try:
-        S_eff = S
-        while True:
-            try:
-                pick = find_short_loxodromic(S_eff, budgets.candidate_budget)
-                break
-            except NoLoxodromicFound:
-                if rounds >= budgets.max_rounds:
-                    raise LikelyElementary(
-                        f"no loxodromic element after {rounds} ball escalations"
-                    )
-                S_eff = product_ball_set(S_eff, 2, memory_cap)
-                rounds += 1
-        cert = build_free_basis(
-            S_eff,
-            budgets,
-            pick=pick,
-            escalation_rounds=rounds,
-            kappa_set=S,
-            memory_cap=memory_cap,
-        )
+        cert = build_free_basis(S, budgets, memory_cap=memory_cap)
+        rounds = cert.escalation_rounds
     except ElementaryDetected as exc:
         elementary = type(exc).__name__
         reason = str(exc)
+        rounds = exc.escalation_rounds
 
     omega_lower = cert.omega_lower if cert is not None else 0.0
     if omega_lower > brackets.omega_upper + 1e-9:

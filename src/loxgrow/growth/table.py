@@ -7,9 +7,8 @@ ratio log(a_n / a_{n-1}) estimates it empirically.
 """
 
 import math
-import statistics
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .. import __version__
 from ..errors import ConfigError
@@ -65,27 +64,14 @@ class GrowthTable:
 class GrowthBrackets:
     omega_upper: float
     omega_hat: float
-    omega_fit: Optional[float] = None
 
 
-def growth_brackets(table: GrowthTable, fit: bool = False) -> GrowthBrackets:
-    """Certified upper bound and empirical ratio estimate at the last radius.
-
-    The optional regression fit of log a_n over the top half of the radii is
-    diagnostic only and never feeds certified output.
-    """
+def growth_brackets(table: GrowthTable) -> GrowthBrackets:
+    """Certified upper bound and empirical ratio estimate at the last radius."""
     n = table.n_max
     if n < 2:
         raise ConfigError("growth brackets need a table of radius >= 2")
-    omega_fit = None
-    if fit:
-        lo = max(1, n // 2)
-        xs = list(range(lo, n + 1))
-        ys = [math.log(table.balls[m]) for m in xs]
-        omega_fit = statistics.linear_regression(xs, ys).slope
-    return GrowthBrackets(
-        omega_upper=table.upper(n), omega_hat=table.ratio(n), omega_fit=omega_fit
-    )
+    return GrowthBrackets(omega_upper=table.upper(n), omega_hat=table.ratio(n))
 
 
 def theta_ratio(table: GrowthTable, S) -> float:

@@ -187,6 +187,11 @@ class Backend:
     def _growth_key(self, canonical):
         return canonical
 
+    # exact d_S(1, g) when S is the backend's standard generating set,
+    # else None (the caller searches)
+    def subgroup_length_exact(self, S, g):
+        return None
+
     def config(self) -> dict:
         raise NotImplementedError
 

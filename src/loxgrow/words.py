@@ -135,7 +135,7 @@ def word_length_in_S(S, g, cap, memory_cap=DEFAULT_MEMORY_CAP):
     ident = backend._identity_canonical()
     if target == ident:
         return 0
-    exact = getattr(backend, "subgroup_length_exact", lambda *_: None)(S, g)
+    exact = backend.subgroup_length_exact(S, g)
     if exact is not None:
         return exact if exact <= cap else None
     visited = 1

@@ -184,6 +184,21 @@ def test_free_basis_parabolic_exits_two(write_config, capsys):
     assert "elementary" in capsys.readouterr().err
 
 
+def test_verify_bound_parabolic_reports_rounds(write_config, tmp_path, capsys):
+    cfg = write_config("par.json", {
+        "backend": {"kind": "half_plane"},
+        "generators": [[[1, 1], [0, 1]]],
+        "budgets": {"max_rounds": 2},
+    })
+    out = tmp_path / "par.json.out"
+    assert main(["verify-bound", cfg, "--out", str(out)]) == 2
+    assert "after 2 ball escalations" in capsys.readouterr().err
+    rep = json.loads(out.read_text())
+    assert rep["elementary"] == "LikelyElementary"
+    assert rep["escalation_rounds"] == 2
+    assert rep["certificate"] is None
+
+
 def test_budget_blowup_exits_three(write_config, capsys):
     # the elliptic set needs one escalation round; radius-2 ball has 8
     # distinct products, so a cap of 7 trips during the escalation
@@ -209,6 +224,10 @@ def test_verify_bound_escalates_elliptic(write_config, tmp_path, capsys):
     assert rep["escalation_rounds"] == 1
     assert rep["elementary"] is None
     assert 0.0 < rep["omega_lower"] <= rep["omega_upper"]
+    # free-basis escalates the same way and writes the same certificate
+    cert_out = tmp_path / "c7.cert.json"
+    assert main(["free-basis", cfg, "--out", str(cert_out)]) == 0
+    assert json.loads(cert_out.read_text()) == rep["certificate"]
 
 
 def test_max_radius_override(f2_config, capsys):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import loxgrow.freebasis as freebasis
 from loxgrow.errors import (
     AllElementary,
     BudgetExceeded,
@@ -13,6 +14,7 @@ from loxgrow.errors import (
     ExactWordProblemUnavailable,
     HeuristicOnly,
     InvalidCertificate,
+    LikelyElementary,
     NoLoxodromicFound,
 )
 from loxgrow.freebasis import (
@@ -239,6 +241,44 @@ def test_pipeline_deterministic(S_f2):
     assert a == b
 
 
+def test_pipeline_escalates_by_itself(hp):
+    # no loxodromic among the elliptic set and its products: one squaring
+    S = make_generating_set(hp, PSL2Z_ELLIPTIC)
+    cert = build_free_basis(S, memory_cap=50_000)
+    assert cert.escalation_rounds == 1
+    assert [g.canonical for g in cert.S] == [g.canonical for g in S]
+    report = verify_theorem(S, 3, memory_cap=50_000)
+    assert certificate_payload(cert) == certificate_payload(report.cert)
+
+
+def test_escalation_budget_and_rounds_on_elementary_outcomes(hp, ft2, monkeypatch):
+    parabolic = make_generating_set(hp, [[[1, 1], [0, 1]]])
+    with pytest.raises(LikelyElementary) as ei:
+        build_free_basis(parabolic, SearchBudgets(max_rounds=2))
+    assert ei.value.escalation_rounds == 2
+    assert "after 2 ball escalations" in str(ei.value)
+
+    # force one escalation on a cyclic set: AllElementary then reports it
+    original = freebasis.find_short_loxodromic
+    calls = []
+
+    def miss_once(S):
+        calls.append(len(S))
+        if len(calls) == 1:
+            raise NoLoxodromicFound("forced miss")
+        return original(S)
+
+    monkeypatch.setattr(freebasis, "find_short_loxodromic", miss_once)
+    cyclic = make_generating_set(ft2, ["x"])
+    with pytest.raises(AllElementary) as ei:
+        build_free_basis(cyclic)
+    assert ei.value.escalation_rounds == 1
+    assert calls == [2, 4]
+    calls.clear()
+    report = verify_theorem(cyclic, 4)
+    assert (report.elementary, report.escalation_rounds) == ("AllElementary", 1)
+
+
 # -- theorem driver -------------------------------------------------------------------
 
 
@@ -278,8 +318,6 @@ def test_verify_theorem_delta_guard():
     S = make_generating_set(hp_tight, SANOV)
     with pytest.raises(ConfigError):
         verify_theorem(S, 4, memory_cap=50_000)
-    report = verify_theorem(S, 4, memory_cap=50_000, check_delta=False)
-    assert report.cert is not None
 
 
 # -- serialization and the independent checker -----------------------------------------

@@ -1,0 +1,56 @@
+"""The benchmark tracer still finds the pipeline's functions by name.
+
+``perfbench/tracing.py`` patches module attributes (``loxgrow.cli.*``,
+``loxgrow.freebasis.*``); a refactor that moves a call away from those
+names would silently drop its spans from ``--trace 1`` runs.
+"""
+
+import json
+import os
+import sys
+
+import loxgrow.cli as cli
+import loxgrow.freebasis as fb
+import loxgrow.words as words
+from loxgrow.spaces.base import Backend
+
+from conftest import PSL2Z_ELLIPTIC
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+from tracing import Tracer  # noqa: E402
+
+
+def test_tracer_records_escalation_spans_and_uninstalls(tmp_path, capsys):
+    # the benchmark's elliptic escalation case: one round, cheap at delta 0.7
+    cfg = tmp_path / "elliptic.json"
+    cfg.write_text(json.dumps({
+        "backend": {"kind": "half_plane", "delta": 0.7},
+        "generators": PSL2Z_ELLIPTIC,
+        "budgets": {"n_max": 3, "memory_cap": 5000},
+    }))
+    names = ("find_short_loxodromic", "product_ball_set", "build_free_basis", "verify_theorem")
+    before = {(mod.__name__, n): getattr(mod, n) for mod in (cli, fb) for n in names}
+    before[("words", "product_ball_set")] = words.product_ball_set
+    compose = Backend.__dict__["compose"]
+
+    tracer = Tracer()
+    tracer.install(False)
+    try:
+        assert cli.main(["free-basis", str(cfg), "--out", str(tmp_path / "cert.json")]) == 0
+        assert cli.main(["verify-bound", str(cfg), "--out", str(tmp_path / "rep.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    recorded = {row[0] for row in tracer.spans}
+    for span in ("freebasis.find_short_loxodromic", "words.product_ball_set",
+                 "freebasis.build_free_basis", "freebasis.verify_theorem"):
+        assert span in recorded
+    assert tracer.counts["freebasis.find_short_loxodromic_misses"] == 2
+    assert json.loads((tmp_path / "rep.json").read_text())["escalation_rounds"] == 1
+
+    after = {(mod.__name__, n): getattr(mod, n) for mod in (cli, fb) for n in names}
+    after[("words", "product_ball_set")] = words.product_ball_set
+    assert after == before
+    assert Backend.__dict__["compose"] is compose
