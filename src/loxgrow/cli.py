@@ -169,6 +169,9 @@ def cmd_verify_bound(args) -> int:
     if rep.elementary is not None:
         print(f"elementary subgroup: {rep.elementary_reason}", file=sys.stderr)
         return 2
+    if rep.table.truncated:
+        print(f"growth table truncated at radius {rep.table.n_max}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -32,7 +32,6 @@ from .growth import GrowthTable, ball_sizes, growth_brackets
 from .hypcore import (
     axis_overlap_diameter,
     estimate_delta,
-    gromov_product,
     loxodromic_criterion,
     min_displacement_search,
     translation_length_bracket,
@@ -46,6 +45,9 @@ from .words import (
     product_ball_set,
     word_length_in_S,
 )
+
+# unused here; perfbench/tracing.py patches this name on this module
+from .hypcore import gromov_product  # noqa: F401
 
 CERT_FORMAT = "loxgrow-cert/1"
 
@@ -216,22 +218,28 @@ def certify_free_geometric(T, x, delta=None, epsilon_margin=0.0) -> GeometricChe
     or pair as inverses (or an entry is an involution), the 2#T letters are
     not distinct, the per-pair estimate misses words like t1 t2 = 1, and
     the check reports invalid regardless of the margin.
+
+    Each distance is computed once: d(a x, x) per letter and d(a x, b x) per
+    unordered pair of distinct letters, at most 2r + r(2r - 1) dist calls
+    for r = #T. The (a^-1, b) and (b^-1, a) products then share one value;
+    dist is symmetric on every backend (bit for bit on the half-plane).
     """
     backend = T.backend
     if delta is None:
         delta = backend.delta
     letters = list(T) + [backend.invert(t) for t in T]
     translates = [backend.apply(a, x) for a in letters]
-    inverses = [a.canonical for a in letters[len(T):]] + [a.canonical for a in letters[: len(T)]]
-    degenerate = len({a.canonical for a in letters}) < len(letters)
-    m = min(backend.dist(x, tx) for tx in translates)
+    canon = [a.canonical for a in letters]
+    degenerate = len(set(canon)) < len(letters)
+    d = [backend.dist(tx, x) for tx in translates]
+    m = min(d)
     p_max = 0.0
+    # a^-1 x runs over every translate, and b ranges over letters != a^-1
     for i in range(len(letters)):
-        ax = translates[(i + len(T)) % len(letters)]  # a^-1 x
-        for j, b in enumerate(letters):
-            if b.canonical == inverses[i]:
+        for j in range(i + 1, len(letters)):
+            if canon[i] == canon[j]:
                 continue
-            p = gromov_product(ax, translates[j], x)
+            p = 0.5 * (d[i] + d[j] - backend.dist(translates[i], translates[j]))
             if p > p_max:
                 p_max = p
     margin = m / 8.0 - delta / 2.0 - p_max
@@ -528,10 +536,12 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
 
     Counts balls for S, then builds the free-basis certificate with
     build_free_basis (which escalates by itself). Elementary outcomes are
-    reported, not raised; budget blowups propagate. On the half-plane the
-    configured delta must cover an empirical four-point defect estimate.
-    The certified lower bound must not exceed the certified upper bound,
-    else the run aborts.
+    reported, not raised; budget blowups propagate. A growth table
+    truncated below radius 2 raises BudgetExceeded; one truncated later
+    stays in the report (``table.truncated``) for the caller to flag. On
+    the half-plane the configured delta must cover an empirical four-point
+    defect estimate. The certified lower bound must not exceed the
+    certified upper bound, else the run aborts.
     """
     backend = S.backend
     if backend.kind == "half_plane":
@@ -542,6 +552,10 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
                 f"delta {backend.delta:g}; raise delta"
             )
     table = ball_sizes(S, n_max, memory_cap=memory_cap)
+    if table.truncated and table.n_max < 2:
+        raise BudgetExceeded(
+            f"growth table truncated at radius {table.n_max}; brackets need radius >= 2"
+        )
     brackets = growth_brackets(table)
     log_card = math.log(len(S))
 

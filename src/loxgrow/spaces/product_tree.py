@@ -103,11 +103,20 @@ class FreeProductTree(Backend):
         return Point(self, (self._strip(self._compose(g.canonical, rep), side), side))
 
     def dist(self, x, y):
+        # Past the common syllable prefix P, the coset (P U, s) lies len(U)
+        # edges beyond P<first factor of U>, or is P<s> when U is empty; this
+        # needs the invariant that a rep never ends in a syllable of its own
+        # side.  Both starting cosets contain P: they coincide when the
+        # factors agree (distinct first syllables then branch apart) and are
+        # adjacent otherwise.
         (ru, s), (rv, t) = x.data, y.data
-        w = self._strip(self._compose(self._invert(ru), rv), t)
-        if not w:
-            return 0 if s == t else 1
-        return len(w) + (0 if w[0][0] == s else 1)
+        i = 0
+        m = min(len(ru), len(rv))
+        while i < m and ru[i] == rv[i]:
+            i += 1
+        fu = ru[i][0] if i < len(ru) else s
+        fv = rv[i][0] if i < len(rv) else t
+        return len(ru) + len(rv) - 2 * i + (0 if fu == fv else 1)
 
     def _path_vertices(self, x, y):
         (ru, s), (rv, t) = x.data, y.data

@@ -79,6 +79,39 @@ def test_growth_truncation_exit(write_config, capsys):
     assert all(int(r.split(",")[1]) <= 101 for r in rows)
 
 
+
+def test_verify_bound_truncation_exits_three(write_config, f2_config, tmp_path, capsys):
+    # the growth table stops at radius 3 of the requested 10: the report is
+    # still written, and the exit code says the budget ran out
+    cfg = write_config("trunc.json", {
+        "backend": F2_BACKEND,
+        "generators": ["x", "y"],
+        "budgets": {"n_max": 10, "memory_cap": 100},
+    })
+    out = tmp_path / "trunc.out.json"
+    assert main(["verify-bound", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "growth table truncated at radius 3\n"
+    rep = json.loads(out.read_text())
+    assert main(["verify-bound", f2_config, "--max-radius", "3"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert rep.keys() == full.keys()
+    assert (rep["omega_upper"], rep["omega_hat"]) == (full["omega_upper"], full["omega_hat"])
+    assert rep["elementary"] is None and rep["certificate"] is not None
+
+
+def test_verify_bound_truncated_below_radius_two_exits_three(write_config, capsys):
+    # radius 2 of the elliptic set holds 8 elements, past a cap of 7
+    cfg = write_config("tight.json", {
+        "backend": {"kind": "half_plane"},
+        "generators": PSL2Z_ELLIPTIC,
+        "budgets": {"memory_cap": 7},
+    })
+    assert main(["verify-bound", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: growth table truncated at radius 1")
+
+
 def test_bad_inputs_exit_four(write_config, tmp_path, capsys):
     good = {"backend": F2_BACKEND, "generators": ["x"]}
     unknown_top = write_config("a.json", {**good, "extra": 1})

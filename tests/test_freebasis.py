@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -18,6 +19,7 @@ from loxgrow.errors import (
     NoLoxodromicFound,
 )
 from loxgrow.freebasis import (
+    GeometricCheck,
     SearchBudgets,
     _compute_kappa,
     build_free_basis,
@@ -32,7 +34,9 @@ from loxgrow.freebasis import (
     in_elementary,
     verify_theorem,
 )
+from loxgrow.hypcore import gromov_product
 from loxgrow.spaces import GroupElement, HalfPlane, make_backend
+from loxgrow.spaces.base import basepoint_candidates
 from loxgrow.words import GeneratingSet, make_generating_set
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
@@ -166,6 +170,93 @@ def test_geometric_displacement_lower_bound(ft2):
             W = ft2.compose(W, letters[idx])
         moved = ft2.dist(ft2.origin(), ft2.apply(W, ft2.origin()))
         assert moved >= len(word) * chk.m / 2.0
+
+
+def reference_geometric(T, x, delta, epsilon_margin):
+    """Reference check: one gromov_product call per ordered letter pair."""
+    backend = T.backend
+    letters = list(T) + [backend.invert(t) for t in T]
+    translates = [backend.apply(a, x) for a in letters]
+    inverses = [a.canonical for a in letters[len(T):]] + [a.canonical for a in letters[: len(T)]]
+    degenerate = len({a.canonical for a in letters}) < len(letters)
+    m = min(backend.dist(x, tx) for tx in translates)
+    p_max = 0.0
+    for i in range(len(letters)):
+        ax = translates[(i + len(T)) % len(letters)]
+        for j, b in enumerate(letters):
+            if b.canonical == inverses[i]:
+                continue
+            p = gromov_product(ax, translates[j], x)
+            if p > p_max:
+                p_max = p
+    margin = m / 8.0 - delta / 2.0 - p_max
+    valid = m > 0 and margin >= epsilon_margin and not degenerate
+    return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
+
+
+def _searched_T_sets(S, monkeypatch, memory_cap):
+    # every T the (n, k) search hands to the geometric check
+    seen = {}
+    inner = freebasis.certify_free_geometric
+
+    def record(T, x, delta=None, epsilon_margin=0.0):
+        seen.setdefault(id(T), (T, epsilon_margin))
+        return inner(T, x, delta, epsilon_margin)
+
+    monkeypatch.setattr(freebasis, "certify_free_geometric", record)
+    build_free_basis(S, memory_cap=memory_cap)
+    monkeypatch.setattr(freebasis, "certify_free_geometric", inner)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("case", ["f2", "c2c3", "c3c3", "sanov", "sanov_float"])
+def test_geometric_check_matches_per_pair_reference(case, monkeypatch):
+    if case == "f2":
+        backend, gens = make_backend({"kind": "free_group_tree", "rank": 2, "letters": "xy"}), ["x", "y"]
+    elif case in ("c2c3", "c3c3"):
+        orders = [2, 3] if case == "c2c3" else [3, 3]
+        backend, gens = make_backend({"kind": "free_product_tree", "orders": orders}), ["a", "b"]
+    else:
+        arith = "float" if case == "sanov_float" else "exact_integer"
+        backend = make_backend({"kind": "half_plane", "arithmetic": arith})
+        gens = SANOV if backend.exact else [[[float(v) for v in row] for row in M] for M in SANOV]
+    S = make_generating_set(backend, gens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        sets = _searched_T_sets(S, monkeypatch, 50_000)
+    assert sets
+
+    calls = [0]
+    dist = type(backend).dist
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return dist(self, x, y)
+
+    checked = 0
+    for T, eps in sets:
+        r = len(T)
+        for x in basepoint_candidates(T):
+            try:
+                want = reference_geometric(T, x, backend.delta, eps)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    certify_free_geometric(T, x, backend.delta, eps)
+                continue
+            monkeypatch.setattr(type(backend), "dist", counted)
+            calls[0] = 0
+            got = certify_free_geometric(T, x, backend.delta, eps)
+            monkeypatch.setattr(type(backend), "dist", dist)
+            assert calls[0] <= 2 * r + r * (2 * r - 1)
+            assert (got.m, got.p_max, got.margin, got.valid) == (
+                want.m, want.p_max, want.margin, want.valid)
+            checked += 1
+            if backend.kind == "half_plane":
+                pts = [x] + [backend.apply(a, x) for t in T for a in (t, backend.invert(t))]
+                for p in pts:
+                    for q in pts:
+                        assert backend.dist(p, q) == backend.dist(q, p)
+    assert checked
 
 
 # -- exact certificates ------------------------------------------------------------

@@ -54,3 +54,25 @@ def test_tracer_records_escalation_spans_and_uninstalls(tmp_path, capsys):
     after[("words", "product_ball_set")] = words.product_ball_set
     assert after == before
     assert Backend.__dict__["compose"] is compose
+
+
+def test_tracer_records_the_geometric_check(tmp_path, capsys):
+    # the ping-pong check calls dist directly, not through gromov_product:
+    # its span and the per-backend dist counter must both record
+    cfg = tmp_path / "c2c3.json"
+    cfg.write_text(json.dumps({
+        "backend": {"kind": "free_product_tree", "orders": [2, 3]},
+        "generators": ["a", "b"],
+    }))
+    check = fb.certify_free_geometric
+    tracer = Tracer()
+    tracer.install(False)
+    try:
+        assert cli.main(["free-basis", str(cfg), "--out", str(tmp_path / "cert.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert "freebasis.certify_free_geometric" in {row[0] for row in tracer.spans}
+    assert tracer.counts["spaces.dist_calls"] > 0
+    assert fb.certify_free_geometric is check

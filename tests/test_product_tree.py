@@ -126,3 +126,62 @@ def test_isometry_exact(pt23):
 def test_candidate_seeds_are_both_factor_vertices(pt23):
     seeds = pt23._candidate_seeds()
     assert {p.data for p in seeds} == {((), 0), ((), 1)}
+
+
+def _random_rep(backend, rng, length, start=None):
+    factor = rng.randint(0, 1) if start is None else start
+    word = []
+    for _ in range(length):
+        word.append((factor, rng.randint(1, backend.orders[factor] - 1)))
+        factor = 1 - factor
+    return tuple(word)
+
+
+def _vertex(backend, canon, side):
+    return Point(backend, (_strip(backend, canon, side), side))
+
+
+def _assert_bfs(backend, x, y):
+    d = backend.dist(x, y)
+    assert d == backend.dist(y, x)
+    assert d == bfs_dist(backend, x.data, y.data), (x.data, y.data)
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (2, 4), (3, 3), (2, 7)])
+def test_dist_between_arbitrary_vertices(orders):
+    # pairs away from the origin: dist reads the common syllable prefix
+    backend = FreeProductTree(orders)
+    rng = random.Random(sum(orders))
+    for _ in range(40):
+        # a long shared prefix, then short tails (possibly empty)
+        prefix = _random_rep(backend, rng, rng.randint(6, 12))
+        nxt = 1 - prefix[-1][0]
+        tails = [_random_rep(backend, rng, rng.randint(0, 4), start=rng.choice((nxt, None)))
+                 for _ in range(2)]
+        u, v = (backend._compose(prefix, tail) for tail in tails)
+        _assert_bfs(backend, _vertex(backend, u, rng.randint(0, 1)),
+                    _vertex(backend, v, rng.randint(0, 1)))
+        # one rep a prefix of the other
+        x = _vertex(backend, prefix, rng.randint(0, 1))
+        y = _vertex(backend, backend._compose(x.data[0], tails[0]), rng.randint(0, 1))
+        _assert_bfs(backend, x, y)
+        # the two cosets of one element, and equal reps on opposite sides
+        _assert_bfs(backend, _vertex(backend, u, 0), _vertex(backend, u, 1))
+    _assert_bfs(backend, Point(backend, ((), 0)), Point(backend, ((), 1)))
+
+    pts = backend.sample_points(rng, 12, max_syllables=4)
+    moves = [backend.element("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3))))
+             for _ in range(6)]
+    far = backend.element("ab" * 5)
+    for x in pts:
+        for y in pts:
+            _assert_bfs(backend, x, y)
+            # a long common translation leaves only the prefix to skip
+            _assert_bfs(backend, backend.apply(far, x), backend.apply(far, y))
+        for g in moves:
+            _assert_bfs(backend, x, backend.apply(g, x))
+    for x, y in zip(pts, pts[1:]):
+        for t in range(backend.dist(x, y) + 1):
+            p = backend.geodesic_point(x, y, t)
+            _assert_bfs(backend, x, p)
+            _assert_bfs(backend, p, y)
