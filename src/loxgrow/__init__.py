@@ -15,7 +15,6 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     ElementaryDetected,
-    HypothesisFailed,
     InvalidCertificate,
     LikelyElementary,
     LoxgrowError,
@@ -83,7 +82,6 @@ __all__ = [
     "GroupElement",
     "GrowthTable",
     "HalfPlane",
-    "HypothesisFailed",
     "InvalidCertificate",
     "LikelyElementary",
     "LoxgrowError",

@@ -15,6 +15,7 @@ results go to --out or stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -44,7 +45,8 @@ from .freebasis import find_short_loxodromic  # noqa: F401
 from .words import product_ball_set  # noqa: F401
 
 _TOP_KEYS = {"backend", "generators", "symmetrize", "seed", "budgets"}
-_BUDGET_KEYS = {"n_max", "memory_cap", "max_n", "max_k", "exact_check_len", "max_rounds"}
+_SEARCH_KEYS = {f.name for f in dataclasses.fields(SearchBudgets)}
+_BUDGET_KEYS = {"n_max", "memory_cap"} | _SEARCH_KEYS
 _DEFAULT_N_MAX = 8
 
 
@@ -93,9 +95,7 @@ def load_config(path, need_generators=True):
 
 
 def _search_budgets(budgets: dict) -> SearchBudgets:
-    kwargs = {k: budgets[k] for k in ("max_n", "max_k", "exact_check_len", "max_rounds")
-              if k in budgets}
-    return SearchBudgets(**kwargs)
+    return SearchBudgets(**{k: v for k, v in budgets.items() if k in _SEARCH_KEYS})
 
 
 def _generating_set(config):

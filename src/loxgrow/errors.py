@@ -39,14 +39,6 @@ class BudgetExceeded(LoxgrowError):
         self.completed = completed
 
 
-class HypothesisFailed(LoxgrowError):
-    """A chain fails the local product inequality at interior index `index` (1-based)."""
-
-    def __init__(self, index, message=None):
-        super().__init__(message or f"chain hypothesis fails at interior point {index}")
-        self.index = index
-
-
 class NotLoxodromic(LoxgrowError):
     pass
 

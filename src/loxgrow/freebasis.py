@@ -3,9 +3,9 @@
 Pipeline (``build_free_basis``): square the generating ball S_eff until a
 loxodromic shows up among S_eff and S_eff*S_eff, pick a short loxodromic b,
 find an independent f, amplify to h = f b^n, conjugate a coset-separated
-subset S0 into T = {s h^k s^-1}, certify that T is a free basis
-(geometrically via displacement and Gromov-product margins, or exactly up
-to bounded relation length), and convert the rank into
+subset S0 into T = {s h^k s^-1}, certify that T is a free basis by the
+ping-pong margin test (displacement against Gromov products at one
+basepoint), and convert the rank into
 omega(<S>, S) >= log(2r - 1) / kappa with kappa = max_t d_S(1, t).
 """
 
@@ -59,7 +59,6 @@ class SearchBudgets:
 
     max_n: int = 64
     max_k: int = 8
-    exact_check_len: int = 6
     max_rounds: int = 6
 
 
@@ -250,9 +249,12 @@ def certify_free_geometric(T, x, delta=None, epsilon_margin=0.0) -> GeometricChe
 def certify_free_exact(T, L, memory_cap=DEFAULT_MEMORY_CAP) -> bool:
     """Check that no nonempty reduced word over T of length <= L is trivial.
 
-    A True result certifies freeness up to relation length L only. Raises
-    ExactWordProblemUnavailable on float backends and BudgetExceeded when
-    the word count sum_{l<=L} 2r (2r-1)^(l-1) passes the cap.
+    A True result bounds the length of a shortest relation from below; it
+    certifies neither freeness nor any growth bound, and the pipeline does
+    not call it. Tests use it as an exact reference for the geometric
+    check. Raises ExactWordProblemUnavailable on float backends and
+    BudgetExceeded when the word count sum_{l<=L} 2r (2r-1)^(l-1) passes
+    the cap.
     """
     backend = T.backend
     if not backend.exact_words:
@@ -296,7 +298,7 @@ class FreeBasisCertificate:
     backend_config: dict
     backend_hash: str
     delta: float
-    mode: str  # "geometric" | "exact_only"
+    mode: str  # always "geometric"
     b: GroupElement
     f: GroupElement
     h: GroupElement
@@ -315,7 +317,6 @@ class FreeBasisCertificate:
     kappa_mode: str  # "exact" | "word-upper"
     omega_lower: float
     escalation_rounds: int
-    exact_check_len: int
     membership_heuristic: bool = False
 
 
@@ -369,10 +370,9 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
     ElementaryDetected raised here carries that number in
     ``escalation_rounds``.
 
-    Smallest n + k first, n ascending inside a diagonal. Phase one accepts
-    the first geometrically valid (n, k); if none exists the same order is
-    retried with the bounded exact certifier and the certificate is marked
-    exact-only.
+    Smallest n + k first, n ascending inside a diagonal; the first (n, k)
+    whose T passes the ping-pong margin test at some basepoint candidate
+    wins. If none does, SearchExhausted is raised.
     """
     budgets = budgets or SearchBudgets()
     backend = S.backend
@@ -451,7 +451,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
         )
         return h, S0, T
 
-    def finalize(n, k, h, S0, T, check, x, mode):
+    def finalize(n, k, h, S0, T, check, x):
         kappa, kappa_mode = _compute_kappa(S, T, memory_cap)
         r = len(T)
         omega = math.log(2 * r - 1) / kappa if r >= 2 else 0.0
@@ -459,7 +459,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
             backend_config=backend.config(),
             backend_hash=backend_hash(backend.config()),
             delta=backend.delta,
-            mode=mode,
+            mode="geometric",
             b=b,
             f=f,
             h=h,
@@ -478,11 +478,9 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
             kappa_mode=kappa_mode,
             omega_lower=omega,
             escalation_rounds=rounds,
-            exact_check_len=budgets.exact_check_len,
             membership_heuristic=membership_heuristic,
         )
 
-    attempts = []
     for n, k in _diagonal(budgets.max_n, budgets.max_k):
         built = conjugated(n, k)
         if built is None:
@@ -497,16 +495,8 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
                 continue
             if best is None or chk.margin > best.margin:
                 best, best_x = chk, x
-        if best is None:
-            continue
-        attempts.append((n, k, h, S0, T, best, best_x))
-        if best.valid:
-            return finalize(n, k, h, S0, T, best, best_x, "geometric")
-
-    if backend.exact_words:
-        for n, k, h, S0, T, best, best_x in attempts:
-            if certify_free_exact(T, budgets.exact_check_len, memory_cap):
-                return finalize(n, k, h, S0, T, best, best_x, "exact_only")
+        if best is not None and best.valid:
+            return finalize(n, k, h, S0, T, best, best_x)
 
     raise SearchExhausted(
         f"no certificate with n <= {budgets.max_n}, k <= {budgets.max_k}"
@@ -707,7 +697,6 @@ def certificate_payload(cert: FreeBasisCertificate) -> dict:
         "kappa_mode": cert.kappa_mode,
         "omega_lower": float(cert.omega_lower),
         "escalation_rounds": cert.escalation_rounds,
-        "exact_check_len": cert.exact_check_len,
         "membership_heuristic": cert.membership_heuristic,
     }
 
@@ -751,7 +740,6 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
         kappa_mode=data["kappa_mode"],
         omega_lower=float(data["omega_lower"]),
         escalation_rounds=int(data["escalation_rounds"]),
-        exact_check_len=int(data["exact_check_len"]),
         membership_heuristic=bool(data["membership_heuristic"]),
     )
 
@@ -802,7 +790,11 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
 
     Accepts a FreeBasisCertificate, a payload dict, or JSON text. Exact
     backends must reproduce each number bit-for-bit; the float backend gets
-    a 1e-9 tolerance. Raises InvalidCertificate on the first mismatch.
+    a 1e-9 tolerance. The only accepted mode is "geometric". Fields fixed
+    by the backend are derived, not trusted: ``membership_heuristic`` must
+    equal ``not backend.exact_words`` and ``epsilon_margin`` must cover
+    ``backend.dist_roundoff``. The returned summary reports derived values.
+    Raises InvalidCertificate on the first mismatch.
     """
     if isinstance(source, FreeBasisCertificate):
         cert = source
@@ -814,12 +806,16 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
     def fail(msg):
         raise InvalidCertificate(msg)
 
-    if cert.mode not in ("geometric", "exact_only"):
+    if cert.mode != "geometric":
         fail(f"unknown mode {cert.mode!r}")
     if cert.delta != backend.delta:
         fail(f"certificate delta {cert.delta} != backend delta {backend.delta}")
-    if cert.epsilon_margin < 0:
-        fail("epsilon_margin must be nonnegative")
+    if cert.epsilon_margin < backend.dist_roundoff:
+        fail(f"epsilon_margin {cert.epsilon_margin!r} is below the backend's "
+             f"distance roundoff {backend.dist_roundoff!r}")
+    membership_heuristic = not backend.exact_words
+    if cert.membership_heuristic != membership_heuristic:
+        fail(f"membership_heuristic must be {membership_heuristic} on this backend")
     if backend_hash(backend.config()) != cert.backend_hash:
         fail("backend hash mismatch")
 
@@ -852,14 +848,8 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
         fail(f"p_max mismatch: recomputed {chk.p_max!r}, stored {cert.p_max!r}")
     if abs(chk.margin - cert.margin) > tol:
         fail(f"margin mismatch: recomputed {chk.margin!r}, stored {cert.margin!r}")
-    if cert.mode == "geometric":
-        if not chk.valid:
-            fail("geometric margin does not clear the floor")
-    else:
-        if not backend.exact_words:
-            fail("exact-only certificate on a float backend")
-        if not certify_free_exact(cert.T, cert.exact_check_len, memory_cap):
-            fail(f"a relation of length <= {cert.exact_check_len} exists")
+    if not chk.valid:
+        fail("geometric margin does not clear the floor")
 
     _check_T_words(cert.S, cert.T)
     kappa, kappa_mode = _compute_kappa(cert.S, cert.T, memory_cap)
@@ -878,6 +868,6 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
         "r": cert.r,
         "kappa": cert.kappa,
         "omega_lower": float(cert.omega_lower),
-        "margin": float(cert.margin),
-        "membership_heuristic": cert.membership_heuristic,
+        "margin": float(chk.margin),
+        "membership_heuristic": membership_heuristic,
     }

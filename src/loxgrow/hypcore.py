@@ -1,4 +1,5 @@
-"""Coarse-geometry primitives: Gromov products, chain estimates, criteria.
+"""Coarse-geometry primitives: Gromov products, delta estimates, the
+loxodromic criterion, translation lengths, displacement and axis overlap.
 
 Everything here works through the backend protocol only, so the same
 inequalities run on exact tree metrics and on float plane distances.  The
@@ -10,9 +11,9 @@ quadruples (the four-point inequality).
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
-from .errors import HypothesisFailed, NotLoxodromic
+from .errors import NotLoxodromic
 from .spaces.base import Point, basepoint_candidates, word_str
 
 
@@ -43,7 +44,7 @@ def estimate_delta(backend, sample_size: int, seed: int) -> float:
     return worst
 
 
-# -- loxodromicity criteria -------------------------------------------------
+# -- loxodromicity criterion --------------------------------------------------
 
 
 def loxodromic_criterion(g, o: Point, delta=None) -> bool:
@@ -61,100 +62,6 @@ def loxodromic_criterion(g, o: Point, delta=None) -> bool:
     # at delta = 0 equality certifies nothing: the orbit lower bound
     # degenerates to tau >= 0 and a fixed point passes 0 >= 0
     return lhs >= rhs if delta > 0 else lhs > rhs
-
-
-def product_loxodromic_criterion(g, h, o: Point, delta=None) -> bool:
-    """Certifies that g*h is loxodromic when the axes of g and h diverge:
-
-        min(d(go, o), d(ho, o)) / 4 >= max(<go, h^-1 o>_o, <g^-1 o, ho>_o) + delta
-    """
-    backend = o.backend
-    if delta is None:
-        delta = backend.delta
-    go = backend.apply(g, o)
-    ho = backend.apply(h, o)
-    gio = backend.apply(backend.invert(g), o)
-    hio = backend.apply(backend.invert(h), o)
-    lhs = 0.25 * min(backend.dist(go, o), backend.dist(ho, o))
-    rhs = max(gromov_product(go, hio, o), gromov_product(gio, ho, o)) + delta
-    # same degenerate-equality caveat as loxodromic_criterion
-    return lhs >= rhs if delta > 0 else lhs > rhs
-
-
-# -- chains -------------------------------------------------------------------
-
-
-@dataclass
-class Chain:
-    """A finite sequence of points x_1 ... x_k (k >= 2), 1-based in messages."""
-
-    points: List[Point]
-
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValueError("a chain needs at least two points")
-
-    @property
-    def backend(self):
-        return self.points[0].backend
-
-    def gaps(self):
-        b = self.backend
-        return [b.dist(p, q) for p, q in zip(self.points, self.points[1:])]
-
-    def interior_products(self):
-        # product at x_i (2 <= i <= k-1): <x_{i-1}, x_{i+1}>_{x_i}
-        return [
-            gromov_product(self.points[i - 1], self.points[i + 1], self.points[i])
-            for i in range(1, len(self.points) - 1)
-        ]
-
-
-def chain_lower_bound(chain: Chain, delta=None) -> float:
-    """Endpoint distance bound sum(d_i) - 2 sum(<...> + delta) for chains whose
-    consecutive interior products are small against the gaps.
-
-    Hypothesis (checked, HypothesisFailed(i) on violation, i 1-based):
-        <x_{i-1}, x_{i+1}>_{x_i} + <x_i, x_{i+2}>_{x_{i+1}} <= d_i - 3 delta
-    for 2 <= i <= k-2.
-    """
-    if delta is None:
-        delta = chain.backend.delta
-    gaps = chain.gaps()
-    prods = chain.interior_products()
-    k = len(chain.points)
-    for i0 in range(1, k - 2):
-        if prods[i0 - 1] + prods[i0] > gaps[i0] - 3.0 * delta:
-            raise HypothesisFailed(i0 + 1)
-    return sum(gaps) - 2.0 * sum(p + delta for p in prods)
-
-
-def chain_condition_holds(chain: Chain, delta=None) -> bool:
-    """Stronger local condition certifying d(x_1, x_k) >= sum(d_i) / 2:
-
-        <x_{i-1}, x_{i+1}>_{x_i} + <x_i, x_{i+2}>_{x_{i+1}} <= d_i / 4 - delta
-
-    for 2 <= i <= k-2, plus two guards without which the half-sum conclusion
-    can fail: every step must satisfy d_i >= 4 delta (short steps cannot
-    carry the delta slack), and the first and last interior products get the
-    same test with the out-of-range partner taken as 0 (this is the whole
-    condition at k = 3).
-    """
-    if len(chain.points) < 3:
-        raise ValueError("need k >= 3")
-    if delta is None:
-        delta = chain.backend.delta
-    gaps = chain.gaps()
-    prods = chain.interior_products()
-    k = len(chain.points)
-    if any(d / 4.0 - delta < 0.0 for d in gaps):
-        return False
-    if prods[0] > gaps[0] / 4.0 - delta or prods[-1] > gaps[-1] / 4.0 - delta:
-        return False
-    for i0 in range(1, k - 2):
-        if prods[i0 - 1] + prods[i0] > gaps[i0] / 4.0 - delta:
-            return False
-    return True
 
 
 # -- translation length -------------------------------------------------------

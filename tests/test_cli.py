@@ -263,6 +263,56 @@ def test_verify_bound_escalates_elliptic(write_config, tmp_path, capsys):
     assert json.loads(cert_out.read_text()) == rep["certificate"]
 
 
+@pytest.mark.parametrize("orders, search", [
+    ([2, 3], {"max_n": 2, "max_k": 3}),
+    ([3, 3], {"max_n": 1, "max_k": 2}),
+    ([2, 7], {"max_n": 2, "max_k": 1}),
+], ids=["c2c3", "c3c3", "c2c7"])
+def test_no_geometric_certificate_exits_three(write_config, capsys, orders, search):
+    # these budgets admit no geometrically valid (n, k); no relation of
+    # bounded length would stand in for the ping-pong certificate
+    cfg = write_config("small.json", {
+        "backend": {"kind": "free_product_tree", "orders": orders},
+        "generators": ["a", "b"],
+        "budgets": {"n_max": 8, **search},
+    })
+    expect = f"no certificate with n <= {search['max_n']}, k <= {search['max_k']}"
+    for command in ("free-basis", "verify-bound"):
+        assert main([command, cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert expect in captured.err
+
+
+def test_check_cert_accepts_only_geometric_mode(f2_config, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["free-basis", f2_config, "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    assert payload["mode"] == "geometric"
+    assert "exact_check_len" not in payload
+    # a payload from an older build still carries the key; it is ignored
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({**payload, "exact_check_len": 6}), encoding="utf-8")
+    assert main(["check-cert", str(legacy)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    downgraded = tmp_path / "exact_only.json"
+    downgraded.write_text(json.dumps({**payload, "mode": "exact_only", "exact_check_len": 6}),
+                          encoding="utf-8")
+    assert main(["check-cert", str(downgraded)]) == 5
+    assert "unknown mode" in capsys.readouterr().err
+
+
+def test_exact_check_len_budget_exits_four(write_config, capsys):
+    cfg = write_config("old.json", {
+        "backend": F2_BACKEND,
+        "generators": ["x", "y"],
+        "budgets": {"n_max": 5, "exact_check_len": 6},
+    })
+    for command in ("growth", "free-basis", "verify-bound"):
+        assert main([command, cfg]) == 4
+        assert "unknown budget keys: ['exact_check_len']" in capsys.readouterr().err
+
+
 def test_max_radius_override(f2_config, capsys):
     assert main(["growth", f2_config, "--max-radius", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + 3

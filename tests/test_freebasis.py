@@ -442,11 +442,8 @@ def test_certificate_tamper_fuzz(S_f2):
         data.update(changes)
         return data
 
-    # downgrading the mode leaves every stored claim true; the checker accepts
-    downgraded = tampered(mode="exact_only", exact_check_len=4)
-    assert check_certificate(downgraded)["mode"] == "exact_only"
-
     bad_variants = [
+        tampered(mode="exact_only", exact_check_len=4),
         tampered(format="loxgrow-cert/0"),
         tampered(backend_hash="0" * 16),
         tampered(delta=1.0),
@@ -549,3 +546,103 @@ def test_exact_certificate_is_bit_strict(hp, S_sanov):
     payload["m"] = payload["m"] + 1e-12
     with pytest.raises(InvalidCertificate):
         check_certificate(payload, memory_cap=50_000)
+
+
+# -- field-mutation sweep over honest certificates ---------------------------------
+
+# builder and checker share this cap, as the CLI does with a config's
+# memory_cap; it keeps the half-plane kappa searches short
+_SWEEP_CAP = 5_000
+_SWEEP_CASES = {
+    "f2": ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"]),
+    "c2c3": ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"]),
+    "sanov": ({"kind": "half_plane"}, SANOV),
+    "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
+                    [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]]),
+}
+
+
+@pytest.fixture(scope="module")
+def honest():
+    """case -> (backend, S, payload) of an honest certificate."""
+    out = {}
+    for case, (config, gens) in _SWEEP_CASES.items():
+        backend = make_backend(config)
+        S = make_generating_set(backend, gens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HeuristicOnly)
+            cert = build_free_basis(S, memory_cap=_SWEEP_CAP)
+        out[case] = (backend, S, certificate_payload(cert))
+    return out
+
+
+def _mutations(backend, S, base):
+    """(label, payload) pairs, each changing one field of ``base``."""
+    def moved(data):
+        g = freebasis._element_from(backend, data)
+        return freebasis._element_payload(backend, backend.compose(g, S[0]))
+
+    out = []
+
+    def put(key, value):
+        data = json.loads(json.dumps(base))
+        data[key] = value
+        out.append((f"{key}={value!r}"[:60], data))
+
+    for key, value in base.items():
+        if isinstance(value, bool):
+            put(key, not value)
+        elif isinstance(value, int):
+            for v in (value - 1, value + 1, 0, 2 * value):
+                if v != value:
+                    put(key, v)
+        elif isinstance(value, float):
+            for v in [value + d for d in (-0.5, -1e-6, -1e-12, 1e-12, 1e-6, 0.5)] + [0.0, 2 * value]:
+                if v != value:
+                    put(key, v)
+    put("mode", "exact_only")
+    put("kappa_mode", "word-upper" if base["kappa_mode"] == "exact" else "exact")
+    for key in ("b", "f", "h"):
+        put(key, moved(base[key]))
+        for other in ("b", "f", "h"):
+            if other != key:
+                put(key, base[other])
+    for key in ("S", "S0", "T"):
+        entries = base[key]
+        put(key, [moved(entries[0])] + entries[1:])
+        put(key, entries[:-1])
+        put(key, entries + [entries[0]])
+        put(key, entries[::-1])
+    point = freebasis._point_from(backend, base["basepoint"])
+    put("basepoint", freebasis._point_payload(backend, backend.apply(S[0], point)))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_field_mutation_sweep(honest, case):
+    backend, S, base = honest[case]
+    expected = check_certificate(base, memory_cap=_SWEEP_CAP)
+    mutations = _mutations(backend, S, base)
+    assert len(mutations) >= 60
+    for label, data in mutations:
+        try:
+            summary = check_certificate(data, memory_cap=_SWEEP_CAP)
+        except InvalidCertificate:
+            continue
+        assert not label.startswith("omega_lower="), label
+        assert summary == expected, label
+
+
+def test_checker_derives_backend_fixed_fields(honest):
+    _, _, flt = honest["sanov-float"]
+    assert flt["membership_heuristic"] is True
+    with pytest.raises(InvalidCertificate, match="membership_heuristic"):
+        check_certificate(dict(flt, membership_heuristic=False), memory_cap=_SWEEP_CAP)
+    _, _, f2 = honest["f2"]
+    with pytest.raises(InvalidCertificate, match="membership_heuristic"):
+        check_certificate(dict(f2, membership_heuristic=True))
+    _, _, exact = honest["sanov"]
+    assert exact["epsilon_margin"] == HalfPlane().dist_roundoff
+    with pytest.raises(InvalidCertificate, match="epsilon_margin"):
+        check_certificate(dict(exact, epsilon_margin=0.0), memory_cap=_SWEEP_CAP)
+    assert check_certificate(dict(exact, epsilon_margin=0.5), memory_cap=_SWEEP_CAP)["valid"]

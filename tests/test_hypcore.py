@@ -1,23 +1,20 @@
-"""Hyperbolicity estimates, loxodromic criteria, chains, displacement."""
+"""Hyperbolicity estimates, the loxodromic criterion, translation lengths,
+displacement and axis overlap."""
 
 import math
 import random
 
 import pytest
 
-from loxgrow.errors import HypothesisFailed, NotLoxodromic
+from loxgrow.errors import NotLoxodromic
 from loxgrow.hypcore import (
-    Chain,
     axis_overlap_diameter,
-    chain_condition_holds,
-    chain_lower_bound,
     displacement,
     estimate_delta,
     four_point_defect,
     gromov_product,
     loxodromic_criterion,
     min_displacement_search,
-    product_loxodromic_criterion,
     translation_length_bracket,
 )
 from loxgrow.spaces.base import Point
@@ -109,15 +106,6 @@ def test_loxodromic_criterion_power_rescues(hpf):
     assert loxodromic_criterion(g8, i, delta=1.0)
 
 
-def test_product_criterion(ft2, hp):
-    o = ft2.origin()
-    assert product_loxodromic_criterion(ft2.element("x"), ft2.element("y"), o)
-    assert not product_loxodromic_criterion(ft2.element("x"), ft2.element("X"), o)
-    A8 = hp.power(hp.element([[1, 2], [0, 1]]), 8)
-    B8 = hp.power(hp.element([[1, 0], [2, 1]]), 8)
-    assert product_loxodromic_criterion(A8, B8, hp.origin(), delta=1.0)
-
-
 def test_criteria_sound_against_classification(ft2, pt23):
     rng = random.Random(23)
     for backend, letters in ((ft2, "xyXY"), (pt23, "abB")):
@@ -127,76 +115,6 @@ def test_criteria_sound_against_classification(ft2, pt23):
             o = backend.origin()
             if loxodromic_criterion(g, o):
                 assert backend.classify(g).kind == "loxodromic"
-
-
-def test_chain_lower_bound_aligned(ft2):
-    o = ft2.origin()
-    pts = [o] + [ft2.apply(ft2.element("x" * k), o) for k in (1, 2, 3)]
-    chain = Chain(pts)
-    assert chain_lower_bound(chain) == pytest.approx(3.0)
-
-
-def test_chain_backtracking_fails(ft2):
-    o = ft2.origin()
-    x = ft2.apply(ft2.element("x"), o)
-    chain = Chain([o, x, o, x])
-    with pytest.raises(HypothesisFailed) as ei:
-        chain_lower_bound(chain)
-    assert ei.value.args[-1] == 2 or "2" in str(ei.value)
-
-
-def test_chain_lower_bound_half_plane(hp):
-    i = hp.origin()
-    pts = [Point(hp, complex(0.0, math.exp(k))) for k in (0, 8, 16, 24)]
-    lb = chain_lower_bound(Chain(pts), delta=1.0)
-    total = sum(hp.dist(p, q) for p, q in zip(pts, pts[1:]))
-    assert lb <= total
-    assert lb >= 20.0
-
-
-def test_chain_condition(ft2, hp):
-    o = ft2.origin()
-    x = ft2.apply(ft2.element("x"), o)
-    spread = [ft2.apply(ft2.element("xx" * k), o) for k in range(3)]
-    assert chain_condition_holds(Chain(spread), delta=0.0) is True
-    orbit = [ft2.apply(ft2.element("xy" * k), o) for k in range(5)]
-    assert chain_condition_holds(Chain(orbit), delta=0.0) is True
-    # short steps cannot carry a conservative delta
-    assert chain_condition_holds(Chain([Point(hp, 1j), Point(hp, 4j), Point(hp, 16j)]), delta=1.0) is False
-    # backtracking would break the certified half-sum bound
-    assert chain_condition_holds(Chain([o, x, o]), delta=0.0) is False
-    with pytest.raises(ValueError):
-        chain_condition_holds(Chain([o, x]), delta=0.0)
-
-
-def test_chain_condition_implies_half_sum(ft2, hp):
-    rng = random.Random(41)
-    hits = 0
-    for _ in range(300):
-        k = rng.randint(3, 6)
-        pts = [random_tree_point(ft2, rng, 5) for _ in range(k)]
-        try:
-            chain = Chain(pts)
-        except ValueError:
-            continue
-        if any(g == 0 for g in chain.gaps()):
-            continue
-        if chain_condition_holds(chain, delta=0.0):
-            hits += 1
-            b = chain.backend
-            assert b.dist(pts[0], pts[-1]) >= 0.5 * sum(chain.gaps()) - 1e-9
-    assert hits >= 10
-
-
-def test_chain_helpers(ft2):
-    rng = random.Random(9)
-    pts = [random_tree_point(ft2, rng) for _ in range(5)]
-    chain = Chain(pts)
-    gaps = chain.gaps()
-    assert len(gaps) == 4
-    assert all(g >= 0 for g in gaps)
-    prods = chain.interior_products()
-    assert len(prods) == 3
 
 
 def test_translation_bracket_tree(ft2):
