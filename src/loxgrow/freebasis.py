@@ -329,20 +329,21 @@ def _diagonal(max_n, max_k):
 
 
 def _compute_kappa(S, T, memory_cap) -> Tuple[int, str]:
-    """max_t d_S(1, t); falls back to the carried symbol-word length (a sound
-    upper bound) when the breadth-first search busts the memory cap. On exact
-    backends a search that exhausts that length without meeting t contradicts
-    the word; float roundoff can hide t from the search, so there the word
-    length stands."""
+    """max_t d_S(1, t), every entry searched in one breadth-first walk
+    capped at its symbol-word length (128 without a word). An entry whose
+    search busts the memory cap falls back to that length (a sound upper
+    bound). On exact backends a search that exhausts the length without
+    meeting t contradicts the word; float roundoff can hide t from the
+    search, so there the word length stands. Errors are raised for the
+    first failing entry in T order."""
+    word_lens = [len(t.word) if t.word is not None else None for t in T]
+    targets = [(t, 128 if n is None else n) for t, n in zip(T, word_lens)]
+    outcomes = word_length_in_S(S, targets, memory_cap)
     kappa, mode = 0, "exact"
-    for t in T:
-        word_len = len(t.word) if t.word is not None else None
-        cap = word_len if word_len is not None else 128
-        try:
-            d = word_length_in_S(S, t, cap, memory_cap)
-        except BudgetExceeded:
+    for t, word_len, d in zip(T, word_lens, outcomes):
+        if isinstance(d, BudgetExceeded):
             if word_len is None:
-                raise
+                raise d
             d, mode = word_len, "word-upper"
         if d is None:
             if word_len is None:
@@ -793,8 +794,10 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
     a 1e-9 tolerance. The only accepted mode is "geometric". Fields fixed
     by the backend are derived, not trusted: ``membership_heuristic`` must
     equal ``not backend.exact_words`` and ``epsilon_margin`` must cover
-    ``backend.dist_roundoff``. The returned summary reports derived values.
-    Raises InvalidCertificate on the first mismatch.
+    ``backend.dist_roundoff``. ``escalation_rounds`` must be non-negative;
+    the count itself is not re-derived, since that would mean re-running
+    the escalation. The returned summary reports derived values. Raises
+    InvalidCertificate on the first mismatch.
     """
     if isinstance(source, FreeBasisCertificate):
         cert = source
@@ -818,6 +821,8 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
         fail(f"membership_heuristic must be {membership_heuristic} on this backend")
     if backend_hash(backend.config()) != cert.backend_hash:
         fail("backend hash mismatch")
+    if cert.escalation_rounds < 0:
+        fail(f"escalation_rounds {cert.escalation_rounds} is negative")
 
     hc = backend.compose(cert.f, backend.power(cert.b, cert.n)).canonical
     if hc != cert.h.canonical:

@@ -124,28 +124,54 @@ def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
     return GeneratingSet(backend, out)
 
 
-def word_length_in_S(S, g, cap, memory_cap=DEFAULT_MEMORY_CAP):
-    """Exact d_S(1, g) by breadth-first search, or None when it exceeds ``cap``.
+def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
+    """Exact d_S(1, g) for every ``(g, cap)`` in ``targets``, from one
+    breadth-first walk of the Cayley ball of S.
 
-    Raises BudgetExceeded when the visited set outgrows ``memory_cap`` before
-    the radius cap is reached.
+    Returns one outcome per target, in order: the length, None when it
+    exceeds ``cap``, or a BudgetExceeded (returned, not raised) when the
+    visited set outgrew ``memory_cap`` by radius ``cap`` without meeting g;
+    its ``completed`` is the last full radius. Each outcome is what a walk
+    for that target alone would give: a target is checked against every
+    sphere up to its own cap, before that sphere's budget check, and leaves
+    the walk once found or past its cap. The identity and targets that
+    ``backend.subgroup_length_exact`` resolves are answered without a walk;
+    the walk stops when no target is left or the ball runs out.
     """
     backend = S.backend
-    target = g.canonical
     ident = backend._identity_canonical()
-    if target == ident:
-        return 0
-    exact = backend.subgroup_length_exact(S, g)
-    if exact is not None:
-        return exact if exact <= cap else None
+    out = [None] * len(targets)
+    pending = {}  # canonical -> [(index, cap)] still searched
+    for i, (g, cap) in enumerate(targets):
+        if g.canonical == ident:
+            out[i] = 0
+            continue
+        exact = backend.subgroup_length_exact(S, g)
+        if exact is not None:
+            out[i] = exact if exact <= cap else None
+        elif cap >= 1:
+            pending.setdefault(g.canonical, []).append((i, cap))
+    if not pending:
+        return out
+    horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
-    for radius, sphere in enumerate(islice(ball, cap), 1):
-        if target in sphere:
-            return radius
+    for radius, sphere in enumerate(islice(ball, horizon), 1):
+        for target in [t for t in pending if t in sphere]:
+            for i, _ in pending.pop(target):
+                out[i] = radius
         visited += len(sphere)
         if visited > memory_cap:
-            raise BudgetExceeded(
+            bust = BudgetExceeded(
                 f"word-length search exceeded {memory_cap} elements", completed=radius - 1
             )
-    return None
+            for entries in pending.values():
+                for i, _ in entries:
+                    out[i] = bust
+            return out
+        # targets whose cap is this radius stay None
+        pending = {target: kept for target, entries in pending.items()
+                   if (kept := [e for e in entries if e[1] > radius])}
+        if not pending:
+            break
+    return out

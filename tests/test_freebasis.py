@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 import loxgrow.freebasis as freebasis
+import loxgrow.words
 from loxgrow.errors import (
     AllElementary,
     BudgetExceeded,
@@ -487,6 +488,40 @@ def test_forged_T_words_rejected(S_f2):
         check_certificate(payload)
 
 
+_KAPPA_CASES = {
+    # case: (backend config, generators, memory cap, pinned (r, kappa, kappa_mode))
+    "elliptic": ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000, (7, 76, "word-upper")),
+    "sanov": ({"kind": "half_plane"}, SANOV, 50_000, (4, 26, "word-upper")),
+    "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
+                    [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]], 20_000,
+                    (1, 15, "word-upper")),
+    "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], 2_000_000,
+             (3, 14, "exact")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KAPPA_CASES))
+def test_kappa_walks_the_ball_once(case, monkeypatch):
+    # the certify-kappa sets at their benchmark caps: all r entries of T
+    # are searched in one walk of the ball of S
+    config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        cert = build_free_basis(S, memory_cap=cap)
+    assert (cert.r, cert.kappa, cert.kappa_mode) == (r, kappa, kappa_mode)
+    walks = []
+    spheres = loxgrow.words.spheres
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return spheres(*args, **kwargs)
+
+    monkeypatch.setattr(loxgrow.words, "spheres", counted)
+    assert _compute_kappa(cert.S, cert.T, cap) == (kappa, kappa_mode)
+    assert len(walks) == 1
+
+
 def test_kappa_search_contradicting_the_word_fails(ft2):
     # xxy needs two letters of {xx, y}; a one-letter word for it is a lie
     S = make_generating_set(ft2, ["xx", "y"])
@@ -631,6 +666,17 @@ def test_field_mutation_sweep(honest, case):
             continue
         assert not label.startswith("omega_lower="), label
         assert summary == expected, label
+
+
+def test_checker_rejects_negative_escalation_rounds(honest):
+    # a larger count cannot be caught without re-running the escalation,
+    # but no escalation runs a negative number of rounds
+    for case in sorted(honest):
+        _, _, base = honest[case]
+        assert check_certificate(dict(base, escalation_rounds=base["escalation_rounds"] + 1),
+                                 memory_cap=_SWEEP_CAP)["valid"]
+        with pytest.raises(InvalidCertificate, match="escalation_rounds"):
+            check_certificate(dict(base, escalation_rounds=-1), memory_cap=_SWEEP_CAP)
 
 
 def test_checker_derives_backend_fixed_fields(honest):

@@ -76,3 +76,34 @@ def test_tracer_records_the_geometric_check(tmp_path, capsys):
     assert "freebasis.certify_free_geometric" in {row[0] for row in tracer.spans}
     assert tracer.counts["spaces.dist_calls"] > 0
     assert fb.certify_free_geometric is check
+
+
+def test_tracer_records_one_kappa_search_per_command(tmp_path, capsys):
+    # C2*C7 {a, b} misses b^2..b^5, so kappa needs the breadth-first search;
+    # all three T entries share one walk, seen as one span per command
+    cfg = tmp_path / "c2c7.json"
+    cfg.write_text(json.dumps({
+        "backend": {"kind": "free_product_tree", "orders": [2, 7]},
+        "generators": ["a", "b"],
+    }))
+    search = fb.word_length_in_S
+    tracer = Tracer()
+    tracer.install(False)
+
+    def kappa_spans():
+        return sum(row[0] == "words.word_length_in_S" for row in tracer.spans)
+
+    try:
+        assert cli.main(["verify-bound", str(cfg), "--out", str(tmp_path / "rep.json")]) == 0
+        assert kappa_spans() == 1
+        cert = json.loads((tmp_path / "rep.json").read_text())["certificate"]
+        assert (cert["r"], cert["kappa"], cert["kappa_mode"]) == (3, 14, "exact")
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        assert cli.main(["check-cert", str(tmp_path / "cert.json")]) == 0
+        assert kappa_spans() == 2
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert tracer.counts["words.word_length_in_S_calls"] == 2
+    assert fb.word_length_in_S is search

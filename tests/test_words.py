@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import loxgrow.words as words
 from loxgrow.errors import (
     BudgetExceeded,
     ConfigError,
@@ -65,18 +66,16 @@ def test_ball_set_cap(S_f2):
 
 
 def test_word_length_basics(ft2, S_f2):
-    assert word_length_in_S(S_f2, ft2.element("xyX"), 5) == 3
-    assert word_length_in_S(S_f2, ft2.element("xx"), 5) == 2
-    assert word_length_in_S(S_f2, ft2.element(""), 5) == 0
-    assert word_length_in_S(S_f2, ft2.element("xxxx"), 3) is None
+    targets = [(ft2.element(w), cap) for w, cap in (("xyX", 5), ("xx", 5), ("", 5), ("xxxx", 3))]
+    assert word_length_in_S(S_f2, targets) == [3, 2, 0, None]
 
 
 def test_word_length_memory_cap(ft2):
     # a non-basis set so the free-tree shortcut does not kick in
     S = make_generating_set(ft2, ["xx", "y"])
-    assert word_length_in_S(S, ft2.element("xxxx"), 4) == 2
-    with pytest.raises(BudgetExceeded):
-        word_length_in_S(S, ft2.element("x" * 16), 8, memory_cap=20)
+    assert word_length_in_S(S, [(ft2.element("xxxx"), 4)]) == [2]
+    [bust] = word_length_in_S(S, [(ft2.element("x" * 16), 8)], memory_cap=20)
+    assert isinstance(bust, BudgetExceeded)
 
 
 def test_word_length_partial_sphere_at_memory_cap(ft2):
@@ -84,10 +83,129 @@ def test_word_length_partial_sphere_at_memory_cap(ft2):
     # fill the cap of 2, so S[1] is still found and S[2] is not
     S = make_generating_set(ft2, ["x", "xy"])
     assert S.labels() == ["x", "X", "xy", "xy^-1"]
-    assert word_length_in_S(S, S[1], 4, memory_cap=2) == 1
-    with pytest.raises(BudgetExceeded) as exc:
-        word_length_in_S(S, S[2], 4, memory_cap=2)
-    assert exc.value.completed == 0
+    found, bust = word_length_in_S(S, [(S[1], 4), (S[2], 4)], memory_cap=2)
+    assert found == 1
+    assert isinstance(bust, BudgetExceeded) and bust.completed == 0
+
+
+def _one_target(S, g, cap, memory_cap):
+    """The search for one target alone, as it ran before all targets shared
+    one walk; a busted search gives ("budget", completed)."""
+    backend = S.backend
+    ident = backend._identity_canonical()
+    if g.canonical == ident:
+        return 0
+    exact = backend.subgroup_length_exact(S, g)
+    if exact is not None:
+        return exact if exact <= cap else None
+    visited = 1
+    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
+    for radius, sphere in enumerate(itertools.islice(ball, cap), 1):
+        if g.canonical in sphere:
+            return radius
+        visited += len(sphere)
+        if visited > memory_cap:
+            return ("budget", radius - 1)
+    return None
+
+
+def _agrees_with_one_target_searches(S, targets, memory_cap=words.DEFAULT_MEMORY_CAP):
+    got = [("budget", d.completed) if isinstance(d, BudgetExceeded) else d
+           for d in word_length_in_S(S, targets, memory_cap)]
+    assert got == [_one_target(S, g, cap, memory_cap) for g, cap in targets]
+    return got
+
+
+def _count_walks(monkeypatch):
+    """Count the walks of word_length_in_S; the oracle's walks go through
+    this module's own ``spheres`` name and are not counted."""
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return spheres(*args, **kwargs)
+
+    monkeypatch.setattr(words, "spheres", counted)
+    return walks
+
+
+def test_multi_target_radii_and_caps(ft2, monkeypatch):
+    # {xx, y} generates a free subgroup, so its ball is a 4-regular tree:
+    # spheres of 4, 12, 36, ... elements
+    S = make_generating_set(ft2, ["xx", "y"])
+    walks = _count_walks(monkeypatch)
+    e = ft2.element
+    targets = [(e("y"), 5), (e("xxxxy"), 5), (e("xxY"), 5), (e("x"), 6),
+               (e("x" * 8), 1), (e("x" * 6 + "y"), 5)]
+    # found at radii 1, 3 and 2; x is not in the subgroup; x^8 is past its
+    # cap of 1 while the others are still searched
+    assert _agrees_with_one_target_searches(S, targets) == [1, 3, 2, None, None, 4]
+    assert len(walks) == 1
+
+
+def test_multi_target_bust_at_the_cap_radius(ft2):
+    S = make_generating_set(ft2, ["xx", "y"])
+    e = ft2.element
+    # the visited set reaches 1 + 4 + 12 = 17 > 16 at the end of radius 2:
+    # a target with cap 2 that is not in sphere 2 busts instead of giving None
+    targets = [(e("xx"), 2), (e("xxY"), 2), (e("x"), 2), (e("x"), 1), (e("y" * 5), 6)]
+    got = _agrees_with_one_target_searches(S, targets, memory_cap=16)
+    assert got == [1, 2, ("budget", 1), None, ("budget", 1)]
+    # one element more and radius 2 completes: the cap-2 miss is a plain None
+    assert _agrees_with_one_target_searches(S, targets, memory_cap=17)[2:4] == [None, None]
+
+
+def test_multi_target_duplicates(ft2):
+    S = make_generating_set(ft2, ["xx", "y"])
+    g = ft2.element("xxyy")
+    targets = [(g, 3), (g, 3), (g, 1), (ft2.element("yy"), 4), (g, 2)]
+    assert _agrees_with_one_target_searches(S, targets) == [3, 3, None, 2, None]
+    got = word_length_in_S(S, [(g, 4), (g, 4)], memory_cap=10)
+    assert [d.completed for d in got] == [1, 1]
+
+
+def test_multi_target_shortcuts_per_entry(ft2, S_f2, monkeypatch):
+    walks = _count_walks(monkeypatch)
+    e = ft2.element
+    # a free basis: every entry is answered by the tree shortcut, no walk
+    targets = [(e(""), 0), (e("xyX"), 3), (e("xyX"), 2), (e("YY"), 5)]
+    assert _agrees_with_one_target_searches(S_f2, targets) == [0, 3, None, 2]
+    assert walks == []
+
+    # the shortcut answers one entry of a non-basis set; the rest are walked
+    S = make_generating_set(ft2, ["xx", "y"])
+    special = e("xxxxxx").canonical
+    monkeypatch.setattr(ft2, "subgroup_length_exact",
+                        lambda S, g: 3 if g.canonical == special else None)
+    targets = [(e("y"), 3), (e(""), 2), (e("xxxxxx"), 4), (e("xxxxxx"), 2), (e("xxy"), 3)]
+    assert _agrees_with_one_target_searches(S, targets) == [1, 0, 3, None, 2]
+    assert len(walks) == 1
+
+
+def test_multi_target_finite_ball_runs_out(hp, pt23):
+    # ST has order 3: its ball {1, ST, (ST)^-1} ends after radius 1
+    S = make_generating_set(hp, [[[0, -1], [1, 1]]])
+    targets = [(S[1], 50), (hp.element([[1, 1], [0, 1]]), 50), (S[0], 1)]
+    assert _agrees_with_one_target_searches(S, targets) == [1, None, 1]
+    # {a} in C2*C3 is the finite group {1, a}
+    S = make_generating_set(pt23, ["a"])
+    targets = [(pt23.element("a"), 9), (pt23.element("b"), 9), (pt23.element("ab"), 3)]
+    assert _agrees_with_one_target_searches(S, targets) == [1, None, None]
+
+
+def test_multi_target_agrees_with_one_target_searches_at_random(ft2, pt23):
+    rng = random.Random(7)
+    sets = [(ft2, make_generating_set(ft2, ["xx", "y", "xy"]), "xyXY"),
+            (pt23, make_generating_set(pt23, ["a", "bab"]), "ab")]
+    for backend, S, letters in sets:
+        for _ in range(30):
+            targets = []
+            for _ in range(rng.randint(1, 6)):
+                w = "".join(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+                targets.append((backend.element(w), rng.randint(0, 6)))
+            if rng.random() < 0.3:
+                targets.append(targets[0])
+            _agrees_with_one_target_searches(S, targets, memory_cap=rng.choice((3, 40, 300, 5000)))
 
 
 def test_spheres_order_and_cap():
@@ -105,7 +223,8 @@ def test_word_length_symmetric_in_inverse(ft2, S_f2):
     for _ in range(40):
         w = "".join(rng.choice("xyXY") for _ in range(rng.randint(0, 6)))
         g = ft2.element(w)
-        assert word_length_in_S(S_f2, g, 8) == word_length_in_S(S_f2, ft2.invert(g), 8)
+        d, d_inv = word_length_in_S(S_f2, [(g, 8), (ft2.invert(g), 8)])
+        assert d == d_inv
 
 
 def test_matrix_word_length_against_brute_force(hp):
@@ -139,7 +258,7 @@ def test_matrix_word_length_against_brute_force(hp):
         if best is not None:
             break
     assert best == 4
-    assert word_length_in_S(S, target, 6) == 4
+    assert word_length_in_S(S, [(target, 6)]) == [4]
 
 
 def test_ball_sizes_consistency(S_f2, S_pt):
