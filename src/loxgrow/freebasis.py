@@ -6,7 +6,13 @@ find an independent f, amplify to h = f b^n, conjugate a coset-separated
 subset S0 into T = {s h^k s^-1}, certify that T is a free basis by the
 ping-pong margin test (displacement against Gromov products at one
 basepoint), and convert the rank into
-omega(<S>, S) >= log(2r - 1) / kappa with kappa = max_t d_S(1, t).
+omega(<S>, S) >= log(2r - 1) / kappa with kappa >= max_t d_S(1, t).
+
+Kappa is word evidence: each T entry carries a word over S's symbols, the
+shortest one the builder found (a tree normal form, or one breadth-first
+walk within ``memory_cap``) or else its spelling from the construction,
+and kappa is the longest of these words. The checker evaluates the words
+over the stored S and searches nothing.
 """
 
 import hashlib
@@ -328,35 +334,20 @@ def _diagonal(max_n, max_k):
             yield n, total - n
 
 
-def _compute_kappa(S, T, memory_cap) -> Tuple[int, str]:
-    """max_t d_S(1, t), every entry searched in one breadth-first walk
-    capped at its symbol-word length (128 without a word). An entry whose
-    search busts the memory cap falls back to that length (a sound upper
-    bound). On exact backends a search that exhausts the length without
-    meeting t contradicts the word; float roundoff can hide t from the
-    search, so there the word length stands. Errors are raised for the
-    first failing entry in T order."""
-    word_lens = [len(t.word) if t.word is not None else None for t in T]
-    targets = [(t, 128 if n is None else n) for t, n in zip(T, word_lens)]
-    outcomes = word_length_in_S(S, targets, memory_cap)
-    kappa, mode = 0, "exact"
-    for t, word_len, d in zip(T, word_lens, outcomes):
-        if isinstance(d, BudgetExceeded):
-            if word_len is None:
-                raise d
-            d, mode = word_len, "word-upper"
-        if d is None:
-            if word_len is None:
-                raise BudgetExceeded(
-                    "word-length search exhausted and no symbol word to fall back on"
-                )
-            if S.backend.exact_words:
-                raise InvalidCertificate(
-                    f"no word of length <= {word_len} over S gives {word_str(t.word)}"
-                )
-            d, mode = word_len, "word-upper"
-        kappa = max(kappa, d)
-    return kappa, mode
+def _compute_kappa(S, T, memory_cap) -> Tuple[GeneratingSet, int, str]:
+    """T respelled over S, kappa and kappa_mode.
+
+    One breadth-first walk searches for every entry up to its carried
+    word's length. An entry found there, or spelled by the backend's
+    shortcut, takes a shortest word; any other keeps its carried spelling.
+    kappa is the longest word, and the mode is "exact" when every entry got
+    a shortest word, else "word-upper"."""
+    outcomes = word_length_in_S(S, [(t, len(t.word)) for t in T], memory_cap)
+    shortest = [isinstance(d, tuple) for d in outcomes]
+    words = [d if ok else t.word for t, d, ok in zip(T, outcomes, shortest)]
+    T = GeneratingSet(S.backend, [GroupElement(S.backend, t.canonical, w)
+                                  for t, w in zip(T, words)])
+    return T, max(map(len, words)), "exact" if all(shortest) else "word-upper"
 
 
 def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeBasisCertificate:
@@ -453,7 +444,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
         return h, S0, T
 
     def finalize(n, k, h, S0, T, check, x):
-        kappa, kappa_mode = _compute_kappa(S, T, memory_cap)
+        T, kappa, kappa_mode = _compute_kappa(S, T, memory_cap)
         r = len(T)
         omega = math.log(2 * r - 1) / kappa if r >= 2 else 0.0
         return FreeBasisCertificate(
@@ -786,18 +777,24 @@ def _check_T_words(S, T):
             raise InvalidCertificate(f"T entry {word_str(t.word)} does not evaluate to itself")
 
 
-def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> dict:
+def check_certificate(source, backend=None, memory_cap=None) -> dict:
     """Re-derive every certified quantity and compare with the stored one.
 
-    Accepts a FreeBasisCertificate, a payload dict, or JSON text. Exact
-    backends must reproduce each number bit-for-bit; the float backend gets
-    a 1e-9 tolerance. The only accepted mode is "geometric". Fields fixed
-    by the backend are derived, not trusted: ``membership_heuristic`` must
-    equal ``not backend.exact_words`` and ``epsilon_margin`` must cover
-    ``backend.dist_roundoff``. ``escalation_rounds`` must be non-negative;
-    the count itself is not re-derived, since that would mean re-running
-    the escalation. The returned summary reports derived values. Raises
-    InvalidCertificate on the first mismatch.
+    Accepts a FreeBasisCertificate, a payload dict, or JSON text. kappa is
+    re-derived from the T words alone: each must evaluate over the stored S
+    to its entry, and kappa must equal the longest of them. No search runs,
+    so ``memory_cap`` is accepted and ignored; ``kappa_mode`` is the
+    builder's note on whether the words are shortest and is not checked.
+
+    Exact backends must reproduce each number bit-for-bit; the float
+    backend gets a 1e-9 tolerance. The only accepted mode is "geometric".
+    Fields fixed by the backend are derived, not trusted:
+    ``membership_heuristic`` must equal ``not backend.exact_words`` and
+    ``epsilon_margin`` must cover ``backend.dist_roundoff``.
+    ``escalation_rounds`` must be non-negative; the count itself is not
+    re-derived, since that would mean re-running the escalation. The
+    returned summary reports derived values. Raises InvalidCertificate on
+    the first mismatch.
     """
     if isinstance(source, FreeBasisCertificate):
         cert = source
@@ -857,12 +854,9 @@ def check_certificate(source, backend=None, memory_cap=DEFAULT_MEMORY_CAP) -> di
         fail("geometric margin does not clear the floor")
 
     _check_T_words(cert.S, cert.T)
-    kappa, kappa_mode = _compute_kappa(cert.S, cert.T, memory_cap)
-    if (kappa, kappa_mode) != (cert.kappa, cert.kappa_mode):
-        fail(
-            f"kappa mismatch: recomputed ({kappa}, {kappa_mode!r}), "
-            f"stored ({cert.kappa}, {cert.kappa_mode!r})"
-        )
+    kappa = max(len(t.word) for t in cert.T)
+    if kappa != cert.kappa:
+        fail(f"kappa mismatch: the longest T word has length {kappa}, stored {cert.kappa}")
     expect = math.log(2 * cert.r - 1) / cert.kappa if cert.r >= 2 else 0.0
     if expect != cert.omega_lower:
         fail(f"omega_lower mismatch: recomputed {expect!r}, stored {cert.omega_lower!r}")

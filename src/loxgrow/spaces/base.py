@@ -187,9 +187,9 @@ class Backend:
     def _growth_key(self, canonical):
         return canonical
 
-    # exact d_S(1, g) when S is the backend's standard generating set,
-    # else None (the caller searches)
-    def subgroup_length_exact(self, S, g):
+    # a geodesic word over S for g when S is the backend's standard
+    # generating set, else None (the caller searches)
+    def subgroup_word_exact(self, S, g):
         return None
 
     def config(self) -> dict:

@@ -157,9 +157,9 @@ class FreeGroupTree(Backend):
     def canonical_bytes(self, canonical):
         return bytes(_letter_code(v) for v in canonical)
 
-    # standard-basis detection: exact subgroup word length is the reduced length
-    def subgroup_length_exact(self, S, g):
-        need = {(v,) for v in range(1, self.rank + 1)} | {(-v,) for v in range(1, self.rank + 1)}
-        if {e.canonical for e in S} >= need:
-            return len(g.canonical)
+    # standard-basis detection: the reduced word, one letter per entry of S
+    def subgroup_word_exact(self, S, g):
+        words = {e.canonical: e.word for e in S}
+        if all((v,) in words and (-v,) in words for v in range(1, self.rank + 1)):
+            return tuple(sym for v in g.canonical for sym in words[(v,)])
         return None

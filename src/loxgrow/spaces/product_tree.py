@@ -188,9 +188,10 @@ class FreeProductTree(Backend):
     def canonical_bytes(self, canonical):
         return bytes((f << 6) | e for f, e in canonical)
 
-    def subgroup_length_exact(self, S, g):
-        need = {((0, e),) for e in range(1, self.orders[0])}
-        need |= {((1, e),) for e in range(1, self.orders[1])}
-        if {e.canonical for e in S} >= need:
-            return len(g.canonical)
+    # every nontrivial factor element in S: the normal form, one syllable
+    # per entry of S
+    def subgroup_word_exact(self, S, g):
+        words = {e.canonical: e.word for e in S}
+        if all(((f, e),) in words for f in (0, 1) for e in range(1, self.orders[f])):
+            return tuple(sym for syl in g.canonical for sym in words[(syl,)])
         return None

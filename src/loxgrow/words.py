@@ -125,18 +125,25 @@ def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
 
 
 def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
-    """Exact d_S(1, g) for every ``(g, cap)`` in ``targets``, from one
+    """A shortest word over S for every ``(g, cap)`` in ``targets``, from one
     breadth-first walk of the Cayley ball of S.
 
-    Returns one outcome per target, in order: the length, None when it
-    exceeds ``cap``, or a BudgetExceeded (returned, not raised) when the
-    visited set outgrew ``memory_cap`` by radius ``cap`` without meeting g;
-    its ``completed`` is the last full radius. Each outcome is what a walk
-    for that target alone would give: a target is checked against every
-    sphere up to its own cap, before that sphere's budget check, and leaves
-    the walk once found or past its cap. The identity and targets that
-    ``backend.subgroup_length_exact`` resolves are answered without a walk;
+    Returns one outcome per target, in order: a word for g of d_S(1, g)
+    steps, each step spelled by its S entry's own word (one symbol per
+    entry, as make_generating_set builds S); None when d_S(1, g) exceeds
+    ``cap``; or a BudgetExceeded (returned, not raised) when the visited
+    set outgrew ``memory_cap`` by radius ``cap`` without meeting g; its
+    ``completed`` is the last full radius. Each outcome is what a walk for
+    that target alone would give: a target is checked against every sphere
+    up to its own cap, before that sphere's budget check, and leaves the
+    walk once found or past its cap. The identity and targets that
+    ``backend.subgroup_word_exact`` spells are answered without a walk;
     the walk stops when no target is left or the ball runs out.
+
+    The walk keeps its spheres, and a target found at radius d is spelled
+    backwards: from g to g s^-1 in sphere d - 1, and on to the identity.
+    Spheres are matched by ``backend._growth_key``, which absorbs float
+    roundoff; a float target whose step back still misses gives None.
     """
     backend = S.backend
     ident = backend._identity_canonical()
@@ -144,22 +151,24 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     pending = {}  # canonical -> [(index, cap)] still searched
     for i, (g, cap) in enumerate(targets):
         if g.canonical == ident:
-            out[i] = 0
+            out[i] = ()
             continue
-        exact = backend.subgroup_length_exact(S, g)
+        exact = backend.subgroup_word_exact(S, g)
         if exact is not None:
-            out[i] = exact if exact <= cap else None
+            out[i] = exact if len(exact) <= cap else None
         elif cap >= 1:
             pending.setdefault(g.canonical, []).append((i, cap))
     if not pending:
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
+    walked = [[ident]]
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
     for radius, sphere in enumerate(islice(ball, horizon), 1):
+        walked.append(sphere)
         for target in [t for t in pending if t in sphere]:
             for i, _ in pending.pop(target):
-                out[i] = radius
+                out[i] = radius  # spelled after the walk
         visited += len(sphere)
         if visited > memory_cap:
             bust = BudgetExceeded(
@@ -168,10 +177,37 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
             for entries in pending.values():
                 for i, _ in entries:
                     out[i] = bust
-            return out
+            break
         # targets whose cap is this radius stay None
         pending = {target: kept for target, entries in pending.items()
                    if (kept := [e for e in entries if e[1] > radius])}
         if not pending:
             break
+    radii = [(i, d) for i, d in enumerate(out) if isinstance(d, int)]
+    if radii:
+        key = backend._growth_key
+        deepest = max(d for _, d in radii)
+        layers = [{key(c): c for c in sphere} for sphere in walked[:deepest]]
+        back = [(backend._invert(s.canonical), s.word) for s in S]
+        for i, d in radii:
+            out[i] = _spell_back(backend, targets[i][0].canonical, layers[:d], back)
     return out
+
+
+def _spell_back(backend, g, layers, back):
+    """A word for g, which lies one sphere past ``layers[-1]``: step to
+    g s^-1 for the first ``(s^-1, word of s)`` in ``back`` that lands in the
+    sphere below, down to the identity in ``layers[0]``. None if roundoff
+    hides every step back from some sphere."""
+    key = backend._growth_key
+    steps = []
+    for layer in reversed(layers):
+        for inv, word in back:
+            prev = layer.get(key(backend._compose(g, inv)))
+            if prev is not None:
+                break
+        else:
+            return None
+        steps.append(word)
+        g = prev
+    return tuple(sym for word in reversed(steps) for sym in word)

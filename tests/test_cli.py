@@ -180,6 +180,27 @@ def test_check_cert_tamper_exits_five(f2_config, tmp_path, capsys):
     assert main(["check-cert", str(tmp_path / "nowhere.json")]) == 4
 
 
+@pytest.mark.parametrize("cap", [50, 200, 1000])
+def test_check_cert_accepts_certificates_built_under_a_small_cap(write_config, tmp_path,
+                                                                 cap, capsys):
+    # under these caps the builder's walk passes memory_cap before it meets
+    # any T entry, so T keeps its carried words and kappa is 22 word-upper;
+    # the checker only evaluates those words, whatever the builder's cap
+    cfg = write_config("c2c7.json", {
+        "backend": {"kind": "free_product_tree", "orders": [2, 7]},
+        "generators": ["a", "b"],
+        "budgets": {"n_max": 4, "memory_cap": cap},
+    })
+    cert_path = tmp_path / "cert.json"
+    assert main(["free-basis", cfg, "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    assert (payload["kappa"], payload["kappa_mode"]) == (22, "word-upper")
+    capsys.readouterr()
+    assert main(["check-cert", str(cert_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["valid"], result["kappa"]) == (True, 22)
+
+
 def test_verify_bound_f2(f2_config, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify-bound", f2_config, "--out", str(out)]) == 0

@@ -41,6 +41,7 @@ from loxgrow.spaces.base import basepoint_candidates
 from loxgrow.words import GeneratingSet, make_generating_set
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
+from test_words import _evaluate, _one_target
 
 
 def raw_set(backend, words):
@@ -324,7 +325,7 @@ def test_pipeline_sanov(hp, S_sanov):
     assert cert.margin == pytest.approx(0.5443550872836642)
     assert (cert.kappa, cert.kappa_mode) == (26, "word-upper")
     assert cert.omega_lower == math.log(7) / 26
-    assert check_certificate(cert, memory_cap=50_000)["valid"]
+    assert check_certificate(cert)["valid"]
 
 
 def test_pipeline_deterministic(S_f2):
@@ -457,7 +458,7 @@ def test_certificate_tamper_fuzz(S_f2):
         tampered(epsilon_margin=-1.0),
         tampered(epsilon_margin=cert.margin + 1.0),
         tampered(kappa=cert.kappa + 1),
-        tampered(kappa_mode="word-upper"),
+        tampered(kappa=cert.kappa - 1, omega_lower=math.log(2 * cert.r - 1) / (cert.kappa - 1)),
         tampered(omega_lower=cert.omega_lower * 1.01),
         tampered(h=certificate_payload(cert)["f"]),
         tampered(basepoint=[1, 1]),
@@ -465,6 +466,18 @@ def test_certificate_tamper_fuzz(S_f2):
     for data in bad_variants:
         with pytest.raises(InvalidCertificate):
             check_certificate(data)
+    # kappa_mode is the builder's note on the words, not a checked claim
+    assert check_certificate(tampered(kappa_mode="word-upper"))["valid"]
+
+    # a longest T word padded with x X: still a word for its entry, so it
+    # checks once kappa and omega_lower follow it, and not before
+    data = json.loads(json.dumps(base))
+    longest = max(data["T"], key=lambda t: len(t["symbols"]))
+    longest["symbols"] = longest["symbols"] + [["x", 1], ["x", -1]]
+    with pytest.raises(InvalidCertificate, match="kappa mismatch"):
+        check_certificate(data)
+    data.update(kappa=cert.kappa + 2, omega_lower=math.log(2 * cert.r - 1) / (cert.kappa + 2))
+    assert check_certificate(data)["kappa"] == cert.kappa + 2
 
     # tampering inside T: swap one entry for its inverse
     data = json.loads(json.dumps(base))
@@ -500,6 +513,18 @@ _KAPPA_CASES = {
 }
 
 
+def _count_walks(monkeypatch):
+    walks = []
+    spheres = loxgrow.words.spheres
+
+    def counted(*args, **kwargs):
+        walks.append(1)
+        return spheres(*args, **kwargs)
+
+    monkeypatch.setattr(loxgrow.words, "spheres", counted)
+    return walks
+
+
 @pytest.mark.parametrize("case", sorted(_KAPPA_CASES))
 def test_kappa_walks_the_ball_once(case, monkeypatch):
     # the certify-kappa sets at their benchmark caps: all r entries of T
@@ -510,27 +535,80 @@ def test_kappa_walks_the_ball_once(case, monkeypatch):
         warnings.simplefilter("ignore", HeuristicOnly)
         cert = build_free_basis(S, memory_cap=cap)
     assert (cert.r, cert.kappa, cert.kappa_mode) == (r, kappa, kappa_mode)
-    walks = []
-    spheres = loxgrow.words.spheres
-
-    def counted(*args, **kwargs):
-        walks.append(1)
-        return spheres(*args, **kwargs)
-
-    monkeypatch.setattr(loxgrow.words, "spheres", counted)
-    assert _compute_kappa(cert.S, cert.T, cap) == (kappa, kappa_mode)
+    walks = _count_walks(monkeypatch)
+    T, got_kappa, got_mode = _compute_kappa(cert.S, cert.T, cap)
+    assert (got_kappa, got_mode) == (kappa, kappa_mode)
+    assert [t.word for t in T] == [t.word for t in cert.T]
     assert len(walks) == 1
+
+
+_CHECK_CASES = {
+    # F2 and the certify-pingpong sets, whose tree shortcut spells T
+    # without a walk
+    "f2": ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"], 2_000_000),
+    "c2c3": ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], 2_000_000),
+    "c2c4": ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], 2_000_000),
+    "c3c3": ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], 2_000_000),
+    **{case: (config, gens, cap) for case, (config, gens, cap, _) in _KAPPA_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
+def test_checker_walks_nothing(case, monkeypatch):
+    config, gens, cap = _CHECK_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        payload = certificate_payload(build_free_basis(S, memory_cap=cap))
+    walks = _count_walks(monkeypatch)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the checker searched for a word")
+
+    monkeypatch.setattr(freebasis, "word_length_in_S", no_search)
+    assert check_certificate(payload)["kappa"] == payload["kappa"]
+    # perfbench's call shape: the memory cap is accepted and ignored
+    assert check_certificate(payload, memory_cap=1)["valid"]
+    assert walks == []
+
+
+@pytest.mark.parametrize("case", ["f2", "c2c3", "c2c7", "sanov", "elliptic"])
+def test_T_words_are_evidence_for_kappa(case, monkeypatch):
+    config, gens, cap = _CHECK_CASES[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    cert = build_free_basis(S, memory_cap=cap)
+    # every T word spells its entry over S, and kappa is the longest word
+    for t in cert.T:
+        assert _evaluate(S, t.word) == t.canonical
+    assert cert.kappa == max(len(t.word) for t in cert.T)
+    # against the one-target walk, with the tree shortcut switched off so
+    # its words are measured too: a word the builder calls shortest has
+    # the walk's length; an entry it kept spelled is one the walk could
+    # not reach within the cap
+    monkeypatch.setattr(backend, "subgroup_word_exact", lambda S, g: None)
+    outcomes = [_one_target(S, t, len(t.word), cap) for t in cert.T]
+    reached = [(d, len(t.word)) for t, d in zip(cert.T, outcomes) if not isinstance(d, tuple)]
+    assert all(d == n for d, n in reached)
+    assert (cert.kappa_mode == "exact") == (len(reached) == cert.r)
 
 
 def test_kappa_search_contradicting_the_word_fails(ft2):
     # xxy needs two letters of {xx, y}; a one-letter word for it is a lie
     S = make_generating_set(ft2, ["xx", "y"])
     t = ft2.element("xxy")
-    honest = GeneratingSet(ft2, [GroupElement(ft2, t.canonical, (("xx", 1), ("y", 1)))])
-    assert _compute_kappa(S, honest, 1000) == (2, "exact")
+    # an honest padded word is respelled to a shortest one
+    honest = GeneratingSet(ft2, [GroupElement(ft2, t.canonical, (("xx", 1), ("y", 1), ("y", 1),
+                                                                 ("y", -1)))])
+    T, kappa, mode = _compute_kappa(S, honest, 1000)
+    assert ([t.word for t in T], kappa, mode) == ([(("xx", 1), ("y", 1))], 2, "exact")
+    # the walk cannot spell the forged entry within one letter, so the
+    # builder keeps its word; the checker's evaluation then rejects it
     forged = GeneratingSet(ft2, [GroupElement(ft2, t.canonical, (("xx", 1),))])
-    with pytest.raises(InvalidCertificate):
-        _compute_kappa(S, forged, 1000)
+    T, kappa, mode = _compute_kappa(S, forged, 1000)
+    assert ([t.word for t in T], kappa, mode) == ([(("xx", 1),)], 1, "word-upper")
+    with pytest.raises(InvalidCertificate, match="does not evaluate"):
+        freebasis._check_T_words(S, T)
 
 
 @pytest.mark.parametrize("edit", [
@@ -567,12 +645,12 @@ def test_float_certificate_tolerance(hpf):
         cert = build_free_basis(S, memory_cap=50_000)
     assert cert.membership_heuristic is True
     payload = certificate_payload(cert)
-    assert check_certificate(payload, memory_cap=50_000)["valid"]
+    assert check_certificate(payload)["valid"]
     payload["m"] = payload["m"] + 1e-12  # under the float tolerance
-    assert check_certificate(payload, memory_cap=50_000)["valid"]
+    assert check_certificate(payload)["valid"]
     payload["m"] = payload["m"] + 1e-6
     with pytest.raises(InvalidCertificate):
-        check_certificate(payload, memory_cap=50_000)
+        check_certificate(payload)
 
 
 def test_exact_certificate_is_bit_strict(hp, S_sanov):
@@ -580,13 +658,12 @@ def test_exact_certificate_is_bit_strict(hp, S_sanov):
     payload = certificate_payload(cert)
     payload["m"] = payload["m"] + 1e-12
     with pytest.raises(InvalidCertificate):
-        check_certificate(payload, memory_cap=50_000)
+        check_certificate(payload)
 
 
 # -- field-mutation sweep over honest certificates ---------------------------------
 
-# builder and checker share this cap, as the CLI does with a config's
-# memory_cap; it keeps the half-plane kappa searches short
+# the builder's cap; it keeps the half-plane kappa searches short
 _SWEEP_CAP = 5_000
 _SWEEP_CASES = {
     "f2": ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"]),
@@ -656,12 +733,12 @@ def _mutations(backend, S, base):
 @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
 def test_field_mutation_sweep(honest, case):
     backend, S, base = honest[case]
-    expected = check_certificate(base, memory_cap=_SWEEP_CAP)
+    expected = check_certificate(base)
     mutations = _mutations(backend, S, base)
     assert len(mutations) >= 60
     for label, data in mutations:
         try:
-            summary = check_certificate(data, memory_cap=_SWEEP_CAP)
+            summary = check_certificate(data)
         except InvalidCertificate:
             continue
         assert not label.startswith("omega_lower="), label
@@ -673,22 +750,21 @@ def test_checker_rejects_negative_escalation_rounds(honest):
     # but no escalation runs a negative number of rounds
     for case in sorted(honest):
         _, _, base = honest[case]
-        assert check_certificate(dict(base, escalation_rounds=base["escalation_rounds"] + 1),
-                                 memory_cap=_SWEEP_CAP)["valid"]
+        assert check_certificate(dict(base, escalation_rounds=base["escalation_rounds"] + 1))["valid"]
         with pytest.raises(InvalidCertificate, match="escalation_rounds"):
-            check_certificate(dict(base, escalation_rounds=-1), memory_cap=_SWEEP_CAP)
+            check_certificate(dict(base, escalation_rounds=-1))
 
 
 def test_checker_derives_backend_fixed_fields(honest):
     _, _, flt = honest["sanov-float"]
     assert flt["membership_heuristic"] is True
     with pytest.raises(InvalidCertificate, match="membership_heuristic"):
-        check_certificate(dict(flt, membership_heuristic=False), memory_cap=_SWEEP_CAP)
+        check_certificate(dict(flt, membership_heuristic=False))
     _, _, f2 = honest["f2"]
     with pytest.raises(InvalidCertificate, match="membership_heuristic"):
         check_certificate(dict(f2, membership_heuristic=True))
     _, _, exact = honest["sanov"]
     assert exact["epsilon_margin"] == HalfPlane().dist_roundoff
     with pytest.raises(InvalidCertificate, match="epsilon_margin"):
-        check_certificate(dict(exact, epsilon_margin=0.0), memory_cap=_SWEEP_CAP)
-    assert check_certificate(dict(exact, epsilon_margin=0.5), memory_cap=_SWEEP_CAP)["valid"]
+        check_certificate(dict(exact, epsilon_margin=0.0))
+    assert check_certificate(dict(exact, epsilon_margin=0.5))["valid"]

@@ -80,7 +80,8 @@ def test_tracer_records_the_geometric_check(tmp_path, capsys):
 
 def test_tracer_records_one_kappa_search_per_command(tmp_path, capsys):
     # C2*C7 {a, b} misses b^2..b^5, so kappa needs the breadth-first search;
-    # all three T entries share one walk, seen as one span per command
+    # all three T entries share one walk in verify-bound, and check-cert
+    # only evaluates the stored words
     cfg = tmp_path / "c2c7.json"
     cfg.write_text(json.dumps({
         "backend": {"kind": "free_product_tree", "orders": [2, 7]},
@@ -100,10 +101,10 @@ def test_tracer_records_one_kappa_search_per_command(tmp_path, capsys):
         assert (cert["r"], cert["kappa"], cert["kappa_mode"]) == (3, 14, "exact")
         (tmp_path / "cert.json").write_text(json.dumps(cert))
         assert cli.main(["check-cert", str(tmp_path / "cert.json")]) == 0
-        assert kappa_spans() == 2
+        assert kappa_spans() == 1
     finally:
         tracer.uninstall()
     capsys.readouterr()
 
-    assert tracer.counts["words.word_length_in_S_calls"] == 2
+    assert tracer.counts["words.word_length_in_S_calls"] == 1
     assert fb.word_length_in_S is search

@@ -1,4 +1,4 @@
-"""Generating-set construction, product balls, exact word length."""
+"""Generating-set construction, product balls, shortest words over S."""
 
 import itertools
 import random
@@ -65,15 +65,41 @@ def test_ball_set_cap(S_f2):
         product_ball_set(S_f2, 0)
 
 
+def _evaluate(S, word):
+    """The canonical form of a word over the symbols of S."""
+    backend = S.backend
+    letters = {}
+    for s in S:
+        [(label, sign)] = s.word
+        letters[(label, sign)] = s.canonical
+        letters[(label, -sign)] = backend._invert(s.canonical)
+    value = backend._identity_canonical()
+    for sym in word:
+        value = backend._compose(value, letters[sym])
+    return value
+
+
+def _search(S, targets, memory_cap=words.DEFAULT_MEMORY_CAP):
+    """word_length_in_S with each returned word checked to spell its target
+    and replaced by its length; None and BudgetExceeded pass through."""
+    out = []
+    for (g, _), d in zip(targets, word_length_in_S(S, targets, memory_cap)):
+        if isinstance(d, tuple):
+            assert _evaluate(S, d) == g.canonical, (g, d)
+            d = len(d)
+        out.append(d)
+    return out
+
+
 def test_word_length_basics(ft2, S_f2):
     targets = [(ft2.element(w), cap) for w, cap in (("xyX", 5), ("xx", 5), ("", 5), ("xxxx", 3))]
-    assert word_length_in_S(S_f2, targets) == [3, 2, 0, None]
+    assert _search(S_f2, targets) == [3, 2, 0, None]
 
 
 def test_word_length_memory_cap(ft2):
     # a non-basis set so the free-tree shortcut does not kick in
     S = make_generating_set(ft2, ["xx", "y"])
-    assert word_length_in_S(S, [(ft2.element("xxxx"), 4)]) == [2]
+    assert word_length_in_S(S, [(ft2.element("xxxx"), 4)]) == [(("xx", 1), ("xx", 1))]
     [bust] = word_length_in_S(S, [(ft2.element("x" * 16), 8)], memory_cap=20)
     assert isinstance(bust, BudgetExceeded)
 
@@ -83,7 +109,7 @@ def test_word_length_partial_sphere_at_memory_cap(ft2):
     # fill the cap of 2, so S[1] is still found and S[2] is not
     S = make_generating_set(ft2, ["x", "xy"])
     assert S.labels() == ["x", "X", "xy", "xy^-1"]
-    found, bust = word_length_in_S(S, [(S[1], 4), (S[2], 4)], memory_cap=2)
+    found, bust = _search(S, [(S[1], 4), (S[2], 4)], memory_cap=2)
     assert found == 1
     assert isinstance(bust, BudgetExceeded) and bust.completed == 0
 
@@ -95,9 +121,9 @@ def _one_target(S, g, cap, memory_cap):
     ident = backend._identity_canonical()
     if g.canonical == ident:
         return 0
-    exact = backend.subgroup_length_exact(S, g)
+    exact = backend.subgroup_word_exact(S, g)
     if exact is not None:
-        return exact if exact <= cap else None
+        return len(exact) if len(exact) <= cap else None
     visited = 1
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
     for radius, sphere in enumerate(itertools.islice(ball, cap), 1):
@@ -111,7 +137,7 @@ def _one_target(S, g, cap, memory_cap):
 
 def _agrees_with_one_target_searches(S, targets, memory_cap=words.DEFAULT_MEMORY_CAP):
     got = [("budget", d.completed) if isinstance(d, BudgetExceeded) else d
-           for d in word_length_in_S(S, targets, memory_cap)]
+           for d in _search(S, targets, memory_cap)]
     assert got == [_one_target(S, g, cap, memory_cap) for g, cap in targets]
     return got
 
@@ -175,8 +201,8 @@ def test_multi_target_shortcuts_per_entry(ft2, S_f2, monkeypatch):
     # the shortcut answers one entry of a non-basis set; the rest are walked
     S = make_generating_set(ft2, ["xx", "y"])
     special = e("xxxxxx").canonical
-    monkeypatch.setattr(ft2, "subgroup_length_exact",
-                        lambda S, g: 3 if g.canonical == special else None)
+    monkeypatch.setattr(ft2, "subgroup_word_exact",
+                        lambda S, g: (("xx", 1),) * 3 if g.canonical == special else None)
     targets = [(e("y"), 3), (e(""), 2), (e("xxxxxx"), 4), (e("xxxxxx"), 2), (e("xxy"), 3)]
     assert _agrees_with_one_target_searches(S, targets) == [1, 0, 3, None, 2]
     assert len(walks) == 1
@@ -208,6 +234,47 @@ def test_multi_target_agrees_with_one_target_searches_at_random(ft2, pt23):
             _agrees_with_one_target_searches(S, targets, memory_cap=rng.choice((3, 40, 300, 5000)))
 
 
+def test_tree_shortcuts_spell_the_normal_form(ft2, pt23, S_f2, S_pt, monkeypatch):
+    walks = _count_walks(monkeypatch)
+    e = ft2.element
+    targets = [(e("xyX"), 3), (e("YYx"), 3)]
+    assert word_length_in_S(S_f2, targets) == [
+        (("x", 1), ("y", 1), ("x", -1)), (("y", -1), ("y", -1), ("x", 1))]
+    # bb is its own symbol in S_pt, so b^2 a b is three letters
+    assert word_length_in_S(S_pt, [(pt23.element("bbab"), 3)]) == [
+        (("bb", 1), ("a", 1), ("b", 1))]
+    assert walks == []
+
+
+def test_float_words_step_back_through_the_spheres(hp, hpf):
+    # Sanov conjugated by diag(1.1, 1/1.1): the entries are not integers,
+    # so a step back g s^-1 lands on its sphere element only up to roundoff
+    c = 1.1
+    gens = [[[1.0, 2.0 * c * c], [0.0, 1.0]], [[1.0, 0.0], [2.0 / (c * c), 1.0]]]
+    S = make_generating_set(hpf, gens)
+    S_exact = make_generating_set(hp, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+    # both sets sort as a^-1, b^-1, b, a: S[3 - i] inverts S[i]
+    assert [s.word for s in S] == [s.word for s in S_exact]
+    rng = random.Random(5)
+    targets, exact_targets = [], []
+    for _ in range(40):
+        # reduced words: the walk composes the same letters in the same order
+        length, picks = rng.randint(1, 7), [rng.randrange(4)]
+        while len(picks) < length:
+            picks.append(rng.choice([i for i in range(4) if i != 3 - picks[-1]]))
+        g, g_exact = hpf.identity(), hp.identity()
+        for i in picks:
+            g, g_exact = hpf.compose(g, S[i]), hp.compose(g_exact, S_exact[i])
+        targets.append((g, 8))
+        exact_targets.append((g_exact, 8))
+    got = word_length_in_S(S, targets, 100_000)
+    assert [len(w) for w in got] == _search(S_exact, exact_targets, 100_000)
+    for (g, _), w in zip(targets, got):
+        value = _evaluate(S, w)
+        tol = 1e-9 * max(1.0, max(abs(x) for x in g.canonical))
+        assert max(abs(v - x) for v, x in zip(value, g.canonical)) <= tol
+
+
 def test_spheres_order_and_cap():
     def compose(w, g):
         return (w + g) % 6
@@ -223,7 +290,7 @@ def test_word_length_symmetric_in_inverse(ft2, S_f2):
     for _ in range(40):
         w = "".join(rng.choice("xyXY") for _ in range(rng.randint(0, 6)))
         g = ft2.element(w)
-        d, d_inv = word_length_in_S(S_f2, [(g, 8), (ft2.invert(g), 8)])
+        d, d_inv = _search(S_f2, [(g, 8), (ft2.invert(g), 8)])
         assert d == d_inv
 
 
@@ -258,7 +325,7 @@ def test_matrix_word_length_against_brute_force(hp):
         if best is not None:
             break
     assert best == 4
-    assert word_length_in_S(S, [(target, 6)]) == [4]
+    assert _search(S, [(target, 6)]) == [4]
 
 
 def test_ball_sizes_consistency(S_f2, S_pt):
