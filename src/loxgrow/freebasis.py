@@ -339,15 +339,21 @@ def _compute_kappa(S, T, memory_cap) -> Tuple[GeneratingSet, int, str]:
 
     One breadth-first walk searches for every entry up to its carried
     word's length. An entry found there, or spelled by the backend's
-    shortcut, takes a shortest word; any other keeps its carried spelling.
+    shortcut, takes a shortest word; any other keeps its carried spelling,
+    or the backend's normal-form word over S where that is no longer.
     kappa is the longest word, and the mode is "exact" when every entry got
     a shortest word, else "word-upper"."""
     outcomes = word_length_in_S(S, [(t, len(t.word)) for t in T], memory_cap)
     shortest = [isinstance(d, tuple) for d in outcomes]
-    words = [d if ok else t.word for t, d, ok in zip(T, outcomes, shortest)]
+    words = [d if ok else _upper_word(S, t) for t, d, ok in zip(T, outcomes, shortest)]
     T = GeneratingSet(S.backend, [GroupElement(S.backend, t.canonical, w)
                                   for t, w in zip(T, words)])
     return T, max(map(len, words)), "exact" if all(shortest) else "word-upper"
+
+
+def _upper_word(S, t):
+    normal = S.backend.normal_form_word(S, t)
+    return normal if normal is not None and len(normal) <= len(t.word) else t.word
 
 
 def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeBasisCertificate:
@@ -826,6 +832,8 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
         fail("h != f * b^n")
     if cert.r != len(cert.T) or cert.r != len(cert.S0):
         fail("r disagrees with #T or #S0")
+    if cert.r < 1:
+        fail("T is empty")
     hk = backend.power(cert.h, cert.k)
     for s, t in zip(cert.S0, cert.T):
         expect = backend.compose(backend.compose(s, hk), backend.invert(s))

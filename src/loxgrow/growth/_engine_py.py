@@ -4,7 +4,14 @@ One counter per growth encoding: free-group words and C_p * C_q words as
 bytes, integer matrices as 4-tuples, and a generic counter on canonical
 forms for backends without an encoding. Each keeps its own compose
 function; every count comes from the one breadth-first search,
-``words.spheres``.
+``words.spheres``, which skips the composes that step back into the ball
+it has walked.
+
+The byte composes first try the common case: when w is empty or the
+letters at the junction cannot cancel (free words: w's last letter is not
+the inverse of g's first; product words: w's last syllable and g's first
+lie in different factors), the product is w + g, one concatenation. Only
+otherwise do they cancel or merge letter by letter.
 """
 
 from typing import Callable, List, Tuple
@@ -31,6 +38,8 @@ def _ball_counts(identity, gens, compose, n_max, cap, key=None):
 
 
 def _free_compose(w: bytes, g: bytes) -> bytes:
+    if not (w and g) or w[-1] ^ g[0] != 1:
+        return w + g
     cut = 0
     m = min(len(w), len(g))
     while cut < m and w[len(w) - 1 - cut] ^ g[cut] == 1:
@@ -46,6 +55,8 @@ def _product_compose_fn(p: int, q: int) -> Callable[[bytes, bytes], bytes]:
     orders = (p, q)
 
     def compose(w: bytes, g: bytes) -> bytes:
+        if not (w and g) or (w[-1] ^ g[0]) >> 6:
+            return w + g
         out = bytearray(w)
         for s in g:
             fac = s >> 6

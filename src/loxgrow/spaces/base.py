@@ -187,9 +187,14 @@ class Backend:
     def _growth_key(self, canonical):
         return canonical
 
-    # a geodesic word over S for g when S is the backend's standard
+    # a geodesic word over S for g when S is exactly the backend's standard
     # generating set, else None (the caller searches)
     def subgroup_word_exact(self, S, g):
+        return None
+
+    # a word over S for g spelled by the backend's normal form when S
+    # contains its standard generating set, else None; not always shortest
+    def normal_form_word(self, S, g):
         return None
 
     def config(self) -> dict:

@@ -157,9 +157,13 @@ class FreeGroupTree(Backend):
     def canonical_bytes(self, canonical):
         return bytes(_letter_code(v) for v in canonical)
 
-    # standard-basis detection: the reduced word, one letter per entry of S
-    def subgroup_word_exact(self, S, g):
+    # the reduced word, one letter per entry of S, when S holds the standard
+    # basis and its inverses; a larger S can spell g shorter
+    def normal_form_word(self, S, g):
         words = {e.canonical: e.word for e in S}
-        if all((v,) in words and (-v,) in words for v in range(1, self.rank + 1)):
+        if all((v,) in words for v in range(-self.rank, self.rank + 1) if v):
             return tuple(sym for v in g.canonical for sym in words[(v,)])
         return None
+
+    def subgroup_word_exact(self, S, g):
+        return self.normal_form_word(S, g) if len(S) == 2 * self.rank else None

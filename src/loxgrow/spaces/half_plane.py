@@ -220,4 +220,5 @@ class HalfPlane(Backend):
     def _growth_key(self, canonical):
         if self.exact:
             return canonical
-        return tuple(round(v, 9) for v in canonical)
+        a, b, c, d = canonical
+        return (round(a, 9), round(b, 9), round(c, 9), round(d, 9))

@@ -188,10 +188,14 @@ class FreeProductTree(Backend):
     def canonical_bytes(self, canonical):
         return bytes((f << 6) | e for f, e in canonical)
 
-    # every nontrivial factor element in S: the normal form, one syllable
-    # per entry of S
-    def subgroup_word_exact(self, S, g):
+    # the normal form, one syllable per entry of S, when S holds every
+    # nontrivial factor element; a larger S can spell g shorter
+    def normal_form_word(self, S, g):
         words = {e.canonical: e.word for e in S}
         if all(((f, e),) in words for f in (0, 1) for e in range(1, self.orders[f])):
             return tuple(sym for syl in g.canonical for sym in words[(syl,)])
         return None
+
+    def subgroup_word_exact(self, S, g):
+        standard = self.orders[0] + self.orders[1] - 2
+        return self.normal_form_word(S, g) if len(S) == standard else None

@@ -8,6 +8,7 @@ expression bounds the word length d_S from above when exact search is out of
 reach.
 """
 
+from array import array
 from itertools import islice
 from operator import attrgetter
 
@@ -86,25 +87,58 @@ def spheres(identity, gens, compose, cap, key=None):
     finite group). Once the visited set, identity included, passes ``cap``
     it yields the partial sphere, ending with the element that passed the
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
+
+    Composes that can only step back into the walked ball are skipped.
+    Each element w of sphere n >= 1 remembers the generator g_j that found
+    it, w = p g_j with p in sphere n - 1. If g_j h lies in the radius-1
+    ball {1} u gens, then w h = p (g_j h) lies in the radius-n ball, which
+    is all visited before sphere n is expanded, so ``compose(w, h)`` could
+    only give a duplicate. Which h these are for each g_j is read off the
+    expansion of sphere 1, which composes every g_j h anyway, so a walk of
+    two spheres composes no more than before. The skip is exact when
+    ``key`` respects compose: keys of (p g_j) h and p (g_j h) agree, and
+    equal keys stay equal when composed on the left. Every sphere, its
+    order and the cap are then as if every element met every generator.
+    Float canonicals meet this only up to roundoff: a skipped compose is,
+    in exact arithmetic, an element already seen, so with raw float
+    canonicals as keys the walk drops roundoff copies of walked elements
+    that a full walk would have counted as new (``_growth_key`` rounds
+    them together either way).
     """
     seen = {identity if key is None else key(identity)}
-    frontier = [identity]
+    every = list(enumerate(gens))
+    # generators each element steps by, per the index of the generator that
+    # found it; the identity's index is len(gens) and it steps by all
+    follow = [every] * (len(gens) + 1)
+    typecode = "B" if len(gens) < 256 else "I"
+    frontier, found_by = [identity], array(typecode, [len(gens)])
+    ball1 = None  # the radius-1 keys, while sphere 1 is expanded
+    radius = 0
     while True:
-        sphere = []
-        for w in frontier:
-            for g in gens:
+        sphere, found = [], array(typecode)
+        for w, j in zip(frontier, found_by):
+            for h, g in follow[j]:
                 c = compose(w, g)
                 k = c if key is None else key(c)
                 if k not in seen:
                     seen.add(k)
                     sphere.append(c)
+                    found.append(h)
                     if len(seen) > cap:
                         yield sphere
                         return
+                elif ball1 is not None and k in ball1:
+                    skipped[j].add(h)
         if not sphere:
             return
         yield sphere
-        frontier = sphere
+        radius += 1
+        if radius == 1:
+            ball1, skipped = set(seen), [set() for _ in gens]
+        elif radius == 2:
+            follow = [[(h, g) for h, g in every if h not in skip] for skip in skipped]
+            ball1 = None
+        frontier, found_by = sphere, found
 
 
 def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):

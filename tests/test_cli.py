@@ -180,6 +180,17 @@ def test_check_cert_tamper_exits_five(f2_config, tmp_path, capsys):
     assert main(["check-cert", str(tmp_path / "nowhere.json")]) == 4
 
 
+def test_check_cert_rejects_an_empty_basis(f2_config, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert main(["free-basis", f2_config, "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({**payload, "r": 0, "T": [], "S0": []}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(empty)]) == 5
+    assert "T is empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", [50, 200, 1000])
 def test_check_cert_accepts_certificates_built_under_a_small_cap(write_config, tmp_path,
                                                                  cap, capsys):

@@ -593,6 +593,20 @@ def test_T_words_are_evidence_for_kappa(case, monkeypatch):
     assert (cert.kappa_mode == "exact") == (len(reached) == cert.r)
 
 
+def test_kappa_over_a_set_larger_than_the_standard_one():
+    # ab is a letter of S, so the normal form over {a, b, bb} is not
+    # shortest: the walk searches, and an entry it does not reach takes the
+    # shorter of its carried word and the normal form, noted word-upper
+    backend = make_backend({"kind": "free_product_tree", "orders": [2, 4]})
+    S = make_generating_set(backend, ["a", "b", "bb", "ab"])
+    cert = build_free_basis(S, memory_cap=20_000)
+    assert (cert.r, cert.kappa, cert.kappa_mode) == (4, 21, "word-upper")
+    for t in cert.T:
+        assert _evaluate(S, t.word) == t.canonical
+        assert len(t.word) <= len(backend.normal_form_word(S, t))
+    assert check_certificate(certificate_payload(cert))["kappa"] == 21
+
+
 def test_kappa_search_contradicting_the_word_fails(ft2):
     # xxy needs two letters of {xx, y}; a one-letter word for it is a lie
     S = make_generating_set(ft2, ["xx", "y"])

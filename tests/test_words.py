@@ -12,6 +12,7 @@ from loxgrow.errors import (
     EmptyAfterReduction,
     NotSymmetric,
 )
+from loxgrow.spaces import FreeProductTree
 from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
 PSL2Z_GENS = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
@@ -244,6 +245,25 @@ def test_tree_shortcuts_spell_the_normal_form(ft2, pt23, S_f2, S_pt, monkeypatch
     assert word_length_in_S(S_pt, [(pt23.element("bbab"), 3)]) == [
         (("bb", 1), ("a", 1), ("b", 1))]
     assert walks == []
+
+
+def test_tree_shortcuts_need_exactly_the_standard_set(ft2, pt23):
+    # over a larger S the normal form need not be shortest: xy is one letter
+    # of {x, y, xy}, ab one of {a, b, ab}
+    for backend, standard, larger, g in [
+        (ft2, ["x", "y"], ["x", "y", "xy"], "xyxy"),
+        (pt23, ["a", "b"], ["a", "b", "ab"], "abab"),
+        (FreeProductTree((2, 4)), ["a", "b", "bb"], ["a", "b", "bb", "ab"], "abab"),
+    ]:
+        g = backend.element(g)
+        assert len(backend.subgroup_word_exact(make_generating_set(backend, standard), g)) == 4
+        S = make_generating_set(backend, larger)
+        assert backend.subgroup_word_exact(S, g) is None
+        assert _evaluate(S, backend.normal_form_word(S, g)) == g.canonical
+        assert _search(S, [(g, 4)]) == [2]
+    # a set missing a factor element has no shortcut either
+    c24 = FreeProductTree((2, 4))
+    assert c24.subgroup_word_exact(make_generating_set(c24, ["a", "b"]), c24.element("ab")) is None
 
 
 def test_float_words_step_back_through_the_spheres(hp, hpf):
