@@ -146,14 +146,16 @@ def _elementary_core(b, g, N_test=6, theta=1.0, window=8) -> Tuple[bool, bool]:
     float backends fall back to the axis-overlap proxy."""
     backend = b.backend
     if backend.exact_words:
-        ginv = backend.invert(g)
-        bn = None
-        for _ in range(N_test):
-            bn = b if bn is None else backend.compose(bn, b)
-            conj = backend.compose(backend.compose(g, bn), ginv)
-            if conj.canonical == bn.canonical:
-                return True, False
-            if conj.canonical == backend.invert(bn).canonical:
+        # canonicals decide equality here; no symbol words are built
+        compose, invert = backend._compose, backend._invert
+        bc, gc = b.canonical, g.canonical
+        ginv = invert(gc)
+        bn = bc
+        for i in range(N_test):
+            if i:
+                bn = compose(bn, bc)
+            conj = compose(compose(gc, bn), ginv)
+            if conj == bn or conj == invert(bn):
                 return True, False
         return False, False
     o = backend.origin()
@@ -232,24 +234,75 @@ def certify_free_geometric(T, x, delta=None, epsilon_margin=0.0) -> GeometricChe
     backend = T.backend
     if delta is None:
         delta = backend.delta
-    letters = list(T) + [backend.invert(t) for t in T]
-    translates = [backend.apply(a, x) for a in letters]
+    letters, pairs, degenerate = _letters(T)
+    m, p_max, margin = _margin(backend, letters, pairs, x, delta, -math.inf)
+    valid = m > 0 and margin >= epsilon_margin and not degenerate
+    return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
+
+
+def _letters(T):
+    """T's entries then their inverses, the index pairs (i < j) of distinct
+    letters, and whether any two letters coincide. Only the canonicals act
+    on points, so the inverses carry no words."""
+    backend = T.backend
+    letters = list(T) + [GroupElement(backend, backend._invert(t.canonical)) for t in T]
     canon = [a.canonical for a in letters]
-    degenerate = len(set(canon)) < len(letters)
+    pairs = [(i, j) for i in range(len(letters)) for j in range(i + 1, len(letters))
+             if canon[i] != canon[j]]
+    return letters, pairs, len(set(canon)) < len(letters)
+
+
+def _margin(backend, letters, pairs, x, delta, floor):
+    """(m, p_max, margin) at x, with margin = m/8 - delta/2 - p_max.
+
+    a^-1 x runs over every translate and b over the letters != a^-1, so the
+    Gromov product of each pair in ``pairs`` counts once. The products stop
+    once the margin falls below ``floor``; it can only fall further."""
+    translates = [backend.apply(a, x) for a in letters]
     d = [backend.dist(tx, x) for tx in translates]
     m = min(d)
     p_max = 0.0
-    # a^-1 x runs over every translate, and b ranges over letters != a^-1
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            if canon[i] == canon[j]:
-                continue
-            p = 0.5 * (d[i] + d[j] - backend.dist(translates[i], translates[j]))
-            if p > p_max:
-                p_max = p
     margin = m / 8.0 - delta / 2.0 - p_max
-    valid = m > 0 and margin >= epsilon_margin and not degenerate
-    return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
+    for i, j in pairs:
+        if margin < floor:
+            break
+        p = 0.5 * (d[i] + d[j] - backend.dist(translates[i], translates[j]))
+        if p > p_max:
+            p_max = p
+            margin = m / 8.0 - delta / 2.0 - p_max
+    return m, p_max, margin
+
+
+def _scan_basepoints(T, points, delta, epsilon_margin):
+    """The basepoint among ``points`` at which T passes the ping-pong test,
+    or None.
+
+    It is the point that certify_free_geometric at every point would pick:
+    the first of largest margin, skipping points where a distance
+    overflows, if the check passes there. The scan gets there with less
+    work. It builds T's letters once, and it rejects a T whose letters
+    coincide before computing any distance. It drops a point once
+    m/8 - delta/2 - p_max, with p_max the largest Gromov product so far,
+    falls below ``epsilon_margin``. Further products only lower that
+    number, so a dropped point fails the test and has a smaller margin
+    than any point that passes it.
+    """
+    backend = T.backend
+    letters, pairs, degenerate = _letters(T)
+    if degenerate:
+        return None
+    best = None  # (margin, m, point)
+    for x in points:
+        try:
+            m, _, margin = _margin(backend, letters, pairs, x, delta, epsilon_margin)
+        except OverflowError:
+            # entries of T grew past float range; drop the basepoint
+            continue
+        if margin >= epsilon_margin and (best is None or margin > best[0]):
+            best = (margin, m, x)
+    if best is None or not best[1] > 0:
+        return None
+    return best[2]
 
 
 def certify_free_exact(T, L, memory_cap=DEFAULT_MEMORY_CAP) -> bool:
@@ -370,7 +423,10 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
 
     Smallest n + k first, n ascending inside a diagonal; the first (n, k)
     whose T passes the ping-pong margin test at some basepoint candidate
-    wins. If none does, SearchExhausted is raised.
+    wins. The basepoint is the candidate of largest margin, the first on
+    ties (``_scan_basepoints``), and certify_free_geometric at that point
+    gives the stored m, p_max and margin. If no (n, k) passes,
+    SearchExhausted is raised.
     """
     budgets = budgets or SearchBudgets()
     backend = S.backend
@@ -421,7 +477,8 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
         for s in S_eff:
             separated = True
             for prev in S0:
-                g = backend.compose(backend.invert(s), prev)
+                g = GroupElement(backend, backend._compose(backend._invert(s.canonical),
+                                                           prev.canonical))
                 member, _ = _elementary_core(h, g)
                 if member:
                     separated = False
@@ -484,17 +541,11 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
         if built is None:
             continue
         h, S0, T = built
-        best, best_x = None, None
-        for x in basepoint_candidates(T):
-            try:
-                chk = certify_free_geometric(T, x, backend.delta, eps)
-            except OverflowError:
-                # entries of T grew past float range; drop the basepoint
-                continue
-            if best is None or chk.margin > best.margin:
-                best, best_x = chk, x
-        if best is not None and best.valid:
-            return finalize(n, k, h, S0, T, best, best_x)
+        x = _scan_basepoints(T, basepoint_candidates(T), backend.delta, eps)
+        if x is not None:
+            # the stored numbers come from the checker's own function
+            check = certify_free_geometric(T, x, backend.delta, eps)
+            return finalize(n, k, h, S0, T, check, x)
 
     raise SearchExhausted(
         f"no certificate with n <= {budgets.max_n}, k <= {budgets.max_k}"
@@ -602,7 +653,7 @@ def _canonical_from(backend, data):
         return c
     if backend.kind == "free_product_tree":
         syl = tuple((int(f), int(e)) for f, e in data)
-        if syl != backend._compose((), syl):
+        if not backend.is_normal(syl):
             raise InvalidCertificate(f"non-normal syllable word {data!r}")
         return syl
     vals = data
@@ -650,7 +701,7 @@ def _point_from(backend, data):
         side = int(data[1])
         if side not in (0, 1):
             raise InvalidCertificate(f"vertex side must be 0 or 1, got {side!r}")
-        if rep != backend._compose((), rep) or (rep and rep[-1][0] == side):
+        if not backend.is_normal(rep) or (rep and rep[-1][0] == side):
             raise InvalidCertificate(f"invalid coset representative {data!r}")
         return Point(backend, (rep, side))
     re, im = float(data[0]), float(data[1])

@@ -232,15 +232,15 @@ def basepoint_candidates(S, budget: int = 64):
         push(p)
     elems = list(S)
     # cap the pair products at the budget; escalated sets grow too fast
-    # for the full quadratic sweep
-    heads = elems[:budget]
+    # for the full quadratic sweep; only the products' canonicals matter
+    heads = [g.canonical for g in elems[:budget]]
     prods = []
     known = {g.canonical for g in elems}
     for a in heads:
         if len(prods) >= budget:
             break
         for b in heads:
-            ab = backend.compose(a, b)
+            ab = GroupElement(backend, backend._compose(a, b))
             if ab.canonical not in known and not backend.is_identity(ab):
                 known.add(ab.canonical)
                 prods.append(ab)

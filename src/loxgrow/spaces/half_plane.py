@@ -31,6 +31,8 @@ class HalfPlane(Backend):
         self.arithmetic = arithmetic
         self.exact = arithmetic == "exact_integer"
         self.exact_words = self.exact
+        # chosen once, not per call: ball walks compose per element and generator
+        self._compose = self._compose_exact if self.exact else self._compose_float
         self.dist_roundoff = 1e-9
         self.delta = float(delta)
         self.torsion_bound = int(torsion_bound)
@@ -55,7 +57,19 @@ class HalfPlane(Backend):
                     return (a, b, c, d) if v > 0 else (-a, -b, -c, -d)
         return (a, b, c, d)
 
-    def _compose(self, ca, cb):
+    def _compose_exact(self, ca, cb):
+        a1, b1, c1, d1 = ca
+        a2, b2, c2, d2 = cb
+        a = a1 * a2 + b1 * c2
+        b = a1 * b2 + b1 * d2
+        c = c1 * a2 + d1 * c2
+        d = c1 * b2 + d1 * d2
+        # det 1 rules out a = b = 0, so a, then b, carries the sign
+        if a < 0 or (a == 0 and b < 0):
+            return (-a, -b, -c, -d)
+        return (a, b, c, d)
+
+    def _compose_float(self, ca, cb):
         a1, b1, c1, d1 = ca
         a2, b2, c2, d2 = cb
         return self._normalize(

@@ -2,10 +2,12 @@
 
 Elements are alternating syllable words ((factor, exp), ...) with factor in
 {0, 1} and 1 <= exp < order[factor]; adjacent syllables use different
-factors.  Tree vertices are cosets g<a> / g<b>, stored as (rep, side) where
-rep is the syllable normal form of a shortest coset representative (it never
-ends in a syllable of its own factor).  Edge stabilizers are trivial, so the
-tree is 0-hyperbolic and torsion_bound defaults to 1.
+factors.  ``_compose`` takes normal forms only and merges them at the
+junction; ``normalize`` brings any syllable sequence to normal form.  Tree
+vertices are cosets g<a> / g<b>, stored as (rep, side) where rep is the
+syllable normal form of a shortest coset representative (it never ends in
+a syllable of its own factor).  Edge stabilizers are trivial, so the tree
+is 0-hyperbolic and torsion_bound defaults to 1.
 
 The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 """
@@ -41,19 +43,42 @@ class FreeProductTree(Backend):
 
     # -- group algebra ------------------------------------------------------
 
-    def _push(self, out, factor, exp):
-        exp %= self.orders[factor]
-        if out and out[-1][0] == factor:
-            exp = (out[-1][1] + exp) % self.orders[factor]
-            out.pop()
-        if exp:
-            out.append((factor, exp))
+    def normalize(self, syllables):
+        """Normal form of any sequence of (factor, exp) pairs, exps taken
+        modulo the factor's order."""
+        out = []
+        for factor, exp in syllables:
+            exp %= self.orders[factor]
+            if out and out[-1][0] == factor:
+                exp = (out[-1][1] + exp) % self.orders[factor]
+                out.pop()
+            if exp:
+                out.append((factor, exp))
+        return tuple(out)
+
+    def is_normal(self, syllables):
+        """Whether ``syllables`` is a normal form: factors 0 or 1 that
+        alternate, each exp in 1 .. order - 1."""
+        prev = None
+        for factor, exp in syllables:
+            if factor not in (0, 1) or factor == prev or not 1 <= exp < self.orders[factor]:
+                return False
+            prev = factor
+        return True
 
     def _compose(self, ca, cb):
-        out = list(ca)
-        for factor, exp in cb:
-            self._push(out, factor, exp)
-        return tuple(out)
+        # both arguments are normal forms, so only the junction can merge:
+        # syllables of one factor meet there, and a merge to the identity
+        # brings the next pair (both of the other factor) together
+        i, j = len(ca), 0
+        while i and j < len(cb) and ca[i - 1][0] == cb[j][0]:
+            factor = cb[j][0]
+            exp = (ca[i - 1][1] + cb[j][1]) % self.orders[factor]
+            if exp:
+                return ca[: i - 1] + ((factor, exp),) + cb[j + 1 :]
+            i -= 1
+            j += 1
+        return ca[:i] + cb[j:]
 
     def _invert(self, ca):
         return tuple((f, self.orders[f] - e) for f, e in reversed(ca))
@@ -64,19 +89,18 @@ class FreeProductTree(Backend):
     def element(self, spec, word=None):
         if isinstance(spec, GroupElement):
             return spec
-        out = []
+        syllables = []
         symbols = []
         for ch in spec:
             low = ch.lower()
             if low not in _LETTERS:
                 raise ConfigError(f"unknown generator letter {ch!r} (use a/b)")
             factor = _LETTERS.index(low)
-            exp = 1 if ch.islower() else self.orders[factor] - 1
-            self._push(out, factor, exp)
+            syllables.append((factor, 1 if ch.islower() else self.orders[factor] - 1))
             symbols.append((low, 1 if ch.islower() else -1))
         if word is None:
             word = tuple(symbols)
-        return GroupElement(self, tuple(out), word)
+        return GroupElement(self, self.normalize(syllables), word)
 
     def sort_key(self, a):
         return (len(a.canonical), a.canonical)

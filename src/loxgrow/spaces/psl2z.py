@@ -46,10 +46,10 @@ def psl2z_normal_form(matrix):
     while c != 0:
         # peel M = T^q S M'; rounding the quotient halves |c| each step
         q = (2 * a + c) // (2 * c)
-        syll = _P23._compose(syll, _t_syllables(q) + ((0, 1),))
+        syll = _P23._compose(syll, _P23.normalize(_t_syllables(q) + ((0, 1),)))
         a, b, c, d = -c, -d, a - q * c, b - q * d
     # now M = +/- T^(a*b) with a == d == +/-1
-    syll = _P23._compose(syll, _t_syllables(a * b))
+    syll = _P23._compose(syll, _P23.normalize(_t_syllables(a * b)))
     return syll
 
 

@@ -191,6 +191,39 @@ def test_check_cert_rejects_an_empty_basis(f2_config, tmp_path, capsys):
     assert "T is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("b", [[2, 1], [1, 1]], "non-normal syllable word"),
+    ("b", [[-1, 1], [1, 1]], "non-normal syllable word"),
+    ("b", [[0, 1], [1, 0]], "non-normal syllable word"),
+    ("b", [[0, 1], [1, 3]], "non-normal syllable word"),
+    ("b", [[0, 1], [0, 1]], "non-normal syllable word"),
+    ("basepoint", [[[2, 1]], 0], "invalid coset representative"),
+    ("basepoint", [[[-1, 1]], 0], "invalid coset representative"),
+    ("basepoint", [[[1, 1], [1, 2]], 0], "invalid coset representative"),
+])
+def test_check_cert_rejects_bad_syllables_exits_five(write_config, tmp_path, capsys,
+                                                     field, value, message):
+    # factors outside {0, 1} (negative ones included), exps outside
+    # 1 .. order - 1 and syllables of one factor side by side
+    cfg = write_config("c2c3.json", {
+        "backend": {"kind": "free_product_tree", "orders": [2, 3]},
+        "generators": ["a", "b"],
+        "budgets": {"n_max": 4},
+    })
+    cert_path = tmp_path / "cert.json"
+    assert main(["free-basis", cfg, "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    if field == "b":
+        payload["b"]["canonical"] = value
+    else:
+        payload["basepoint"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(bad)]) == 5
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", [50, 200, 1000])
 def test_check_cert_accepts_certificates_built_under_a_small_cap(write_config, tmp_path,
                                                                  cap, capsys):

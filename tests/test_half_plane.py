@@ -138,6 +138,26 @@ def test_arithmetic_mode_validation():
         HalfPlane(arithmetic="decimal")
 
 
+def test_exact_compose_normalizes_by_the_sign_of_a_then_b(hp):
+    # against the generic first-nonzero-entry rule, on products that land
+    # on a = 0 (either sign of b) as well as on both signs of a
+    rng = random.Random(41)
+    gens = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (1, 0, -1, 1), (0, 1, -1, 0)]
+    seen = set()
+    for _ in range(500):
+        m = hp._identity_canonical()
+        for _ in range(rng.randint(1, 8)):
+            g = rng.choice(gens)
+            a1, b1, c1, d1 = m
+            a2, b2, c2, d2 = g
+            raw = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+            m = hp._compose(m, g)
+            assert m == hp._normalize(*raw)
+            seen.add((raw[0] > 0, raw[0] == 0, raw[1] > 0))
+    assert seen >= {(True, False, True), (False, False, False), (False, True, True),
+                    (False, True, False)}
+
+
 # -- matrix <-> (2,3) syllable bridge ----------------------------------------
 
 

@@ -137,6 +137,63 @@ def _random_rep(backend, rng, length, start=None):
     return tuple(word)
 
 
+def _push_compose(backend, ca, cb):
+    # the syllable-by-syllable merge that the junction compose replaced
+    out = list(ca)
+    for factor, exp in cb:
+        exp %= backend.orders[factor]
+        if out and out[-1][0] == factor:
+            exp = (out[-1][1] + exp) % backend.orders[factor]
+            out.pop()
+        if exp:
+            out.append((factor, exp))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (3, 3), (2, 4), (2, 7), (5, 5)])
+def test_junction_compose_matches_the_push_loop(orders):
+    backend = FreeProductTree(orders)
+    rng = random.Random(f"junction/{orders}")
+    cascades = 0
+    for _ in range(400):
+        u = _random_rep(backend, rng, rng.randint(0, 8))
+        if rng.random() < 0.25:
+            v = _random_rep(backend, rng, rng.randint(0, 8))
+        else:
+            # v undoes the last j syllables of u, then its tail meets the
+            # syllable of u before them: a merge, or one more cancellation
+            j = rng.randint(0, len(u))
+            undo = backend._invert(u[len(u) - j:])
+            if j < len(u):
+                f, e = u[len(u) - j - 1]
+                tail = _random_rep(backend, rng, rng.randint(1, 4), start=f)
+                if rng.random() < 0.3:
+                    tail = ((f, backend.orders[f] - e),) + tail[1:]
+            else:
+                start = 1 - undo[-1][0] if undo else None
+                tail = _random_rep(backend, rng, rng.randint(0, 4), start=start)
+            v = undo + tail
+        assert backend.is_normal(u) and backend.is_normal(v)
+        got = backend._compose(u, v)
+        assert got == _push_compose(backend, u, v) == backend.normalize(u + v)
+        assert backend.is_normal(got)
+        cascades += len(u) + len(v) - len(got) >= 4
+    assert cascades >= 40
+
+
+def test_normalize_and_is_normal(pt23):
+    rng = random.Random(31)
+    for _ in range(200):
+        seq = tuple((rng.randint(0, 1), rng.randint(-4, 4)) for _ in range(rng.randint(0, 7)))
+        got = pt23.normalize(seq)
+        assert got == _push_compose(pt23, (), seq)
+        assert pt23.is_normal(got)
+        assert pt23.is_normal(seq) == (seq == got and all(0 < e for _, e in seq))
+    for bad in (((2, 1),), ((-1, 1),), ((0, 0),), ((0, 2),), ((1, 3),), ((1, 1), (1, 1))):
+        assert not pt23.is_normal(bad)
+    assert pt23.is_normal(((0, 1), (1, 2), (0, 1)))
+
+
 def _vertex(backend, canon, side):
     return Point(backend, (_strip(backend, canon, side), side))
 
