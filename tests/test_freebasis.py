@@ -265,215 +265,6 @@ def test_geometric_check_matches_per_pair_reference(case, monkeypatch):
     assert checked
 
 
-# -- the basepoint scan --------------------------------------------------------------
-
-# the bundled sets with their benchmark memory caps
-_BUNDLED_SETS = {
-    "f2": ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"], 2_000_000),
-    "c2c3": ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], 2_000_000),
-    "c2c4": ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], 2_000_000),
-    "c3c3": ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], 2_000_000),
-    "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], 2_000_000),
-    "sanov": ({"kind": "half_plane"}, SANOV, 50_000),
-    "sanov_float": ({"kind": "half_plane", "arithmetic": "float"},
-                    [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]], 20_000),
-    "elliptic": ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000),
-}
-
-
-def _per_basepoint_pick(T, points, delta, eps):
-    """The loop the scan replaces: the full check at every point, the first
-    of largest margin kept; (point, check) when that check passes, else None."""
-    best, best_x = None, None
-    for x in points:
-        try:
-            chk = certify_free_geometric(T, x, delta, eps)
-        except OverflowError:
-            continue
-        if best is None or chk.margin > best.margin:
-            best, best_x = chk, x
-    return (best_x, best) if best is not None and best.valid else None
-
-
-_scan = freebasis._scan_basepoints  # the tests below patch the module's name
-
-
-def _assert_scan_matches(T, points, delta, eps):
-    want = _per_basepoint_pick(T, points, delta, eps)
-    got = _scan(T, points, delta, eps)
-    if want is None:
-        assert got is None
-    else:
-        assert got is want[0]
-    return want
-
-
-def _pick(cert):
-    return (cert.n, cert.k, cert.basepoint, cert.m, cert.p_max, cert.margin)
-
-
-def _build_both_ways(S, monkeypatch, memory_cap, budgets=None):
-    """build_free_basis with the scan, and with the per-basepoint loop in
-    its place; each outcome is the certificate's pick or the error type.
-    Every T the scan sees is also checked against the loop."""
-    def outcome():
-        try:
-            return _pick(build_free_basis(S, budgets, memory_cap=memory_cap))
-        except (ElementaryDetected, SearchExhausted) as exc:
-            return type(exc)
-
-    scanned = []
-
-    def checked_scan(T, points, delta, eps):
-        scanned.append(T)
-        _assert_scan_matches(T, points, delta, eps)
-        return _scan(T, points, delta, eps)
-
-    def loop(T, points, delta, eps):
-        picked = _per_basepoint_pick(T, points, delta, eps)
-        return None if picked is None else picked[0]
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        monkeypatch.setattr(freebasis, "_scan_basepoints", checked_scan)
-        new = outcome()
-        monkeypatch.setattr(freebasis, "_scan_basepoints", loop)
-        old = outcome()
-    monkeypatch.setattr(freebasis, "_scan_basepoints", _scan)
-    return new, old, scanned
-
-
-@pytest.mark.parametrize("case", sorted(_BUNDLED_SETS))
-def test_scan_picks_what_the_per_basepoint_loop_picks(case, monkeypatch):
-    config, gens, cap = _BUNDLED_SETS[case]
-    S = make_generating_set(make_backend(config), gens)
-    new, old, scanned = _build_both_ways(S, monkeypatch, cap)
-    assert new == old
-    assert not isinstance(new, type)
-    assert len(scanned) >= 2  # at least one T fails before the winner
-
-
-_RANDOM_BACKENDS = {
-    "f2": {"kind": "free_group_tree", "rank": 2, "letters": "ab"},
-    "c2c3": {"kind": "free_product_tree", "orders": [2, 3]},
-    "c3c3": {"kind": "free_product_tree", "orders": [3, 3]},
-    "c2c5": {"kind": "free_product_tree", "orders": [2, 5]},
-}
-
-
-@pytest.mark.parametrize("case", sorted(_RANDOM_BACKENDS))
-def test_scan_picks_what_the_loop_picks_on_random_sets(case, monkeypatch):
-    backend = make_backend(_RANDOM_BACKENDS[case])
-    rng = random.Random(f"scan/{case}")
-    picked = 0
-    for _ in range(8):
-        words = ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 2)))
-                 for _ in range(rng.randint(2, 3))]
-        try:
-            S = make_generating_set(backend, words)
-        except EmptyAfterReduction:
-            continue
-        new, old, _ = _build_both_ways(S, monkeypatch, 20_000, SearchBudgets(max_n=6, max_k=8))
-        assert new == old, words
-        picked += not isinstance(new, type)
-    assert picked >= 3
-
-
-@pytest.mark.parametrize("case", ["c2c3", "c3c3", "sanov", "sanov_float"])
-def test_scan_matches_the_loop_over_shuffled_and_sampled_points(case, monkeypatch):
-    # every T of the search, at its candidates plus sampled points in a
-    # seeded order, and with the floor at zero as well as the backend's
-    config, gens, cap = _BUNDLED_SETS[case]
-    backend = make_backend(config)
-    S = make_generating_set(backend, gens)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        sets = _searched_T_sets(S, monkeypatch, cap)
-    rng = random.Random(f"points/{case}")
-    passed = 0
-    for T, eps in sets:
-        points = basepoint_candidates(T) + backend.sample_points(rng, 8)
-        rng.shuffle(points)
-        for delta, floor in ((backend.delta, eps), (0.0, 0.0)):
-            passed += _assert_scan_matches(T, points, delta, floor) is not None
-    assert passed
-
-
-def test_scan_takes_the_first_point_on_ties(ft2):
-    # {x^8, y^8}: margin 1 at the origin; 0 at x, X and y, which tie at a
-    # zero floor; -1 at xx
-    T = raw_set(ft2, ["x" * 8, "y" * 8])
-    o = ft2.origin()
-    x, X, y, xx = (ft2.apply(ft2.element(w), o) for w in ("x", "X", "y", "xx"))
-    assert [certify_free_geometric(T, p).margin for p in (o, x, X, y, xx)] == [1, 0, 0, 0, -1]
-    for points in ([x, X, y], [X, y, x], [y, x, X], [xx, y, X]):
-        assert _assert_scan_matches(T, points, 0.0, 0.0)[0] is points[1 if points[0] is xx else 0]
-    # a later point of larger margin wins; one below the floor never does
-    assert _assert_scan_matches(T, [x, xx, o, X], 0.0, 0.0)[0] is o
-    assert _assert_scan_matches(T, [xx], 0.0, 0.0) is None
-    assert _assert_scan_matches(T, [x, X], 0.0, 0.5) is None
-    assert _assert_scan_matches(T, [x, o], 0.0, 0.5)[0] is o
-
-
-def test_scan_judges_m_on_the_winner():
-    # in C3*C3, b fixes the vertex <b>: there m = 0 and every Gromov product
-    # is 0, so the margin is 0 and clears a zero floor, yet the check fails
-    backend = make_backend({"kind": "free_product_tree", "orders": [3, 3]})
-    T = raw_set(backend, ["b", "abaB"])
-    fixed = Point(backend, ((), 1))
-    chk = certify_free_geometric(T, fixed, 0.0, 0.0)
-    assert (chk.m, chk.p_max, chk.margin, chk.valid) == (0, 0.0, 0.0, False)
-    others = [p for p in basepoint_candidates(T) + backend.sample_points(random.Random(5), 30)
-              if certify_free_geometric(T, p, 0.0, 0.0).margin < 0.0]
-    assert others
-    for points in ([fixed], [fixed] + others, others + [fixed]):
-        assert _assert_scan_matches(T, points, 0.0, 0.0) is None
-
-
-def test_scan_rejects_coinciding_letters_before_any_distance(ft2, pt23, monkeypatch):
-    def no_dist(self, x, y):
-        raise AssertionError("distance computed for a degenerate T")
-
-    for backend, words in ((ft2, ["x", "X"]), (ft2, ["xy", "xy"]), (pt23, ["a"])):
-        monkeypatch.setattr(type(backend), "dist", no_dist)
-        assert _scan(raw_set(backend, words), [backend.origin()], 0.0, 0.0) is None
-        monkeypatch.undo()
-
-
-# counts from the scan with its early drop; the per-basepoint loop with
-# symbol words took 27,972 dist and 1,147 reduce_symbol_word calls on
-# C3*C3 and 140,280 and 4,597 on the elliptic set
-_WORK_BOUNDS = {
-    "c3c3": (9_000, 250),
-    "elliptic": (23_000, 600),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_WORK_BOUNDS))
-def test_build_free_basis_work_counts(case, monkeypatch):
-    config, gens, cap = _BUNDLED_SETS[case]
-    backend = make_backend(config)
-    S = make_generating_set(backend, gens)
-    calls = {"dist": 0, "reduce": 0}
-    dist = type(backend).dist
-    reduce = loxgrow.spaces.base.reduce_symbol_word
-
-    def counted_dist(self, x, y):
-        calls["dist"] += 1
-        return dist(self, x, y)
-
-    def counted_reduce(parts):
-        calls["reduce"] += 1
-        return reduce(parts)
-
-    monkeypatch.setattr(type(backend), "dist", counted_dist)
-    monkeypatch.setattr(loxgrow.spaces.base, "reduce_symbol_word", counted_reduce)
-    build_free_basis(S, memory_cap=cap)
-    max_dist, max_reduce = _WORK_BOUNDS[case]
-    assert 0 < calls["dist"] <= max_dist
-    assert 0 < calls["reduce"] <= max_reduce
-
-
 # -- exact certificates ------------------------------------------------------------
 
 
@@ -995,3 +786,198 @@ def test_checker_derives_backend_fixed_fields(honest):
     with pytest.raises(InvalidCertificate, match="epsilon_margin"):
         check_certificate(dict(exact, epsilon_margin=0.0))
     assert check_certificate(dict(exact, epsilon_margin=0.5))["valid"]
+
+
+# -- the basepoint scan --------------------------------------------------------------
+
+def _per_basepoint_pick(T, points, delta, eps):
+    """The loop the scan replaces: the full check at every point, the first
+    of largest margin kept; (point, check) when that check passes, else None."""
+    best, best_x = None, None
+    for x in points:
+        try:
+            chk = certify_free_geometric(T, x, delta, eps)
+        except OverflowError:
+            continue
+        if best is None or chk.margin > best.margin:
+            best, best_x = chk, x
+    return (best_x, best) if best is not None and best.valid else None
+
+
+_scan = freebasis._scan_basepoints  # the tests below patch the module's name
+
+
+def _assert_scan_matches(T, points, delta, eps):
+    want = _per_basepoint_pick(T, points, delta, eps)
+    got = _scan(T, points, delta, eps)
+    if want is None:
+        assert got is None
+    else:
+        assert got is want[0]
+    return want
+
+
+def _pick(cert):
+    return (cert.n, cert.k, cert.basepoint, cert.m, cert.p_max, cert.margin)
+
+
+def _build_both_ways(S, monkeypatch, memory_cap, budgets=None):
+    """build_free_basis with the scan, and with the per-basepoint loop in
+    its place; each outcome is the certificate's pick or the error type.
+    Every T the scan sees is also checked against the loop."""
+    def outcome():
+        try:
+            return _pick(build_free_basis(S, budgets, memory_cap=memory_cap))
+        except (ElementaryDetected, SearchExhausted) as exc:
+            return type(exc)
+
+    scanned = []
+
+    def checked_scan(T, points, delta, eps):
+        scanned.append(T)
+        _assert_scan_matches(T, points, delta, eps)
+        return _scan(T, points, delta, eps)
+
+    def loop(T, points, delta, eps):
+        picked = _per_basepoint_pick(T, points, delta, eps)
+        return None if picked is None else picked[0]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        monkeypatch.setattr(freebasis, "_scan_basepoints", checked_scan)
+        new = outcome()
+        monkeypatch.setattr(freebasis, "_scan_basepoints", loop)
+        old = outcome()
+    monkeypatch.setattr(freebasis, "_scan_basepoints", _scan)
+    return new, old, scanned
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
+def test_scan_picks_what_the_per_basepoint_loop_picks(case, monkeypatch):
+    config, gens, cap = _CHECK_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+    new, old, scanned = _build_both_ways(S, monkeypatch, cap)
+    assert new == old
+    assert not isinstance(new, type)
+    assert len(scanned) >= 2  # at least one T fails before the winner
+
+
+_RANDOM_BACKENDS = {
+    "f2": {"kind": "free_group_tree", "rank": 2, "letters": "ab"},
+    "c2c3": {"kind": "free_product_tree", "orders": [2, 3]},
+    "c3c3": {"kind": "free_product_tree", "orders": [3, 3]},
+    "c2c5": {"kind": "free_product_tree", "orders": [2, 5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANDOM_BACKENDS))
+def test_scan_picks_what_the_loop_picks_on_random_sets(case, monkeypatch):
+    backend = make_backend(_RANDOM_BACKENDS[case])
+    rng = random.Random(f"scan/{case}")
+    picked = 0
+    for _ in range(8):
+        words = ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 2)))
+                 for _ in range(rng.randint(2, 3))]
+        try:
+            S = make_generating_set(backend, words)
+        except EmptyAfterReduction:
+            continue
+        new, old, _ = _build_both_ways(S, monkeypatch, 20_000, SearchBudgets(max_n=6, max_k=8))
+        assert new == old, words
+        picked += not isinstance(new, type)
+    assert picked >= 3
+
+
+@pytest.mark.parametrize("case", ["c2c3", "c3c3", "sanov", "sanov-float"])
+def test_scan_matches_the_loop_over_shuffled_and_sampled_points(case, monkeypatch):
+    # every T of the search, at its candidates plus sampled points in a
+    # seeded order, and with the floor at zero as well as the backend's
+    config, gens, cap = _CHECK_CASES[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        sets = _searched_T_sets(S, monkeypatch, cap)
+    rng = random.Random(f"points/{case}")
+    passed = 0
+    for T, eps in sets:
+        points = basepoint_candidates(T) + backend.sample_points(rng, 8)
+        rng.shuffle(points)
+        for delta, floor in ((backend.delta, eps), (0.0, 0.0)):
+            passed += _assert_scan_matches(T, points, delta, floor) is not None
+    assert passed
+
+
+def test_scan_takes_the_first_point_on_ties(ft2):
+    # {x^8, y^8}: margin 1 at the origin; 0 at x, X and y, which tie at a
+    # zero floor; -1 at xx
+    T = raw_set(ft2, ["x" * 8, "y" * 8])
+    o = ft2.origin()
+    x, X, y, xx = (ft2.apply(ft2.element(w), o) for w in ("x", "X", "y", "xx"))
+    assert [certify_free_geometric(T, p).margin for p in (o, x, X, y, xx)] == [1, 0, 0, 0, -1]
+    for points in ([x, X, y], [X, y, x], [y, x, X], [xx, y, X]):
+        assert _assert_scan_matches(T, points, 0.0, 0.0)[0] is points[1 if points[0] is xx else 0]
+    # a later point of larger margin wins; one below the floor never does
+    assert _assert_scan_matches(T, [x, xx, o, X], 0.0, 0.0)[0] is o
+    assert _assert_scan_matches(T, [xx], 0.0, 0.0) is None
+    assert _assert_scan_matches(T, [x, X], 0.0, 0.5) is None
+    assert _assert_scan_matches(T, [x, o], 0.0, 0.5)[0] is o
+
+
+def test_scan_judges_m_on_the_winner():
+    # in C3*C3, b fixes the vertex <b>: there m = 0 and every Gromov product
+    # is 0, so the margin is 0 and clears a zero floor, yet the check fails
+    backend = make_backend({"kind": "free_product_tree", "orders": [3, 3]})
+    T = raw_set(backend, ["b", "abaB"])
+    fixed = Point(backend, ((), 1))
+    chk = certify_free_geometric(T, fixed, 0.0, 0.0)
+    assert (chk.m, chk.p_max, chk.margin, chk.valid) == (0, 0.0, 0.0, False)
+    others = [p for p in basepoint_candidates(T) + backend.sample_points(random.Random(5), 30)
+              if certify_free_geometric(T, p, 0.0, 0.0).margin < 0.0]
+    assert others
+    for points in ([fixed], [fixed] + others, others + [fixed]):
+        assert _assert_scan_matches(T, points, 0.0, 0.0) is None
+
+
+def test_scan_rejects_coinciding_letters_before_any_distance(ft2, pt23, monkeypatch):
+    def no_dist(self, x, y):
+        raise AssertionError("distance computed for a degenerate T")
+
+    for backend, words in ((ft2, ["x", "X"]), (ft2, ["xy", "xy"]), (pt23, ["a"])):
+        monkeypatch.setattr(type(backend), "dist", no_dist)
+        assert _scan(raw_set(backend, words), [backend.origin()], 0.0, 0.0) is None
+        monkeypatch.undo()
+
+
+# counts from the scan with its early drop; the per-basepoint loop with
+# symbol words took 27,972 dist and 1,147 reduce_symbol_word calls on
+# C3*C3 and 140,280 and 4,597 on the elliptic set
+_WORK_BOUNDS = {
+    "c3c3": (9_000, 250),
+    "elliptic": (23_000, 600),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORK_BOUNDS))
+def test_build_free_basis_work_counts(case, monkeypatch):
+    config, gens, cap = _CHECK_CASES[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    calls = {"dist": 0, "reduce": 0}
+    dist = type(backend).dist
+    reduce = loxgrow.spaces.base.reduce_symbol_word
+
+    def counted_dist(self, x, y):
+        calls["dist"] += 1
+        return dist(self, x, y)
+
+    def counted_reduce(parts):
+        calls["reduce"] += 1
+        return reduce(parts)
+
+    monkeypatch.setattr(type(backend), "dist", counted_dist)
+    monkeypatch.setattr(loxgrow.spaces.base, "reduce_symbol_word", counted_reduce)
+    build_free_basis(S, memory_cap=cap)
+    max_dist, max_reduce = _WORK_BOUNDS[case]
+    assert 0 < calls["dist"] <= max_dist
+    assert 0 < calls["reduce"] <= max_reduce
