@@ -32,6 +32,7 @@ from .errors import (
     InvalidCertificate,
     LikelyElementary,
     NoLoxodromicFound,
+    NotInGroup,
     SearchExhausted,
 )
 from .growth import GrowthTable, ball_sizes, growth_brackets
@@ -643,23 +644,41 @@ def _canonical_payload(backend, canonical):
     return list(canonical)
 
 
+def _int(v):
+    # int() would pass 1.5, "3" and true
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _real(v):
+    if type(v) not in (int, float):
+        raise TypeError(f"expected a number, got {v!r}")
+    return v
+
+
+def _symbol(s):
+    if type(s) is not str:
+        raise TypeError(f"expected a symbol name, got {s!r}")
+    return s
+
+
 def _canonical_from(backend, data):
     if backend.kind == "free_group_tree":
-        c = tuple(int(v) for v in data)
+        c = tuple(_int(v) for v in data)
         if any(v == 0 or abs(v) > backend.rank for v in c):
             raise InvalidCertificate(f"letter out of range in {data!r}")
         if c != reduce_letters(c):
             raise InvalidCertificate(f"unreduced free-group word {data!r}")
         return c
     if backend.kind == "free_product_tree":
-        syl = tuple((int(f), int(e)) for f, e in data)
+        syl = tuple((_int(f), _int(e)) for f, e in data)
         if not backend.is_normal(syl):
             raise InvalidCertificate(f"non-normal syllable word {data!r}")
         return syl
-    vals = data
-    if len(vals) != 4:
+    if len(data) != 4:
         raise InvalidCertificate(f"matrix payload needs 4 entries, got {data!r}")
-    a, b, c, d = vals
+    a, b, c, d = (_real(v) for v in data)
     return backend.element([[a, b], [c, d]]).canonical
 
 
@@ -676,7 +695,7 @@ def _element_payload(backend, g):
 def _element_from(backend, data):
     word = None
     if "symbols" in data:
-        word = tuple((str(s), int(e)) for s, e in data["symbols"])
+        word = tuple((_symbol(s), _int(e)) for s, e in data["symbols"])
     canonical = _canonical_from(backend, data["canonical"])
     return GroupElement(backend, canonical, word)
 
@@ -692,20 +711,20 @@ def _point_payload(backend, p):
 
 def _point_from(backend, data):
     if backend.kind == "free_group_tree":
-        c = tuple(int(v) for v in data)
+        c = tuple(_int(v) for v in data)
         if c != reduce_letters(c):
             raise InvalidCertificate(f"unreduced vertex word {data!r}")
         return Point(backend, c)
     if backend.kind == "free_product_tree":
-        rep = tuple((int(f), int(e)) for f, e in data[0])
-        side = int(data[1])
-        if side not in (0, 1):
+        rep, side = data
+        rep = tuple((_int(f), _int(e)) for f, e in rep)
+        if _int(side) not in (0, 1):
             raise InvalidCertificate(f"vertex side must be 0 or 1, got {side!r}")
         if not backend.is_normal(rep) or (rep and rep[-1][0] == side):
             raise InvalidCertificate(f"invalid coset representative {data!r}")
         return Point(backend, (rep, side))
-    re, im = float(data[0]), float(data[1])
-    if im <= 0:
+    re, im = (float(_real(v)) for v in data)
+    if not im > 0:
         raise InvalidCertificate("half-plane points need positive imaginary part")
     return Point(backend, complex(re, im))
 
@@ -755,8 +774,24 @@ def certificate_to_json(cert: FreeBasisCertificate) -> str:
 
 
 def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
+    """Load a certificate from its payload dict or JSON text.
+
+    Raises InvalidCertificate on text that is not JSON, on a missing field,
+    on a field of the wrong shape or type, and on a stored matrix that is
+    not in the group. A backend config the library cannot build is a
+    ConfigError, as in a run config.
+    """
+    try:
+        return _certificate_from(data, backend)
+    except (TypeError, ValueError, KeyError, OverflowError, NotInGroup) as exc:
+        raise InvalidCertificate(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
+
+
+def _certificate_from(data, backend):
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise InvalidCertificate("a certificate is a JSON object")
     if data.get("format") != CERT_FORMAT:
         raise InvalidCertificate(f"unknown certificate format {data.get('format')!r}")
     config = data["backend"]

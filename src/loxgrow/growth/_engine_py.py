@@ -12,6 +12,12 @@ letters at the junction cannot cancel (free words: w's last letter is not
 the inverse of g's first; product words: w's last syllable and g's first
 lie in different factors), the product is w + g, one concatenation. Only
 otherwise do they cancel or merge letter by letter.
+
+The generic counter runs on the float half-plane: it composes with
+``HalfPlane._compose_float``, which normalises the sign inline, and dedups
+by ``HalfPlane._growth_key``, which rounds only entries with more than 9
+binary fractional digits. On integer-valued float sets it then costs
+about what the integer-matrix counter does.
 """
 
 from typing import Callable, List, Tuple

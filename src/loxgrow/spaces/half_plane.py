@@ -72,12 +72,18 @@ class HalfPlane(Backend):
     def _compose_float(self, ca, cb):
         a1, b1, c1, d1 = ca
         a2, b2, c2, d2 = cb
-        return self._normalize(
-            a1 * a2 + b1 * c2,
-            a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2,
-            c1 * b2 + d1 * d2,
-        )
+        a = a1 * a2 + b1 * c2
+        b = a1 * b2 + b1 * d2
+        c = c1 * a2 + d1 * c2
+        d = c1 * b2 + d1 * d2
+        # _normalize's float rule, inline: the first entry past EPS_ID
+        # carries the sign; NaN and tiny entries are skipped
+        for v in (a, b, c, d):
+            if v > EPS_ID:
+                return (a, b, c, d)
+            if v < -EPS_ID:
+                return (-a, -b, -c, -d)
+        return (a, b, c, d)
 
     def _invert(self, ca):
         a, b, c, d = ca
@@ -232,7 +238,21 @@ class HalfPlane(Backend):
         return ("int_matrix",) if self.exact else None
 
     def _growth_key(self, canonical):
+        """Dedup key of a canonical: float entries rounded to 9 decimals.
+
+        Two float matrices are one element when their keys are equal. An
+        entry v with ``v * 512`` integral has at most 9 binary fractional
+        digits, so its decimal expansion has at most 9 digits and
+        ``round(v, 9) == v``: a canonical of such entries (integer-valued
+        ones included) is its own key, with no decimal conversion. Other
+        entries are rounded as before. Keys are only hashed and compared,
+        so the partition into elements is the same either way (-0.0 ==
+        0.0). Exact canonicals are their own keys.
+        """
         if self.exact:
             return canonical
         a, b, c, d = canonical
+        if ((a * 512.0).is_integer() and (b * 512.0).is_integer()
+                and (c * 512.0).is_integer() and (d * 512.0).is_integer()):
+            return canonical
         return (round(a, 9), round(b, 9), round(c, 9), round(d, 9))

@@ -178,29 +178,37 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     backwards: from g to g s^-1 in sphere d - 1, and on to the identity.
     Spheres are matched by ``backend._growth_key``, which absorbs float
     roundoff; a float target whose step back still misses gives None.
+    Where canonicals are inexact (``backend.exact_words`` false) the walk
+    itself dedups by that key too, so its spheres are the ones
+    ``ball_sizes`` counts, and targets and the identity are matched by key.
     """
     backend = S.backend
+    growth_key = backend._growth_key
+    key = None if backend.exact_words else growth_key
     ident = backend._identity_canonical()
+    ident_key = ident if key is None else key(ident)
     out = [None] * len(targets)
-    pending = {}  # canonical -> [(index, cap)] still searched
+    pending = {}  # key -> [(index, cap)] still searched
     for i, (g, cap) in enumerate(targets):
-        if g.canonical == ident:
+        k = g.canonical if key is None else key(g.canonical)
+        if k == ident_key:
             out[i] = ()
             continue
         exact = backend.subgroup_word_exact(S, g)
         if exact is not None:
             out[i] = exact if len(exact) <= cap else None
         elif cap >= 1:
-            pending.setdefault(g.canonical, []).append((i, cap))
+            pending.setdefault(k, []).append((i, cap))
     if not pending:
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
     walked = [[ident]]
-    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
+    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key)
     for radius, sphere in enumerate(islice(ball, horizon), 1):
         walked.append(sphere)
-        for target in [t for t in pending if t in sphere]:
+        keys = sphere if key is None else set(map(key, sphere))
+        for target in [t for t in pending if t in keys]:
             for i, _ in pending.pop(target):
                 out[i] = radius  # spelled after the walk
         visited += len(sphere)
@@ -219,9 +227,8 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
             break
     radii = [(i, d) for i, d in enumerate(out) if isinstance(d, int)]
     if radii:
-        key = backend._growth_key
         deepest = max(d for _, d in radii)
-        layers = [{key(c): c for c in sphere} for sphere in walked[:deepest]]
+        layers = [{growth_key(c): c for c in sphere} for sphere in walked[:deepest]]
         back = [(backend._invert(s.canonical), s.word) for s in S]
         for i, d in radii:
             out[i] = _spell_back(backend, targets[i][0].canonical, layers[:d], back)

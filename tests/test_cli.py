@@ -224,6 +224,92 @@ def test_check_cert_rejects_bad_syllables_exits_five(write_config, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+_SHAPE_CONFIGS = {
+    "free_group_tree": {"backend": F2_BACKEND, "generators": ["x", "y"],
+                        "budgets": {"n_max": 5}},
+    "free_product_tree": {"backend": {"kind": "free_product_tree", "orders": [2, 3]},
+                          "generators": ["a", "b"], "budgets": {"n_max": 4}},
+    "half_plane": {"backend": {"kind": "half_plane"}, "generators": SANOV,
+                   "budgets": {"n_max": 4, "memory_cap": 50000}},
+}
+
+
+@pytest.fixture(scope="module")
+def shape_certs(tmp_path_factory):
+    # one honest certificate per backend kind, tampered per test
+    out = {}
+    for kind, config in _SHAPE_CONFIGS.items():
+        base = tmp_path_factory.mktemp(kind)
+        cfg = base / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["free-basis", str(cfg), "--out", str(base / "cert.json")]) == 0
+        out[kind] = json.loads((base / "cert.json").read_text())
+    return out
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("free_group_tree", ("b", "canonical"), 5),
+    ("free_group_tree", ("b", "canonical"), [[1]]),
+    ("free_group_tree", ("b", "canonical"), ["x"]),
+    ("free_group_tree", ("b", "canonical"), [1.5]),
+    ("free_group_tree", ("basepoint",), [None]),
+    ("free_group_tree", ("b",), 5),
+    ("free_group_tree", ("b",), {"word": "x"}),
+    ("free_product_tree", ("b", "canonical"), [[0, 1, 2]]),
+    ("free_product_tree", ("b", "canonical"), [[0]]),
+    ("free_product_tree", ("b", "canonical"), [["x", 1]]),
+    ("free_product_tree", ("b", "canonical"), 5),
+    ("free_product_tree", ("b", "canonical"), [[True, 1]]),
+    ("free_product_tree", ("basepoint",), [[[0, 1]]]),
+    ("free_product_tree", ("basepoint",), 7),
+    ("free_product_tree", ("basepoint",), [[[0, 1]], "1"]),
+    ("free_product_tree", ("basepoint",), _DROP),
+    ("free_product_tree", ("b", "symbols"), [["a"]]),
+    ("free_product_tree", ("b", "symbols"), [[1, 1]]),
+    ("half_plane", ("b", "canonical"), 5),
+    ("half_plane", ("b", "canonical"), [[1, 2], [0, 1]]),
+    ("half_plane", ("b", "canonical"), ["1", 2, 0, 1]),
+    ("half_plane", ("b", "canonical"), [1.0, 2, 0, 1]),
+    ("half_plane", ("b", "canonical"), [2, 2, 0, 1]),
+    ("half_plane", ("b", "canonical"), [None, 2, 0, 1]),
+    ("half_plane", ("basepoint",), [0.0]),
+    ("half_plane", ("basepoint",), ["0", 1.0]),
+    ("half_plane", ("basepoint",), [0.0, 10**400]),
+    ("half_plane", ("b", "symbols"), 5),
+    ("half_plane", ("S",), 5),
+    ("half_plane", ("n",), "x"),
+    ("half_plane", ("T",), _DROP),
+])
+def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, path, value):
+    # a field of the wrong shape or type, or a missing one, makes an invalid
+    # certificate, not a traceback
+    payload = json.loads(json.dumps(shape_certs[kind]))
+    *parents, last = path
+    node = payload
+    for field in parents:
+        node = node[field]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(bad)]) == 5
+    assert "invalid certificate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{nope", "[1, 2]", "5", ""])
+def test_check_cert_non_object_exits_five(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["check-cert", str(bad)]) == 5
+    assert "invalid certificate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", [50, 200, 1000])
 def test_check_cert_accepts_certificates_built_under_a_small_cap(write_config, tmp_path,
                                                                  cap, capsys):

@@ -13,7 +13,7 @@ from loxgrow.growth import (
     growth_brackets,
     theta_ratio,
 )
-from loxgrow.spaces import FreeGroupTree, HalfPlane
+from loxgrow.spaces import FreeGroupTree, HalfPlane, half_plane
 from loxgrow.words import make_generating_set, product_ball_set
 
 from conftest import SANOV
@@ -165,6 +165,37 @@ def test_big_matrix_entries_count_exactly(hp):
     table = ball_sizes(S, 6)
     assert table.balls == [f2_closed_form(n) for n in range(7)]
     assert table.engine == "python"
+
+
+def _counting_round(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return round(*args)
+
+    monkeypatch.setattr(half_plane, "round", counted, raising=False)
+    return calls
+
+
+def test_integer_valued_float_balls_round_nothing(monkeypatch, hpf):
+    # every entry of an integer-valued float ball is its own key
+    S = make_generating_set(hpf, [[[float(v) for v in row] for row in m] for m in SANOV])
+    calls = _counting_round(monkeypatch)
+    table = ball_sizes(S, 6)
+    assert table.balls == [f2_closed_form(n) for n in range(7)]
+    assert calls == []
+
+
+def test_non_dyadic_float_balls_still_round(monkeypatch, hpf):
+    # Sanov conjugated by diag(1.1, 1/1.1): entries that are not dyadic go
+    # through round(), and the counts stay the free group's
+    t2 = 1.1 * 1.1
+    S = make_generating_set(hpf, [[[a, b * t2], [c / t2, d]] for (a, b), (c, d) in SANOV])
+    calls = _counting_round(monkeypatch)
+    table = ball_sizes(S, 6)
+    assert table.balls == [1, 5, 17, 53, 161, 485, 1457]
+    assert len(calls) > 0
 
 
 def test_table_validation():

@@ -15,6 +15,7 @@ from loxgrow.spaces import (
     psl2z_normal_form,
     syllables_to_matrix,
 )
+from loxgrow.spaces.half_plane import EPS_ID
 
 LOG2 = math.log(2.0)
 
@@ -189,3 +190,59 @@ def test_normal_form_rejects_bad_input():
         psl2z_normal_form([[1, 1], [1, 1]])
     with pytest.raises(NotInGroup):
         psl2z_normal_form([[1.5, 0], [0, 1]])
+
+
+def _float_pool(rng):
+    """Seeded float entries: dyadics on both sides of 9 binary fractional
+    digits, integers past 2**53, non-dyadics, near-ties of the 9th decimal,
+    signed zeros, subnormals, infinities and NaN."""
+    dyadic = [rng.randint(-10**6, 10**6) / 2.0 ** rng.randint(0, 12) for _ in range(200)]
+    big = [float(2**53 + 2 * rng.randint(0, 10**6)) for _ in range(20)] + [2.0**60, -1e300]
+    other = [rng.uniform(-10.0, 10.0) for _ in range(100)] + [0.1, 1 / 3, -2.2]
+    ties = [(rng.randint(-10**6, 10**6) + 0.5) * 1e-9 for _ in range(100)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, math.inf, -math.inf, math.nan,
+               0.0009765625, 3 * 0.0009765625]
+    return dyadic, dyadic + big + other + ties + special
+
+
+def test_growth_key_rounds_like_round(hpf):
+    # the key skips round() on entries with at most 9 binary fractional
+    # digits; it must equal rounding every entry, bit for bit (repr puts NaN
+    # in its position and tells -0.0 from 0.0)
+    rng = random.Random(11)
+    dyadic, mixed = _float_pool(rng)
+    quads = [tuple(rng.choice(pool) for _ in range(4))
+             for pool in (dyadic, mixed) for _ in range(3000)]
+    # 2**-10 has ten decimals: a test of v * 1024 instead of v * 512 passes it
+    quads += [(1.0, 0.0009765625, 0.0, 1.0), (0.0009765625,) * 4, (2.0**60, 0.5, -0.0, 3.0)]
+    for c in quads:
+        assert [repr(v) for v in hpf._growth_key(c)] == [repr(round(v, 9)) for v in c], c
+
+
+def test_integer_valued_growth_key_is_the_canonical(hpf):
+    c = hpf.element([[3.0, 2.0], [1.0, 1.0]]).canonical
+    assert hpf._growth_key(c) is c
+    assert HalfPlane()._growth_key((3, 2, 1, 1)) == (3, 2, 1, 1)
+
+
+def test_float_compose_normalizes_like_normalize(hpf):
+    # sign normalisation is inline in the float compose; it must pick the
+    # sign _normalize picks, also at +-EPS_ID, with every entry tiny, and
+    # past NaN and inf
+    eps = EPS_ID
+    edge = [eps, -eps, math.nextafter(eps, 1.0), -math.nextafter(eps, 1.0),
+            math.nextafter(eps, 0.0), 0.0, -0.0, 1e-12, -1e-12, math.nan, math.inf,
+            -math.inf, 3.0, -2.0, 0.5]
+    rng = random.Random(5)
+    one = (1.0, 0.0, 0.0, 1.0)
+    pairs = [(one, tuple(rng.choice(edge) for _ in range(4))) for _ in range(3000)]
+    pairs += [(tuple(rng.uniform(-3, 3) for _ in range(4)), tuple(rng.choice(edge) for _ in range(4)))
+              for _ in range(1000)]
+    pairs += [(one, (1e-12, -1e-12, 0.0, -0.0)), (one, (-eps, -eps, -eps, -eps)),
+              (one, (math.nan, -eps, -3.0, 1.0)), (one, (-0.0, -math.inf, 1.0, 0.0))]
+    for ca, cb in pairs:
+        a1, b1, c1, d1 = ca
+        a2, b2, c2, d2 = cb
+        raw = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+        want = hpf._normalize(*raw)
+        assert repr(hpf._compose_float(ca, cb)) == repr(want), (ca, cb)

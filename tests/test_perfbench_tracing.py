@@ -108,3 +108,25 @@ def test_tracer_records_one_kappa_search_per_command(tmp_path, capsys):
 
     assert tracer.counts["words.word_length_in_S_calls"] == 1
     assert fb.word_length_in_S is search
+
+
+def test_tracer_records_the_generic_ball_count(tmp_path, capsys):
+    # float half-plane balls run the generic counter; growth.generic_s
+    # measures it only while that counter keeps its span
+    cfg = tmp_path / "sanov-float.json"
+    cfg.write_text(json.dumps({
+        "backend": {"kind": "half_plane", "arithmetic": "float"},
+        "generators": [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]],
+        "budgets": {"n_max": 5},
+    }))
+    tracer = Tracer()
+    tracer.install(False)
+    try:
+        assert cli.main(["growth", str(cfg), "--out", str(tmp_path / "balls.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    recorded = [row[0] for row in tracer.spans]
+    assert recorded.count("growth.generic") == 1
+    assert "growth.engine_python" not in recorded

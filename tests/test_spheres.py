@@ -1,6 +1,7 @@
 """The breadth-first spheres against the loop they replaced, and the
 composes they skip."""
 
+import math
 import random
 from itertools import islice
 from operator import attrgetter
@@ -8,9 +9,10 @@ from operator import attrgetter
 import pytest
 
 import loxgrow.growth._engine_py as engine_py
+import loxgrow.words as words
 from loxgrow.growth import ball_sizes
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
-from loxgrow.words import make_generating_set, product_ball_set, spheres
+from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
 
@@ -277,3 +279,37 @@ def test_product_ball_set_composes_no_more_than_before(name, monkeypatch):
     calls.clear()
     product_ball_set(S2, 2)
     assert len(calls) <= len(before)
+
+
+@pytest.mark.parametrize("name", ["float {T,U}, non-integer", "float sanov, non-integer",
+                                  "float elliptic, non-integer", "float sanov"])
+def test_kappa_walks_the_spheres_ball_sizes_counts(name, monkeypatch):
+    # the word-length walk dedups float canonicals by _growth_key, as
+    # ball_sizes does; with raw keys its {T,U} spheres 4..6 held 60, 166
+    # and 448 roundoff copies against 48, 96 and 192 elements
+    backend, inputs = SETS[name]
+    S = make_generating_set(backend, inputs)
+    radii = 6
+    table = ball_sizes(S, radii)
+    sizes = []
+
+    def recorded(*args):
+        for sphere in spheres(*args):
+            sizes.append(len(sphere))
+            yield sphere
+
+    monkeypatch.setattr(words, "spheres", recorded)
+    # trace e + 1/e is no trace of these sets, so the walk runs to its cap
+    e = math.e
+    far = backend.element([[e, 0.0], [0.0, 1 / e]])
+    near = backend.compose(backend.compose(S[0], S[1]), S[0])
+    far_word, near_word, one_word = word_length_in_S(
+        S, [(far, radii), (near, radii), (backend.identity(), radii)])
+    assert sizes == [table.sphere(n) for n in range(1, radii + 1)]
+    assert far_word is None and one_word == ()
+    by_symbol = {s.word[0]: s for s in S}
+    spelled = backend.identity()
+    for sym in near_word:
+        spelled = backend.compose(spelled, by_symbol[sym])
+    key = backend._growth_key
+    assert key(spelled.canonical) == key(near.canonical) and len(near_word) <= 3
