@@ -657,9 +657,9 @@ def _real(v):
     return v
 
 
-def _symbol(s):
+def _str(s):
     if type(s) is not str:
-        raise TypeError(f"expected a symbol name, got {s!r}")
+        raise TypeError(f"expected a string, got {s!r}")
     return s
 
 
@@ -695,7 +695,7 @@ def _element_payload(backend, g):
 def _element_from(backend, data):
     word = None
     if "symbols" in data:
-        word = tuple((_symbol(s), _int(e)) for s, e in data["symbols"])
+        word = tuple((_str(s), _int(e)) for s, e in data["symbols"])
     canonical = _canonical_from(backend, data["canonical"])
     return GroupElement(backend, canonical, word)
 
@@ -778,53 +778,73 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
 
     Raises InvalidCertificate on text that is not JSON, on a missing field,
     on a field of the wrong shape or type, and on a stored matrix that is
-    not in the group. A backend config the library cannot build is a
-    ConfigError, as in a run config.
+    not in the group. A stored backend config that ``make_backend`` cannot
+    build raises its ConfigError, as in a run config.
     """
     try:
-        return _certificate_from(data, backend)
-    except (TypeError, ValueError, KeyError, OverflowError, NotInGroup) as exc:
-        raise InvalidCertificate(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
-
-
-def _certificate_from(data, backend):
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise InvalidCertificate("a certificate is a JSON object")
-    if data.get("format") != CERT_FORMAT:
-        raise InvalidCertificate(f"unknown certificate format {data.get('format')!r}")
-    config = data["backend"]
-    if backend_hash(config) != data["backend_hash"]:
-        raise InvalidCertificate("backend hash does not match the stored config")
+        if isinstance(data, str):
+            data = json.loads(data)
+        if not isinstance(data, dict):
+            raise InvalidCertificate("a certificate is a JSON object")
+        if data.get("format") != CERT_FORMAT:
+            raise InvalidCertificate(f"unknown certificate format {data.get('format')!r}")
+        config = data["backend"]
+        if backend_hash(config) != data["backend_hash"]:
+            raise InvalidCertificate("backend hash does not match the stored config")
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(exc) from exc
+    stored = make_backend(config)
     if backend is None:
-        backend = make_backend(config)
-    elif backend.config() != make_backend(config).config():
+        backend = stored
+    elif backend.config() != stored.config():
         raise InvalidCertificate("certificate was produced by a different backend")
+    try:
+        return _certificate_fields(data, config, backend)
+    except _SHAPE_ERRORS as exc:
+        raise _malformed(exc) from exc
+
+
+# what loading a field of the wrong shape or type raises; NotInGroup is a
+# stored matrix with det != 1 or non-integer exact entries
+_SHAPE_ERRORS = (TypeError, ValueError, KeyError, OverflowError, NotInGroup)
+
+
+def _malformed(exc):
+    return InvalidCertificate(f"malformed certificate: {type(exc).__name__}: {exc}")
+
+
+def _flag(v):
+    # bool() would read "false" as true
+    if type(v) is not bool:
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
+def _certificate_fields(data, config, backend):
     return FreeBasisCertificate(
         backend_config=config,
         backend_hash=data["backend_hash"],
-        delta=float(data["delta"]),
-        mode=data["mode"],
+        delta=float(_real(data["delta"])),
+        mode=_str(data["mode"]),
         b=_element_from(backend, data["b"]),
         f=_element_from(backend, data["f"]),
         h=_element_from(backend, data["h"]),
-        n=int(data["n"]),
-        k=int(data["k"]),
+        n=_int(data["n"]),
+        k=_int(data["k"]),
         S=_genset_from(backend, data["S"]),
         S0=_genset_from(backend, data["S0"]),
         T=_genset_from(backend, data["T"]),
-        r=int(data["r"]),
+        r=_int(data["r"]),
         basepoint=_point_from(backend, data["basepoint"]),
-        m=float(data["m"]),
-        p_max=float(data["p_max"]),
-        margin=float(data["margin"]),
-        epsilon_margin=float(data["epsilon_margin"]),
-        kappa=int(data["kappa"]),
-        kappa_mode=data["kappa_mode"],
-        omega_lower=float(data["omega_lower"]),
-        escalation_rounds=int(data["escalation_rounds"]),
-        membership_heuristic=bool(data["membership_heuristic"]),
+        m=float(_real(data["m"])),
+        p_max=float(_real(data["p_max"])),
+        margin=float(_real(data["margin"])),
+        epsilon_margin=float(_real(data["epsilon_margin"])),
+        kappa=_int(data["kappa"]),
+        kappa_mode=_str(data["kappa_mode"]),
+        omega_lower=float(_real(data["omega_lower"])),
+        escalation_rounds=_int(data["escalation_rounds"]),
+        membership_heuristic=_flag(data["membership_heuristic"]),
     )
 
 

@@ -26,11 +26,15 @@ _ALLOWED_KEYS = {
 
 
 def make_backend(config: dict) -> Backend:
-    """Build a backend from a config mapping; unknown keys are rejected."""
+    """Build a backend from a config mapping; unknown keys are rejected.
+
+    Raises ConfigError on any config it cannot build, a parameter of the
+    wrong type included.
+    """
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("backend config must be a mapping with a 'kind' key")
     kind = config["kind"]
-    if kind not in _KINDS:
+    if type(kind) is not str or kind not in _KINDS:
         raise ConfigError(f"unknown backend kind {kind!r}")
     extra = set(config) - _ALLOWED_KEYS[kind]
     if extra:
@@ -38,9 +42,13 @@ def make_backend(config: dict) -> Backend:
     kwargs = {k: v for k, v in config.items() if k != "kind"}
     if kind == "free_group_tree" and "rank" not in kwargs:
         raise ConfigError("free_group_tree needs a rank")
-    if kind == "free_product_tree" and "orders" in kwargs:
-        kwargs["orders"] = tuple(kwargs["orders"])
-    return _KINDS[kind](**kwargs)
+    try:
+        if kind == "free_product_tree" and "orders" in kwargs:
+            kwargs["orders"] = tuple(kwargs["orders"])
+        return _KINDS[kind](**kwargs)
+    except (TypeError, ValueError) as exc:
+        # a parameter of the wrong type, such as delta "x" or orders 5
+        raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
 
 
 __all__ = [

@@ -174,17 +174,17 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     ``backend.subgroup_word_exact`` spells are answered without a walk;
     the walk stops when no target is left or the ball runs out.
 
-    The walk keeps its spheres, and a target found at radius d is spelled
-    backwards: from g to g s^-1 in sphere d - 1, and on to the identity.
-    Spheres are matched by ``backend._growth_key``, which absorbs float
-    roundoff; a float target whose step back still misses gives None.
-    Where canonicals are inexact (``backend.exact_words`` false) the walk
-    itself dedups by that key too, so its spheres are the ones
-    ``ball_sizes`` counts, and targets and the identity are matched by key.
+    The walk keeps each sphere as a map from ``backend._growth_key``, which
+    absorbs float roundoff, to canonical. Targets and the identity are
+    matched by key, and a target found at radius d is spelled backwards:
+    from g to g s^-1 in sphere d - 1, and on to the identity; a float
+    target whose step back still misses gives None. Where canonicals are
+    inexact (``backend.exact_words`` false) the walk itself dedups by that
+    key, so its spheres are the ones ``ball_sizes`` counts; exact
+    canonicals are their own keys and cost no key call.
     """
     backend = S.backend
-    growth_key = backend._growth_key
-    key = None if backend.exact_words else growth_key
+    key = None if backend.exact_words else backend._growth_key
     ident = backend._identity_canonical()
     ident_key = ident if key is None else key(ident)
     out = [None] * len(targets)
@@ -203,12 +203,14 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
-    walked = [[ident]]
+    # one key -> canonical map per sphere: targets are matched against it,
+    # and a found target is spelled back through the ones below it
+    layers = [{ident_key: ident}]
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key)
     for radius, sphere in enumerate(islice(ball, horizon), 1):
-        walked.append(sphere)
-        keys = sphere if key is None else set(map(key, sphere))
-        for target in [t for t in pending if t in keys]:
+        layer = dict(zip(sphere if key is None else map(key, sphere), sphere))
+        layers.append(layer)
+        for target in [t for t in pending if t in layer]:
             for i, _ in pending.pop(target):
                 out[i] = radius  # spelled after the walk
         visited += len(sphere)
@@ -227,8 +229,6 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
             break
     radii = [(i, d) for i, d in enumerate(out) if isinstance(d, int)]
     if radii:
-        deepest = max(d for _, d in radii)
-        layers = [{growth_key(c): c for c in sphere} for sphere in walked[:deepest]]
         back = [(backend._invert(s.canonical), s.word) for s in S]
         for i, d in radii:
             out[i] = _spell_back(backend, targets[i][0].canonical, layers[:d], back)

@@ -7,6 +7,7 @@ import pytest
 
 from loxgrow import __version__
 from loxgrow.cli import main
+from loxgrow.freebasis import backend_hash
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
 
@@ -281,11 +282,20 @@ _DROP = object()
     ("half_plane", ("b", "symbols"), 5),
     ("half_plane", ("S",), 5),
     ("half_plane", ("n",), "x"),
+    ("half_plane", ("n",), 1.5),
+    ("half_plane", ("n",), float),
+    ("half_plane", ("m",), str),
     ("half_plane", ("T",), _DROP),
+    ("free_group_tree", ("kappa",), str),
+    ("free_group_tree", ("escalation_rounds",), True),
+    ("free_group_tree", ("mode",), 5),
+    ("free_product_tree", ("membership_heuristic",), "false"),
+    ("free_product_tree", ("membership_heuristic",), 0),
 ])
 def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, path, value):
     # a field of the wrong shape or type, or a missing one, makes an invalid
-    # certificate, not a traceback
+    # certificate, not a traceback; a retyped value is refused even where
+    # int(), float() or bool() would give back the stored one
     payload = json.loads(json.dumps(shape_certs[kind]))
     *parents, last = path
     node = payload
@@ -293,6 +303,9 @@ def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, 
         node = node[field]
     if value is _DROP:
         del node[last]
+    elif callable(value):
+        # the stored value retyped: float 4.0 for 4, "0.25" for 0.25
+        node[last] = value(node[last])
     else:
         node[last] = value
     bad = tmp_path / "bad.json"
@@ -300,6 +313,40 @@ def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, 
     capsys.readouterr()
     assert main(["check-cert", str(bad)]) == 5
     assert "invalid certificate" in capsys.readouterr().err
+
+
+_BAD_BACKEND_FIELDS = [
+    ("half_plane", "delta", "x"),
+    ("half_plane", "torsion_bound", "x"),
+    ("free_product_tree", "orders", 5),
+    ("free_group_tree", "rank", 2.5),
+    ("free_group_tree", "kind", []),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", _BAD_BACKEND_FIELDS)
+def test_check_cert_unbuildable_backend_exits_four(shape_certs, tmp_path, capsys,
+                                                   kind, field, value):
+    # a stored backend config of the wrong type is a config error, as in a
+    # run config, even when its hash matches
+    payload = json.loads(json.dumps(shape_certs[kind]))
+    payload["backend"][field] = value
+    payload["backend_hash"] = backend_hash(payload["backend"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(bad)]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", _BAD_BACKEND_FIELDS)
+def test_unbuildable_backend_in_a_run_config_exits_four(write_config, capsys,
+                                                        kind, field, value):
+    backend = dict(_SHAPE_CONFIGS[kind]["backend"])
+    backend[field] = value
+    cfg = write_config("bad.json", {**_SHAPE_CONFIGS[kind], "backend": backend})
+    assert main(["growth", cfg]) == 4
+    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", "5", ""])

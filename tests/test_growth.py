@@ -187,6 +187,17 @@ def test_integer_valued_float_balls_round_nothing(monkeypatch, hpf):
     assert calls == []
 
 
+def test_dyadic_float_balls_round_nothing(monkeypatch, hpf):
+    # the Lyndon-Ullman group for mu = 1/2 has no integer form, but its
+    # entries keep at most 9 fractional bits through radius 8, so no key
+    # rounds; the counts are the ones that rounding every entry gives
+    S = make_generating_set(hpf, [[[1, 0.5], [0, 1]], [[1, 0], [0.5, 1]]])
+    calls = _counting_round(monkeypatch)
+    table = ball_sizes(S, 8)
+    assert table.balls == [1, 5, 17, 53, 161, 465, 1290, 3514, 9382]
+    assert calls == []
+
+
 def test_non_dyadic_float_balls_still_round(monkeypatch, hpf):
     # Sanov conjugated by diag(1.1, 1/1.1): entries that are not dyadic go
     # through round(), and the counts stay the free group's
