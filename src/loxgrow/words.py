@@ -174,14 +174,16 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     ``backend.subgroup_word_exact`` spells are answered without a walk;
     the walk stops when no target is left or the ball runs out.
 
-    The walk keeps each sphere as a map from ``backend._growth_key``, which
-    absorbs float roundoff, to canonical. Targets and the identity are
-    matched by key, and a target found at radius d is spelled backwards:
-    from g to g s^-1 in sphere d - 1, and on to the identity; a float
-    target whose step back still misses gives None. Where canonicals are
-    inexact (``backend.exact_words`` false) the walk itself dedups by that
-    key, so its spheres are the ones ``ball_sizes`` counts; exact
-    canonicals are their own keys and cost no key call.
+    The walk keeps its spheres, and a target found at radius d is spelled
+    backwards: from g to g s^-1 in sphere d - 1, and on to the identity.
+    Spheres are matched by ``backend._growth_key``, which absorbs float
+    roundoff; a float target whose step back still misses gives None.
+    Where canonicals are inexact (``backend.exact_words`` false) the walk
+    itself dedups by that key, so its spheres are the ones ``ball_sizes``
+    counts, and targets and the identity are matched by key. Exact
+    canonicals are their own keys and cost no key call; an exact sphere
+    is turned into a map only when a found target lies past it, so the
+    last sphere walked, often the largest, is never mapped.
     """
     backend = S.backend
     key = None if backend.exact_words else backend._growth_key
@@ -203,13 +205,14 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
-    # one key -> canonical map per sphere: targets are matched against it,
-    # and a found target is spelled back through the ones below it
-    layers = [{ident_key: ident}]
+    # a float sphere is keyed once, into the key -> canonical map that both
+    # matching and spelling use; an exact sphere is its own keys, stays a
+    # list and is matched by scanning it
+    walked = [[ident] if key is None else {ident_key: ident}]
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key)
     for radius, sphere in enumerate(islice(ball, horizon), 1):
-        layer = dict(zip(sphere if key is None else map(key, sphere), sphere))
-        layers.append(layer)
+        layer = sphere if key is None else dict(zip(map(key, sphere), sphere))
+        walked.append(layer)
         for target in [t for t in pending if t in layer]:
             for i, _ in pending.pop(target):
                 out[i] = radius  # spelled after the walk
@@ -229,6 +232,8 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
             break
     radii = [(i, d) for i, d in enumerate(out) if isinstance(d, int)]
     if radii:
+        deepest = max(d for _, d in radii)
+        layers = [dict(zip(w, w)) if key is None else w for w in walked[:deepest]]
         back = [(backend._invert(s.canonical), s.word) for s in S]
         for i, d in radii:
             out[i] = _spell_back(backend, targets[i][0].canonical, layers[:d], back)
