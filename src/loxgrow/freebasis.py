@@ -663,6 +663,13 @@ def _str(s):
     return s
 
 
+def _flag(v):
+    # bool() would read "false" as true
+    if type(v) is not bool:
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
 def _canonical_from(backend, data):
     if backend.kind == "free_group_tree":
         c = tuple(_int(v) for v in data)
@@ -811,13 +818,6 @@ _SHAPE_ERRORS = (TypeError, ValueError, KeyError, OverflowError, NotInGroup)
 
 def _malformed(exc):
     return InvalidCertificate(f"malformed certificate: {type(exc).__name__}: {exc}")
-
-
-def _flag(v):
-    # bool() would read "false" as true
-    if type(v) is not bool:
-        raise TypeError(f"expected true or false, got {v!r}")
-    return v
 
 
 def _certificate_fields(data, config, backend):
