@@ -10,7 +10,9 @@ quadruples (the four-point inequality).
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict
 
 from .errors import NotLoxodromic
@@ -140,6 +142,29 @@ def axis_overlap_diameter(b, f, o: Point, theta: float = 1.0, window: int = 8) -
     Proxy for |E(b)|-style tests on float backends: a conjugating f maps the
     axis near itself, so a large overlap diameter flags a likely elementary
     pair, a bounded one certifies nothing but suggests independence.
+
+    A sample p is near when ``dist(p, q) <= L`` for some translated sample
+    q, with L = R + 1e-12 and R = theta*d(o,bo). On the half-plane each
+    p = x + iy calls ``dist`` only on the q = u + iv inside two windows, so
+    the near samples are exactly those of the all-pairs sweep. If
+    d(p, q) <= L then
+    * |ln(v/y)| <= L, since height is a 1-Lipschitz Busemann function;
+    * |u - x| <= y*(e^L - 1), since cosh d - 1 >= (u - x)^2/(2yv) and
+      v <= y*e^L.
+    With E = exp(L*(1 + 1e-9) + 1e-6) the windows are y/E <= v <= y*E and
+    |u - x| <= y*E*(1 + 1e-6). The margin in E is far above the float
+    error of ``dist``, a few 1e-8 at worst as d -> 0, and rounding is
+    monotone, so no q that the sweep finds near falls outside them.
+
+    A pair raises OverflowError when 2yv underflows or the distance leaves
+    float range, and the sweep raises at the first such pair that comes
+    before p's first near q. The windows therefore serve only a p none of
+    whose pairs can raise (such a p may scan its window in height order):
+    2*y*min(v) > 0 and (max|x - u|^2 + max(y, max v)^2) / (2*y*min(v))
+    < 1e300, with both maxima below 1e150 so that the bound itself cannot
+    overflow. Every other p scans all translated samples in order, as the
+    sweep does, so the same call raises the same error. Trees keep the
+    plain sweep.
     """
     backend = o.backend
     if backend.classify(b).kind != "loxodromic":
@@ -167,11 +192,43 @@ def axis_overlap_diameter(b, f, o: Point, theta: float = 1.0, window: int = 8) -
                 samples.append(backend.geodesic_point(p, q, t))
     samples.append(orbit[-1])
     translated = [backend.apply(f, p) for p in samples]
-    near = [
-        p for p in samples if any(backend.dist(p, q) <= R + 1e-12 for q in translated)
-    ]
+    near = _near_samples(backend, samples, translated, R + 1e-12)
     best = 0.0
     for i in range(len(near)):
         for j in range(i + 1, len(near)):
             best = max(best, backend.dist(near[i], near[j]))
     return best
+
+
+def _near_samples(backend, samples, translated, L):
+    """The samples p with ``dist(p, q) <= L`` for some translated q, in
+    order; ``axis_overlap_diameter`` documents the windows and the guard."""
+    dist = backend.dist
+    try:
+        E = math.exp(L * (1.0 + 1e-9) + 1e-6)
+    except OverflowError:
+        E = math.inf
+    if backend.kind != "half_plane" or not math.isfinite(E):
+        return [p for p in samples if any(dist(p, q) <= L for q in translated)]
+    by_height = sorted(((q.data.imag, q.data.real, q) for q in translated), key=itemgetter(0))
+    heights = [v for v, _, _ in by_height]
+    u_lo = min(u for _, u, _ in by_height)
+    u_hi = max(u for _, u, _ in by_height)
+    v_lo, v_hi = heights[0], heights[-1]
+    near = []
+    for p in samples:
+        x, y = p.data.real, p.data.imag
+        mx = max(abs(x - u_lo), abs(x - u_hi))
+        mh = max(y, v_hi)
+        den = 2.0 * y * v_lo
+        # written so that NaN fails every test
+        if mx < 1e150 and mh < 1e150 and den > 0.0 and (mx * mx + mh * mh) / den < 1e300:
+            # no pair of p can raise, so the scan order cannot change the answer
+            width = y * E * (1.0 + 1e-6)
+            window = by_height[bisect_left(heights, y / E):bisect_right(heights, y * E)]
+            hit = any(abs(u - x) <= width and dist(p, q) <= L for _, u, q in window)
+        else:
+            hit = any(dist(p, q) <= L for q in translated)
+        if hit:
+            near.append(p)
+    return near

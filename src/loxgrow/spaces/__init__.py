@@ -29,7 +29,8 @@ def make_backend(config: dict) -> Backend:
     """Build a backend from a config mapping; unknown keys are rejected.
 
     Raises ConfigError on any config it cannot build, a parameter of the
-    wrong type included.
+    wrong type included: integer parameters take ints (not true or 2.7),
+    delta an int or a float (not "1.5" or true).
     """
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("backend config must be a mapping with a 'kind' key")
@@ -47,7 +48,7 @@ def make_backend(config: dict) -> Backend:
             kwargs["orders"] = tuple(kwargs["orders"])
         return _KINDS[kind](**kwargs)
     except (TypeError, ValueError) as exc:
-        # a parameter of the wrong type, such as delta "x" or orders 5
+        # a parameter of the wrong shape, such as orders 5 or [2, 3, 4]
         raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
 
 

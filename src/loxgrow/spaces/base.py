@@ -13,9 +13,25 @@ proper hyperbolic space.  Group elements carry two representations:
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
-from ..errors import BackendMismatch
+from ..errors import BackendMismatch, ConfigError
 
 Word = Tuple[Tuple[str, int], ...]
+
+
+def int_param(name, v) -> int:
+    """A backend parameter that must be an int; int() would pass 2.7, "3"
+    and true."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
+def real_param(name, v) -> float:
+    """A backend parameter that must be an int or a float, as a float;
+    float() would pass "1.5" and true."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    return float(v)
 
 
 def reduce_symbol_word(parts) -> Word:

@@ -10,7 +10,7 @@ cyclically reduced length.
 import string
 
 from ..errors import ConfigError
-from .base import Backend, Classification, GroupElement, Point
+from .base import Backend, Classification, GroupElement, Point, int_param, real_param
 
 
 def reduce_letters(seq):
@@ -32,18 +32,20 @@ class FreeGroupTree(Backend):
     kind = "free_group_tree"
 
     def __init__(self, rank, letters=None, delta=0.0, torsion_bound=1):
-        if rank < 1:
+        if int_param("rank", rank) < 1:
             raise ConfigError("rank must be >= 1")
         if letters is None:
             letters = string.ascii_lowercase[:rank]
+        if not isinstance(letters, str):
+            raise ConfigError(f"letters must be a string, got {letters!r}")
         if len(letters) != rank or len(set(letters)) != rank:
             raise ConfigError("need one distinct letter per generator")
         if any(not (c.isalpha() and c.islower()) for c in letters):
             raise ConfigError("generator letters must be lowercase")
         self.rank = rank
         self.letters = letters
-        self.delta = float(delta)
-        self.torsion_bound = int(torsion_bound)
+        self.delta = real_param("delta", delta)
+        self.torsion_bound = int_param("torsion_bound", torsion_bound)
         self._index = {c: i + 1 for i, c in enumerate(letters)}
 
     def config(self):

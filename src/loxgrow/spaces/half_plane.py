@@ -5,7 +5,8 @@ entry of (a, b, c, d) is positive.  Two arithmetic modes:
 
 * ``exact_integer`` -- Python ints, det == 1 required; the word problem is
   decided exactly (PSL(2, Z) and its subgroups such as the Sanov pair).
-* ``float`` -- det checked to 1e-12, identity/equality decided to eps_id.
+* ``float`` -- det checked to 1e-12 relative to max(1, |ad|, |bc|),
+  identity/equality decided to eps_id.
 
 Points are complex numbers with positive imaginary part.  The metric is
 d(z, w) = arccosh(1 + |z - w|^2 / (2 Im z Im w)); the constant delta of the
@@ -17,7 +18,7 @@ import cmath
 import math
 
 from ..errors import ConfigError, NotInGroup
-from .base import Backend, Classification, GroupElement, Point
+from .base import Backend, Classification, GroupElement, Point, int_param, real_param
 
 EPS_ID = 1e-9
 
@@ -34,8 +35,8 @@ class HalfPlane(Backend):
         # chosen once, not per call: ball walks compose per element and generator
         self._compose = self._compose_exact if self.exact else self._compose_float
         self.dist_roundoff = 1e-9
-        self.delta = float(delta)
-        self.torsion_bound = int(torsion_bound)
+        self.delta = real_param("delta", delta)
+        self.torsion_bound = int_param("torsion_bound", torsion_bound)
 
     def config(self):
         return {
@@ -113,9 +114,13 @@ class HalfPlane(Backend):
                 raise NotInGroup(f"determinant {a * d - b * c} != 1")
             return GroupElement(self, self._normalize(a, b, c, d), word)
         a, b, c, d = float(a), float(b), float(c), float(d)
-        det = a * d - b * c
-        if abs(det - 1.0) > 1e-12:
-            raise NotInGroup(f"determinant {det} not within 1e-12 of 1")
+        ad, bc = a * d, b * c
+        det = ad - bc
+        # relative to the products: ad - bc cancels, so an honest det-1
+        # matrix with entries near 1e8 computes det 0.0 or 2.0
+        tol = 1e-12 * max(1.0, abs(ad), abs(bc))
+        if not (math.isfinite(det) and abs(det - 1.0) <= tol):
+            raise NotInGroup(f"determinant {det} not within {tol:.3g} of 1")
         return GroupElement(self, self._normalize(a, b, c, d), word)
 
     def sort_key(self, a):

@@ -13,7 +13,7 @@ The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 """
 
 from ..errors import ConfigError
-from .base import Backend, Classification, GroupElement, Point
+from .base import Backend, Classification, GroupElement, Point, int_param, real_param
 
 _LETTERS = "ab"
 
@@ -23,15 +23,16 @@ class FreeProductTree(Backend):
 
     def __init__(self, orders=(2, 3), delta=0.0, torsion_bound=1):
         p, q = orders
+        p, q = int_param("factor order", p), int_param("factor order", q)
         if p < 2 or q < 2:
             raise ConfigError("factor orders must be >= 2")
         if p == 2 and q == 2:
             raise ConfigError("the (2, 2) free product is virtually cyclic; rejected")
         if p > 63 or q > 63:
             raise ConfigError("factor orders above 63 are not supported")
-        self.orders = (int(p), int(q))
-        self.delta = float(delta)
-        self.torsion_bound = int(torsion_bound)
+        self.orders = (p, q)
+        self.delta = real_param("delta", delta)
+        self.torsion_bound = int_param("torsion_bound", torsion_bound)
 
     def config(self):
         return {

@@ -321,6 +321,18 @@ _BAD_BACKEND_FIELDS = [
     ("free_product_tree", "orders", 5),
     ("free_group_tree", "rank", 2.5),
     ("free_group_tree", "kind", []),
+    # values that int() or float() would turn into a valid parameter
+    ("half_plane", "torsion_bound", 2.7),
+    ("half_plane", "torsion_bound", True),
+    ("half_plane", "delta", "1.5"),
+    ("half_plane", "delta", True),
+    ("free_group_tree", "rank", True),
+    ("free_group_tree", "rank", 2.0),
+    ("free_group_tree", "delta", False),
+    ("free_group_tree", "letters", ["x", "y"]),
+    ("free_product_tree", "orders", [2.0, 3]),
+    ("free_product_tree", "orders", [2, True]),
+    ("free_product_tree", "torsion_bound", 1.0),
 ]
 
 
@@ -347,6 +359,31 @@ def test_unbuildable_backend_in_a_run_config_exits_four(write_config, capsys,
     cfg = write_config("bad.json", {**_SHAPE_CONFIGS[kind], "backend": backend})
     assert main(["growth", cfg]) == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_rank_true_is_not_rank_one(write_config, capsys):
+    # with default letters, rank true used to build a rank-1 tree whose
+    # config still said rank: true
+    cfg = write_config("bad.json", {"backend": {"kind": "free_group_tree", "rank": True},
+                                    "generators": ["a"]})
+    assert main(["growth", cfg]) == 4
+    assert "rank must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("half_plane", "delta", 1),
+    ("half_plane", "torsion_bound", 3),
+    ("free_product_tree", "delta", 0),
+    ("free_group_tree", "delta", 0.5),
+])
+def test_int_and_float_backend_parameters_still_run(write_config, capsys, kind, field, value):
+    # delta takes an int or a float and is reported as a float
+    backend = dict(_SHAPE_CONFIGS[kind]["backend"])
+    backend[field] = value
+    cfg = write_config("ok.json", {**_SHAPE_CONFIGS[kind], "backend": backend})
+    assert main(["delta", cfg]) == 0
+    reported = json.loads(capsys.readouterr().out)["backend"][field]
+    assert reported == value and type(reported) is type(float(value) if field == "delta" else value)
 
 
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", "5", ""])
@@ -533,3 +570,54 @@ def test_version_flag(capsys):
         main(["--version"])
     assert ei.value.code == 0
     assert capsys.readouterr().out.strip() == f"loxgrow {__version__}"
+
+
+# the float-Sanov config of the benchmark's certify-kappa workload (seed 0)
+_SANOV_FLOAT = {
+    "backend": {"kind": "half_plane", "arithmetic": "float"},
+    "generators": [[[1, 2], [0, 1]], [[1, 0], [-2, 1]]],
+    "budgets": {"n_max": 7, "memory_cap": 20000},
+}
+
+
+def _reprs(values):
+    return [repr(v) for v in values]
+
+
+@pytest.mark.filterwarnings("ignore::loxgrow.errors.HeuristicOnly")
+def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, capsys):
+    # every float of the float path's certificate, by repr (so -0.0 and the
+    # last digit count); r 1 and omega_lower 0 are the known float defect
+    cfg = write_config("sanov-float.json", _SANOV_FLOAT)
+    capsys.readouterr()
+    assert main(["verify-bound", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cert = out["certificate"]
+    assert _reprs(cert["b"]["canonical"]) == ["1.0", "-2.0", "-2.0", "5.0"]
+    assert _reprs(cert["f"]["canonical"]) == ["1.0", "-2.0", "-0.0", "1.0"]
+    assert _reprs(cert["h"]["canonical"]) == [
+        "195025.0", "-470832.0", "-80782.0", "195025.0"]
+    assert [_reprs(t["canonical"]) for t in cert["T"]] == [
+        ["356589.0", "-147704.0", "-80782.0", "33461.0"]]
+    assert (cert["n"], cert["k"], cert["r"]) == (7, 1, 1)
+    assert (cert["kappa"], cert["kappa_mode"]) == (15, "word-upper")
+    assert _reprs(cert["basepoint"]) == ["-2.0", "2.4142135623955365"]
+    assert _reprs([cert["m"], cert["p_max"], cert["margin"]]) == [
+        "25.74806043001977", "0.0", "2.718507553752471"]
+    assert _reprs([out["omega_lower"], out["omega_hat"], out["omega_upper"],
+                   out["theta_hat"]]) == [
+        "0.0", "1.0990697452177152", "1.1976006502018457", "0.7928112355083471"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["check-cert", str(path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert {k: repr(v) for k, v in summary.items()} == {
+        "kappa": "15",
+        "margin": "2.718507553752471",
+        "membership_heuristic": "True",
+        "mode": "'geometric'",
+        "omega_lower": "0.0",
+        "r": "1",
+        "valid": "True",
+        "version": repr(__version__),
+    }

@@ -139,6 +139,23 @@ def test_arithmetic_mode_validation():
         HalfPlane(arithmetic="decimal")
 
 
+def test_float_det_tolerance_scales_with_the_products(hpf):
+    # [[N, N-1], [N+1, N]] has det 1; cast to float, ad = 1e16 and
+    # bc = 1e16 - 1 round to the same value, so det computes as 0.0
+    N = 10**8
+    m = [[float(N), float(N - 1)], [float(N + 1), float(N)]]
+    a, b, c, d = (v for row in m for v in row)
+    assert a * d - b * c == 0.0
+    assert hpf.element(m).canonical == (a, b, c, d)
+    for bad in ([[2.0, 0.0], [0.0, 0.6]],
+                [[1.0 + 1e-11, 0.0], [0.0, 1.0]],
+                [[math.nan, 0.0], [0.0, 1.0]],
+                [[math.inf, 0.0], [0.0, 1.0]],
+                [[1e200, 0.0], [0.0, 1e200]]):
+        with pytest.raises(NotInGroup):
+            hpf.element(bad)
+
+
 def test_exact_compose_normalizes_by_the_sign_of_a_then_b(hp):
     # against the generic first-nonzero-entry rule, on products that land
     # on a = 0 (either sign of b) as well as on both signs of a
