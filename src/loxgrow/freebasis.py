@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 from .errors import (
@@ -44,8 +44,16 @@ from .hypcore import (
     translation_length_bracket,
 )
 from .spaces import make_backend
-from .spaces.base import GroupElement, Point, basepoint_candidates, word_str
-from .spaces.free_tree import reduce_letters
+from .spaces.base import (
+    GroupElement,
+    Point,
+    basepoint_candidates,
+    read_flag,
+    read_int,
+    read_real,
+    read_str,
+    word_str,
+)
 from .words import (
     DEFAULT_MEMORY_CAP,
     GeneratingSet,
@@ -355,7 +363,10 @@ def certify_free_exact(T, L, memory_cap=DEFAULT_MEMORY_CAP) -> bool:
 
 @dataclass
 class FreeBasisCertificate:
-    backend_config: dict
+    """The fields of a ``loxgrow-cert/1`` certificate, each stored under its
+    name (``key`` in the metadata where that differs)."""
+
+    backend_config: dict = field(metadata={"key": "backend"})
     backend_hash: str
     delta: float
     mode: str  # always "geometric"
@@ -638,61 +649,10 @@ def backend_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _canonical_payload(backend, canonical):
-    if backend.kind == "free_product_tree":
-        return [[f, e] for f, e in canonical]
-    return list(canonical)
-
-
-def _int(v):
-    # int() would pass 1.5, "3" and true
-    if type(v) is not int:
-        raise TypeError(f"expected an integer, got {v!r}")
-    return v
-
-
-def _real(v):
-    if type(v) not in (int, float):
-        raise TypeError(f"expected a number, got {v!r}")
-    return v
-
-
-def _str(s):
-    if type(s) is not str:
-        raise TypeError(f"expected a string, got {s!r}")
-    return s
-
-
-def _flag(v):
-    # bool() would read "false" as true
-    if type(v) is not bool:
-        raise TypeError(f"expected true or false, got {v!r}")
-    return v
-
-
-def _canonical_from(backend, data):
-    if backend.kind == "free_group_tree":
-        c = tuple(_int(v) for v in data)
-        if any(v == 0 or abs(v) > backend.rank for v in c):
-            raise InvalidCertificate(f"letter out of range in {data!r}")
-        if c != reduce_letters(c):
-            raise InvalidCertificate(f"unreduced free-group word {data!r}")
-        return c
-    if backend.kind == "free_product_tree":
-        syl = tuple((_int(f), _int(e)) for f, e in data)
-        if not backend.is_normal(syl):
-            raise InvalidCertificate(f"non-normal syllable word {data!r}")
-        return syl
-    if len(data) != 4:
-        raise InvalidCertificate(f"matrix payload needs 4 entries, got {data!r}")
-    a, b, c, d = (_real(v) for v in data)
-    return backend.element([[a, b], [c, d]]).canonical
-
-
 def _element_payload(backend, g):
     out = {
         "word": word_str(g.word),
-        "canonical": _canonical_payload(backend, g.canonical),
+        "canonical": backend.canonical_payload(g.canonical),
     }
     if g.word is not None:
         out["symbols"] = [[sym, int(e)] for sym, e in g.word]
@@ -702,78 +662,45 @@ def _element_payload(backend, g):
 def _element_from(backend, data):
     word = None
     if "symbols" in data:
-        word = tuple((_str(s), _int(e)) for s, e in data["symbols"])
-    canonical = _canonical_from(backend, data["canonical"])
-    return GroupElement(backend, canonical, word)
+        word = tuple((read_str(s, "symbol"), read_int(e, "sign")) for s, e in data["symbols"])
+    return GroupElement(backend, backend.canonical_from_payload(data["canonical"]), word)
 
 
-def _point_payload(backend, p):
-    if backend.kind == "free_group_tree":
-        return list(p.data)
-    if backend.kind == "free_product_tree":
-        rep, side = p.data
-        return [[[f, e] for f, e in rep], side]
-    return [p.data.real, p.data.imag]
+def _same(v):
+    return v
 
 
-def _point_from(backend, data):
-    if backend.kind == "free_group_tree":
-        c = tuple(_int(v) for v in data)
-        if c != reduce_letters(c):
-            raise InvalidCertificate(f"unreduced vertex word {data!r}")
-        return Point(backend, c)
-    if backend.kind == "free_product_tree":
-        rep, side = data
-        rep = tuple((_int(f), _int(e)) for f, e in rep)
-        if _int(side) not in (0, 1):
-            raise InvalidCertificate(f"vertex side must be 0 or 1, got {side!r}")
-        if not backend.is_normal(rep) or (rep and rep[-1][0] == side):
-            raise InvalidCertificate(f"invalid coset representative {data!r}")
-        return Point(backend, (rep, side))
-    re, im = (float(_real(v)) for v in data)
-    if not im > 0:
-        raise InvalidCertificate("half-plane points need positive imaginary part")
-    return Point(backend, complex(re, im))
+def _codec(backend):
+    """Certificate field type -> (write, read) of the field's JSON form."""
+    return {
+        # the backend config, read before the other fields: its hash is
+        # compared and make_backend builds it
+        dict: (_same, _same),
+        str: (_same, read_str),
+        int: (_same, read_int),
+        # tree backends measure in ints; write type-stable floats so a
+        # payload survives a load/dump round trip byte-identically
+        float: (float, read_real),
+        bool: (_same, read_flag),
+        GroupElement: (lambda g: _element_payload(backend, g),
+                       lambda data: _element_from(backend, data)),
+        GeneratingSet: (lambda S: [_element_payload(backend, g) for g in S],
+                        lambda data: GeneratingSet(backend, [_element_from(backend, item)
+                                                             for item in data])),
+        Point: (backend.point_payload, backend.point_from_payload),
+    }
 
 
-def _genset_payload(backend, S):
-    return [_element_payload(backend, g) for g in S]
-
-
-def _genset_from(backend, data):
-    return GeneratingSet(backend, [_element_from(backend, item) for item in data])
+def _key(f):
+    return f.metadata.get("key", f.name)
 
 
 def certificate_payload(cert: FreeBasisCertificate) -> dict:
-    backend = cert.b.backend
-    return {
-        "format": CERT_FORMAT,
-        "backend": cert.backend_config,
-        "backend_hash": cert.backend_hash,
-        # tree backends measure in ints; serialize type-stable floats so a
-        # payload survives a load/dump round trip byte-identically
-        "delta": float(cert.delta),
-        "mode": cert.mode,
-        "b": _element_payload(backend, cert.b),
-        "f": _element_payload(backend, cert.f),
-        "h": _element_payload(backend, cert.h),
-        "n": cert.n,
-        "k": cert.k,
-        "S": _genset_payload(backend, cert.S),
-        "S0": _genset_payload(backend, cert.S0),
-        "T": _genset_payload(backend, cert.T),
-        "r": cert.r,
-        "basepoint": _point_payload(backend, cert.basepoint),
-        "m": float(cert.m),
-        "p_max": float(cert.p_max),
-        "margin": float(cert.margin),
-        "epsilon_margin": float(cert.epsilon_margin),
-        "kappa": cert.kappa,
-        "kappa_mode": cert.kappa_mode,
-        "omega_lower": float(cert.omega_lower),
-        "escalation_rounds": cert.escalation_rounds,
-        "membership_heuristic": cert.membership_heuristic,
-    }
+    codec = _codec(cert.b.backend)
+    out = {"format": CERT_FORMAT}
+    for f in fields(FreeBasisCertificate):
+        out[_key(f)] = codec[f.type][0](getattr(cert, f.name))
+    return out
 
 
 def certificate_to_json(cert: FreeBasisCertificate) -> str:
@@ -784,9 +711,10 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
     """Load a certificate from its payload dict or JSON text.
 
     Raises InvalidCertificate on text that is not JSON, on a missing field,
-    on a field of the wrong shape or type, and on a stored matrix that is
-    not in the group. A stored backend config that ``make_backend`` cannot
-    build raises its ConfigError, as in a run config.
+    on a field of the wrong shape or type, on a number that is not finite,
+    and on a stored element or point that the backend's own rules refuse.
+    A stored backend config that ``make_backend`` cannot build raises its
+    ConfigError, as in a run config.
     """
     try:
         if isinstance(data, str):
@@ -805,47 +733,22 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
         backend = stored
     elif backend.config() != stored.config():
         raise InvalidCertificate("certificate was produced by a different backend")
-    try:
-        return _certificate_fields(data, config, backend)
-    except _SHAPE_ERRORS as exc:
-        raise _malformed(exc) from exc
+    codec, values = _codec(backend), {}
+    for f in fields(FreeBasisCertificate):
+        try:
+            values[f.name] = codec[f.type][1](data[_key(f)])
+        except _SHAPE_ERRORS as exc:
+            raise _malformed(exc, f" field {_key(f)!r}") from exc
+    return FreeBasisCertificate(**values)
 
 
 # what loading a field of the wrong shape or type raises; NotInGroup is a
-# stored matrix with det != 1 or non-integer exact entries
+# stored matrix with det != 1 or entries of the wrong type
 _SHAPE_ERRORS = (TypeError, ValueError, KeyError, OverflowError, NotInGroup)
 
 
-def _malformed(exc):
-    return InvalidCertificate(f"malformed certificate: {type(exc).__name__}: {exc}")
-
-
-def _certificate_fields(data, config, backend):
-    return FreeBasisCertificate(
-        backend_config=config,
-        backend_hash=data["backend_hash"],
-        delta=float(_real(data["delta"])),
-        mode=_str(data["mode"]),
-        b=_element_from(backend, data["b"]),
-        f=_element_from(backend, data["f"]),
-        h=_element_from(backend, data["h"]),
-        n=_int(data["n"]),
-        k=_int(data["k"]),
-        S=_genset_from(backend, data["S"]),
-        S0=_genset_from(backend, data["S0"]),
-        T=_genset_from(backend, data["T"]),
-        r=_int(data["r"]),
-        basepoint=_point_from(backend, data["basepoint"]),
-        m=float(_real(data["m"])),
-        p_max=float(_real(data["p_max"])),
-        margin=float(_real(data["margin"])),
-        epsilon_margin=float(_real(data["epsilon_margin"])),
-        kappa=_int(data["kappa"]),
-        kappa_mode=_str(data["kappa_mode"]),
-        omega_lower=float(_real(data["omega_lower"])),
-        escalation_rounds=_int(data["escalation_rounds"]),
-        membership_heuristic=_flag(data["membership_heuristic"]),
-    )
+def _malformed(exc, where=""):
+    return InvalidCertificate(f"malformed certificate{where}: {type(exc).__name__}: {exc}")
 
 
 # -- independent checker ------------------------------------------------------
@@ -958,11 +861,12 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
         chk = certify_free_geometric(cert.T, cert.basepoint, cert.delta, cert.epsilon_margin)
     except OverflowError:
         fail("geometric quantities overflow at the stored basepoint")
-    if abs(chk.m - cert.m) > tol:
+    # fail closed: NaN compares false
+    if not abs(chk.m - cert.m) <= tol:
         fail(f"m mismatch: recomputed {chk.m!r}, stored {cert.m!r}")
-    if abs(chk.p_max - cert.p_max) > tol:
+    if not abs(chk.p_max - cert.p_max) <= tol:
         fail(f"p_max mismatch: recomputed {chk.p_max!r}, stored {cert.p_max!r}")
-    if abs(chk.margin - cert.margin) > tol:
+    if not abs(chk.margin - cert.margin) <= tol:
         fail(f"margin mismatch: recomputed {chk.margin!r}, stored {cert.margin!r}")
     if not chk.valid:
         fail("geometric margin does not clear the floor")

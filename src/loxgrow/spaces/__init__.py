@@ -30,7 +30,7 @@ def make_backend(config: dict) -> Backend:
 
     Raises ConfigError on any config it cannot build, a parameter of the
     wrong type included: integer parameters take ints (not true or 2.7),
-    delta an int or a float (not "1.5" or true).
+    delta a finite int or float (not "1.5", true or NaN).
     """
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("backend config must be a mapping with a 'kind' key")
@@ -48,7 +48,7 @@ def make_backend(config: dict) -> Backend:
             kwargs["orders"] = tuple(kwargs["orders"])
         return _KINDS[kind](**kwargs)
     except (TypeError, ValueError) as exc:
-        # a parameter of the wrong shape, such as orders 5 or [2, 3, 4]
+        # a parameter of the wrong shape or type, such as orders 5 or rank 2.5
         raise ConfigError(f"invalid {kind} parameters: {exc}") from exc
 
 

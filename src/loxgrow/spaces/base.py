@@ -10,28 +10,49 @@ proper hyperbolic space.  Group elements carry two representations:
   valid (not necessarily geodesic) spelling over the original generators.
 """
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
-from ..errors import BackendMismatch, ConfigError
+from ..errors import BackendMismatch
 
 Word = Tuple[Tuple[str, int], ...]
 
 
-def int_param(name, v) -> int:
-    """A backend parameter that must be an int; int() would pass 2.7, "3"
-    and true."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{name} must be an integer, got {v!r}")
+# JSON readers: a value of the wrong type raises TypeError and one out of
+# range ValueError; make_backend turns either into ConfigError and the
+# certificate loader into InvalidCertificate
+
+
+def read_int(v, name="value") -> int:
+    """A JSON integer; int() would pass 2.7, "3" and true."""
+    if type(v) is not int:
+        raise TypeError(f"{name} must be an integer, got {v!r}")
     return v
 
 
-def real_param(name, v) -> float:
-    """A backend parameter that must be an int or a float, as a float;
-    float() would pass "1.5" and true."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{name} must be a number, got {v!r}")
+def read_real(v, name="value") -> float:
+    """A finite JSON number, as a float; float() would pass "1.5" and true,
+    and json reads NaN and Infinity."""
+    if type(v) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {v!r}")
+    # false for NaN, +-Infinity and ints that float() cannot hold
+    if not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {v!r}")
     return float(v)
+
+
+def read_str(v, name="value") -> str:
+    if type(v) is not str:
+        raise TypeError(f"{name} must be a string, got {v!r}")
+    return v
+
+
+def read_flag(v, name="value") -> bool:
+    """true or false; bool() would read "false" as true."""
+    if type(v) is not bool:
+        raise TypeError(f"{name} must be true or false, got {v!r}")
+    return v
 
 
 def reduce_symbol_word(parts) -> Word:
@@ -214,6 +235,23 @@ class Backend:
         return None
 
     def config(self) -> dict:
+        raise NotImplementedError
+
+    # -- JSON form, as certificates store it ---------------------------------
+
+    def canonical_payload(self, canonical):
+        return list(canonical)
+
+    def canonical_from_payload(self, data):
+        """The canonical stored as ``data``, checked with the backend's own
+        rules; TypeError or ValueError on anything else."""
+        raise NotImplementedError
+
+    def point_payload(self, p: Point):
+        return list(p.data)
+
+    def point_from_payload(self, data) -> Point:
+        """The point stored as ``data``; raises like canonical_from_payload."""
         raise NotImplementedError
 
     # candidate-pool hooks with sensible defaults

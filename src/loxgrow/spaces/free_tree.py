@@ -10,7 +10,7 @@ cyclically reduced length.
 import string
 
 from ..errors import ConfigError
-from .base import Backend, Classification, GroupElement, Point, int_param, real_param
+from .base import Backend, Classification, GroupElement, Point, read_int, read_real, read_str
 
 
 def reduce_letters(seq):
@@ -32,20 +32,18 @@ class FreeGroupTree(Backend):
     kind = "free_group_tree"
 
     def __init__(self, rank, letters=None, delta=0.0, torsion_bound=1):
-        if int_param("rank", rank) < 1:
+        if read_int(rank, "rank") < 1:
             raise ConfigError("rank must be >= 1")
         if letters is None:
             letters = string.ascii_lowercase[:rank]
-        if not isinstance(letters, str):
-            raise ConfigError(f"letters must be a string, got {letters!r}")
-        if len(letters) != rank or len(set(letters)) != rank:
+        if len(read_str(letters, "letters")) != rank or len(set(letters)) != rank:
             raise ConfigError("need one distinct letter per generator")
         if any(not (c.isalpha() and c.islower()) for c in letters):
             raise ConfigError("generator letters must be lowercase")
         self.rank = rank
         self.letters = letters
-        self.delta = real_param("delta", delta)
-        self.torsion_bound = int_param("torsion_bound", torsion_bound)
+        self.delta = read_real(delta, "delta")
+        self.torsion_bound = read_int(torsion_bound, "torsion_bound")
         self._index = {c: i + 1 for i, c in enumerate(letters)}
 
     def config(self):
@@ -95,10 +93,22 @@ class FreeGroupTree(Backend):
     def sort_key(self, a):
         return (len(a.canonical), tuple(_letter_code(v) for v in a.canonical))
 
+    # elements and vertices alike are stored as lists of letter indices
+    def canonical_from_payload(self, data):
+        word = tuple(read_int(v, "letter") for v in data)
+        if any(v == 0 or abs(v) > self.rank for v in word):
+            raise ValueError(f"letter out of range in {data!r}")
+        if word != reduce_letters(word):
+            raise ValueError(f"unreduced free-group word {data!r}")
+        return word
+
     # -- geometry -----------------------------------------------------------
 
     def origin(self):
         return Point(self, ())
+
+    def point_from_payload(self, data):
+        return Point(self, self.canonical_from_payload(data))
 
     def dist(self, x, y):
         cx, cy = x.data, y.data

@@ -18,7 +18,7 @@ import cmath
 import math
 
 from ..errors import ConfigError, NotInGroup
-from .base import Backend, Classification, GroupElement, Point, int_param, real_param
+from .base import Backend, Classification, GroupElement, Point, read_int, read_real
 
 EPS_ID = 1e-9
 
@@ -35,8 +35,8 @@ class HalfPlane(Backend):
         # chosen once, not per call: ball walks compose per element and generator
         self._compose = self._compose_exact if self.exact else self._compose_float
         self.dist_roundoff = 1e-9
-        self.delta = real_param("delta", delta)
-        self.torsion_bound = int_param("torsion_bound", torsion_bound)
+        self.delta = read_real(delta, "delta")
+        self.torsion_bound = read_int(torsion_bound, "torsion_bound")
 
     def config(self):
         return {
@@ -106,14 +106,20 @@ class HalfPlane(Backend):
             (a, b), (c, d) = spec
         except (TypeError, ValueError):
             raise ConfigError(f"expected a 2x2 matrix, got {spec!r}")
+        number = int if self.exact else (int, float)
+        for v in (a, b, c, d):
+            # "1" and true are not numbers, though float() would pass them
+            if not isinstance(v, number) or isinstance(v, bool):
+                raise NotInGroup(f"{self.arithmetic} arithmetic needs "
+                                 f"{'int' if self.exact else 'number'} entries, got {v!r}")
         if self.exact:
-            for v in (a, b, c, d):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise NotInGroup(f"exact_integer arithmetic needs int entries, got {v!r}")
             if a * d - b * c != 1:
                 raise NotInGroup(f"determinant {a * d - b * c} != 1")
             return GroupElement(self, self._normalize(a, b, c, d), word)
-        a, b, c, d = float(a), float(b), float(c), float(d)
+        try:
+            a, b, c, d = float(a), float(b), float(c), float(d)
+        except OverflowError:
+            raise NotInGroup(f"matrix entries exceed float range in {spec!r}") from None
         ad, bc = a * d, b * c
         det = ad - bc
         # relative to the products: ad - bc cancels, so an honest det-1
@@ -126,10 +132,24 @@ class HalfPlane(Backend):
     def sort_key(self, a):
         return a.canonical
 
+    # a matrix is stored as [a, b, c, d], a point as [re, im]
+    def canonical_from_payload(self, data):
+        a, b, c, d = data
+        return self.element([[a, b], [c, d]]).canonical
+
     # -- geometry -----------------------------------------------------------
 
     def origin(self):
         return Point(self, complex(0.0, 1.0))
+
+    def point_payload(self, p):
+        return [p.data.real, p.data.imag]
+
+    def point_from_payload(self, data):
+        re, im = (read_real(v, "coordinate") for v in data)
+        if not im > 0:
+            raise ValueError("half-plane points need positive imaginary part")
+        return Point(self, complex(re, im))
 
     def _point_key(self, p):
         return (round(p.data.real, 9), round(p.data.imag, 9))

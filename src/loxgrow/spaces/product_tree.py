@@ -13,7 +13,7 @@ The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 """
 
 from ..errors import ConfigError
-from .base import Backend, Classification, GroupElement, Point, int_param, real_param
+from .base import Backend, Classification, GroupElement, Point, read_int, read_real
 
 _LETTERS = "ab"
 
@@ -23,7 +23,7 @@ class FreeProductTree(Backend):
 
     def __init__(self, orders=(2, 3), delta=0.0, torsion_bound=1):
         p, q = orders
-        p, q = int_param("factor order", p), int_param("factor order", q)
+        p, q = read_int(p, "factor order"), read_int(q, "factor order")
         if p < 2 or q < 2:
             raise ConfigError("factor orders must be >= 2")
         if p == 2 and q == 2:
@@ -31,8 +31,8 @@ class FreeProductTree(Backend):
         if p > 63 or q > 63:
             raise ConfigError("factor orders above 63 are not supported")
         self.orders = (p, q)
-        self.delta = real_param("delta", delta)
-        self.torsion_bound = int_param("torsion_bound", torsion_bound)
+        self.delta = read_real(delta, "delta")
+        self.torsion_bound = read_int(torsion_bound, "torsion_bound")
 
     def config(self):
         return {
@@ -106,6 +106,20 @@ class FreeProductTree(Backend):
     def sort_key(self, a):
         return (len(a.canonical), a.canonical)
 
+    # a syllable word is stored as [[factor, exp], ...], a vertex as
+    # [rep, side]
+    def canonical_payload(self, canonical):
+        return [[f, e] for f, e in canonical]
+
+    def _syllables(self, data):
+        return tuple((read_int(f, "factor"), read_int(e, "exponent")) for f, e in data)
+
+    def canonical_from_payload(self, data):
+        syllables = self._syllables(data)
+        if not self.is_normal(syllables):
+            raise ValueError(f"non-normal syllable word {data!r}")
+        return syllables
+
     # -- Bass-Serre tree geometry -------------------------------------------
 
     def _strip(self, rep, side):
@@ -119,6 +133,17 @@ class FreeProductTree(Backend):
 
     def origin(self):
         return Point(self, ((), 0))
+
+    def point_payload(self, p):
+        rep, side = p.data
+        return [self.canonical_payload(rep), side]
+
+    def point_from_payload(self, data):
+        rep, side = data
+        rep, side = self._syllables(rep), read_int(side, "side")
+        if side not in (0, 1) or not self.is_normal(rep) or self._strip(rep, side) != rep:
+            raise ValueError(f"invalid coset representative {data!r}")
+        return Point(self, (rep, side))
 
     def _candidate_seeds(self):
         return [Point(self, ((), 0)), Point(self, ((), 1))]

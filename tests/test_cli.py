@@ -147,6 +147,18 @@ def test_classify_psl2z(write_config, capsys):
     assert rows[4]["translation_length"] == pytest.approx(2.0 * math.acosh(2.0))
 
 
+@pytest.mark.parametrize("matrix", [[["1", True], [0.0, 1.0]], [[True, 0.0], [0.0, 1.0]]])
+def test_float_matrix_entries_must_be_numbers(write_config, capsys, matrix):
+    # float() would read the first as the parabolic [[1, 1], [0, 1]], the
+    # second as the identity
+    cfg = write_config("cls.json", {
+        "backend": {"kind": "half_plane", "arithmetic": "float"},
+        "generators": [matrix],
+    })
+    assert main(["classify", cfg]) == 4
+    assert "float arithmetic needs number entries" in capsys.readouterr().err
+
+
 def test_delta_half_plane(write_config, capsys):
     cfg = write_config("delta.json", {"backend": {"kind": "half_plane"}, "seed": 0})
     assert main(["delta", cfg]) == 0
@@ -291,6 +303,10 @@ _DROP = object()
     ("free_group_tree", ("mode",), 5),
     ("free_product_tree", ("membership_heuristic",), "false"),
     ("free_product_tree", ("membership_heuristic",), 0),
+    # json reads NaN and Infinity; NaN compares false with any tolerance
+    ("free_group_tree", ("m",), math.nan),
+    ("free_group_tree", ("p_max",), math.nan),
+    ("free_group_tree", ("margin",), math.nan),
 ])
 def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, path, value):
     # a field of the wrong shape or type, or a missing one, makes an invalid
@@ -333,6 +349,8 @@ _BAD_BACKEND_FIELDS = [
     ("free_product_tree", "orders", [2.0, 3]),
     ("free_product_tree", "orders", [2, True]),
     ("free_product_tree", "torsion_bound", 1.0),
+    ("half_plane", "delta", math.nan),
+    ("free_group_tree", "delta", math.inf),
 ]
 
 
@@ -368,6 +386,18 @@ def test_rank_true_is_not_rank_one(write_config, capsys):
                                     "generators": ["a"]})
     assert main(["growth", cfg]) == 4
     assert "rank must be an integer" in capsys.readouterr().err
+
+
+def test_nan_delta_exits_four_before_any_search(write_config, capsys):
+    # a NaN delta fails every loxodromic test, so escalation would square
+    # the ball until the memory cap
+    cfg = write_config("nan.json", {
+        "backend": {"kind": "half_plane", "arithmetic": "float", "delta": math.nan},
+        "generators": [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]],
+        "budgets": {"n_max": 4, "memory_cap": 1000},
+    })
+    assert main(["verify-bound", cfg]) == 4
+    assert "delta must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, field, value", [

@@ -1,5 +1,6 @@
 """Loxodromic search, freeness certificates, the theorem driver."""
 
+import dataclasses
 import json
 import math
 import random
@@ -655,6 +656,20 @@ def test_certificate_malformed_payloads(ft2, S_f2):
     data["basepoint"] = [1, 0, 0]
     with pytest.raises(InvalidCertificate):
         check_certificate(data)
+    for basepoint in ([7], [0], [1, -7]):
+        data = json.loads(json.dumps(base))
+        data["basepoint"] = basepoint
+        with pytest.raises(InvalidCertificate, match="letter out of range"):
+            certificate_from_payload(data)
+
+
+@pytest.mark.parametrize("field", ["m", "p_max", "margin"])
+def test_checker_fails_closed_on_nan(S_f2, field):
+    # a certificate handed in as an object skips the JSON readers, and NaN
+    # compares false with any tolerance
+    cert = dataclasses.replace(build_free_basis(S_f2), **{field: math.nan})
+    with pytest.raises(InvalidCertificate, match=f"{field} mismatch"):
+        check_certificate(cert)
 
 
 def test_float_certificate_tolerance(hpf):
@@ -743,8 +758,8 @@ def _mutations(backend, S, base):
         put(key, entries[:-1])
         put(key, entries + [entries[0]])
         put(key, entries[::-1])
-    point = freebasis._point_from(backend, base["basepoint"])
-    put("basepoint", freebasis._point_payload(backend, backend.apply(S[0], point)))
+    point = backend.point_from_payload(base["basepoint"])
+    put("basepoint", backend.point_payload(backend.apply(S[0], point)))
     return out
 
 

@@ -151,7 +151,10 @@ def test_float_det_tolerance_scales_with_the_products(hpf):
                 [[1.0 + 1e-11, 0.0], [0.0, 1.0]],
                 [[math.nan, 0.0], [0.0, 1.0]],
                 [[math.inf, 0.0], [0.0, 1.0]],
-                [[1e200, 0.0], [0.0, 1e200]]):
+                [[1e200, 0.0], [0.0, 1e200]],
+                [["1", True], [0.0, 1.0]],
+                [[True, 0.0], [0.0, 1.0]],
+                [[10**400, 0.0], [0.0, 1.0]]):
         with pytest.raises(NotInGroup):
             hpf.element(bad)
 
