@@ -239,47 +239,61 @@ def certify_free_geometric(T, x, delta=None, epsilon_margin=0.0) -> GeometricChe
     unordered pair of distinct letters, at most 2r + r(2r - 1) dist calls
     for r = #T. The (a^-1, b) and (b^-1, a) products then share one value;
     dist is symmetric on every backend (bit for bit on the half-plane).
+    Every letter and pair is measured (``_margin`` with no floor), so m
+    and p_max are the least and largest of the same floats in any order.
     """
     backend = T.backend
     if delta is None:
         delta = backend.delta
-    letters, pairs, degenerate = _letters(T)
-    m, p_max, margin = _margin(backend, letters, pairs, x, delta, -math.inf)
+    letters, earlier, degenerate = _letters(T)
+    m, p_max, margin = _margin(backend, letters, earlier, x, delta, -math.inf)
     valid = m > 0 and margin >= epsilon_margin and not degenerate
     return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
 
 
 def _letters(T):
-    """T's entries then their inverses, the index pairs (i < j) of distinct
-    letters, and whether any two letters coincide. Only the canonicals act
-    on points, so the inverses carry no words."""
+    """T's entries then their inverses; for each letter, the indices of the
+    earlier letters distinct from it; and whether any two letters coincide.
+    Only the canonicals act on points, so the inverses carry no words."""
     backend = T.backend
     letters = list(T) + [GroupElement(backend, backend._invert(t.canonical)) for t in T]
     canon = [a.canonical for a in letters]
-    pairs = [(i, j) for i in range(len(letters)) for j in range(i + 1, len(letters))
-             if canon[i] != canon[j]]
-    return letters, pairs, len(set(canon)) < len(letters)
+    earlier = [[i for i in range(j) if canon[i] != canon[j]] for j in range(len(canon))]
+    return letters, earlier, len(set(canon)) < len(letters)
 
 
-def _margin(backend, letters, pairs, x, delta, floor):
+def _margin(backend, letters, earlier, x, delta, floor):
     """(m, p_max, margin) at x, with margin = m/8 - delta/2 - p_max.
 
     a^-1 x runs over every translate and b over the letters != a^-1, so the
-    Gromov product of each pair in ``pairs`` counts once. The products stop
-    once the margin falls below ``floor``; it can only fall further."""
-    translates = [backend.apply(a, x) for a in letters]
-    d = [backend.dist(tx, x) for tx in translates]
-    m = min(d)
-    p_max = 0.0
-    margin = m / 8.0 - delta / 2.0 - p_max
-    for i, j in pairs:
-        if margin < floor:
-            break
-        p = 0.5 * (d[i] + d[j] - backend.dist(translates[i], translates[j]))
-        if p > p_max:
-            p_max = p
-            margin = m / 8.0 - delta / 2.0 - p_max
-    return m, p_max, margin
+    Gromov product of each letter with each of its ``earlier`` letters
+    counts once. Letters are taken in order: the displacement d(a x, x) of
+    one, then its products with the earlier ones. The walk stops as soon
+    as the margin of the values so far falls below ``floor`` and returns
+    those values. The stop is exact in floating point: the m so far is at
+    least the final m and the p_max so far at most the final one, and
+    m/8 - delta/2 - p_max is monotone in each, rounding included, so the
+    full margin lies below ``floor`` too. With floor -inf every distance
+    is measured."""
+    half_delta = delta / 2.0
+    translates, d = [], []
+    m, p_max = math.inf, 0.0
+    for a, before in zip(letters, earlier):
+        ax = backend.apply(a, x)
+        dx = backend.dist(ax, x)
+        if dx < m:
+            m = dx
+            if m / 8.0 - half_delta - p_max < floor:
+                return m, p_max, m / 8.0 - half_delta - p_max
+        for i in before:
+            p = 0.5 * (d[i] + dx - backend.dist(translates[i], ax))
+            if p > p_max:
+                p_max = p
+                if m / 8.0 - half_delta - p_max < floor:
+                    return m, p_max, m / 8.0 - half_delta - p_max
+        translates.append(ax)
+        d.append(dx)
+    return m, p_max, m / 8.0 - half_delta - p_max
 
 
 def _scan_basepoints(T, points, delta, epsilon_margin):
@@ -290,20 +304,23 @@ def _scan_basepoints(T, points, delta, epsilon_margin):
     the first of largest margin, skipping points where a distance
     overflows, if the check passes there. The scan gets there with less
     work. It builds T's letters once, and it rejects a T whose letters
-    coincide before computing any distance. It drops a point once
-    m/8 - delta/2 - p_max, with p_max the largest Gromov product so far,
-    falls below ``epsilon_margin``. Further products only lower that
-    number, so a dropped point fails the test and has a smaller margin
-    than any point that passes it.
+    coincide before computing any distance. Each point is measured letter
+    by letter (``_margin``) against the floor max(epsilon_margin, best
+    margin so far): a point whose margin is below ``epsilon_margin`` fails
+    the test, and one at or below the best so far can no longer win, so
+    the point is dropped at the first displacement or Gromov product that
+    sinks it. A dropped point may thus skip a letter whose distance would
+    overflow; it is dropped either way.
     """
     backend = T.backend
-    letters, pairs, degenerate = _letters(T)
+    letters, earlier, degenerate = _letters(T)
     if degenerate:
         return None
     best = None  # (margin, m, point)
     for x in points:
+        floor = epsilon_margin if best is None else max(epsilon_margin, best[0])
         try:
-            m, _, margin = _margin(backend, letters, pairs, x, delta, epsilon_margin)
+            m, _, margin = _margin(backend, letters, earlier, x, delta, floor)
         except OverflowError:
             # entries of T grew past float range; drop the basepoint
             continue

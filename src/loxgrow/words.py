@@ -78,15 +78,18 @@ def make_generating_set(backend, inputs, symmetrize=True):
     return GeneratingSet(backend, elems)
 
 
-def spheres(identity, gens, compose, cap, key=None):
+def spheres(identity, gens, compose, cap, key=None, keyed=False):
     """Breadth-first spheres of the Cayley graph, one list per radius 1, 2, ...
 
     Elements are found in frontier order, then generator order, via
     ``compose(element, generator)``; ``key`` maps an element to its dedup
-    key (default: the element itself). Stops after an empty sphere (a
-    finite group). Once the visited set, identity included, passes ``cap``
-    it yields the partial sphere, ending with the element that passed the
-    cap, and stops; callers spot this as 1 + (elements yielded) > cap.
+    key (default: the element itself). With ``keyed`` each sphere comes as
+    a dict from key to element, in the same order, so a caller that
+    matches by key needs no key call of its own. Stops after an empty
+    sphere (a finite group). Once the visited set, identity included,
+    passes ``cap`` it yields the partial sphere, ending with the element
+    that passed the cap, and stops; callers spot this as
+    1 + (elements yielded) > cap.
 
     Composes that can only step back into the walked ball are skipped.
     Each element w of sphere n >= 1 remembers the generator g_j that found
@@ -116,6 +119,7 @@ def spheres(identity, gens, compose, cap, key=None):
     radius = 0
     while True:
         sphere, found = [], array(typecode)
+        keys = [] if keyed else None
         for w, j in zip(frontier, found_by):
             for h, g in follow[j]:
                 c = compose(w, g)
@@ -124,14 +128,16 @@ def spheres(identity, gens, compose, cap, key=None):
                     seen.add(k)
                     sphere.append(c)
                     found.append(h)
+                    if keyed:
+                        keys.append(k)
                     if len(seen) > cap:
-                        yield sphere
+                        yield dict(zip(keys, sphere)) if keyed else sphere
                         return
                 elif ball1 is not None and k in ball1:
                     skipped[j].add(h)
         if not sphere:
             return
-        yield sphere
+        yield dict(zip(keys, sphere)) if keyed else sphere
         radius += 1
         if radius == 1:
             ball1, skipped = set(seen), [set() for _ in gens]
@@ -205,15 +211,15 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
-    # a float sphere is keyed once, into the key -> canonical map that both
-    # matching and spelling use; an exact sphere is its own keys, stays a
-    # list and is matched by scanning it
+    # a float sphere comes from the walk as the key -> canonical map that
+    # both matching and spelling use, keyed once by the dedup itself; an
+    # exact sphere is its own keys, stays a list and is matched by scanning
     walked = [[ident] if key is None else {ident_key: ident}]
-    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key)
+    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key,
+                   keyed=key is not None)
     for radius, sphere in enumerate(islice(ball, horizon), 1):
-        layer = sphere if key is None else dict(zip(map(key, sphere), sphere))
-        walked.append(layer)
-        for target in [t for t in pending if t in layer]:
+        walked.append(sphere)
+        for target in [t for t in pending if t in sphere]:
             for i, _ in pending.pop(target):
                 out[i] = radius  # spelled after the walk
         visited += len(sphere)

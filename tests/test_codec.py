@@ -10,7 +10,7 @@ from loxgrow.freebasis import build_free_basis, certificate_to_json
 from loxgrow.spaces import _KINDS, basepoint_candidates, make_backend
 from loxgrow.words import DEFAULT_MEMORY_CAP, make_generating_set, product_ball_set
 
-from conftest import SANOV
+from conftest import PSL2Z_ELLIPTIC, SANOV
 
 SANOV_FLOAT = [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]]
 
@@ -68,7 +68,11 @@ def test_points_round_trip_through_json_text(case):
      "beac9aa11620761ab08a9d15b24f4e30bc3dca5e879356901262d910602b97f1"),
     ({"kind": "half_plane"}, SANOV, 50_000,
      "05507b3764770127516afe030b366a7649f017cb4e6f513ac9b3a2fab4e84bc1"),
-], ids=["f2", "c2c3", "sanov"])
+    ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
+     "1c045f676b32735b2ac02df5a750baaf05570b86ee987d4f1615152b210a2c77"),
+    ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000,
+     "bd2c96cb58274acae2e5320cfb13aaf296f74bb96d43d2640b0078478f01b912"),
+], ids=["f2", "c2c3", "sanov", "c3c3", "elliptic"])
 def test_certificate_bytes_are_pinned(config, gens, cap, digest):
     S = make_generating_set(make_backend(config), gens)
     text = certificate_to_json(build_free_basis(S, memory_cap=cap))

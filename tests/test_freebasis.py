@@ -964,12 +964,90 @@ def test_scan_rejects_coinciding_letters_before_any_distance(ft2, pt23, monkeypa
         monkeypatch.undo()
 
 
-# counts from the scan with its early drop; the per-basepoint loop with
-# symbol words took 27,972 dist and 1,147 reduce_symbol_word calls on
-# C3*C3 and 140,280 and 4,597 on the elliptic set
+_MARGIN_BACKENDS = {
+    **_RANDOM_BACKENDS,
+    "sanov": {"kind": "half_plane"},
+    "sanov-float": {"kind": "half_plane", "arithmetic": "float"},
+}
+
+
+def _random_T(backend, rng):
+    """2-4 random entries: short words over a, b on a tree; on the
+    half-plane, short Sanov products and, at times, a power (ab)^n large
+    enough that apply or dist overflows at some points."""
+    if not isinstance(backend, HalfPlane):
+        words = ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 4)))
+                 for _ in range(rng.randint(2, 4))]
+        return raw_set(backend, words)
+    gens = [backend.element(M if backend.exact else [[float(v) for v in row] for row in M])
+            for M in SANOV]
+    gens += [backend.invert(g) for g in gens]
+
+    def product(letters):
+        g = backend.identity()
+        for h in letters:
+            g = backend.compose(g, h)
+        return g
+
+    T = [product(rng.choices(gens, k=rng.randint(1, 5))) for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.5:
+        T[rng.randrange(len(T))] = product([gens[0], gens[1]] * rng.randint(150, 450))
+    return GeneratingSet(backend, T)
+
+
+@pytest.mark.parametrize("case", sorted(_MARGIN_BACKENDS))
+def test_margin_stops_early_only_below_the_floor(case):
+    # for every floor, _margin returns what the full walk (floor -inf)
+    # returns, bit for bit, when the full margin reaches the floor, and
+    # else a margin below it; it raises OverflowError only where the full
+    # walk does
+    backend = make_backend(_MARGIN_BACKENDS[case])
+    rng = random.Random(f"margin/{case}")
+    stopped = dodged = 0
+    for _ in range(24):
+        T = _random_T(backend, rng)
+        letters, earlier, _ = freebasis._letters(T)
+        points = basepoint_candidates(T) + backend.sample_points(rng, 6)
+        if isinstance(backend, HalfPlane):
+            # points near the real axis and far along it, where dist overflows
+            points += backend.sample_points(rng, 3, window=1e200, log_height=700.0)
+
+        for x in points:
+            def outcome(floor):
+                try:
+                    return freebasis._margin(backend, letters, earlier, x, backend.delta, floor)
+                except OverflowError:
+                    return None
+
+            full = outcome(-math.inf)
+            floors = [-math.inf, math.inf, 0.0] + [rng.uniform(-30.0, 5.0) for _ in range(4)]
+            if full is not None:
+                margin = full[2]
+                floors += [margin, math.nextafter(margin, -math.inf),
+                           math.nextafter(margin, math.inf), margin - 0.5, margin + 0.5]
+            for floor in floors:
+                got = outcome(floor)
+                if full is not None and full[2] >= floor:
+                    assert repr(got) == repr(full), (case, floor)
+                    continue
+                assert got is not None or full is None, (case, floor)
+                if got is not None:
+                    assert got[2] < floor, (case, floor, got, full)
+                    stopped += full is None or repr(got) != repr(full)
+                    dodged += full is None
+    assert stopped
+    assert dodged or not isinstance(backend, HalfPlane)
+
+
+# counts from the scan, which drops a basepoint at the first displacement
+# or Gromov product that sinks it below the best margin so far: 3,648 dist
+# and 2,841 apply calls on C3*C3, 7,019 and 4,913 on the elliptic set; the
+# per-basepoint loop with symbol words took 27,972 dist and 1,147
+# reduce_symbol_word calls on C3*C3 and 140,280 and 4,597 on the elliptic set
 _WORK_BOUNDS = {
-    "c3c3": (9_000, 250),
-    "elliptic": (23_000, 600),
+    # case: (dist, apply, reduce_symbol_word)
+    "c3c3": (4_000, 3_200, 250),
+    "elliptic": (8_000, 5_500, 600),
 }
 
 
@@ -978,21 +1056,28 @@ def test_build_free_basis_work_counts(case, monkeypatch):
     config, gens, cap = _CHECK_CASES[case]
     backend = make_backend(config)
     S = make_generating_set(backend, gens)
-    calls = {"dist": 0, "reduce": 0}
+    calls = {"dist": 0, "apply": 0, "reduce": 0}
     dist = type(backend).dist
+    apply = type(backend).apply
     reduce = loxgrow.spaces.base.reduce_symbol_word
 
     def counted_dist(self, x, y):
         calls["dist"] += 1
         return dist(self, x, y)
 
+    def counted_apply(self, g, x):
+        calls["apply"] += 1
+        return apply(self, g, x)
+
     def counted_reduce(parts):
         calls["reduce"] += 1
         return reduce(parts)
 
     monkeypatch.setattr(type(backend), "dist", counted_dist)
+    monkeypatch.setattr(type(backend), "apply", counted_apply)
     monkeypatch.setattr(loxgrow.spaces.base, "reduce_symbol_word", counted_reduce)
     build_free_basis(S, memory_cap=cap)
-    max_dist, max_reduce = _WORK_BOUNDS[case]
+    max_dist, max_apply, max_reduce = _WORK_BOUNDS[case]
     assert 0 < calls["dist"] <= max_dist
+    assert 0 < calls["apply"] <= max_apply
     assert 0 < calls["reduce"] <= max_reduce

@@ -293,8 +293,8 @@ def test_kappa_walks_the_spheres_ball_sizes_counts(name, monkeypatch):
     table = ball_sizes(S, radii)
     sizes = []
 
-    def recorded(*args):
-        for sphere in spheres(*args):
+    def recorded(*args, **kwargs):
+        for sphere in spheres(*args, **kwargs):
             sizes.append(len(sphere))
             yield sphere
 
@@ -313,3 +313,32 @@ def test_kappa_walks_the_spheres_ball_sizes_counts(name, monkeypatch):
         spelled = backend.compose(spelled, by_symbol[sym])
     key = backend._growth_key
     assert key(spelled.canonical) == key(near.canonical) and len(near_word) <= 3
+
+
+def test_kappa_walk_keys_each_float_element_once(monkeypatch):
+    # one _growth_key call per composed element, walked or spelled, one for
+    # the walk's identity, and one for each target and the identity they
+    # are matched against: the walk matches and spells by the keys its
+    # dedup computed
+    backend, inputs = SETS["float sanov"]
+    S = make_generating_set(backend, inputs)
+    e = math.e
+    targets = [(backend.element([[e, 0.0], [0.0, 1 / e]]), 6),
+               (backend.compose(backend.compose(S[0], S[1]), S[0]), 6)]
+    calls = {"key": 0, "compose": 0}
+    key, compose = backend._growth_key, backend._compose
+
+    def counted_key(canonical):
+        calls["key"] += 1
+        return key(canonical)
+
+    def counted_compose(a, b):
+        calls["compose"] += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(backend, "_growth_key", counted_key)
+    monkeypatch.setattr(backend, "_compose", counted_compose)
+    far_word, near_word = word_length_in_S(S, targets)
+    assert far_word is None and len(near_word) == 3
+    assert calls["compose"] > 100
+    assert calls["key"] <= calls["compose"] + 1 + len(targets) + 1

@@ -303,6 +303,10 @@ def test_spheres_order_and_cap():
     assert list(spheres(0, [1, 5], compose, 4)) == [[1, 5], [2, 4]]
     assert list(spheres(0, [1, 5], compose, 3)) == [[1, 5], [2]]
     assert list(spheres(0, [1, 5], compose, 2, key=lambda w: w % 3)) == [[1, 5]]
+    # keyed: the same spheres as key -> element maps, in order, capped alike
+    for cap, want in ((100, [[1, 5], [2, 4], [3]]), (3, [[1, 5], [2]])):
+        got = spheres(0, [1, 5], compose, cap, key=lambda w: -w, keyed=True)
+        assert [list(s.items()) for s in got] == [[(-w, w) for w in s] for s in want]
 
 
 def test_word_length_symmetric_in_inverse(ft2, S_f2):
