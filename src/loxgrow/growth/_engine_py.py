@@ -5,7 +5,11 @@ bytes, integer matrices as 4-tuples, and a generic counter on canonical
 forms for backends without an encoding. Each keeps its own compose
 function; every count comes from the one breadth-first search,
 ``words.spheres``, which skips the composes that step back into the ball
-it has walked.
+it has walked. It walks a sphere one generator at a time and hands the
+compose whole slices of the sphere below, through ``map``; a slice whose
+products are all new joins the next sphere by set algebra, with no Python
+step per element. So the counters' own per-element cost is the compose,
+and the key on the generic path.
 
 The byte composes first try the common case: when w is empty or the
 letters at the junction cannot cancel (free words: w's last letter is not
@@ -13,7 +17,8 @@ the inverse of g's first; product words: w's last syllable and g's first
 lie in different factors), the product is w + g, one concatenation. Only
 otherwise do they cancel or merge letter by letter.
 
-The generic counter runs on the float half-plane: it composes with
+The generic counter runs on the float half-plane, whose tables
+``ball_sizes`` marks heuristic: it composes with
 ``HalfPlane._compose_float``, which normalises the sign inline, and dedups
 by ``HalfPlane._growth_key``, which rounds only entries with more than 9
 binary fractional digits. On integer-valued float sets it then costs

@@ -20,7 +20,9 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP) -> GrowthT
 
     Stops at the last completed radius with ``truncated=True`` once the
     number of distinct elements passes ``memory_cap``. The table's engine
-    is "python" for the byte and matrix encodings, "generic" otherwise.
+    is "python" for the byte and matrix encodings, "generic" otherwise; it
+    is ``heuristic`` when the backend's canonicals are inexact (the float
+    half-plane), whose elements are merged by ``_growth_key``.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -38,7 +40,8 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP) -> GrowthT
             n_max,
             cap,
         )
-        return GrowthTable(counts, truncated=truncated, engine="generic")
+        return GrowthTable(counts, truncated=truncated, engine="generic",
+                           heuristic=not backend.exact_words)
 
     kind = enc[0]
     if kind == "free_words":

@@ -8,14 +8,16 @@ expression bounds the word length d_S from above when exact search is out of
 reach.
 """
 
-from array import array
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter
 
 from .errors import BudgetExceeded, ConfigError, EmptyAfterReduction, NotSymmetric
 from .spaces.base import GroupElement, word_str
 
 DEFAULT_MEMORY_CAP = 2_000_000
+# spheres: the longest batch, and the shortest chunk worth batching
+_CHUNK = 4096
+_SMALL = 32
 
 
 class GeneratingSet:
@@ -81,70 +83,107 @@ def make_generating_set(backend, inputs, symmetrize=True):
 def spheres(identity, gens, compose, cap, key=None, keyed=False):
     """Breadth-first spheres of the Cayley graph, one list per radius 1, 2, ...
 
-    Elements are found in frontier order, then generator order, via
-    ``compose(element, generator)``; ``key`` maps an element to its dedup
-    key (default: the element itself). With ``keyed`` each sphere comes as
-    a dict from key to element, in the same order, so a caller that
-    matches by key needs no key call of its own. Stops after an empty
-    sphere (a finite group). Once the visited set, identity included,
-    passes ``cap`` it yields the partial sphere, ending with the element
-    that passed the cap, and stops; callers spot this as
-    1 + (elements yielded) > cap.
+    Each sphere is walked one generator at a time: its elements come in
+    generator order, then frontier order, each found as
+    ``compose(element, generator)``. That is reverse shortlex: an element
+    sits where its least geodesic word over ``gens``, read right to left
+    as generator indices, sorts. ``key`` maps an element to its dedup key
+    (default: the element itself). With ``keyed`` each sphere comes as a
+    dict from key to element, in the same order, so a caller that matches
+    by key needs no key call of its own. Stops after an empty sphere (a
+    finite group). Once the visited set, identity included, passes ``cap``
+    it yields the partial sphere, ending with the element that passed the
+    cap, and stops; callers spot this as 1 + (elements yielded) > cap.
 
     Composes that can only step back into the walked ball are skipped.
     Each element w of sphere n >= 1 remembers the generator g_j that found
-    it, w = p g_j with p in sphere n - 1. If g_j h lies in the radius-1
-    ball {1} u gens, then w h = p (g_j h) lies in the radius-n ball, which
-    is all visited before sphere n is expanded, so ``compose(w, h)`` could
-    only give a duplicate. Which h these are for each g_j is read off the
-    expansion of sphere 1, which composes every g_j h anyway, so a walk of
-    two spheres composes no more than before. The skip is exact when
-    ``key`` respects compose: keys of (p g_j) h and p (g_j h) agree, and
-    equal keys stay equal when composed on the left. Every sphere, its
-    order and the cap are then as if every element met every generator.
-    Float canonicals meet this only up to roundoff: a skipped compose is,
-    in exact arithmetic, an element already seen, so with raw float
-    canonicals as keys the walk drops roundoff copies of walked elements
-    that a full walk would have counted as new (``_growth_key`` rounds
-    them together either way).
+    it, w = p g_j with p in sphere n - 1, by lying in the slice of its
+    sphere that g_j found. If g_j h lies in the radius-1 ball {1} u gens,
+    then w h = p (g_j h) lies in the radius-n ball, which is all visited
+    before sphere n is expanded, so ``compose(w, h)`` could only give a
+    duplicate, and h does not step from g_j's slice. Which h these are for
+    each g_j is read off the expansion of sphere 1, which composes every
+    g_j h anyway, so a walk of two spheres composes no more than before.
+    The skip is exact when ``key`` respects compose: keys of (p g_j) h and
+    p (g_j h) agree, and equal keys stay equal when composed on the left.
+    Every sphere, its order and the cap are then as if every element met
+    every generator. Float canonicals meet this only up to roundoff: a
+    skipped compose is, in exact arithmetic, an element already seen, so
+    with raw float canonicals as keys the walk drops roundoff copies of
+    walked elements that a full walk would have counted as new
+    (``_growth_key`` rounds them together either way).
+
+    A slice is stepped from in chunks of at most ``_CHUNK`` elements, and
+    a chunk that cannot pass the cap, even if all its products are new,
+    is composed and keyed as one batch. When the batch's keys are distinct
+    and none was seen, the element loop would add every one of them, in
+    order, so the batch joins the sphere whole; otherwise the element loop
+    runs over the pairs already composed. The element loop composes
+    lazily on chunks shorter than ``_SMALL``, on chunks that could pass
+    the cap, and on the expansion of sphere 1, which records the skips. So
+    no compose happens past the cap, and every sphere is the element
+    loop's, element for element.
     """
     seen = {identity if key is None else key(identity)}
-    every = list(enumerate(gens))
-    # generators each element steps by, per the index of the generator that
-    # found it; the identity's index is len(gens) and it steps by all
-    follow = [every] * (len(gens) + 1)
-    typecode = "B" if len(gens) < 256 else "I"
-    frontier, found_by = [identity], array(typecode, [len(gens)])
+    # frontier[lo:hi] for (lo, hi) = bounds[j] is what gens[j] found, and
+    # sources[h] lists the slices gens[h] steps from; the identity is slice 0
+    frontier, bounds = [identity], [(0, 1)]
+    sources = [[0]] * len(gens)
     ball1 = None  # the radius-1 keys, while sphere 1 is expanded
     radius = 0
     while True:
-        sphere, found = [], array(typecode)
+        sphere, found = [], []
         keys = [] if keyed else None
-        for w, j in zip(frontier, found_by):
-            for h, g in follow[j]:
-                c = compose(w, g)
-                k = c if key is None else key(c)
-                if k not in seen:
-                    seen.add(k)
-                    sphere.append(c)
-                    found.append(h)
-                    if keyed:
-                        keys.append(k)
-                    if len(seen) > cap:
-                        yield dict(zip(keys, sphere)) if keyed else sphere
-                        return
-                elif ball1 is not None and k in ball1:
-                    skipped[j].add(h)
+        for h, g in enumerate(gens):
+            start = len(sphere)
+            for j in sources[h]:
+                lo, hi = bounds[j]
+                while lo < hi:
+                    chunk = frontier[lo:min(hi, lo + _CHUNK)]
+                    lo += len(chunk)
+                    if len(chunk) >= _SMALL and ball1 is None and len(seen) + len(chunk) <= cap:
+                        cs = list(map(compose, chunk, repeat(g)))
+                        ks = cs if key is None else list(map(key, cs))
+                        fresh = set(ks)
+                        if len(fresh) == len(ks) and fresh.isdisjoint(seen):
+                            seen |= fresh
+                            sphere += cs
+                            if keyed:
+                                keys += ks
+                            continue
+                        for c, k in zip(cs, ks):
+                            if k not in seen:
+                                seen.add(k)
+                                sphere.append(c)
+                                if keyed:
+                                    keys.append(k)
+                        continue
+                    for w in chunk:
+                        c = compose(w, g)
+                        k = c if key is None else key(c)
+                        if k not in seen:
+                            seen.add(k)
+                            sphere.append(c)
+                            if keyed:
+                                keys.append(k)
+                            if len(seen) > cap:
+                                yield dict(zip(keys, sphere)) if keyed else sphere
+                                return
+                        elif ball1 is not None and k in ball1:
+                            skipped[j].add(h)
+            found.append((start, len(sphere)))
         if not sphere:
             return
         yield dict(zip(keys, sphere)) if keyed else sphere
         radius += 1
         if radius == 1:
             ball1, skipped = set(seen), [set() for _ in gens]
+            sources = [range(len(gens))] * len(gens)
         elif radius == 2:
-            follow = [[(h, g) for h, g in every if h not in skip] for skip in skipped]
+            sources = [[j for j, skip in enumerate(skipped) if h not in skip]
+                       for h in range(len(gens))]
             ball1 = None
-        frontier, found_by = sphere, found
+        frontier, bounds = sphere, found
 
 
 def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
@@ -173,7 +212,11 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     entry, as make_generating_set builds S); None when d_S(1, g) exceeds
     ``cap``; or a BudgetExceeded (returned, not raised) when the visited
     set outgrew ``memory_cap`` by radius ``cap`` without meeting g; its
-    ``completed`` is the last full radius. Each outcome is what a walk for
+    ``completed`` is the last full radius. At the radius where the walk
+    passes ``memory_cap`` its sphere is partial: ``spheres`` lists it in
+    reverse shortlex order and ends it at the element that passed the cap,
+    so a target of that radius is found exactly when it comes no later
+    than that element in this order. Each outcome is what a walk for
     that target alone would give: a target is checked against every sphere
     up to its own cap, before that sphere's budget check, and leaves the
     walk once found or past its cap. The identity and targets that

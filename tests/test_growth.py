@@ -1,6 +1,8 @@
 """Ball counting, growth brackets, theta ratios."""
 
 import math
+import os
+import sys
 
 import pytest
 
@@ -13,10 +15,15 @@ from loxgrow.growth import (
     growth_brackets,
     theta_ratio,
 )
+from loxgrow.growth.table import HEURISTIC_NOTE
 from loxgrow.spaces import FreeGroupTree, HalfPlane, half_plane
 from loxgrow.words import make_generating_set, product_ball_set
 
 from conftest import SANOV
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+from gate import read_csv_balls  # noqa: E402
 
 PSL_TREE_BALLS = [1, 4, 8, 14, 22, 34, 50, 74, 106]
 
@@ -133,6 +140,21 @@ def test_csv_format(S_f2):
     assert lines[3] == f"1,5,4,{format(math.log(5), '.9g')},{format(math.log(5), '.9g')}"
     assert table.to_csv().endswith("\n")
     assert len(lines) == 6
+
+
+def test_float_csv_carries_the_heuristic_note():
+    # the float half-plane merges matrices by rounding, so its table says so
+    # in one comment line after the version; the rows and every exact CSV
+    # stay as they were, and the benchmark gate's reader skips the note
+    exact = ball_sizes(make_generating_set(HalfPlane(), SANOV), 4)
+    floated = ball_sizes(make_generating_set(HalfPlane(arithmetic="float"), SANOV), 4)
+    assert not exact.heuristic and floated.heuristic
+    assert not ball_sizes(make_generating_set(FreeGroupTree(2), ["a", "b"]), 2).heuristic
+    lines = floated.to_csv().splitlines()
+    assert lines[:2] == [f"# loxgrow {__version__}", HEURISTIC_NOTE]
+    assert HEURISTIC_NOTE.startswith("# ") and "9 decimals" in HEURISTIC_NOTE
+    assert [lines[0]] + lines[2:] == exact.to_csv().splitlines()
+    assert read_csv_balls(floated.to_csv()) == floated.balls == exact.balls
 
 
 def test_growth_brackets_and_fit(S_f2):

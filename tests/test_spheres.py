@@ -22,14 +22,14 @@ RADII = 8
 
 
 def reference_spheres(identity, gens, compose, cap, key=None):
-    """``spheres`` as it was before it skipped composes: every element of a
-    sphere is composed with every generator."""
+    """``spheres`` without its skips and batches: every generator, in order,
+    is composed with every element of a sphere, one at a time."""
     seen = {identity if key is None else key(identity)}
     frontier = [identity]
     while True:
         sphere = []
-        for w in frontier:
-            for g in gens:
+        for g in gens:
+            for w in frontier:
                 c = compose(w, g)
                 k = c if key is None else key(c)
                 if k not in seen:
@@ -342,3 +342,120 @@ def test_kappa_walk_keys_each_float_element_once(monkeypatch):
     assert far_word is None and len(near_word) == 3
     assert calls["compose"] > 100
     assert calls["key"] <= calls["compose"] + 1 + len(targets) + 1
+
+
+def _add(w, g):
+    return tuple(a + b for a, b in zip(w, g))
+
+
+def _walked(name):
+    """(identity, gens, compose, key) of a set of ``SETS`` or of a few more:
+    Z^2 with its unit steps and the elliptic set after one escalation round."""
+    if name == "z2":
+        return (0, 0), [(1, 0), (0, 1), (-1, 0), (0, -1)], _add, None
+    if name == "elliptic squared":
+        return _encoded(product_ball_set(make_generating_set(HP, PSL2Z_ELLIPTIC), 2))
+    if name == "f2 {x,y,Xy}":
+        return _encoded(make_generating_set(F2, ["x", "y", "Xy"]))
+    return _encoded(make_generating_set(*SETS[name]))
+
+
+@pytest.mark.parametrize("name, radius", [("f2 {x,y}", 8), ("f2 {x,y,Xy}", 6), ("c2c3 {a,b}", 9),
+                                          ("z2", 8), ("sanov", 7)])
+def test_spheres_list_elements_in_reverse_shortlex_order(name, radius):
+    # every word over the generators up to the radius, by brute force: an
+    # element's place in its sphere is that of its least geodesic word,
+    # comparing words right to left as generator indices
+    ident, gens, compose, key = _walked(name)
+    assert key is None
+    least = {ident: ()}  # element -> its least geodesic word, reversed
+    level = [((), ident)]  # every word of one length, reversed, and its element
+    for _ in range(radius):
+        level = [((h,) + rev, compose(w, g)) for rev, w in level for h, g in enumerate(gens)]
+        new = {}
+        for rev, c in level:
+            if c not in least and (c not in new or rev < new[c]):
+                new[c] = rev
+        least.update(new)
+    got = list(islice(spheres(ident, gens, compose, 10**7), radius))
+    by_radius = [[] for _ in range(radius)]
+    for c, rev in least.items():
+        if rev:
+            by_radius[len(rev) - 1].append(c)
+    assert got == [sorted(cs, key=least.__getitem__) for cs in by_radius]
+
+
+def _cap_edges(sizes, chunk):
+    """Caps that end a walk inside the last sphere of ``sizes``: inside and
+    at the edges of its first chunks, and one short of the whole sphere."""
+    base = 1 + sum(sizes[:-1])
+    cuts = {1, words._SMALL - 1, words._SMALL, chunk - 1, chunk, chunk + 1, 2 * chunk,
+            2 * chunk + 7, sizes[-1] - 1}
+    return sorted(base + c for c in cuts if 0 < c < sizes[-1])
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_batches_match_the_reference_at_caps_and_chunk_edges(chunk, monkeypatch):
+    # F2 at radius 10: each generator's slices of sphere 9 are 4,921
+    # elements long, more than one chunk of the default size; a cap on a
+    # chunk's edge ends a batch, one past it starts the element loop
+    if chunk is not None:
+        monkeypatch.setattr(words, "_CHUNK", chunk)
+    chunk = words._CHUNK
+    ident, gens, compose, key = _walked("f2 {x,y}")
+    radius = 10 if chunk > 100 else 7
+    full = list(islice(reference_spheres(ident, gens, compose, 10**7), radius))
+    assert list(islice(spheres(ident, gens, compose, 10**7), radius)) == full
+    for cap in _cap_edges([len(s) for s in full], chunk):
+        got = list(spheres(ident, gens, compose, cap))
+        assert got == list(reference_spheres(ident, gens, compose, cap)), cap
+        assert len(got) == radius and 1 + sum(map(len, got)) == cap + 1
+
+
+@pytest.mark.parametrize("name, radius", [("c2c7 {a,b}", 15), ("elliptic squared", 9),
+                                          ("z2", 60)])
+def test_batches_that_meet_the_walked_ball_match_the_reference(name, radius, monkeypatch):
+    # relations make whole batches land partly on seen elements, and those
+    # fall back to the element loop over the pairs they composed
+    ident, gens, compose, key = _walked(name)
+    full = list(islice(reference_spheres(ident, gens, compose, 10**7), radius))
+    met = []
+    isdisjoint = set.isdisjoint
+
+    class Watched(set):
+        def isdisjoint(self, other):
+            met.append(not isdisjoint(self, other))
+            return not met[-1]
+
+    # the batch's key set is built by the module's name ``set``
+    monkeypatch.setattr(words, "set", Watched, raising=False)
+    assert list(islice(spheres(ident, gens, compose, 10**7), radius)) == full
+    assert any(met) and not all(met)
+    monkeypatch.undo()
+    for cap in _cap_edges([len(s) for s in full], words._CHUNK):
+        got = list(spheres(ident, gens, compose, cap))
+        assert got == list(reference_spheres(ident, gens, compose, cap)), cap
+
+
+@pytest.mark.parametrize("small", [1, 2, 3])
+def test_batches_with_repeated_products_match_the_reference(small, monkeypatch):
+    # a group never maps two elements of one batch to one key, but a monoid
+    # can: sums that saturate at a bound repeat within a batch while none
+    # of them was seen, and the element loop then adds only the first
+    monkeypatch.setattr(words, "_SMALL", small)
+    for bound, gens in [(7, [3, 1, 2]), (8, [1, 3, 2]), (9, [3, 1, 4]), (20, [1, 2, 3])]:
+        _same_spheres(0, gens, lambda w, g: min(w + g, bound), radii=12)
+
+
+def test_keyed_float_batches_match_the_reference():
+    # a non-integer float set rounds every key; keyed spheres are the key ->
+    # element maps of the plain ones, in the reference's order
+    ident, gens, compose, key = _walked("float sanov, non-integer")
+    radius = 7
+    full = list(islice(reference_spheres(ident, gens, compose, 10**7, key), radius))
+    for cap in (10**7, *_cap_edges([len(s) for s in full], words._CHUNK)):
+        want = list(islice(reference_spheres(ident, gens, compose, cap, key), radius))
+        assert list(islice(spheres(ident, gens, compose, cap, key), radius)) == want, cap
+        keyed = list(islice(spheres(ident, gens, compose, cap, key, keyed=True), radius))
+        assert keyed == [dict(zip(map(key, sphere), sphere)) for sphere in want]
+        assert [list(sphere.values()) for sphere in keyed] == want

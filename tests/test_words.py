@@ -182,6 +182,18 @@ def test_multi_target_bust_at_the_cap_radius(ft2):
     assert _agrees_with_one_target_searches(S, targets, memory_cap=17)[2:4] == [None, None]
 
 
+def test_multi_target_cap_inside_the_last_sphere(ft2):
+    # S sorts as y, Y, xx, XX, and sphere 2 lists words by last letter, then
+    # by the sphere below: yy, xxy, XXy, YY, xxY, XXY, yxx, Yxx, xxxx, ...
+    # At memory_cap 10 the visited set passes the cap at XXY, the sixth:
+    # XXY is found, and yxx, one later, busts with radius 1 completed
+    S = make_generating_set(ft2, ["xx", "y"])
+    e = ft2.element
+    targets = [(e("XXY"), 3), (e("yxx"), 3), (e("yy"), 2)]
+    assert _agrees_with_one_target_searches(S, targets, memory_cap=10) == [2, ("budget", 1), 2]
+    assert _agrees_with_one_target_searches(S, targets, memory_cap=11) == [2, 2, 2]
+
+
 def test_multi_target_duplicates(ft2):
     S = make_generating_set(ft2, ["xx", "y"])
     g = ft2.element("xxyy")
