@@ -161,6 +161,7 @@ def cmd_verify_bound(args) -> int:
         "log_card_S": rep.log_card_S,
         "theta_hat": rep.theta_hat,
         "escalation_rounds": rep.escalation_rounds,
+        "heuristic": rep.table.heuristic,
         "elementary": rep.elementary,
         "elementary_reason": rep.elementary_reason,
         "certificate": certificate_payload(rep.cert) if rep.cert is not None else None,

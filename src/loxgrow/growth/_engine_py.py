@@ -15,7 +15,12 @@ The byte composes first try the common case: when w is empty or the
 letters at the junction cannot cancel (free words: w's last letter is not
 the inverse of g's first; product words: w's last syllable and g's first
 lie in different factors), the product is w + g, one concatenation. Only
-otherwise do they cancel or merge letter by letter.
+otherwise do they cancel or merge letter by letter. Their batches run the
+same junction test once for a whole chunk: they gather every last byte
+into one bytes object, and when none of them can meet g's first byte (no
+inverse letter; no byte in g's factor, checked by the least or greatest
+byte against 64), the chunk is concatenated with g by ``map``, with no
+Python step per element. Any other chunk is composed element by element.
 
 The generic counter runs on the float half-plane, whose tables
 ``ball_sizes`` marks heuristic: it composes with
@@ -25,14 +30,17 @@ binary fractional digits. On integer-valued float sets it then costs
 about what the integer-matrix counter does.
 """
 
+from itertools import repeat
+from operator import add, itemgetter
 from typing import Callable, List, Tuple
 
 from ..words import spheres
 
 _MAT_ID = (1, 0, 0, 1)
+_last = itemgetter(-1)
 
 
-def _ball_counts(identity, gens, compose, n_max, cap, key=None):
+def _ball_counts(identity, gens, compose, n_max, cap, key=None, batch=None):
     """Ball counts for radii 0..n_max from the identity, as (counts, truncated).
 
     On truncation the counts stop at the last fully explored radius. A
@@ -40,7 +48,8 @@ def _ball_counts(identity, gens, compose, n_max, cap, key=None):
     group); the constant tail is filled in.
     """
     counts = [1]
-    for _, sphere in zip(range(n_max), spheres(identity, gens, compose, cap, key)):
+    walk = spheres(identity, gens, compose, cap, key, batch=batch)
+    for _, sphere in zip(range(n_max), walk):
         counts.append(counts[-1] + len(sphere))
         if counts[-1] > cap:
             return counts[:-1], True
@@ -58,8 +67,14 @@ def _free_compose(w: bytes, g: bytes) -> bytes:
     return w[: len(w) - cut] + g[cut:]
 
 
+def _free_batch(chunk: List[bytes], g: bytes) -> List[bytes]:
+    if g[0] ^ 1 in bytes(map(_last, chunk)):
+        return list(map(_free_compose, chunk, repeat(g)))
+    return list(map(add, chunk, repeat(g)))
+
+
 def free_ball_counts(gens: List[bytes], n_max: int, cap: int) -> Tuple[List[int], bool]:
-    return _ball_counts(b"", gens, _free_compose, n_max, cap)
+    return _ball_counts(b"", gens, _free_compose, n_max, cap, batch=_free_batch)
 
 
 def _product_compose_fn(p: int, q: int) -> Callable[[bytes, bytes], bytes]:
@@ -83,10 +98,22 @@ def _product_compose_fn(p: int, q: int) -> Callable[[bytes, bytes], bytes]:
     return compose
 
 
+def _product_batch_fn(compose: Callable[[bytes, bytes], bytes]):
+    def batch(chunk: List[bytes], g: bytes) -> List[bytes]:
+        # factor a's syllables are the bytes below 64, factor b's the rest
+        lasts = bytes(map(_last, chunk))
+        if (min(lasts) >= 64) if g[0] < 64 else (max(lasts) < 64):
+            return list(map(add, chunk, repeat(g)))
+        return list(map(compose, chunk, repeat(g)))
+
+    return batch
+
+
 def product_ball_counts(
     gens: List[bytes], p: int, q: int, n_max: int, cap: int
 ) -> Tuple[List[int], bool]:
-    return _ball_counts(b"", gens, _product_compose_fn(p, q), n_max, cap)
+    compose = _product_compose_fn(p, q)
+    return _ball_counts(b"", gens, compose, n_max, cap, batch=_product_batch_fn(compose))
 
 
 def _mat_compose(w, g):

@@ -80,7 +80,7 @@ def make_generating_set(backend, inputs, symmetrize=True):
     return GeneratingSet(backend, elems)
 
 
-def spheres(identity, gens, compose, cap, key=None, keyed=False):
+def spheres(identity, gens, compose, cap, key=None, keyed=False, batch=None):
     """Breadth-first spheres of the Cayley graph, one list per radius 1, 2, ...
 
     Each sphere is walked one generator at a time: its elements come in
@@ -120,10 +120,20 @@ def spheres(identity, gens, compose, cap, key=None, keyed=False):
     order, so the batch joins the sphere whole; otherwise the element loop
     runs over the pairs already composed. The element loop composes
     lazily on chunks shorter than ``_SMALL``, on chunks that could pass
-    the cap, and on the expansion of sphere 1, which records the skips. So
-    no compose happens past the cap, and every sphere is the element
-    loop's, element for element.
+    the cap, and on the expansion of spheres 0 and 1 (sphere 1's records
+    the skips). So no compose happens past the cap, and every sphere is
+    the element loop's, element for element.
+
+    ``batch(chunk, g)`` composes such a chunk. It must return exactly
+    ``[compose(w, g) for w in chunk]``, element for element, and it is
+    called only on chunks that cannot pass the cap, which never hold the
+    identity. The default maps ``compose`` over the chunk; a caller that
+    can compose a whole chunk at once passes its own.
     """
+    if batch is None:
+        def batch(chunk, g):
+            return list(map(compose, chunk, repeat(g)))
+
     seen = {identity if key is None else key(identity)}
     # frontier[lo:hi] for (lo, hi) = bounds[j] is what gens[j] found, and
     # sources[h] lists the slices gens[h] steps from; the identity is slice 0
@@ -141,8 +151,8 @@ def spheres(identity, gens, compose, cap, key=None, keyed=False):
                 while lo < hi:
                     chunk = frontier[lo:min(hi, lo + _CHUNK)]
                     lo += len(chunk)
-                    if len(chunk) >= _SMALL and ball1 is None and len(seen) + len(chunk) <= cap:
-                        cs = list(map(compose, chunk, repeat(g)))
+                    if len(chunk) >= _SMALL and radius > 1 and len(seen) + len(chunk) <= cap:
+                        cs = batch(chunk, g)
                         ks = cs if key is None else list(map(key, cs))
                         fresh = set(ks)
                         if len(fresh) == len(ks) and fresh.isdisjoint(seen):

@@ -8,6 +8,7 @@ import pytest
 from loxgrow import __version__
 from loxgrow.cli import main
 from loxgrow.freebasis import backend_hash
+from loxgrow.growth.table import HEURISTIC_NOTE
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
 
@@ -637,6 +638,7 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
     assert _reprs([out["omega_lower"], out["omega_hat"], out["omega_upper"],
                    out["theta_hat"]]) == [
         "0.0", "1.0990697452177152", "1.1976006502018457", "0.7928112355083471"]
+    assert out["heuristic"] is True
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert), encoding="utf-8")
     assert main(["check-cert", str(path)]) == 0
@@ -651,3 +653,22 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
         "valid": "True",
         "version": repr(__version__),
     }
+
+
+@pytest.mark.filterwarnings("ignore::loxgrow.errors.HeuristicOnly")
+@pytest.mark.parametrize("arithmetic, heuristic", [("float", True), ("exact_integer", False)])
+def test_verify_bound_says_whether_its_counts_are_heuristic(write_config, capsys,
+                                                            arithmetic, heuristic):
+    # the summary's flag is the growth table's: float counts merge matrices
+    # by rounding, as the float growth CSV's comment line says; the
+    # certificate inside is what free-basis writes
+    cfg = write_config("sanov.json", dict(_SANOV_FLOAT, backend={
+        "kind": "half_plane", "arithmetic": arithmetic}))
+    capsys.readouterr()
+    assert main(["verify-bound", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["heuristic"] is heuristic
+    assert main(["growth", cfg]) == 0
+    assert (HEURISTIC_NOTE in capsys.readouterr().out) is heuristic
+    assert main(["free-basis", cfg]) == 0
+    assert json.loads(capsys.readouterr().out) == out["certificate"]

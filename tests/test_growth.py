@@ -2,7 +2,9 @@
 
 import math
 import os
+import random
 import sys
+from itertools import accumulate
 
 import pytest
 
@@ -16,7 +18,7 @@ from loxgrow.growth import (
     theta_ratio,
 )
 from loxgrow.growth.table import HEURISTIC_NOTE
-from loxgrow.spaces import FreeGroupTree, HalfPlane, half_plane
+from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane, half_plane
 from loxgrow.words import make_generating_set, product_ball_set
 
 from conftest import SANOV
@@ -111,6 +113,80 @@ def test_truncation_consistent_across_engines(S_f2, S_sanov, hpf):
         assert exact.truncated == (cap < f2_closed_form(8))
         assert exact.balls == [f2_closed_form(n) for n in range(len(exact.balls))]
         assert exact.balls[-1] <= cap
+
+
+def _cyclic_sphere_sizes(steps, order, radius):
+    """Sphere sizes 0..radius of the cyclic group of ``order`` (None: Z)
+    with the symmetric steps +-e for e in ``steps``, by breadth-first search."""
+    seen, frontier, sizes = {0}, [0], [1]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for e in steps:
+                for y in (x + e, x - e):
+                    y = y if order is None else y % order
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        sizes.append(len(nxt))
+        frontier = nxt
+    return sizes
+
+
+def _mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _free_product_spheres(wa, wb):
+    """Sphere sizes of A * B over S_A u S_B from those of the factors, as
+    far as both go: W = W_A W_B / (W_A + W_B - W_A W_B), whose denominator
+    has constant term 1, so the quotient stays in the integers."""
+    num = _mul(wa, wb)
+    den = [x + y - z for x, y, z in zip(wa, wb, num)]
+    out = []
+    for k in range(len(num)):
+        out.append(num[k] - sum(den[i] * out[k - i] for i in range(1, k + 1)))
+    return out
+
+
+def _product_oracle_case(rng):
+    """(backend, generator words, sphere sizes of A and B to radius 60)
+    for a random free product of two cyclic groups, C_p or Z, each
+    generated by some powers of its letter in random order and sign."""
+    def factor(letter, order):
+        top = 4 if order is None else order - 1
+        exps = rng.sample(range(1, top + 1), rng.randint(1, min(3, top)))
+        words = [(letter if rng.random() < 0.5 else letter.upper()) * e for e in exps]
+        return words, _cyclic_sphere_sizes(exps, order, 60)
+
+    if rng.random() < 0.25:
+        backend, orders = FreeGroupTree(2, letters="xy"), (None, None)
+        letters = "xy"
+    else:
+        orders = rng.choice([(p, q) for p in range(2, 10) for q in range(2, 10)
+                             if (p, q) != (2, 2)])
+        backend, letters = FreeProductTree(orders), "ab"
+    words_a, wa = factor(letters[0], orders[0])
+    words_b, wb = factor(letters[1], orders[1])
+    words = words_a + words_b
+    rng.shuffle(words)
+    return backend, words, wa, wb
+
+
+def test_free_product_balls_match_the_growth_series():
+    # the growth series of a free product is a rational function of the
+    # factors' series; Z's is (1 + z) / (1 - z), so F2 = Z * Z over {x, y}
+    # is 2 3^n - 1 in balls, and the other sets take powers of one letter
+    z = [1] + [2] * 60
+    assert _cyclic_sphere_sizes([1], None, 60) == z
+    cases = [(FreeGroupTree(2, letters="xy"), ["x", "y"], z, z)]
+    rng = random.Random(2021)
+    cases += [_product_oracle_case(rng) for _ in range(40)]
+    for backend, words, wa, wb in cases:
+        balls = list(accumulate(_free_product_spheres(wa, wb)))
+        n = max(k for k, ball in enumerate(balls) if ball <= 50_000)
+        S = make_generating_set(backend, words)
+        assert ball_sizes(S, n).balls == balls[: n + 1], (backend.config(), words)
 
 
 def test_submultiplicative_and_step_bound(S_pt, S_sanov):

@@ -44,26 +44,28 @@ def reference_spheres(identity, gens, compose, cap, key=None):
         frontier = sphere
 
 
-def _same_spheres(identity, gens, compose, key=None, caps=CAPS, radii=RADII):
+def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radii=RADII):
     for cap in caps:
-        got = list(islice(spheres(identity, gens, compose, cap, key), radii))
+        got = list(islice(spheres(identity, gens, compose, cap, key, batch=batch), radii))
         want = list(islice(reference_spheres(identity, gens, compose, cap, key), radii))
         assert got == want, cap
 
 
 def _encoded(S):
-    """(identity, gens, compose, key) of S as ball_sizes walks it."""
+    """(identity, gens, compose, key, batch) of S as ball_sizes walks it;
+    batch is None where the walk maps compose over a chunk."""
     backend = S.backend
     enc = backend.growth_encoding()
     if enc is None:
         return (backend._identity_canonical(), [g.canonical for g in S],
-                backend._compose, backend._growth_key)
+                backend._compose, backend._growth_key, None)
     if enc[0] == "int_matrix":
-        return engine_py._MAT_ID, [g.canonical for g in S], engine_py._mat_compose, None
+        return engine_py._MAT_ID, [g.canonical for g in S], engine_py._mat_compose, None, None
     gens = [backend.canonical_bytes(g.canonical) for g in S]
     if enc[0] == "free_words":
-        return b"", gens, engine_py._free_compose, None
-    return b"", gens, engine_py._product_compose_fn(enc[1], enc[2]), None
+        return b"", gens, engine_py._free_compose, None, engine_py._free_batch
+    compose = engine_py._product_compose_fn(enc[1], enc[2])
+    return b"", gens, compose, None, engine_py._product_batch_fn(compose)
 
 
 def _conjugated(mats, t):
@@ -77,6 +79,7 @@ HPF = HalfPlane(arithmetic="float")
 SETS = {
     "f2 {x,y}": (F2, ["x", "y"]),
     "f2 {x,y,xy}": (F2, ["x", "y", "xy"]),
+    "f2 {x,y,Xy}": (F2, ["x", "y", "Xy"]),
     "f2 {xx,y,xy}": (F2, ["xx", "y", "xy"]),
     "c2c3 {a,b}": (FreeProductTree((2, 3)), ["a", "b"]),
     "c2c3 {a,b,ab}": (FreeProductTree((2, 3)), ["a", "b", "ab"]),
@@ -115,7 +118,7 @@ def test_raw_float_keys_skip_roundoff_copies(name):
     # these sets are all of them, so its spheres are the rounded-key spheres
     backend, inputs = SETS[name]
     S = make_generating_set(backend, inputs)
-    ident, gens, compose, key = _encoded(S)
+    ident, gens, compose, key, _ = _encoded(S)
     rounded = list(islice(spheres(ident, gens, compose, 10**6, key), 7))
     raw = list(islice(spheres(ident, gens, compose, 10**6), 7))
     assert [[key(c) for c in sphere] for sphere in raw] == \
@@ -220,23 +223,90 @@ def _counting(fn, calls):
     return counted
 
 
+def _counting_batch(batch, calls):
+    """``batch`` counting one product per chunk element, whether it
+    concatenates or composes; the composes it calls are not counted twice."""
+    def counted(chunk, g):
+        before = len(calls)
+        out = batch(chunk, g)
+        del calls[before:]
+        calls.extend([1] * len(chunk))
+        return out
+
+    return counted
+
+
 @pytest.mark.parametrize("backend, inputs, n", [
     (F2, ["x", "y"], 9),
     (FreeProductTree((2, 3)), ["a", "b"], 20),
 ])
 def test_tree_balls_compose_only_into_new_elements(backend, inputs, n, monkeypatch):
     # normal forms over these sets form a tree, so past radius 1 the only
-    # duplicates are steps back to the parent, and those are skipped
+    # duplicates are steps back to the parent, and those are skipped; a
+    # product counts once, made by a compose or in a batch
     calls = []
     monkeypatch.setattr(engine_py, "_free_compose", _counting(engine_py._free_compose, calls))
-    product_fn = engine_py._product_compose_fn
+    monkeypatch.setattr(engine_py, "_free_batch", _counting_batch(engine_py._free_batch, calls))
+    product_fn, batch_fn = engine_py._product_compose_fn, engine_py._product_batch_fn
     monkeypatch.setattr(engine_py, "_product_compose_fn",
                         lambda p, q: _counting(product_fn(p, q), calls))
+    monkeypatch.setattr(engine_py, "_product_batch_fn",
+                        lambda compose: _counting_batch(batch_fn(compose), calls))
     S = make_generating_set(backend, inputs)
     table = ball_sizes(S, n)
     # radius 0 and radius 1 compose with every generator; after that, each
     # compose finds an element of spheres 3..n
     assert len(calls) == len(S) + len(S) ** 2 + table.ball(n) - table.ball(2)
+
+
+def _free_inverse(w):
+    return bytes(c ^ 1 for c in reversed(w))
+
+
+def _product_word(rng, orders, length, last):
+    """A random normal form of ``length`` syllables ending in factor ``last``."""
+    word, fac = [], last
+    for _ in range(length):
+        word.append((fac << 6) | rng.randrange(1, orders[fac]))
+        fac ^= 1
+    return bytes(reversed(word))
+
+
+def _product_inverse(w, orders):
+    return bytes((s & 64) | (orders[s >> 6] - (s & 63)) for s in reversed(w))
+
+
+def _byte_batch_cases(rng):
+    """(compose, batch, g, chunk of elements whose junction with g does not
+    reduce, elements whose junction does), on both byte encodings."""
+    free = engine_py._free_compose
+    for g in (b"\x00\x02", b"\x03", b"\x01\x01\x02"):
+        pool = [_random_free_word(rng, 2, rng.randint(1, 6)) for _ in range(400)]
+        plain = [w for w in pool if w[-1] != g[0] ^ 1][:40]
+        # partly cancelled, and cancelled down to the identity
+        reducing = [w for w in pool if w[-1] == g[0] ^ 1][:4] + [_free_inverse(g)]
+        yield free, engine_py._free_batch, g, plain, reducing
+    for orders, g in (((2, 7), b"\x41"), ((2, 7), b"\x01\x43"), ((3, 4), b"\x42\x01"),
+                      ((3, 4), b"\x02")):
+        compose = engine_py._product_compose_fn(*orders)
+        fac = g[0] >> 6
+        plain = [_product_word(rng, orders, rng.randint(1, 5), 1 - fac) for _ in range(40)]
+        # merged into one syllable, a syllable cancelled, and the identity
+        reducing = [_product_word(rng, orders, rng.randint(1, 5), fac) for _ in range(4)]
+        reducing += [w + _product_inverse(g[:1], orders) for w in plain[:2]]
+        reducing.append(_product_inverse(g, orders))
+        yield compose, engine_py._product_batch_fn(compose), g, plain, reducing
+
+
+def test_byte_batches_are_compose_on_every_element():
+    rng = random.Random(16)
+    for compose, batch, g, plain, reducing in _byte_batch_cases(rng):
+        assert batch(plain, g) == [w + g for w in plain]
+        for r in reducing:
+            assert compose(r, g) != r + g
+            for i in (0, len(plain) // 2, len(plain)):
+                chunk = plain[:i] + [r] + plain[i:]
+                assert batch(chunk, g) == [compose(w, g) for w in chunk], (g, r, i)
 
 
 def test_skips_exactly_the_steps_into_the_radius_one_ball():
@@ -349,14 +419,12 @@ def _add(w, g):
 
 
 def _walked(name):
-    """(identity, gens, compose, key) of a set of ``SETS`` or of a few more:
+    """(identity, gens, compose, key, batch) of a set of ``SETS`` or of a few more:
     Z^2 with its unit steps and the elliptic set after one escalation round."""
     if name == "z2":
-        return (0, 0), [(1, 0), (0, 1), (-1, 0), (0, -1)], _add, None
+        return (0, 0), [(1, 0), (0, 1), (-1, 0), (0, -1)], _add, None, None
     if name == "elliptic squared":
         return _encoded(product_ball_set(make_generating_set(HP, PSL2Z_ELLIPTIC), 2))
-    if name == "f2 {x,y,Xy}":
-        return _encoded(make_generating_set(F2, ["x", "y", "Xy"]))
     return _encoded(make_generating_set(*SETS[name]))
 
 
@@ -366,7 +434,7 @@ def test_spheres_list_elements_in_reverse_shortlex_order(name, radius):
     # every word over the generators up to the radius, by brute force: an
     # element's place in its sphere is that of its least geodesic word,
     # comparing words right to left as generator indices
-    ident, gens, compose, key = _walked(name)
+    ident, gens, compose, key, batch = _walked(name)
     assert key is None
     least = {ident: ()}  # element -> its least geodesic word, reversed
     level = [((), ident)]  # every word of one length, reversed, and its element
@@ -377,7 +445,7 @@ def test_spheres_list_elements_in_reverse_shortlex_order(name, radius):
             if c not in least and (c not in new or rev < new[c]):
                 new[c] = rev
         least.update(new)
-    got = list(islice(spheres(ident, gens, compose, 10**7), radius))
+    got = list(islice(spheres(ident, gens, compose, 10**7, batch=batch), radius))
     by_radius = [[] for _ in range(radius)]
     for c, rev in least.items():
         if rev:
@@ -402,12 +470,12 @@ def test_batches_match_the_reference_at_caps_and_chunk_edges(chunk, monkeypatch)
     if chunk is not None:
         monkeypatch.setattr(words, "_CHUNK", chunk)
     chunk = words._CHUNK
-    ident, gens, compose, key = _walked("f2 {x,y}")
+    ident, gens, compose, key, batch = _walked("f2 {x,y}")
     radius = 10 if chunk > 100 else 7
     full = list(islice(reference_spheres(ident, gens, compose, 10**7), radius))
-    assert list(islice(spheres(ident, gens, compose, 10**7), radius)) == full
+    assert list(islice(spheres(ident, gens, compose, 10**7, batch=batch), radius)) == full
     for cap in _cap_edges([len(s) for s in full], chunk):
-        got = list(spheres(ident, gens, compose, cap))
+        got = list(spheres(ident, gens, compose, cap, batch=batch))
         assert got == list(reference_spheres(ident, gens, compose, cap)), cap
         assert len(got) == radius and 1 + sum(map(len, got)) == cap + 1
 
@@ -417,7 +485,7 @@ def test_batches_match_the_reference_at_caps_and_chunk_edges(chunk, monkeypatch)
 def test_batches_that_meet_the_walked_ball_match_the_reference(name, radius, monkeypatch):
     # relations make whole batches land partly on seen elements, and those
     # fall back to the element loop over the pairs they composed
-    ident, gens, compose, key = _walked(name)
+    ident, gens, compose, key, batch = _walked(name)
     full = list(islice(reference_spheres(ident, gens, compose, 10**7), radius))
     met = []
     isdisjoint = set.isdisjoint
@@ -429,11 +497,11 @@ def test_batches_that_meet_the_walked_ball_match_the_reference(name, radius, mon
 
     # the batch's key set is built by the module's name ``set``
     monkeypatch.setattr(words, "set", Watched, raising=False)
-    assert list(islice(spheres(ident, gens, compose, 10**7), radius)) == full
+    assert list(islice(spheres(ident, gens, compose, 10**7, batch=batch), radius)) == full
     assert any(met) and not all(met)
     monkeypatch.undo()
     for cap in _cap_edges([len(s) for s in full], words._CHUNK):
-        got = list(spheres(ident, gens, compose, cap))
+        got = list(spheres(ident, gens, compose, cap, batch=batch))
         assert got == list(reference_spheres(ident, gens, compose, cap)), cap
 
 
@@ -450,7 +518,7 @@ def test_batches_with_repeated_products_match_the_reference(small, monkeypatch):
 def test_keyed_float_batches_match_the_reference():
     # a non-integer float set rounds every key; keyed spheres are the key ->
     # element maps of the plain ones, in the reference's order
-    ident, gens, compose, key = _walked("float sanov, non-integer")
+    ident, gens, compose, key, _ = _walked("float sanov, non-integer")
     radius = 7
     full = list(islice(reference_spheres(ident, gens, compose, 10**7, key), radius))
     for cap in (10**7, *_cap_edges([len(s) for s in full], words._CHUNK)):
