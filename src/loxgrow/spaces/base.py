@@ -12,9 +12,10 @@ proper hyperbolic space.  Group elements carry two representations:
 
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Optional, Tuple
 
-from ..errors import BackendMismatch
+from ..errors import BackendMismatch, ConfigError
 
 Word = Tuple[Tuple[str, int], ...]
 
@@ -181,8 +182,17 @@ class Backend:
 
     # -- hooks implemented per backend --------------------------------------
 
+    # the product of two canonicals; ball walks call it once per element
+    # and generator, so backends bind it once, as a plain function where
+    # they can
     def _compose(self, ca, cb):
         raise NotImplementedError
+
+    # [_compose(w, g) for w in chunk], element for element: the batch that
+    # words.spheres takes. Its chunks never hold the identity; the trees
+    # override it with one junction test for the whole chunk
+    def _compose_batch(self, chunk, g):
+        return list(map(self._compose, chunk, repeat(g)))
 
     def _invert(self, ca):
         raise NotImplementedError
@@ -192,6 +202,13 @@ class Backend:
 
     def element(self, spec, word=None) -> GroupElement:
         raise NotImplementedError
+
+    def _word_spec(self, spec) -> str:
+        """A generator given as a word string, such as "aBa" on the trees."""
+        try:
+            return read_str(spec, "generator")
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from None
 
     def origin(self) -> Point:
         raise NotImplementedError
@@ -214,13 +231,8 @@ class Backend:
     def sample_points(self, rng, count: int):
         raise NotImplementedError
 
-    # engine hook: ("free_words", rank) | ("product_words", p, q)
-    # | ("int_matrix",) | None for the generic object path
-    def growth_encoding(self):
-        return None
-
-    # dedup key for the generic ball-count path; must absorb any roundoff
-    # the backend's canonical forms carry
+    # dedup key of ball walks over inexact canonicals (exact_words false);
+    # must absorb any roundoff the backend's canonical forms carry
     def _growth_key(self, canonical):
         return canonical
 

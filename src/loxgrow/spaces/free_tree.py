@@ -1,31 +1,46 @@
 """Free group of finite rank acting on its Cayley tree.
 
-Elements and vertices are both freely reduced words, stored as tuples of
-nonzero signed letter indices (+i for the i-th generator, -i for its inverse,
-1-based).  The tree metric is the reduced length of x^{-1} y, delta = 0, and
-every nontrivial element is loxodromic with translation length equal to its
+Elements and vertices are both freely reduced words, stored as bytes with
+one code per letter: 2(i - 1) for the i-th generator (1-based) and
+2(i - 1) + 1 for its inverse. A letter and its inverse differ in the last
+bit, and byte order is shortlex order a < a^-1 < b < b^-1 < ...; two codes
+per generator in one byte cap the rank at 128. Certificates store words as
+signed letter indices (+i for the i-th generator, -i for its inverse). The
+tree metric is the reduced length of x^{-1} y, delta = 0, and every
+nontrivial element is loxodromic with translation length equal to its
 cyclically reduced length.
 """
 
 import string
+from itertools import repeat
+from operator import add, itemgetter
 
 from ..errors import ConfigError
 from .base import Backend, Classification, GroupElement, Point, read_int, read_real, read_str
 
-
-def reduce_letters(seq):
-    out = []
-    for v in seq:
-        if out and out[-1] == -v:
-            out.pop()
-        else:
-            out.append(v)
-    return tuple(out)
+_MAX_RANK = 128
+# the code of each letter's inverse, for bytes.translate
+_INVERSE = bytes(c ^ 1 for c in range(256))
+_last = itemgetter(-1)
 
 
 def _letter_code(v):
-    # shortlex order a < a^-1 < b < b^-1 < ...
     return 2 * (abs(v) - 1) + (0 if v > 0 else 1)
+
+
+def _letter_index(c):
+    i = (c >> 1) + 1
+    return -i if c & 1 else i
+
+
+def reduce_codes(codes) -> bytes:
+    out = bytearray()
+    for c in codes:
+        if out and out[-1] ^ c == 1:
+            out.pop()
+        else:
+            out.append(c)
+    return bytes(out)
 
 
 class FreeGroupTree(Backend):
@@ -34,6 +49,8 @@ class FreeGroupTree(Backend):
     def __init__(self, rank, letters=None, delta=0.0, torsion_bound=1):
         if read_int(rank, "rank") < 1:
             raise ConfigError("rank must be >= 1")
+        if rank > _MAX_RANK:
+            raise ConfigError(f"ranks above {_MAX_RANK} are not supported")
         if letters is None:
             letters = string.ascii_lowercase[:rank]
         if len(read_str(letters, "letters")) != rank or len(set(letters)) != rank:
@@ -44,7 +61,7 @@ class FreeGroupTree(Backend):
         self.letters = letters
         self.delta = read_real(delta, "delta")
         self.torsion_bound = read_int(torsion_bound, "torsion_bound")
-        self._index = {c: i + 1 for i, c in enumerate(letters)}
+        self._code = {c: 2 * i for i, c in enumerate(letters)}
 
     def config(self):
         return {
@@ -57,55 +74,68 @@ class FreeGroupTree(Backend):
 
     # -- group algebra ------------------------------------------------------
 
-    def _compose(self, ca, cb):
-        if not ca:
-            return cb
-        if not cb:
-            return ca
+    @staticmethod
+    def _compose(w, g):
+        # the common case first: nothing cancels at the junction
+        if not (w and g) or w[-1] ^ g[0] != 1:
+            return w + g
         cut = 0
-        la, lb = len(ca), len(cb)
-        m = min(la, lb)
-        while cut < m and ca[la - 1 - cut] == -cb[cut]:
+        m = min(len(w), len(g))
+        while cut < m and w[len(w) - 1 - cut] ^ g[cut] == 1:
             cut += 1
-        return ca[: la - cut] + cb[cut:]
+        return w[: len(w) - cut] + g[cut:]
+
+    @staticmethod
+    def _compose_batch(chunk, g):
+        # one junction test for the chunk: when no last letter is g's first
+        # inverted, nothing cancels and every product is w + g
+        if g[0] ^ 1 in bytes(map(_last, chunk)):
+            return list(map(FreeGroupTree._compose, chunk, repeat(g)))
+        return list(map(add, chunk, repeat(g)))
 
     def _invert(self, ca):
-        return tuple(-v for v in reversed(ca))
+        return ca[::-1].translate(_INVERSE)
 
     def _identity_canonical(self):
-        return ()
+        return b""
 
     def element(self, spec, word=None):
         """Build from a word string like "aBa" (uppercase = inverse)."""
         if isinstance(spec, GroupElement):
             return spec
-        letters = []
-        for ch in spec:
+        codes = []
+        for ch in self._word_spec(spec):
             low = ch.lower()
-            if low not in self._index:
+            if low not in self._code:
                 raise ConfigError(f"unknown generator letter {ch!r}")
-            letters.append(self._index[low] if ch.islower() else -self._index[low])
-        canonical = reduce_letters(letters)
+            codes.append(self._code[low] | (0 if ch.islower() else 1))
         if word is None:
-            word = tuple((self.letters[abs(v) - 1], 1 if v > 0 else -1) for v in letters)
-        return GroupElement(self, canonical, word)
+            word = tuple((self.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
+        return GroupElement(self, reduce_codes(codes), word)
 
     def sort_key(self, a):
-        return (len(a.canonical), tuple(_letter_code(v) for v in a.canonical))
+        return (len(a.canonical), a.canonical)
 
-    # elements and vertices alike are stored as lists of letter indices
+    # elements and vertices alike are stored as lists of signed letter indices
+    def canonical_payload(self, canonical):
+        return [_letter_index(c) for c in canonical]
+
     def canonical_from_payload(self, data):
-        word = tuple(read_int(v, "letter") for v in data)
+        word = [read_int(v, "letter") for v in data]
         if any(v == 0 or abs(v) > self.rank for v in word):
             raise ValueError(f"letter out of range in {data!r}")
-        if word != reduce_letters(word):
+        codes = bytes(map(_letter_code, word))
+        if codes != reduce_codes(codes):
             raise ValueError(f"unreduced free-group word {data!r}")
-        return word
+        return codes
+
+    def point_payload(self, p):
+        return self.canonical_payload(p.data)
 
     # -- geometry -----------------------------------------------------------
 
     def origin(self):
-        return Point(self, ())
+        return Point(self, b"")
 
     def point_from_payload(self, data):
         return Point(self, self.canonical_from_payload(data))
@@ -138,7 +168,7 @@ class FreeGroupTree(Backend):
 
     def _cyclic_reduce(self, ca):
         lo, hi = 0, len(ca)
-        while hi - lo >= 2 and ca[lo] == -ca[hi - 1]:
+        while hi - lo >= 2 and ca[lo] ^ ca[hi - 1] == 1:
             lo += 1
             hi -= 1
         return ca[lo:hi]
@@ -160,21 +190,16 @@ class FreeGroupTree(Backend):
                 choices = [v for v in range(-self.rank, self.rank + 1)
                            if v != 0 and not (word and v == -word[-1])]
                 word.append(rng.choice(choices))
-            pts.append(Point(self, tuple(word)))
+            pts.append(Point(self, bytes(map(_letter_code, word))))
         return pts
-
-    def growth_encoding(self):
-        return ("free_words", self.rank)
-
-    def canonical_bytes(self, canonical):
-        return bytes(_letter_code(v) for v in canonical)
 
     # the reduced word, one letter per entry of S, when S holds the standard
     # basis and its inverses; a larger S can spell g shorter
     def normal_form_word(self, S, g):
         words = {e.canonical: e.word for e in S}
-        if all((v,) in words for v in range(-self.rank, self.rank + 1) if v):
-            return tuple(sym for v in g.canonical for sym in words[(v,)])
+        letters = [bytes((c,)) for c in range(2 * self.rank)]
+        if all(c in words for c in letters):
+            return tuple(sym for c in g.canonical for sym in words[letters[c]])
         return None
 
     def subgroup_word_exact(self, S, g):

@@ -259,9 +259,6 @@ class HalfPlane(Backend):
             pts.append(Point(self, complex(x, y)))
         return pts
 
-    def growth_encoding(self):
-        return ("int_matrix",) if self.exact else None
-
     def _growth_key(self, canonical):
         """Dedup key of a canonical: float entries rounded to 9 decimals.
 

@@ -1,21 +1,53 @@
 """Free product of two finite cyclic groups acting on its Bass-Serre tree.
 
-Elements are alternating syllable words ((factor, exp), ...) with factor in
-{0, 1} and 1 <= exp < order[factor]; adjacent syllables use different
-factors.  ``_compose`` takes normal forms only and merges them at the
-junction; ``normalize`` brings any syllable sequence to normal form.  Tree
-vertices are cosets g<a> / g<b>, stored as (rep, side) where rep is the
-syllable normal form of a shortest coset representative (it never ends in
-a syllable of its own factor).  Edge stabilizers are trivial, so the tree
-is 0-hyperbolic and torsion_bound defaults to 1.
+Elements are alternating syllable words with factor in {0, 1} and
+1 <= exp < order[factor]; adjacent syllables use different factors.  They
+are stored as bytes, one (factor << 6) | exp byte per syllable, so orders
+stop at 63 and byte order is the order of the (factor, exp) pairs.
+Certificates store the pairs, [[factor, exp], ...], and ``syllables``
+reads them off.  ``_compose`` takes normal forms only and merges them at
+the junction; ``normalize`` brings any sequence of (factor, exp) pairs to
+normal form.  Tree vertices are cosets g<a> / g<b>, stored as (rep, side)
+where rep is the normal form of a shortest coset representative (it never
+ends in a syllable of its own factor).  Edge stabilizers are trivial, so
+the tree is 0-hyperbolic and torsion_bound defaults to 1.
 
 The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 """
+
+from itertools import repeat
+from operator import add, itemgetter
 
 from ..errors import ConfigError
 from .base import Backend, Classification, GroupElement, Point, read_int, read_real
 
 _LETTERS = "ab"
+_last = itemgetter(-1)
+
+
+def _encode(syllables) -> bytes:
+    return bytes((f << 6) | e for f, e in syllables)
+
+
+def _junction_compose(orders):
+    def compose(w, g):
+        # both arguments are normal forms, so only the junction can merge:
+        # syllables of one factor meet there, and a merge to the identity
+        # brings the next pair (both of the other factor) together; bit 6
+        # tells the factors apart
+        if not (w and g) or (w[-1] ^ g[0]) >> 6:
+            return w + g
+        i, j = len(w), 0
+        while i and j < len(g) and not (w[i - 1] ^ g[j]) >> 6:
+            f = g[j] >> 6
+            e = ((w[i - 1] & 63) + (g[j] & 63)) % orders[f]
+            if e:
+                return w[: i - 1] + bytes(((f << 6) | e,)) + g[j + 1 :]
+            i -= 1
+            j += 1
+        return w[:i] + g[j:]
+
+    return compose
 
 
 class FreeProductTree(Backend):
@@ -31,6 +63,13 @@ class FreeProductTree(Backend):
         if p > 63 or q > 63:
             raise ConfigError("factor orders above 63 are not supported")
         self.orders = (p, q)
+        # chosen once, not per call: ball walks compose per element and generator
+        self._compose = _junction_compose(self.orders)
+        inverse = bytearray(range(256))
+        for f in (0, 1):
+            for e in range(1, self.orders[f]):
+                inverse[(f << 6) | e] = (f << 6) | (self.orders[f] - e)
+        self._inverse = bytes(inverse)
         self.delta = read_real(delta, "delta")
         self.torsion_bound = read_int(torsion_bound, "torsion_bound")
 
@@ -46,20 +85,20 @@ class FreeProductTree(Backend):
 
     def normalize(self, syllables):
         """Normal form of any sequence of (factor, exp) pairs, exps taken
-        modulo the factor's order."""
-        out = []
+        modulo the factor's order, as a canonical."""
+        out = bytearray()
         for factor, exp in syllables:
             exp %= self.orders[factor]
-            if out and out[-1][0] == factor:
-                exp = (out[-1][1] + exp) % self.orders[factor]
+            if out and out[-1] >> 6 == factor:
+                exp = ((out[-1] & 63) + exp) % self.orders[factor]
                 out.pop()
             if exp:
-                out.append((factor, exp))
-        return tuple(out)
+                out.append((factor << 6) | exp)
+        return bytes(out)
 
     def is_normal(self, syllables):
-        """Whether ``syllables`` is a normal form: factors 0 or 1 that
-        alternate, each exp in 1 .. order - 1."""
+        """Whether the (factor, exp) pairs ``syllables`` are a normal form:
+        factors 0 or 1 that alternate, each exp in 1 .. order - 1."""
         prev = None
         for factor, exp in syllables:
             if factor not in (0, 1) or factor == prev or not 1 <= exp < self.orders[factor]:
@@ -67,32 +106,32 @@ class FreeProductTree(Backend):
             prev = factor
         return True
 
-    def _compose(self, ca, cb):
-        # both arguments are normal forms, so only the junction can merge:
-        # syllables of one factor meet there, and a merge to the identity
-        # brings the next pair (both of the other factor) together
-        i, j = len(ca), 0
-        while i and j < len(cb) and ca[i - 1][0] == cb[j][0]:
-            factor = cb[j][0]
-            exp = (ca[i - 1][1] + cb[j][1]) % self.orders[factor]
-            if exp:
-                return ca[: i - 1] + ((factor, exp),) + cb[j + 1 :]
-            i -= 1
-            j += 1
-        return ca[:i] + cb[j:]
+    @staticmethod
+    def syllables(canonical):
+        """The (factor, exp) pairs of a canonical."""
+        return tuple((s >> 6, s & 63) for s in canonical)
+
+    def _compose_batch(self, chunk, g):
+        # one junction test for the chunk: when no last syllable lies in
+        # g's first factor (factor a's bytes are those below 64), nothing
+        # merges and every product is w + g
+        lasts = bytes(map(_last, chunk))
+        if (min(lasts) >= 64) if g[0] < 64 else (max(lasts) < 64):
+            return list(map(add, chunk, repeat(g)))
+        return list(map(self._compose, chunk, repeat(g)))
 
     def _invert(self, ca):
-        return tuple((f, self.orders[f] - e) for f, e in reversed(ca))
+        return ca[::-1].translate(self._inverse)
 
     def _identity_canonical(self):
-        return ()
+        return b""
 
     def element(self, spec, word=None):
         if isinstance(spec, GroupElement):
             return spec
         syllables = []
         symbols = []
-        for ch in spec:
+        for ch in self._word_spec(spec):
             low = ch.lower()
             if low not in _LETTERS:
                 raise ConfigError(f"unknown generator letter {ch!r} (use a/b)")
@@ -109,7 +148,7 @@ class FreeProductTree(Backend):
     # a syllable word is stored as [[factor, exp], ...], a vertex as
     # [rep, side]
     def canonical_payload(self, canonical):
-        return [[f, e] for f, e in canonical]
+        return [[s >> 6, s & 63] for s in canonical]
 
     def _syllables(self, data):
         return tuple((read_int(f, "factor"), read_int(e, "exponent")) for f, e in data)
@@ -118,12 +157,12 @@ class FreeProductTree(Backend):
         syllables = self._syllables(data)
         if not self.is_normal(syllables):
             raise ValueError(f"non-normal syllable word {data!r}")
-        return syllables
+        return _encode(syllables)
 
     # -- Bass-Serre tree geometry -------------------------------------------
 
     def _strip(self, rep, side):
-        if rep and rep[-1][0] == side:
+        if rep and rep[-1] >> 6 == side:
             rep = rep[:-1]
         return rep
 
@@ -132,7 +171,7 @@ class FreeProductTree(Backend):
         return Point(self, (self._strip(g.canonical, side), side))
 
     def origin(self):
-        return Point(self, ((), 0))
+        return Point(self, (b"", 0))
 
     def point_payload(self, p):
         rep, side = p.data
@@ -141,12 +180,12 @@ class FreeProductTree(Backend):
     def point_from_payload(self, data):
         rep, side = data
         rep, side = self._syllables(rep), read_int(side, "side")
-        if side not in (0, 1) or not self.is_normal(rep) or self._strip(rep, side) != rep:
+        if side not in (0, 1) or not self.is_normal(rep) or rep and rep[-1][0] == side:
             raise ValueError(f"invalid coset representative {data!r}")
-        return Point(self, (rep, side))
+        return Point(self, (_encode(rep), side))
 
     def _candidate_seeds(self):
-        return [Point(self, ((), 0)), Point(self, ((), 1))]
+        return [Point(self, (b"", 0)), Point(self, (b"", 1))]
 
     def apply(self, g, x):
         rep, side = x.data
@@ -164,24 +203,22 @@ class FreeProductTree(Backend):
         m = min(len(ru), len(rv))
         while i < m and ru[i] == rv[i]:
             i += 1
-        fu = ru[i][0] if i < len(ru) else s
-        fv = rv[i][0] if i < len(rv) else t
+        fu = ru[i] >> 6 if i < len(ru) else s
+        fv = rv[i] >> 6 if i < len(rv) else t
         return len(ru) + len(rv) - 2 * i + (0 if fu == fv else 1)
 
     def _path_vertices(self, x, y):
         (ru, s), (rv, t) = x.data, y.data
         w = self._strip(self._compose(self._invert(ru), rv), t)
-        verts = [((), s)]
+        verts = [(b"", s)]
         if not w:
             if s != t:
-                verts.append(((), t))
+                verts.append((b"", t))
         else:
-            cur = ()
-            if w[0][0] != s:
-                verts.append(((), 1 - s))
-            for f, e in w:
-                cur = cur + ((f, e),)
-                verts.append((cur, 1 - f))
+            if w[0] >> 6 != s:
+                verts.append((b"", 1 - s))
+            for i in range(1, len(w) + 1):
+                verts.append((w[:i], 1 - (w[i - 1] >> 6)))
         out = []
         for rep, side in verts:
             rep = self._strip(self._compose(ru, rep), side)
@@ -198,15 +235,14 @@ class FreeProductTree(Backend):
     def _cyclic_reduce(self, ca):
         # first == last factor forces odd syllable length; one nontrivial merge
         # leaves an alternating word with distinct end factors
-        ca = list(ca)
-        while len(ca) >= 2 and ca[0][0] == ca[-1][0]:
-            f = ca[0][0]
-            e = (ca[0][1] + ca[-1][1]) % self.orders[f]
+        while len(ca) >= 2 and not (ca[0] ^ ca[-1]) >> 6:
+            f = ca[0] >> 6
+            e = ((ca[0] & 63) + (ca[-1] & 63)) % self.orders[f]
             ca = ca[1:-1]
             if e:
-                ca.insert(0, (f, e))
+                ca = bytes(((f << 6) | e,)) + ca
                 break
-        return tuple(ca)
+        return ca
 
     def classify(self, g):
         if not g.canonical:
@@ -227,23 +263,17 @@ class FreeProductTree(Backend):
             word = []
             factor = rng.randint(0, 1)
             for _ in range(n):
-                word.append((factor, rng.randint(1, self.orders[factor] - 1)))
+                word.append((factor << 6) | rng.randint(1, self.orders[factor] - 1))
                 factor = 1 - factor
-            pts.append(Point(self, (self._strip(tuple(word), side), side)))
+            pts.append(Point(self, (self._strip(bytes(word), side), side)))
         return pts
-
-    def growth_encoding(self):
-        return ("product_words", self.orders[0], self.orders[1])
-
-    def canonical_bytes(self, canonical):
-        return bytes((f << 6) | e for f, e in canonical)
 
     # the normal form, one syllable per entry of S, when S holds every
     # nontrivial factor element; a larger S can spell g shorter
     def normal_form_word(self, S, g):
         words = {e.canonical: e.word for e in S}
-        if all(((f, e),) in words for f in (0, 1) for e in range(1, self.orders[f])):
-            return tuple(sym for syl in g.canonical for sym in words[(syl,)])
+        if all(bytes(((f << 6) | e,)) in words for f in (0, 1) for e in range(1, self.orders[f])):
+            return tuple(sym for s in g.canonical for sym in words[bytes((s,))])
         return None
 
     def subgroup_word_exact(self, S, g):

@@ -42,7 +42,7 @@ def psl2z_normal_form(matrix):
     if a * d - b * c != 1:
         raise NotInGroup(f"determinant {a * d - b * c} != 1")
 
-    syll = ()
+    syll = b""
     while c != 0:
         # peel M = T^q S M'; rounding the quotient halves |c| each step
         q = (2 * a + c) // (2 * c)
@@ -50,7 +50,7 @@ def psl2z_normal_form(matrix):
         a, b, c, d = -c, -d, a - q * c, b - q * d
     # now M = +/- T^(a*b) with a == d == +/-1
     syll = _P23._compose(syll, _P23.normalize(_t_syllables(a * b)))
-    return syll
+    return _P23.syllables(syll)
 
 
 def syllables_to_matrix(syll):

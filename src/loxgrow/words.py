@@ -269,7 +269,7 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     # exact sphere is its own keys, stays a list and is matched by scanning
     walked = [[ident] if key is None else {ident_key: ident}]
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key,
-                   keyed=key is not None)
+                   keyed=key is not None, batch=backend._compose_batch)
     for radius, sphere in enumerate(islice(ball, horizon), 1):
         walked.append(sphere)
         for target in [t for t in pending if t in sphere]:

@@ -223,7 +223,7 @@ def test_parabolic_on_plane_loxodromic_on_tree():
 
     pt23 = FreeProductTree((2, 3))
     h = pt23.element("ab")
-    assert psl2z_normal_form(mat) == h.canonical
+    assert psl2z_normal_form(mat) == pt23.syllables(h.canonical)
     assert pt23.classify(h).kind == "loxodromic"
     assert pt23.translation_length(h) == 2
     print("PASS classification: T=ab parabolic (|tr|=2) on plane, loxodromic tau=2 on tree")

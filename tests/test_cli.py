@@ -389,6 +389,44 @@ def test_rank_true_is_not_rank_one(write_config, capsys):
     assert "rank must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", [{"kind": "free_group_tree", "rank": 2},
+                                     {"kind": "free_product_tree", "orders": [2, 3]}])
+@pytest.mark.parametrize("generators", [[1, "a"], [None], [["a"], "b"]])
+def test_tree_generators_must_be_word_strings(write_config, capsys, backend, generators):
+    # an int or null used to end in a TypeError (exit 1), and ["a"] was read
+    # as the word "a" under the label g0
+    cfg = write_config("bad.json", {"backend": backend, "generators": generators})
+    for command in ("growth", "classify"):
+        assert main([command, cfg]) == 4
+        err = capsys.readouterr().err
+        assert "generator must be a string" in err and "Traceback" not in err
+
+
+def _lowercase_letters(count):
+    return "".join([c for c in map(chr, range(ord("a"), 0x3000))
+                    if c.isalpha() and c.islower()][:count])
+
+
+def test_free_group_rank_stops_at_128(write_config, capsys):
+    # two codes per generator in one byte; rank 129 used to load and then
+    # fail in the ball count with a ValueError (exit 1)
+    letters = _lowercase_letters(129)
+    cfg = write_config("r129.json", {
+        "backend": {"kind": "free_group_tree", "rank": 129, "letters": letters},
+        "generators": [letters[0]],
+    })
+    assert main(["growth", cfg]) == 4
+    assert "ranks above 128" in capsys.readouterr().err
+    cfg = write_config("r128.json", {
+        "backend": {"kind": "free_group_tree", "rank": 128, "letters": letters[:128]},
+        "generators": list(letters[:128]),
+        "budgets": {"n_max": 2},
+    })
+    assert main(["growth", cfg]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [int(row.split(",")[1]) for row in rows] == [1, 1 + 256, 1 + 256 + 256 * 255]
+
+
 def test_nan_delta_exits_four_before_any_search(write_config, capsys):
     # a NaN delta fails every loxodromic test, so escalation would square
     # the ball until the memory cap

@@ -82,7 +82,7 @@ def test_evaluating_canonical_matches_word(ft2):
         g = ft2.element(w)
         spelled = "".join(
             (ft2.letters[abs(v) - 1] if v > 0 else ft2.letters[abs(v) - 1].upper())
-            for v in g.canonical
+            for v in ft2.canonical_payload(g.canonical)
         )
         assert ft2.element(spelled).canonical == g.canonical
 

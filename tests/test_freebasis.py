@@ -944,7 +944,7 @@ def test_scan_judges_m_on_the_winner():
     # is 0, so the margin is 0 and clears a zero floor, yet the check fails
     backend = make_backend({"kind": "free_product_tree", "orders": [3, 3]})
     T = raw_set(backend, ["b", "abaB"])
-    fixed = Point(backend, ((), 1))
+    fixed = Point(backend, (b"", 1))
     chk = certify_free_geometric(T, fixed, 0.0, 0.0)
     assert (chk.m, chk.p_max, chk.margin, chk.valid) == (0, 0.0, 0.0, False)
     others = [p for p in basepoint_candidates(T) + backend.sample_points(random.Random(5), 30)

@@ -38,34 +38,29 @@ def test_f2_closed_form_all_engines(S_f2):
     table = ball_sizes(S_f2, 9)
     assert table.balls == [f2_closed_form(n) for n in range(10)]
     assert not table.truncated
-    assert table.engine == "python"
+    assert table.engine == "generic"
 
 
 def test_each_encoding_calls_its_engine_counter_once(monkeypatch, S_f2, S_pt, S_sanov, hpf):
-    # ball_sizes looks the counters up on _engine_py, so wrapping them there
-    # sees every call (perfbench's growth spans rely on this)
+    # every backend counts through _engine_py.generic_ball_counts, which
+    # ball_sizes looks up at call time, so wrapping it there sees every call
+    # (perfbench's growth spans rely on this)
     calls = []
+    orig = _engine_py.generic_ball_counts
 
-    def counted(name, orig):
-        def wrapper(*args):
-            calls.append(name)
-            return orig(*args)
+    def wrapper(*args, **kwargs):
+        calls.append(args[2])
+        return orig(*args, **kwargs)
 
-        return wrapper
-
+    monkeypatch.setattr(_engine_py, "generic_ball_counts", wrapper)
     S_float = make_generating_set(hpf, [[[float(v) for v in row] for row in g] for g in SANOV])
-    cases = [
-        (S_f2, "free_ball_counts", "python"),
-        (S_pt, "product_ball_counts", "python"),
-        (S_sanov, "matrix_ball_counts", "python"),
-        (S_float, "generic_ball_counts", "generic"),
-    ]
-    for _, name, _ in cases:
-        monkeypatch.setattr(_engine_py, name, counted(name, getattr(_engine_py, name)))
-    for S, name, tag in cases:
+    for S in (S_f2, S_pt, S_sanov, S_float):
         calls.clear()
-        assert ball_sizes(S, 4).engine == tag
-        assert calls == [name]
+        table = ball_sizes(S, 4)
+        assert table.engine == "generic"
+        assert table.heuristic == (S is S_float)
+        # one call, with the backend's own compose
+        assert calls == [S.backend._compose]
 
 
 def test_rank_one_linear():
@@ -94,7 +89,7 @@ def test_float_backend_generic_engine(hpf):
     exact = make_generating_set(
         HalfPlane(), [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]
     )
-    assert ball_sizes(exact, 5).engine == "python"
+    assert ball_sizes(exact, 5).engine == "generic"
 
 
 def test_truncation_consistent_across_engines(S_f2, S_sanov, hpf):
@@ -262,7 +257,7 @@ def test_big_matrix_entries_count_exactly(hp):
     S = make_generating_set(hp, [[[1, big], [0, 1]], [[1, 0], [big, 1]]])
     table = ball_sizes(S, 6)
     assert table.balls == [f2_closed_form(n) for n in range(7)]
-    assert table.engine == "python"
+    assert table.engine == "generic"
 
 
 def _counting_round(monkeypatch):

@@ -201,7 +201,7 @@ def test_normal_form_round_trip():
     for _ in range(80):
         n = rng.randint(1, 30)
         w = "".join(rng.choice("ab") for _ in range(n))
-        syll = pt.element(w).canonical
+        syll = pt.syllables(pt.element(w).canonical)
         assert psl2z_normal_form(syllables_to_matrix(syll)) == syll
 
 

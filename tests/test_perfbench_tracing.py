@@ -9,12 +9,15 @@ import json
 import os
 import sys
 
+import pytest
+
 import loxgrow.cli as cli
 import loxgrow.freebasis as fb
 import loxgrow.words as words
+from loxgrow.growth import _engine_py
 from loxgrow.spaces.base import Backend
 
-from conftest import PSL2Z_ELLIPTIC
+from conftest import PSL2Z_ELLIPTIC, SANOV
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 
@@ -110,15 +113,21 @@ def test_tracer_records_one_kappa_search_per_command(tmp_path, capsys):
     assert fb.word_length_in_S is search
 
 
-def test_tracer_records_the_generic_ball_count(tmp_path, capsys):
-    # float half-plane balls run the generic counter; growth.generic_s
-    # measures it only while that counter keeps its span
-    cfg = tmp_path / "sanov-float.json"
-    cfg.write_text(json.dumps({
-        "backend": {"kind": "half_plane", "arithmetic": "float"},
-        "generators": [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]],
-        "budgets": {"n_max": 5},
-    }))
+@pytest.mark.parametrize("backend, generators", [
+    ({"kind": "free_group_tree", "rank": 2}, ["a", "b"]),
+    ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"]),
+    ({"kind": "half_plane"}, SANOV),
+    ({"kind": "half_plane", "arithmetic": "float"},
+     [[[float(v) for v in row] for row in g] for g in SANOV]),
+], ids=["f2", "c2c3", "sanov", "sanov-float"])
+def test_tracer_records_the_generic_ball_count(tmp_path, capsys, backend, generators):
+    # every backend's balls run the generic counter; growth.generic_s
+    # measures them only while that counter keeps its span. Install finds
+    # every name it wraps, the three unused counter names included
+    cfg = tmp_path / "balls.json"
+    cfg.write_text(json.dumps({"backend": backend, "generators": generators,
+                               "budgets": {"n_max": 5}}))
+    counter = _engine_py.generic_ball_counts
     tracer = Tracer()
     tracer.install(False)
     try:
@@ -130,3 +139,5 @@ def test_tracer_records_the_generic_ball_count(tmp_path, capsys):
     recorded = [row[0] for row in tracer.spans]
     assert recorded.count("growth.generic") == 1
     assert "growth.engine_python" not in recorded
+    assert tracer.engine_tags == {"generic": 1}
+    assert _engine_py.generic_ball_counts is counter

@@ -15,7 +15,7 @@ from loxgrow.spaces import FreeProductTree, Point
 
 
 def _strip(backend, canon, side):
-    if canon and canon[-1][0] == side:
+    if canon and canon[-1] >> 6 == side:
         return canon[:-1]
     return canon
 
@@ -25,7 +25,7 @@ def _neighbors(backend, vert):
     other = 1 - side
     out = []
     for exp in range(backend.orders[side]):
-        g = backend._compose(rep, ((side, exp),) if exp else ())
+        g = backend._compose(rep, bytes(((side << 6) | exp,)) if exp else b"")
         out.append((_strip(backend, g, other), other))
     return out
 
@@ -76,7 +76,7 @@ def test_elliptic_fixes_its_vertex(pt23):
 
 
 def test_dist_against_adjacency_bfs(pt23):
-    vA = ((), 0)
+    vA = (b"", 0)
     ab = pt23.element("ab")
     moved = pt23.apply(ab, Point(pt23, vA))
     assert pt23.dist(Point(pt23, vA), moved) == 2
@@ -86,7 +86,7 @@ def test_dist_against_adjacency_bfs(pt23):
     for _ in range(60):
         g = pt23.element("".join(rng.choice("ab") for _ in range(rng.randint(0, 6))))
         side = rng.randint(0, 1)
-        u = ((), side)
+        u = (b"", side)
         v = pt23.apply(g, Point(pt23, u)).data
         assert pt23.dist(Point(pt23, u), Point(pt23, v)) == bfs_dist(pt23, u, v)
 
@@ -106,7 +106,7 @@ def test_translation_length_via_orbit_minimum(pt23):
 
 
 def test_geodesic_point_midpoints(pt23):
-    x = Point(pt23, ((), 0))
+    x = Point(pt23, (b"", 0))
     y = pt23.apply(pt23.element("abab"), x)
     d = pt23.dist(x, y)
     for t in range(d + 1):
@@ -125,20 +125,21 @@ def test_isometry_exact(pt23):
 
 def test_candidate_seeds_are_both_factor_vertices(pt23):
     seeds = pt23._candidate_seeds()
-    assert {p.data for p in seeds} == {((), 0), ((), 1)}
+    assert {p.data for p in seeds} == {(b"", 0), (b"", 1)}
 
 
 def _random_rep(backend, rng, length, start=None):
     factor = rng.randint(0, 1) if start is None else start
     word = []
     for _ in range(length):
-        word.append((factor, rng.randint(1, backend.orders[factor] - 1)))
+        word.append((factor << 6) | rng.randint(1, backend.orders[factor] - 1))
         factor = 1 - factor
-    return tuple(word)
+    return bytes(word)
 
 
 def _push_compose(backend, ca, cb):
-    # the syllable-by-syllable merge that the junction compose replaced
+    # the syllable-by-syllable merge that the junction compose replaced, on
+    # (factor, exp) pairs; returns the canonical, one (f << 6) | e byte each
     out = list(ca)
     for factor, exp in cb:
         exp %= backend.orders[factor]
@@ -147,7 +148,7 @@ def _push_compose(backend, ca, cb):
             out.pop()
         if exp:
             out.append((factor, exp))
-    return tuple(out)
+    return bytes((f << 6) | e for f, e in out)
 
 
 @pytest.mark.parametrize("orders", [(2, 3), (3, 3), (2, 4), (2, 7), (5, 5)])
@@ -165,18 +166,20 @@ def test_junction_compose_matches_the_push_loop(orders):
             j = rng.randint(0, len(u))
             undo = backend._invert(u[len(u) - j:])
             if j < len(u):
-                f, e = u[len(u) - j - 1]
+                s = u[len(u) - j - 1]
+                f, e = s >> 6, s & 63
                 tail = _random_rep(backend, rng, rng.randint(1, 4), start=f)
                 if rng.random() < 0.3:
-                    tail = ((f, backend.orders[f] - e),) + tail[1:]
+                    tail = bytes(((f << 6) | (backend.orders[f] - e),)) + tail[1:]
             else:
-                start = 1 - undo[-1][0] if undo else None
+                start = 1 - (undo[-1] >> 6) if undo else None
                 tail = _random_rep(backend, rng, rng.randint(0, 4), start=start)
             v = undo + tail
-        assert backend.is_normal(u) and backend.is_normal(v)
+        syl = backend.syllables
+        assert backend.is_normal(syl(u)) and backend.is_normal(syl(v))
         got = backend._compose(u, v)
-        assert got == _push_compose(backend, u, v) == backend.normalize(u + v)
-        assert backend.is_normal(got)
+        assert got == _push_compose(backend, syl(u), syl(v)) == backend.normalize(syl(u + v))
+        assert backend.is_normal(syl(got))
         cascades += len(u) + len(v) - len(got) >= 4
     assert cascades >= 40
 
@@ -187,8 +190,8 @@ def test_normalize_and_is_normal(pt23):
         seq = tuple((rng.randint(0, 1), rng.randint(-4, 4)) for _ in range(rng.randint(0, 7)))
         got = pt23.normalize(seq)
         assert got == _push_compose(pt23, (), seq)
-        assert pt23.is_normal(got)
-        assert pt23.is_normal(seq) == (seq == got and all(0 < e for _, e in seq))
+        assert pt23.is_normal(pt23.syllables(got))
+        assert pt23.is_normal(seq) == (seq == pt23.syllables(got) and all(0 < e for _, e in seq))
     for bad in (((2, 1),), ((-1, 1),), ((0, 0),), ((0, 2),), ((1, 3),), ((1, 1), (1, 1))):
         assert not pt23.is_normal(bad)
     assert pt23.is_normal(((0, 1), (1, 2), (0, 1)))
@@ -212,7 +215,7 @@ def test_dist_between_arbitrary_vertices(orders):
     for _ in range(40):
         # a long shared prefix, then short tails (possibly empty)
         prefix = _random_rep(backend, rng, rng.randint(6, 12))
-        nxt = 1 - prefix[-1][0]
+        nxt = 1 - (prefix[-1] >> 6)
         tails = [_random_rep(backend, rng, rng.randint(0, 4), start=rng.choice((nxt, None)))
                  for _ in range(2)]
         u, v = (backend._compose(prefix, tail) for tail in tails)
@@ -224,7 +227,7 @@ def test_dist_between_arbitrary_vertices(orders):
         _assert_bfs(backend, x, y)
         # the two cosets of one element, and equal reps on opposite sides
         _assert_bfs(backend, _vertex(backend, u, 0), _vertex(backend, u, 1))
-    _assert_bfs(backend, Point(backend, ((), 0)), Point(backend, ((), 1)))
+    _assert_bfs(backend, Point(backend, (b"", 0)), Point(backend, (b"", 1)))
 
     pts = backend.sample_points(rng, 12, max_syllables=4)
     moves = [backend.element("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 3))))

@@ -8,7 +8,6 @@ from operator import attrgetter
 
 import pytest
 
-import loxgrow.growth._engine_py as engine_py
 import loxgrow.words as words
 from loxgrow.growth import ball_sizes
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
@@ -52,20 +51,10 @@ def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radi
 
 
 def _encoded(S):
-    """(identity, gens, compose, key, batch) of S as ball_sizes walks it;
-    batch is None where the walk maps compose over a chunk."""
+    """(identity, gens, compose, key, batch) of S as ball_sizes walks it."""
     backend = S.backend
-    enc = backend.growth_encoding()
-    if enc is None:
-        return (backend._identity_canonical(), [g.canonical for g in S],
-                backend._compose, backend._growth_key, None)
-    if enc[0] == "int_matrix":
-        return engine_py._MAT_ID, [g.canonical for g in S], engine_py._mat_compose, None, None
-    gens = [backend.canonical_bytes(g.canonical) for g in S]
-    if enc[0] == "free_words":
-        return b"", gens, engine_py._free_compose, None, engine_py._free_batch
-    compose = engine_py._product_compose_fn(enc[1], enc[2])
-    return b"", gens, compose, None, engine_py._product_batch_fn(compose)
+    return (backend._identity_canonical(), [g.canonical for g in S], backend._compose,
+            None if backend.exact_words else backend._growth_key, backend._compose_batch)
 
 
 def _conjugated(mats, t):
@@ -128,7 +117,7 @@ def test_raw_float_keys_skip_roundoff_copies(name):
 
 
 def test_spheres_with_odd_generator_lists():
-    free = engine_py._free_compose
+    free = F2._compose
     x, X, y, Y = b"\x00", b"\x01", b"\x02", b"\x03"
     _same_spheres(b"", [x, X, y, Y, x, y], free)  # duplicates
     _same_spheres(b"", [x, b"", X, y, Y], free)  # the identity among the generators
@@ -136,10 +125,10 @@ def test_spheres_with_odd_generator_lists():
     _same_spheres(b"", [x, y], free)  # not symmetric: a positive monoid
     _same_spheres(b"", [x, y + X, Y], free)
     _same_spheres(b"", [], free)
-    c23 = engine_py._product_compose_fn(2, 3)
+    c23 = FreeProductTree((2, 3))._compose
     _same_spheres(b"", [b"\x41", b"\x01", b"\x41"], c23)  # b, a, b again: not symmetric
-    mat = engine_py._mat_compose
-    _same_spheres(engine_py._MAT_ID, [(1, 2, 0, 1), (1, 0, 2, 1), engine_py._MAT_ID], mat)
+    one = HP._identity_canonical()
+    _same_spheres(one, [(1, 2, 0, 1), (1, 0, 2, 1), one], HP._compose)
 
 
 def test_spheres_with_many_relations():
@@ -170,7 +159,7 @@ def test_spheres_with_colliding_keys():
     _same_spheres(0, [1, 11], add, key=lambda w: 0)
     # reduced free words by length parity and by exponent sums
     x, X, y, Y = b"\x00", b"\x01", b"\x02", b"\x03"
-    free = engine_py._free_compose
+    free = F2._compose
     _same_spheres(b"", [x, X, y, Y], free, key=lambda w: len(w) % 2)
 
     def exponents(w):
@@ -188,7 +177,7 @@ def _random_free_word(rng, rank, length):
 
 def test_spheres_on_random_small_sets():
     rng = random.Random(9)
-    free = engine_py._free_compose
+    free = F2._compose
     for _ in range(30):
         gens = [_random_free_word(rng, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.6:
@@ -206,12 +195,12 @@ def test_spheres_on_random_small_sets():
     for _ in range(20):
         mats = []
         for _ in range(rng.randint(1, 3)):
-            m = engine_py._MAT_ID
+            m = HP._identity_canonical()
             for _ in range(rng.randint(1, 3)):
-                m = engine_py._mat_compose(m, rng.choice(((1, 1, 0, 1), (1, 0, 1, 1),
-                                                          (1, -1, 0, 1), (1, 0, -1, 1))))
+                m = HP._compose(m, rng.choice(((1, 1, 0, 1), (1, 0, 1, 1),
+                                               (1, -1, 0, 1), (1, 0, -1, 1))))
             mats.append(m)
-        _same_spheres(engine_py._MAT_ID, mats, engine_py._mat_compose, caps=(7, 500, 5000),
+        _same_spheres(HP._identity_canonical(), mats, HP._compose, caps=(7, 500, 5000),
                       radii=6)
 
 
@@ -245,14 +234,9 @@ def test_tree_balls_compose_only_into_new_elements(backend, inputs, n, monkeypat
     # duplicates are steps back to the parent, and those are skipped; a
     # product counts once, made by a compose or in a batch
     calls = []
-    monkeypatch.setattr(engine_py, "_free_compose", _counting(engine_py._free_compose, calls))
-    monkeypatch.setattr(engine_py, "_free_batch", _counting_batch(engine_py._free_batch, calls))
-    product_fn, batch_fn = engine_py._product_compose_fn, engine_py._product_batch_fn
-    monkeypatch.setattr(engine_py, "_product_compose_fn",
-                        lambda p, q: _counting(product_fn(p, q), calls))
-    monkeypatch.setattr(engine_py, "_product_batch_fn",
-                        lambda compose: _counting_batch(batch_fn(compose), calls))
     S = make_generating_set(backend, inputs)
+    monkeypatch.setattr(backend, "_compose", _counting(backend._compose, calls))
+    monkeypatch.setattr(backend, "_compose_batch", _counting_batch(backend._compose_batch, calls))
     table = ball_sizes(S, n)
     # radius 0 and radius 1 compose with every generator; after that, each
     # compose finds an element of spheres 3..n
@@ -278,24 +262,23 @@ def _product_inverse(w, orders):
 
 def _byte_batch_cases(rng):
     """(compose, batch, g, chunk of elements whose junction with g does not
-    reduce, elements whose junction does), on both byte encodings."""
-    free = engine_py._free_compose
+    reduce, elements whose junction does), on both trees' byte canonicals."""
     for g in (b"\x00\x02", b"\x03", b"\x01\x01\x02"):
         pool = [_random_free_word(rng, 2, rng.randint(1, 6)) for _ in range(400)]
         plain = [w for w in pool if w[-1] != g[0] ^ 1][:40]
         # partly cancelled, and cancelled down to the identity
         reducing = [w for w in pool if w[-1] == g[0] ^ 1][:4] + [_free_inverse(g)]
-        yield free, engine_py._free_batch, g, plain, reducing
+        yield F2._compose, F2._compose_batch, g, plain, reducing
     for orders, g in (((2, 7), b"\x41"), ((2, 7), b"\x01\x43"), ((3, 4), b"\x42\x01"),
                       ((3, 4), b"\x02")):
-        compose = engine_py._product_compose_fn(*orders)
+        backend = FreeProductTree(orders)
         fac = g[0] >> 6
         plain = [_product_word(rng, orders, rng.randint(1, 5), 1 - fac) for _ in range(40)]
         # merged into one syllable, a syllable cancelled, and the identity
         reducing = [_product_word(rng, orders, rng.randint(1, 5), fac) for _ in range(4)]
         reducing += [w + _product_inverse(g[:1], orders) for w in plain[:2]]
         reducing.append(_product_inverse(g, orders))
-        yield compose, engine_py._product_batch_fn(compose), g, plain, reducing
+        yield backend._compose, backend._compose_batch, g, plain, reducing
 
 
 def test_byte_batches_are_compose_on_every_element():
