@@ -8,7 +8,8 @@ generator at a time and hands the backend's ``_compose_batch`` whole
 slices of the sphere below; a slice whose products are all new joins the
 next sphere by set algebra, with no Python step per element. So the
 per-element cost is the compose, and the key where canonicals are
-inexact.
+inexact. Each sphere comes with its keys and the slice each generator
+found; the counter reads only its length.
 
 The trees' canonicals are bytes, and their composes first try the common
 case: when the letters at the junction cannot cancel (free words: w's
@@ -43,7 +44,7 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
     """
     counts = [1]
     walk = spheres(identity, gens, compose, cap, key, batch=batch)
-    for _, sphere in zip(range(n_max), walk):
+    for _, (sphere, _, _) in zip(range(n_max), walk):
         counts.append(counts[-1] + len(sphere))
         if counts[-1] > cap:
             return counts[:-1], True

@@ -95,12 +95,6 @@ class GroupElement:
     def __hash__(self):
         return hash((id(self.backend), self.canonical))
 
-    def __mul__(self, other):
-        return self.backend.compose(self, other)
-
-    def inverse(self):
-        return self.backend.invert(self)
-
     def __repr__(self):
         return f"<{word_str(self.word)}|{self.canonical}>"
 

@@ -57,6 +57,11 @@ class FreeGroupTree(Backend):
             raise ConfigError("need one distinct letter per generator")
         if any(not (c.isalpha() and c.islower()) for c in letters):
             raise ConfigError("generator letters must be lowercase")
+        for c in letters:
+            # an inverse is spelled by c's uppercase, which must read back as c^-1
+            up = c.upper()
+            if not (len(up) == 1 and up.isupper() and up.lower() == c):
+                raise ConfigError(f"letter {c!r} has no one-letter uppercase that reads back")
         self.rank = rank
         self.letters = letters
         self.delta = read_real(delta, "delta")

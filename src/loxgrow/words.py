@@ -8,6 +8,7 @@ expression bounds the word length d_S from above when exact search is out of
 reach.
 """
 
+from bisect import bisect_right
 from itertools import islice, repeat
 from operator import attrgetter
 
@@ -15,9 +16,8 @@ from .errors import BudgetExceeded, ConfigError, EmptyAfterReduction, NotSymmetr
 from .spaces.base import GroupElement, word_str
 
 DEFAULT_MEMORY_CAP = 2_000_000
-# spheres: the longest batch, and the shortest chunk worth batching
+# spheres: the longest batch
 _CHUNK = 4096
-_SMALL = 32
 
 
 class GeneratingSet:
@@ -80,55 +80,60 @@ def make_generating_set(backend, inputs, symmetrize=True):
     return GeneratingSet(backend, elems)
 
 
-def spheres(identity, gens, compose, cap, key=None, keyed=False, batch=None):
-    """Breadth-first spheres of the Cayley graph, one list per radius 1, 2, ...
+def spheres(identity, gens, compose, cap, key=None, batch=None):
+    """Breadth-first spheres of the Cayley graph, one record per radius 1, 2, ...
 
     Each sphere is walked one generator at a time: its elements come in
     generator order, then frontier order, each found as
     ``compose(element, generator)``. That is reverse shortlex: an element
     sits where its least geodesic word over ``gens``, read right to left
     as generator indices, sorts. ``key`` maps an element to its dedup key
-    (default: the element itself). With ``keyed`` each sphere comes as a
-    dict from key to element, in the same order, so a caller that matches
-    by key needs no key call of its own. Stops after an empty sphere (a
-    finite group). Once the visited set, identity included, passes ``cap``
-    it yields the partial sphere, ending with the element that passed the
+    (default: the element itself). Stops after an empty sphere (a finite
+    group). Once the visited set, identity included, passes ``cap`` it
+    yields the partial sphere, ending with the element that passed the
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
+
+    A sphere comes as ``(sphere, keys, slices)``: ``keys[i]`` is the key
+    of ``sphere[i]`` (``keys`` is ``sphere`` itself when ``key`` is None),
+    and ``sphere[lo:hi]`` for ``(lo, hi) = slices[j]`` is what ``gens[j]``
+    found. The slices are consecutive, in generator order, and an element
+    of slice j has a least geodesic word that ends in g_j: j is the least
+    index with element = p g_j for some p in the sphere below. A partial
+    sphere's slices stop at the generator that passed the cap.
 
     Composes that can only step back into the walked ball are skipped.
     Each element w of sphere n >= 1 remembers the generator g_j that found
-    it, w = p g_j with p in sphere n - 1, by lying in the slice of its
-    sphere that g_j found. If g_j h lies in the radius-1 ball {1} u gens,
-    then w h = p (g_j h) lies in the radius-n ball, which is all visited
-    before sphere n is expanded, so ``compose(w, h)`` could only give a
-    duplicate, and h does not step from g_j's slice. Which h these are for
-    each g_j is read off the expansion of sphere 1, which composes every
-    g_j h anyway, so a walk of two spheres composes no more than before.
-    The skip is exact when ``key`` respects compose: keys of (p g_j) h and
-    p (g_j h) agree, and equal keys stay equal when composed on the left.
-    Every sphere, its order and the cap are then as if every element met
-    every generator. Float canonicals meet this only up to roundoff: a
-    skipped compose is, in exact arithmetic, an element already seen, so
-    with raw float canonicals as keys the walk drops roundoff copies of
-    walked elements that a full walk would have counted as new
-    (``_growth_key`` rounds them together either way).
+    it, w = p g_j with p in sphere n - 1, by lying in slice j. If g_j h
+    lies in the radius-1 ball {1} u gens, then w h = p (g_j h) lies in the
+    radius-n ball, which is all visited before sphere n is expanded, so
+    ``compose(w, h)`` could only give a duplicate, and h does not step
+    from g_j's slice. Which h these are for each g_j is read off the
+    expansion of sphere 1, which composes every g_j h anyway, so a walk of
+    two spheres composes no more than before. The skip is exact when
+    ``key`` respects compose: keys of (p g_j) h and p (g_j h) agree, and
+    equal keys stay equal when composed on the left. Every sphere, its
+    order and the cap are then as if every element met every generator.
+    Float canonicals meet this only up to roundoff: a skipped compose is,
+    in exact arithmetic, an element already seen, so with raw float
+    canonicals as keys the walk drops roundoff copies of walked elements
+    that a full walk would have counted as new (``_growth_key`` rounds
+    them together either way).
 
-    A slice is stepped from in chunks of at most ``_CHUNK`` elements, and
-    a chunk that cannot pass the cap, even if all its products are new,
-    is composed and keyed as one batch. When the batch's keys are distinct
-    and none was seen, the element loop would add every one of them, in
-    order, so the batch joins the sphere whole; otherwise the element loop
-    runs over the pairs already composed. The element loop composes
-    lazily on chunks shorter than ``_SMALL``, on chunks that could pass
-    the cap, and on the expansion of spheres 0 and 1 (sphere 1's records
-    the skips). So no compose happens past the cap, and every sphere is
-    the element loop's, element for element.
+    A slice is stepped from in chunks of at most ``_CHUNK`` elements, each
+    composed and keyed as one batch. When the batch's keys are distinct,
+    none was seen and the visited set stays within ``cap``, adding them
+    one by one would keep every one of them, in order, so the batch joins
+    the sphere whole; otherwise a loop over the pairs already composed
+    adds the new ones, records the skips while sphere 1 is expanded and
+    stops at the element that passes the cap. A chunk that may pass the
+    cap is composed whole, so at most ``_CHUNK`` composes happen past it,
+    and the spheres are the same.
 
-    ``batch(chunk, g)`` composes such a chunk. It must return exactly
-    ``[compose(w, g) for w in chunk]``, element for element, and it is
-    called only on chunks that cannot pass the cap, which never hold the
-    identity. The default maps ``compose`` over the chunk; a caller that
-    can compose a whole chunk at once passes its own.
+    ``batch(chunk, g)`` composes a chunk. It must return exactly
+    ``[compose(w, g) for w in chunk]``, element for element; its chunks
+    never hold the identity, whose products, the radius-1 sphere, come
+    from ``compose``. The default maps ``compose`` over the chunk; a
+    caller that can compose a whole chunk at once passes its own.
     """
     if batch is None:
         def batch(chunk, g):
@@ -143,7 +148,7 @@ def spheres(identity, gens, compose, cap, key=None, keyed=False, batch=None):
     radius = 0
     while True:
         sphere, found = [], []
-        keys = [] if keyed else None
+        keys = sphere if key is None else []
         for h, g in enumerate(gens):
             start = len(sphere)
             for j in sources[h]:
@@ -151,40 +156,31 @@ def spheres(identity, gens, compose, cap, key=None, keyed=False, batch=None):
                 while lo < hi:
                     chunk = frontier[lo:min(hi, lo + _CHUNK)]
                     lo += len(chunk)
-                    if len(chunk) >= _SMALL and radius > 1 and len(seen) + len(chunk) <= cap:
-                        cs = batch(chunk, g)
-                        ks = cs if key is None else list(map(key, cs))
-                        fresh = set(ks)
-                        if len(fresh) == len(ks) and fresh.isdisjoint(seen):
-                            seen |= fresh
-                            sphere += cs
-                            if keyed:
-                                keys += ks
-                            continue
-                        for c, k in zip(cs, ks):
-                            if k not in seen:
-                                seen.add(k)
-                                sphere.append(c)
-                                if keyed:
-                                    keys.append(k)
+                    cs = batch(chunk, g) if radius else [compose(identity, g)]
+                    ks = cs if key is None else list(map(key, cs))
+                    fresh = set(ks)
+                    if (len(fresh) == len(ks) and len(seen) + len(ks) <= cap
+                            and fresh.isdisjoint(seen)):
+                        seen |= fresh
+                        sphere += cs
+                        if keys is not sphere:
+                            keys += ks
                         continue
-                    for w in chunk:
-                        c = compose(w, g)
-                        k = c if key is None else key(c)
+                    for c, k in zip(cs, ks):
                         if k not in seen:
                             seen.add(k)
                             sphere.append(c)
-                            if keyed:
+                            if keys is not sphere:
                                 keys.append(k)
                             if len(seen) > cap:
-                                yield dict(zip(keys, sphere)) if keyed else sphere
+                                yield sphere, keys, found + [(start, len(sphere))]
                                 return
                         elif ball1 is not None and k in ball1:
                             skipped[j].add(h)
             found.append((start, len(sphere)))
         if not sphere:
             return
-        yield dict(zip(keys, sphere)) if keyed else sphere
+        yield sphere, keys, found
         radius += 1
         if radius == 1:
             ball1, skipped = set(seen), [set() for _ in gens]
@@ -204,7 +200,7 @@ def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
     out = []
     ball = spheres(backend.identity(), list(S), backend.compose, memory_cap,
                    key=attrgetter("canonical"))
-    for sphere in islice(ball, n):
+    for sphere, _, _ in islice(ball, n):
         out.extend(sphere)
         if len(out) >= memory_cap:
             raise BudgetExceeded(f"product ball exceeded {memory_cap} elements", completed=None)
@@ -233,16 +229,18 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     ``backend.subgroup_word_exact`` spells are answered without a walk;
     the walk stops when no target is left or the ball runs out.
 
-    The walk keeps its spheres, and a target found at radius d is spelled
-    backwards: from g to g s^-1 in sphere d - 1, and on to the identity.
-    Spheres are matched by ``backend._growth_key``, which absorbs float
-    roundoff; a float target whose step back still misses gives None.
-    Where canonicals are inexact (``backend.exact_words`` false) the walk
-    itself dedups by that key, so its spheres are the ones ``ball_sizes``
-    counts, and targets and the identity are matched by key. Exact
-    canonicals are their own keys and cost no key call; an exact sphere
-    is turned into a map only when a found target lies past it, so the
-    last sphere walked, often the largest, is never mapped.
+    The walk keeps the records ``spheres`` yields, and a target found at
+    radius d is spelled backwards from its place in sphere d: the slice it
+    lies in names the entry s that found it, and g s^-1 lies in sphere
+    d - 1, down to the identity. Where canonicals are inexact
+    (``backend.exact_words`` false) the walk dedups by
+    ``backend._growth_key``, which absorbs float roundoff, so its spheres
+    are the ones ``ball_sizes`` counts; targets, the identity and the
+    steps back are matched by that key, and a float target whose step back
+    still misses gives None. Exact canonicals are their own keys and cost
+    no key call. A sphere is mapped from key to place only when a found
+    target lies past it, so the last sphere walked, often the largest, is
+    never mapped.
     """
     backend = S.backend
     key = None if backend.exact_words else backend._growth_key
@@ -264,17 +262,17 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
-    # a float sphere comes from the walk as the key -> canonical map that
-    # both matching and spelling use, keyed once by the dedup itself; an
-    # exact sphere is its own keys, stays a list and is matched by scanning
-    walked = [[ident] if key is None else {ident_key: ident}]
+    walked = [([ident], [ident_key], [(0, 1)])]
+    hits = {}  # index -> (radius, place in its sphere), spelled after the walk
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key,
-                   keyed=key is not None, batch=backend._compose_batch)
-    for radius, sphere in enumerate(islice(ball, horizon), 1):
-        walked.append(sphere)
-        for target in [t for t in pending if t in sphere]:
+                   batch=backend._compose_batch)
+    for radius, record in enumerate(islice(ball, horizon), 1):
+        walked.append(record)
+        sphere, keys, _ = record
+        for target in [t for t in pending if t in keys]:
+            place = keys.index(target)
             for i, _ in pending.pop(target):
-                out[i] = radius  # spelled after the walk
+                hits[i] = radius, place
         visited += len(sphere)
         if visited > memory_cap:
             bust = BudgetExceeded(
@@ -289,30 +287,26 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
                    if (kept := [e for e in entries if e[1] > radius])}
         if not pending:
             break
-    radii = [(i, d) for i, d in enumerate(out) if isinstance(d, int)]
-    if radii:
-        deepest = max(d for _, d in radii)
-        layers = [dict(zip(w, w)) if key is None else w for w in walked[:deepest]]
-        back = [(backend._invert(s.canonical), s.word) for s in S]
-        for i, d in radii:
-            out[i] = _spell_back(backend, targets[i][0].canonical, layers[:d], back)
+    if hits:
+        deepest = max(d for d, _ in hits.values())
+        places = [dict(zip(keys, range(len(keys)))) for _, keys, _ in walked[:deepest]]
+        for i, (d, place) in hits.items():
+            out[i] = _spell_back(backend, key, S, walked[1:d + 1], places[:d], place)
     return out
 
 
-def _spell_back(backend, g, layers, back):
-    """A word for g, which lies one sphere past ``layers[-1]``: step to
-    g s^-1 for the first ``(s^-1, word of s)`` in ``back`` that lands in the
-    sphere below, down to the identity in ``layers[0]``. None if roundoff
-    hides every step back from some sphere."""
-    key = backend._growth_key
+def _spell_back(backend, key, S, records, places, place):
+    """A word over S for the element at ``place`` of the last of
+    ``records``, the spheres 1..d of a walk over S: the slice it lies in
+    names the entry s that found it, and one compose with s^-1 steps to
+    sphere d - 1, whose ``places`` map finds it by key, down to the
+    identity. None if roundoff hides a step back."""
     steps = []
-    for layer in reversed(layers):
-        for inv, word in back:
-            prev = layer.get(key(backend._compose(g, inv)))
-            if prev is not None:
-                break
-        else:
+    for (sphere, _, slices), below in zip(reversed(records), reversed(places)):
+        j = bisect_right([lo for lo, _ in slices], place) - 1
+        prev = backend._compose(sphere[place], backend._invert(S[j].canonical))
+        place = below.get(prev if key is None else key(prev))
+        if place is None:
             return None
-        steps.append(word)
-        g = prev
+        steps.append(S[j].word)
     return tuple(sym for word in reversed(steps) for sym in word)

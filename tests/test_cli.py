@@ -7,8 +7,10 @@ import pytest
 
 from loxgrow import __version__
 from loxgrow.cli import main
+from loxgrow.errors import ConfigError
 from loxgrow.freebasis import backend_hash
 from loxgrow.growth.table import HEURISTIC_NOTE
+from loxgrow.spaces import make_backend
 
 from conftest import PSL2Z_ELLIPTIC, SANOV
 
@@ -404,7 +406,8 @@ def test_tree_generators_must_be_word_strings(write_config, capsys, backend, gen
 
 def _lowercase_letters(count):
     return "".join([c for c in map(chr, range(ord("a"), 0x3000))
-                    if c.isalpha() and c.islower()][:count])
+                    if c.isalpha() and c.islower() and len(c.upper()) == 1
+                    and c.upper().isupper() and c.upper().lower() == c][:count])
 
 
 def test_free_group_rank_stops_at_128(write_config, capsys):
@@ -425,6 +428,20 @@ def test_free_group_rank_stops_at_128(write_config, capsys):
     assert main(["growth", cfg]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [int(row.split(",")[1]) for row in rows] == [1, 1 + 256, 1 + 256 + 256 * 255]
+
+
+@pytest.mark.parametrize("letter", ["ß", "ı", "ª"])
+def test_free_group_letters_need_an_uppercase_that_reads_back(letter, write_config, capsys):
+    # ß upper-cases to "SS", which would read back as s^-1 s^-1; the dotless
+    # ı to "I", which reads back as i^-1; ª to itself, which reads back as ª
+    with pytest.raises(ConfigError, match="uppercase"):
+        make_backend({"kind": "free_group_tree", "rank": 2, "letters": "s" + letter})
+    cfg = write_config("letters.json", {
+        "backend": {"kind": "free_group_tree", "rank": 2, "letters": "s" + letter},
+        "generators": ["s", letter],
+    })
+    assert main(["growth", cfg]) == 4
+    assert repr(letter) in capsys.readouterr().err
 
 
 def test_nan_delta_exits_four_before_any_search(write_config, capsys):

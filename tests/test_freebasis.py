@@ -495,6 +495,20 @@ def test_certificate_tamper_fuzz(S_f2):
         check_certificate(data)
 
 
+def test_repeated_T_entry_rejected(S_f2):
+    # one S0 entry and its T entry repeated, with r and omega_lower to
+    # match: every check before the degenerate-T one passes
+    cert = build_free_basis(S_f2)
+    data = certificate_payload(cert)
+    data["S0"].append(data["S0"][0])
+    data["T"].append(data["T"][0])
+    r = cert.r + 1
+    data.update(r=r, omega_lower=math.log(2 * r - 1) / cert.kappa)
+    with pytest.raises(InvalidCertificate,
+                       match="T has a repeated entry, an inverse pair or an involution"):
+        check_certificate(data)
+
+
 def test_forged_T_words_rejected(S_f2):
     # one-letter words over S would make kappa 1 and omega_lower log 7,
     # above the true rate log 3

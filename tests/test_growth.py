@@ -4,12 +4,14 @@ import math
 import os
 import random
 import sys
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
 from loxgrow import __version__
 from loxgrow.errors import ConfigError
+from loxgrow.freebasis import verify_theorem
 from loxgrow.growth import (
     GrowthTable,
     _engine_py,
@@ -132,29 +134,35 @@ def _mul(a, b):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
 
+def _free_product_denominator(wa, wb):
+    """D = W_A + W_B - W_A W_B, as far as both sphere series go."""
+    return [x + y - z for x, y, z in zip(wa, wb, _mul(wa, wb))]
+
+
 def _free_product_spheres(wa, wb):
     """Sphere sizes of A * B over S_A u S_B from those of the factors, as
-    far as both go: W = W_A W_B / (W_A + W_B - W_A W_B), whose denominator
-    has constant term 1, so the quotient stays in the integers."""
+    far as both go: W = W_A W_B / D for D = W_A + W_B - W_A W_B, which has
+    constant term 1, so the quotient stays in the integers."""
     num = _mul(wa, wb)
-    den = [x + y - z for x, y, z in zip(wa, wb, num)]
+    den = _free_product_denominator(wa, wb)
     out = []
     for k in range(len(num)):
         out.append(num[k] - sum(den[i] * out[k - i] for i in range(1, k + 1)))
     return out
 
 
-def _product_oracle_case(rng):
+def _product_oracle_case(rng, finite=False):
     """(backend, generator words, sphere sizes of A and B to radius 60)
-    for a random free product of two cyclic groups, C_p or Z, each
-    generated by some powers of its letter in random order and sign."""
+    for a random free product of two cyclic groups, C_p or Z (C_p only
+    when ``finite``), each generated by some powers of its letter in
+    random order and sign."""
     def factor(letter, order):
         top = 4 if order is None else order - 1
         exps = rng.sample(range(1, top + 1), rng.randint(1, min(3, top)))
         words = [(letter if rng.random() < 0.5 else letter.upper()) * e for e in exps]
         return words, _cyclic_sphere_sizes(exps, order, 60)
 
-    if rng.random() < 0.25:
+    if not finite and rng.random() < 0.25:
         backend, orders = FreeGroupTree(2, letters="xy"), (None, None)
         letters = "xy"
     else:
@@ -182,6 +190,70 @@ def test_free_product_balls_match_the_growth_series():
         n = max(k for k, ball in enumerate(balls) if ball <= 50_000)
         S = make_generating_set(backend, words)
         assert ball_sizes(S, n).balls == balls[: n + 1], (backend.config(), words)
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _remainder(a, b):
+    """a mod b, polynomials as coefficient lists, constant term first."""
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        for i, c in enumerate(b, len(a) - len(b)):
+            a[i] -= f * c
+        _trim(a)
+    return a
+
+
+def _sturm_roots(coeffs, lo, hi):
+    """The distinct real roots in (lo, hi) of the integer polynomial
+    ``coeffs`` (constant term first), which must not vanish at lo or hi,
+    counted exactly: the sign changes of its Sturm sequence at lo less
+    those at hi."""
+    p = _trim([Fraction(c) for c in coeffs])
+    seq = [p, _trim([i * c for i, c in enumerate(p)][1:])]
+    while seq[-1] and (r := _remainder(seq[-2], seq[-1])):
+        seq.append([-c for c in r])
+
+    def changes(x):
+        values = [sum(c * x ** i for i, c in enumerate(q)) for q in seq if q]
+        assert values[0], x
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+def test_sturm_count_on_known_roots():
+    # (1 - 2z)(1 - 3z)^2 = 1 - 8z + 21z^2 - 18z^3: roots 1/3 (double) and 1/2
+    p = [1, -8, 21, -18]
+    assert _sturm_roots(p, 0, Fraction(1, 4)) == 0
+    assert _sturm_roots(p, 0, Fraction(17, 50)) == 1
+    assert _sturm_roots(p, 0, Fraction(2, 5)) == 1
+    assert _sturm_roots(p, 0, 1) == 2
+    assert _sturm_roots([1, -1, -1], 0, 1) == 1  # 1 - z - z^2: (sqrt 5 - 1)/2
+
+
+def test_free_product_bracket_holds_the_exact_rate():
+    # omega = -log z0 for the least positive root z0 of D, a polynomial with
+    # D(0) = 1 when both factors are finite. No root of D in (0, y_hi)
+    # proves omega <= -log y_hi < omega_upper, and one in (0, y_lo) proves
+    # omega > -log y_lo > omega_lower; the 1e-12 margins absorb the
+    # roundoff of exp
+    rng = random.Random(18)
+    eps = Fraction(1, 10**12)
+    for _ in range(10):
+        backend, words, wa, wb = _product_oracle_case(rng, finite=True)
+        report = verify_theorem(make_generating_set(backend, words), 8, memory_cap=50_000)
+        den = _free_product_denominator(wa, wb)
+        y_hi = Fraction(math.exp(-report.omega_upper)) * (1 + eps)
+        y_lo = Fraction(math.exp(-report.omega_lower)) * (1 - eps)
+        assert _sturm_roots(den, 0, y_hi) == 0, (backend.config(), words)
+        assert _sturm_roots(den, 0, y_lo) >= 1, (backend.config(), words)
 
 
 def test_submultiplicative_and_step_bound(S_pt, S_sanov):

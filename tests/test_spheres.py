@@ -22,25 +22,33 @@ RADII = 8
 
 def reference_spheres(identity, gens, compose, cap, key=None):
     """``spheres`` without its skips and batches: every generator, in order,
-    is composed with every element of a sphere, one at a time."""
+    is composed with every element of a sphere, one at a time. Yields the
+    same records: the sphere, its keys and the slice each generator found."""
     seen = {identity if key is None else key(identity)}
     frontier = [identity]
     while True:
-        sphere = []
+        sphere, keys, slices = [], [], []
         for g in gens:
+            start = len(sphere)
             for w in frontier:
                 c = compose(w, g)
                 k = c if key is None else key(c)
                 if k not in seen:
                     seen.add(k)
                     sphere.append(c)
+                    keys.append(k)
                     if len(seen) > cap:
-                        yield sphere
+                        yield sphere, keys, slices + [(start, len(sphere))]
                         return
+            slices.append((start, len(sphere)))
         if not sphere:
             return
-        yield sphere
+        yield sphere, keys, slices
         frontier = sphere
+
+
+def _sizes(records):
+    return [len(sphere) for sphere, _, _ in records]
 
 
 def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radii=RADII):
@@ -110,10 +118,10 @@ def test_raw_float_keys_skip_roundoff_copies(name):
     ident, gens, compose, key, _ = _encoded(S)
     rounded = list(islice(spheres(ident, gens, compose, 10**6, key), 7))
     raw = list(islice(spheres(ident, gens, compose, 10**6), 7))
-    assert [[key(c) for c in sphere] for sphere in raw] == \
-        [[key(c) for c in sphere] for sphere in rounded]
+    assert [[key(c) for c in sphere] for sphere, _, _ in raw] == \
+        [keys for _, keys, _ in rounded]
     full = list(islice(reference_spheres(ident, gens, compose, 10**6), 7))
-    assert sum(map(len, full)) > sum(map(len, raw))
+    assert sum(_sizes(full)) > sum(_sizes(raw))
 
 
 def test_spheres_with_odd_generator_lists():
@@ -303,11 +311,11 @@ def test_skips_exactly_the_steps_into_the_radius_one_ball():
         return (w[0] + g[0], w[1] + g[1])
 
     walk = spheres((0, 0), [(1, 0), (0, 1), (-1, 0), (0, -1)], add, 10**6)
-    sizes = [len(next(walk)), len(next(walk))]
+    sizes = [len(next(walk)[0]), len(next(walk)[0])]
     assert len(calls) == 4 + 4 * 4
     for _ in range(6):
         calls.clear()
-        sizes.append(len(next(walk)))
+        sizes.append(len(next(walk)[0]))
         assert len(calls) == 3 * sizes[-2]
     assert sizes == [4 * n for n in range(1, 9)]
 
@@ -347,9 +355,9 @@ def test_kappa_walks_the_spheres_ball_sizes_counts(name, monkeypatch):
     sizes = []
 
     def recorded(*args, **kwargs):
-        for sphere in spheres(*args, **kwargs):
-            sizes.append(len(sphere))
-            yield sphere
+        for record in spheres(*args, **kwargs):
+            sizes.append(len(record[0]))
+            yield record
 
     monkeypatch.setattr(words, "spheres", recorded)
     # trace e + 1/e is no trace of these sets, so the walk runs to its cap
@@ -433,15 +441,22 @@ def test_spheres_list_elements_in_reverse_shortlex_order(name, radius):
     for c, rev in least.items():
         if rev:
             by_radius[len(rev) - 1].append(c)
-    assert got == [sorted(cs, key=least.__getitem__) for cs in by_radius]
+    assert [sphere for sphere, _, _ in got] == \
+        [sorted(cs, key=least.__getitem__) for cs in by_radius]
+    # and the slice of generator j holds the elements whose least word ends in j
+    for sphere, keys, slices in got:
+        assert keys is sphere and len(slices) == len(gens)
+        assert slices[0][0] == 0 and slices[-1][1] == len(sphere)
+        for j, (lo, hi) in enumerate(slices):
+            assert lo <= hi and (j == 0 or slices[j - 1][1] == lo)
+            assert all(least[c][0] == j for c in sphere[lo:hi])
 
 
 def _cap_edges(sizes, chunk):
     """Caps that end a walk inside the last sphere of ``sizes``: inside and
     at the edges of its first chunks, and one short of the whole sphere."""
     base = 1 + sum(sizes[:-1])
-    cuts = {1, words._SMALL - 1, words._SMALL, chunk - 1, chunk, chunk + 1, 2 * chunk,
-            2 * chunk + 7, sizes[-1] - 1}
+    cuts = {1, 31, 32, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 7, sizes[-1] - 1}
     return sorted(base + c for c in cuts if 0 < c < sizes[-1])
 
 
@@ -457,10 +472,10 @@ def test_batches_match_the_reference_at_caps_and_chunk_edges(chunk, monkeypatch)
     radius = 10 if chunk > 100 else 7
     full = list(islice(reference_spheres(ident, gens, compose, 10**7), radius))
     assert list(islice(spheres(ident, gens, compose, 10**7, batch=batch), radius)) == full
-    for cap in _cap_edges([len(s) for s in full], chunk):
+    for cap in _cap_edges(_sizes(full), chunk):
         got = list(spheres(ident, gens, compose, cap, batch=batch))
         assert got == list(reference_spheres(ident, gens, compose, cap)), cap
-        assert len(got) == radius and 1 + sum(map(len, got)) == cap + 1
+        assert len(got) == radius and 1 + sum(_sizes(got)) == cap + 1
 
 
 @pytest.mark.parametrize("name, radius", [("c2c7 {a,b}", 15), ("elliptic squared", 9),
@@ -483,30 +498,34 @@ def test_batches_that_meet_the_walked_ball_match_the_reference(name, radius, mon
     assert list(islice(spheres(ident, gens, compose, 10**7, batch=batch), radius)) == full
     assert any(met) and not all(met)
     monkeypatch.undo()
-    for cap in _cap_edges([len(s) for s in full], words._CHUNK):
+    for cap in _cap_edges(_sizes(full), words._CHUNK):
         got = list(spheres(ident, gens, compose, cap, batch=batch))
         assert got == list(reference_spheres(ident, gens, compose, cap)), cap
 
 
-@pytest.mark.parametrize("small", [1, 2, 3])
-def test_batches_with_repeated_products_match_the_reference(small, monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_batches_with_repeated_products_match_the_reference(chunk, monkeypatch):
     # a group never maps two elements of one batch to one key, but a monoid
     # can: sums that saturate at a bound repeat within a batch while none
-    # of them was seen, and the element loop then adds only the first
-    monkeypatch.setattr(words, "_SMALL", small)
-    for bound, gens in [(7, [3, 1, 2]), (8, [1, 3, 2]), (9, [3, 1, 4]), (20, [1, 2, 3])]:
+    # of them was seen, and the loop over the pairs then adds only the
+    # first; chunks of one to three elements split the repeats apart
+    cases = [(7, [3, 1, 2]), (8, [1, 3, 2]), (9, [3, 1, 4]), (20, [1, 2, 3])]
+    for bound, gens in cases:
+        _same_spheres(0, gens, lambda w, g: min(w + g, bound), radii=12)
+    monkeypatch.setattr(words, "_CHUNK", chunk)
+    for bound, gens in cases:
         _same_spheres(0, gens, lambda w, g: min(w + g, bound), radii=12)
 
 
 def test_keyed_float_batches_match_the_reference():
-    # a non-integer float set rounds every key; keyed spheres are the key ->
-    # element maps of the plain ones, in the reference's order
-    ident, gens, compose, key, _ = _walked("float sanov, non-integer")
+    # a non-integer float set rounds every key; each record's keys are its
+    # sphere's keys, in the reference's order, at every cap
+    ident, gens, compose, key, batch = _walked("float sanov, non-integer")
     radius = 7
     full = list(islice(reference_spheres(ident, gens, compose, 10**7, key), radius))
-    for cap in (10**7, *_cap_edges([len(s) for s in full], words._CHUNK)):
+    for cap in (10**7, *_cap_edges(_sizes(full), words._CHUNK)):
         want = list(islice(reference_spheres(ident, gens, compose, cap, key), radius))
-        assert list(islice(spheres(ident, gens, compose, cap, key), radius)) == want, cap
-        keyed = list(islice(spheres(ident, gens, compose, cap, key, keyed=True), radius))
-        assert keyed == [dict(zip(map(key, sphere), sphere)) for sphere in want]
-        assert [list(sphere.values()) for sphere in keyed] == want
+        got = list(islice(spheres(ident, gens, compose, cap, key), radius))
+        assert got == want, cap
+        assert list(islice(spheres(ident, gens, compose, cap, key, batch=batch), radius)) == want
+        assert all(keys == list(map(key, sphere)) for sphere, keys, _ in got)

@@ -83,8 +83,12 @@ def _evaluate(S, word):
 def _search(S, targets, memory_cap=words.DEFAULT_MEMORY_CAP):
     """word_length_in_S with each returned word checked to spell its target
     and replaced by its length; None and BudgetExceeded pass through."""
+    return _lengths(S, targets, word_length_in_S(S, targets, memory_cap))
+
+
+def _lengths(S, targets, outcomes):
     out = []
-    for (g, _), d in zip(targets, word_length_in_S(S, targets, memory_cap)):
+    for (g, _), d in zip(targets, outcomes):
         if isinstance(d, tuple):
             assert _evaluate(S, d) == g.canonical, (g, d)
             d = len(d)
@@ -127,7 +131,7 @@ def _one_target(S, g, cap, memory_cap):
         return len(exact) if len(exact) <= cap else None
     visited = 1
     ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap)
-    for radius, sphere in enumerate(itertools.islice(ball, cap), 1):
+    for radius, (sphere, _, _) in enumerate(itertools.islice(ball, cap), 1):
         if g.canonical in sphere:
             return radius
         visited += len(sphere)
@@ -136,10 +140,32 @@ def _one_target(S, g, cap, memory_cap):
     return None
 
 
+def _least_word(S, g, d):
+    """The word for g, at radius d over an exact S, that stepping back by
+    trial spells: from g to g s^-1 for the first s in S that lands one
+    sphere lower, down to the identity."""
+    backend = S.backend
+    ident = backend._identity_canonical()
+    ball = spheres(ident, [s.canonical for s in S], backend._compose, 10**7)
+    below = [{ident}] + [set(sphere) for sphere, _, _ in itertools.islice(ball, d - 1)]
+    c, steps = g.canonical, []
+    for layer in reversed(below):
+        s, c = next((s, prev) for s in S
+                    if (prev := backend._compose(c, backend._invert(s.canonical))) in layer)
+        steps.append(s.word)
+    return tuple(sym for word in reversed(steps) for sym in word)
+
+
 def _agrees_with_one_target_searches(S, targets, memory_cap=words.DEFAULT_MEMORY_CAP):
+    """Outcomes as the one-target searches give them, and each walked word
+    the one that trying every step back spells."""
+    outcomes = word_length_in_S(S, targets, memory_cap)
     got = [("budget", d.completed) if isinstance(d, BudgetExceeded) else d
-           for d in _search(S, targets, memory_cap)]
+           for d in _lengths(S, targets, outcomes)]
     assert got == [_one_target(S, g, cap, memory_cap) for g, cap in targets]
+    for (g, _), w in zip(targets, outcomes):
+        if isinstance(w, tuple) and w and S.backend.subgroup_word_exact(S, g) is None:
+            assert w == _least_word(S, g, len(w)), (g, w)
     return got
 
 
@@ -311,14 +337,23 @@ def test_spheres_order_and_cap():
     def compose(w, g):
         return (w + g) % 6
 
-    assert list(spheres(0, [1, 5], compose, 100)) == [[1, 5], [2, 4], [3]]
-    assert list(spheres(0, [1, 5], compose, 4)) == [[1, 5], [2, 4]]
-    assert list(spheres(0, [1, 5], compose, 3)) == [[1, 5], [2]]
-    assert list(spheres(0, [1, 5], compose, 2, key=lambda w: w % 3)) == [[1, 5]]
-    # keyed: the same spheres as key -> element maps, in order, capped alike
-    for cap, want in ((100, [[1, 5], [2, 4], [3]]), (3, [[1, 5], [2]])):
-        got = spheres(0, [1, 5], compose, cap, key=lambda w: -w, keyed=True)
-        assert [list(s.items()) for s in got] == [[(-w, w) for w in s] for s in want]
+    def walk(cap, key=None):
+        return [sphere for sphere, _, _ in spheres(0, [1, 5], compose, cap, key)]
+
+    assert walk(100) == [[1, 5], [2, 4], [3]]
+    assert walk(4) == [[1, 5], [2, 4]]
+    assert walk(3) == [[1, 5], [2]]
+    assert walk(2, key=lambda w: w % 3) == [[1, 5]]
+    # each record: the sphere, its keys in order (the sphere itself without
+    # a key) and the slice each generator found; a partial sphere's slices
+    # stop at the generator that passed the cap
+    halves = [(0, 1), (1, 2)]
+    for cap, want, slices in ((100, [[1, 5], [2, 4], [3]], [halves, halves, [(0, 1), (1, 1)]]),
+                              (3, [[1, 5], [2]], [halves, [(0, 1)]])):
+        got = list(spheres(0, [1, 5], compose, cap, key=lambda w: -w))
+        assert got == [(s, [-w for w in s], f) for s, f in zip(want, slices)]
+        for sphere, keys, _ in spheres(0, [1, 5], compose, cap):
+            assert keys is sphere
 
 
 def test_word_length_symmetric_in_inverse(ft2, S_f2):
