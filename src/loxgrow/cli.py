@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 from . import __version__
 from .errors import (
@@ -261,11 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # one line per warning; library callers keep Python's format
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except ElementaryDetected as exc:
         print(f"elementary subgroup detected: {exc}", file=sys.stderr)
         return 2

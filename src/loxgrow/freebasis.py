@@ -86,11 +86,16 @@ class LoxodromicPick:
     tau: float
 
 
-def _loxodromic_by_criterion(g, backend, pool, max_power=16):
+def _is_loxodromic(g, pool):
+    """Whether the pipeline takes g as loxodromic: the backend's classify
+    when ``pool`` is None (exact backends), else the displacement criterion
+    for some g^m, m <= 16, at a pool point (skipping points that overflow)."""
+    if pool is None:
+        return g.backend.classify(g).kind == "loxodromic"
     gm = g
-    for m in range(1, max_power + 1):
+    for m in range(1, 17):
         if m > 1:
-            gm = backend.compose(gm, g)
+            gm = g.backend.compose(gm, g)
         for o in pool:
             try:
                 if loxodromic_criterion(gm, o):
@@ -101,18 +106,21 @@ def _loxodromic_by_criterion(g, backend, pool, max_power=16):
     return False
 
 
-def find_short_loxodromic(S, budget=64) -> LoxodromicPick:
+def find_short_loxodromic(S) -> LoxodromicPick:
     """Scan S and S*S for the loxodromic of largest translation length.
 
-    Ties go to the shorter word, then canonical order. Float backends test
-    candidates over the basepoint pool and estimate tau at the
-    joint-displacement minimizer. Raises NoLoxodromicFound when every
-    candidate is elliptic or parabolic; build_free_basis then escalates.
+    Ties go to the shorter word, then canonical order. Candidates pass by
+    ``_is_loxodromic``: float backends need the displacement criterion for
+    one of the first 16 powers at a basepoint candidate, and estimate tau
+    from the 16th and 32nd powers at the joint-displacement minimizer.
+    Raises NoLoxodromicFound when no candidate passes; build_free_basis
+    then escalates.
     """
     backend = S.backend
+    pool = None
     if not backend.exact_words:
-        o = min_displacement_search(S, budget).point
-        pool = basepoint_candidates(S, budget)
+        o = min_displacement_search(S).point
+        pool = basepoint_candidates(S)
 
     candidates = []
     seen = set()
@@ -131,13 +139,11 @@ def find_short_loxodromic(S, budget=64) -> LoxodromicPick:
     best = None
     best_key = None
     for g in candidates:
-        if backend.exact_words:
-            if backend.classify(g).kind != "loxodromic":
-                continue
+        if not _is_loxodromic(g, pool):
+            continue
+        if pool is None:
             tau = backend.translation_length(g)
         else:
-            if not _loxodromic_by_criterion(g, backend, pool):
-                continue
             tau = translation_length_bracket(g, o, N=16).estimate
         key = (-tau, len(g.word or ()), backend.sort_key(g))
         if best is None or key < best_key:
@@ -150,9 +156,12 @@ def find_short_loxodromic(S, budget=64) -> LoxodromicPick:
 # -- elementary-subgroup membership ------------------------------------------
 
 
-def _elementary_core(b, g, N_test=6, theta=1.0, window=8) -> Tuple[bool, bool]:
-    """(member, heuristic). Exact backends compare g b^n g^-1 with b^{+-n};
-    float backends fall back to the axis-overlap proxy."""
+def _elementary_member(b, g) -> bool:
+    """Whether g lies in E(b). Exact backends compare g b^n g^-1 with b^n
+    and b^-n for 1 <= n <= 6. Float backends fall back to a heuristic: the
+    axis of b, sampled from b^-8 o to b^8 o, must stay near its g-translate
+    along a stretch of diameter at least 8 tau / 2, with tau the translation
+    length of b (``axis_overlap_diameter``)."""
     backend = b.backend
     if backend.exact_words:
         # canonicals decide equality here; no symbol words are built
@@ -160,31 +169,31 @@ def _elementary_core(b, g, N_test=6, theta=1.0, window=8) -> Tuple[bool, bool]:
         bc, gc = b.canonical, g.canonical
         ginv = invert(gc)
         bn = bc
-        for i in range(N_test):
+        for i in range(6):
             if i:
                 bn = compose(bn, bc)
             conj = compose(compose(gc, bn), ginv)
             if conj == bn or conj == invert(bn):
-                return True, False
-        return False, False
+                return True
+        return False
     o = backend.origin()
     tau = backend.translation_length(b)
     try:
-        diam = axis_overlap_diameter(b, g, o, theta=theta, window=window)
+        diam = axis_overlap_diameter(b, g, o, window=8)
     except OverflowError:
         # axis samples degenerated to the boundary; cannot rule membership out
-        return True, True
-    return diam >= window * max(tau, 1e-9) / 2.0, True
+        return True
+    return diam >= 8 * max(tau, 1e-9) / 2.0
 
 
-def in_elementary(b, g, N_test=6) -> bool:
+def in_elementary(b, g) -> bool:
     """Whether g normalizes the axis of the loxodromic b (g in E(b)).
 
-    True iff g b^n g^-1 equals b^n or b^-n for some 1 <= n <= N_test. On a
+    True iff g b^n g^-1 equals b^n or b^-n for some 1 <= n <= 6. On a
     float backend the answer is a flagged heuristic, never a certificate.
     """
-    member, heuristic = _elementary_core(b, g, N_test)
-    if heuristic:
+    member = _elementary_member(b, g)
+    if not b.backend.exact_words:
         warnings.warn(
             "elementary membership decided by the axis-overlap heuristic",
             HeuristicOnly,
@@ -193,14 +202,11 @@ def in_elementary(b, g, N_test=6) -> bool:
     return member
 
 
-def find_independent(S, b, N_test=6) -> GroupElement:
+def find_independent(S, b) -> GroupElement:
     """First generator (canonical order) outside E(b); AllElementary if none."""
-    heuristic_any = False
     for s in S:
-        member, heuristic = _elementary_core(b, s, N_test)
-        heuristic_any = heuristic_any or heuristic
-        if not member:
-            if heuristic_any:
+        if not _elementary_member(b, s):
+            if not b.backend.exact_words:
                 warnings.warn(
                     "independence decided by the axis-overlap heuristic",
                     HeuristicOnly,
@@ -438,6 +444,20 @@ def _upper_word(S, t):
     return normal if normal is not None and len(normal) <= len(t.word) else t.word
 
 
+def _coset_separated(S_eff, h):
+    """The entries of S_eff, in order, that lie in distinct left cosets of
+    E(h): an entry s is kept unless s^-1 p lies in E(h) for an entry p kept
+    before it."""
+    backend = h.backend
+    S0 = []
+    for s in S_eff:
+        s_inv = backend._invert(s.canonical)
+        quotients = (GroupElement(backend, backend._compose(s_inv, p.canonical)) for p in S0)
+        if not any(_elementary_member(h, g) for g in quotients):
+            S0.append(s)
+    return S0
+
+
 def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeBasisCertificate:
     """Escalate to a loxodromic, then run the diagonal (n, k) amplification
     search ending in a freeness certificate.
@@ -449,6 +469,12 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
     of S, and the certificate records the number of rounds. Any
     ElementaryDetected raised here carries that number in
     ``escalation_rounds``.
+
+    Then b = find_short_loxodromic, f = find_independent, h = f b^n, S0
+    the entries in distinct cosets of E(h) and T = {s h^k s^-1 : s in S0},
+    skipping an n whose h fails ``_is_loxodromic`` (16 powers on float
+    backends). Membership in E(b) and E(h) tests 6 powers on exact
+    backends and the axis overlap (window 8) on float ones.
 
     Smallest n + k first, n ascending inside a diagonal; the first (n, k)
     whose T passes the ping-pong margin test at some basepoint candidate
@@ -478,103 +504,41 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
     except AllElementary as exc:
         exc.escalation_rounds = rounds
         raise
-    membership_heuristic = not backend.exact_words
     pool = None if backend.exact_words else basepoint_candidates(S_eff)
 
-    b_pows = {1: b}
-
-    def power_b(n):
-        if n not in b_pows:
-            b_pows[n] = backend.compose(power_b(n - 1), b)
-        return b_pows[n]
-
-    stage_cache = {}
-
-    def stage(n):
-        # h and the coset-separated S0 depend on n only
-        if n in stage_cache:
-            return stage_cache[n]
-        h = backend.compose(f, power_b(n))
-        if backend.exact_words:
-            lox = backend.classify(h).kind == "loxodromic"
-        else:
-            lox = _loxodromic_by_criterion(h, backend, pool)
-        if not lox:
-            stage_cache[n] = None
-            return None
-        S0 = []
-        for s in S_eff:
-            separated = True
-            for prev in S0:
-                g = GroupElement(backend, backend._compose(backend._invert(s.canonical),
-                                                           prev.canonical))
-                member, _ = _elementary_core(h, g)
-                if member:
-                    separated = False
-                    break
-            if separated:
-                S0.append(s)
-        h_pows = {1: h}
-        stage_cache[n] = (h, S0, h_pows)
-        return stage_cache[n]
-
-    def conjugated(n, k):
-        st = stage(n)
-        if st is None:
-            return None
-        h, S0, h_pows = st
-        if not S0:
-            return None
-        while max(h_pows) < k:
-            top = max(h_pows)
-            h_pows[top + 1] = backend.compose(h_pows[top], h)
-        hk = h_pows[k]
-        T = GeneratingSet(
-            backend,
-            [backend.compose(backend.compose(s, hk), backend.invert(s)) for s in S0],
-        )
-        return h, S0, T
-
-    def finalize(n, k, h, S0, T, check, x):
+    b_pows = [b]  # b^1, b^2, ...
+    stages = {}  # n -> (h, S0, [h^1, h^2, ...]), or None if h is not loxodromic
+    for n, k in _diagonal(budgets.max_n, budgets.max_k):
+        if n not in stages:
+            while len(b_pows) < n:
+                b_pows.append(backend.compose(b_pows[-1], b))
+            h = backend.compose(f, b_pows[n - 1])
+            lox = _is_loxodromic(h, pool)
+            stages[n] = (h, _coset_separated(S_eff, h), [h]) if lox else None
+        if stages[n] is None:
+            continue
+        # S0 holds S_eff's first entry, so T is never empty
+        h, S0, h_pows = stages[n]
+        while len(h_pows) < k:
+            h_pows.append(backend.compose(h_pows[-1], h))
+        T = GeneratingSet(backend, [backend.compose(backend.compose(s, h_pows[k - 1]),
+                                                    backend.invert(s)) for s in S0])
+        x = _scan_basepoints(T, basepoint_candidates(T), backend.delta, eps)
+        if x is None:
+            continue
+        # the stored numbers come from the checker's own function
+        check = certify_free_geometric(T, x, backend.delta, eps)
         T, kappa, kappa_mode = _compute_kappa(S, T, memory_cap)
         r = len(T)
-        omega = math.log(2 * r - 1) / kappa if r >= 2 else 0.0
         return FreeBasisCertificate(
-            backend_config=backend.config(),
-            backend_hash=backend_hash(backend.config()),
-            delta=backend.delta,
-            mode="geometric",
-            b=b,
-            f=f,
-            h=h,
-            n=n,
-            k=k,
-            S=S,
-            S0=GeneratingSet(backend, list(S0)),
-            T=T,
-            r=r,
-            basepoint=x,
-            m=check.m,
-            p_max=check.p_max,
-            margin=check.margin,
-            epsilon_margin=eps,
-            kappa=kappa,
-            kappa_mode=kappa_mode,
-            omega_lower=omega,
-            escalation_rounds=rounds,
-            membership_heuristic=membership_heuristic,
+            backend_config=backend.config(), backend_hash=backend_hash(backend.config()),
+            delta=backend.delta, mode="geometric", b=b, f=f, h=h, n=n, k=k, S=S,
+            S0=GeneratingSet(backend, S0), T=T, r=r, basepoint=x,
+            m=check.m, p_max=check.p_max, margin=check.margin, epsilon_margin=eps,
+            kappa=kappa, kappa_mode=kappa_mode,
+            omega_lower=math.log(2 * r - 1) / kappa if r >= 2 else 0.0,
+            escalation_rounds=rounds, membership_heuristic=not backend.exact_words,
         )
-
-    for n, k in _diagonal(budgets.max_n, budgets.max_k):
-        built = conjugated(n, k)
-        if built is None:
-            continue
-        h, S0, T = built
-        x = _scan_basepoints(T, basepoint_candidates(T), backend.delta, eps)
-        if x is not None:
-            # the stored numbers come from the checker's own function
-            check = certify_free_geometric(T, x, backend.delta, eps)
-            return finalize(n, k, h, S0, T, check, x)
 
     raise SearchExhausted(
         f"no certificate with n <= {budgets.max_n}, k <= {budgets.max_k}"

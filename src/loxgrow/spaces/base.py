@@ -158,12 +158,17 @@ class Backend:
         return GroupElement(self, self._identity_canonical(), ())
 
     def power(self, a: GroupElement, n: int) -> GroupElement:
+        """a^n: the canonicals fold left from the identity as n composes do,
+        and the word is reduced once (free reduction is confluent)."""
         if n < 0:
             return self.power(self.invert(a), -n)
-        out = self.identity()
+        self._check(a)
+        out = self._identity_canonical()
         for _ in range(n):
-            out = self.compose(out, a)
-        return out
+            out = self._compose(out, a.canonical)
+        if a.word is None and n:
+            return GroupElement(self, out)
+        return GroupElement(self, out, reduce_symbol_word((a.word or ()) * n))
 
     def _check(self, obj):
         if obj.backend is not self:

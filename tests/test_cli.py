@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -708,6 +709,17 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
         "valid": "True",
         "version": repr(__version__),
     }
+
+
+def test_float_run_prints_the_heuristic_warning_on_one_line(write_config, capsys):
+    # no source path and no code line; library callers keep Python's format
+    cfg = write_config("sanov-float.json", _SANOV_FLOAT)
+    capsys.readouterr()
+    before = warnings.showwarning
+    assert main(["verify-bound", cfg]) == 0
+    assert capsys.readouterr().err == (
+        "warning: independence decided by the axis-overlap heuristic\n")
+    assert warnings.showwarning is before
 
 
 @pytest.mark.filterwarnings("ignore::loxgrow.errors.HeuristicOnly")

@@ -72,7 +72,16 @@ def test_points_round_trip_through_json_text(case):
      "1c045f676b32735b2ac02df5a750baaf05570b86ee987d4f1615152b210a2c77"),
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000,
      "bd2c96cb58274acae2e5320cfb13aaf296f74bb96d43d2640b0078478f01b912"),
-], ids=["f2", "c2c3", "sanov", "c3c3", "elliptic"])
+    # kappa 14 found by the breadth-first walk
+    ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], DEFAULT_MEMORY_CAP,
+     "a0a1c26cc8d2406643a6e6fed5d2242725f991dbd4dd91623185c61e6fee6747"),
+    # S0 drops one entry (coset separation at n = 2)
+    ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], DEFAULT_MEMORY_CAP,
+     "2822dda5adefe2987a3c58b14a21e3f26d088a8ef68ea86ee9c11713512dcea2"),
+    # S0 drops two entries, and the normal form gives a word-upper kappa
+    ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb", "ab"], 20_000,
+     "93167db4d465bc02157929bc991951c6f3d45a919b70cdfc1fe0214f47f52560"),
+], ids=["f2", "c2c3", "sanov", "c3c3", "elliptic", "c2c7", "c2c4", "c2c4-ab"])
 def test_certificate_bytes_are_pinned(config, gens, cap, digest):
     S = make_generating_set(make_backend(config), gens)
     text = certificate_to_json(build_free_basis(S, memory_cap=cap))

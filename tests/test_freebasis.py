@@ -1095,3 +1095,60 @@ def test_build_free_basis_work_counts(case, monkeypatch):
     assert 0 < calls["dist"] <= max_dist
     assert 0 < calls["apply"] <= max_apply
     assert 0 < calls["reduce"] <= max_reduce
+
+
+# -- the heuristic flag and powers ----------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["f2", "c2c3", "sanov", "elliptic"])
+def test_exact_backends_build_without_a_heuristic_warning(case):
+    config, gens, cap = _CHECK_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", HeuristicOnly)
+        assert not build_free_basis(S, memory_cap=cap).membership_heuristic
+
+
+def test_float_build_warns_once_that_independence_is_heuristic():
+    config, gens, cap = _CHECK_CASES["sanov-float"]
+    S = make_generating_set(make_backend(config), gens)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert build_free_basis(S, memory_cap=cap).membership_heuristic
+    assert [str(w.message) for w in caught if issubclass(w.category, HeuristicOnly)] == [
+        "independence decided by the axis-overlap heuristic"]
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1, 7, 50])
+def test_power_reduces_the_word_once(ft2, pt23, hp, hpf, n, monkeypatch):
+    cases = []
+    for backend, gens in ((ft2, ["x", "y"]), (pt23, ["a", "b"]), (hp, SANOV), (hpf, SANOV)):
+        S = make_generating_set(backend, gens)
+        # s t s^-1: its word cancels where two copies meet
+        g = backend.compose(backend.compose(S[0], S[1]), backend.invert(S[0]))
+        step = g if n >= 0 else backend.invert(g)
+        expect = backend.identity()
+        for _ in range(abs(n)):
+            expect = backend.compose(expect, step)
+        cases.append((backend, g, expect))
+    calls = []
+    reduce = loxgrow.spaces.base.reduce_symbol_word
+
+    def counted(parts):
+        calls.append(1)
+        return reduce(parts)
+
+    monkeypatch.setattr(loxgrow.spaces.base, "reduce_symbol_word", counted)
+    for backend, g, expect in cases:
+        calls.clear()
+        got = backend.power(g, n)
+        assert len(calls) <= 1
+        assert (got.canonical, got.word) == (expect.canonical, expect.word)
+
+
+def test_checker_rejects_an_inflated_k_without_stalling(S_f2):
+    # k is read from the file; s h^k s^-1 took O(k^2 |h|) word steps
+    payload = certificate_payload(build_free_basis(S_f2))
+    payload["k"] = 16_000
+    with pytest.raises(InvalidCertificate, match=r"is not s h\^k s\^-1"):
+        check_certificate(payload)
