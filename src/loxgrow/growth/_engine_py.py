@@ -6,10 +6,10 @@ from the one breadth-first search, ``words.spheres``, which skips the
 composes that step back into the ball it has walked. It walks a sphere one
 generator at a time and hands the backend's ``_compose_batch`` whole
 slices of the sphere below; a slice whose products are all new joins the
-next sphere by set algebra, with no Python step per element. So the
-per-element cost is the compose, and the key where canonicals are
-inexact. Each sphere comes with its keys and the slice each generator
-found; the counter reads only its length.
+next sphere after one probe and one insert per key, both in C, with no
+Python step per element. So the per-element cost is the compose, and the
+key where canonicals are inexact. Each sphere comes with its keys and
+the slice each generator found; the counter reads only its length.
 
 The trees' canonicals are bytes, and their composes first try the common
 case: when the letters at the junction cannot cancel (free words: w's
@@ -20,8 +20,9 @@ junction. Their batches run the same junction test once for a whole
 chunk: they gather every last byte into one bytes object, and when none
 of them can meet g's first byte, the chunk is concatenated with g by
 ``map``, with no Python step per element. Any other chunk is composed
-element by element. The half-plane composes integer or float 4-tuples
-and batches by ``map``.
+element by element. The half-plane composes integer or float 4-tuples;
+its exact batch composes a chunk in one loop with g unpacked once, and
+its float batch maps the float compose.
 
 On the float half-plane, whose tables ``ball_sizes`` marks heuristic,
 the walk dedups by ``HalfPlane._growth_key``, which rounds only entries

@@ -189,7 +189,8 @@ class Backend:
 
     # [_compose(w, g) for w in chunk], element for element: the batch that
     # words.spheres takes. Its chunks never hold the identity; the trees
-    # override it with one junction test for the whole chunk
+    # override it with one junction test for the whole chunk, and the
+    # exact half-plane with one loop that unpacks g once
     def _compose_batch(self, chunk, g):
         return list(map(self._compose, chunk, repeat(g)))
 

@@ -70,6 +70,24 @@ class HalfPlane(Backend):
             return (-a, -b, -c, -d)
         return (a, b, c, d)
 
+    def _compose_batch(self, chunk, g):
+        # exact: _compose_exact over the chunk in one loop, g unpacked once;
+        # float: the base map, so the EPS_ID sign rule lives in one place
+        if not self.exact:
+            return super()._compose_batch(chunk, g)
+        a2, b2, c2, d2 = g
+        out = []
+        for a1, b1, c1, d1 in chunk:
+            a = a1 * a2 + b1 * c2
+            b = a1 * b2 + b1 * d2
+            c = c1 * a2 + d1 * c2
+            d = c1 * b2 + d1 * d2
+            if a < 0 or (a == 0 and b < 0):
+                out.append((-a, -b, -c, -d))
+            else:
+                out.append((a, b, c, d))
+        return out
+
     def _compose_float(self, ca, cb):
         a1, b1, c1, d1 = ca
         a2, b2, c2, d2 = cb

@@ -120,14 +120,20 @@ def spheres(identity, gens, compose, cap, key=None, batch=None):
     them together either way).
 
     A slice is stepped from in chunks of at most ``_CHUNK`` elements, each
-    composed and keyed as one batch. When the batch's keys are distinct,
-    none was seen and the visited set stays within ``cap``, adding them
-    one by one would keep every one of them, in order, so the batch joins
-    the sphere whole; otherwise a loop over the pairs already composed
-    adds the new ones, records the skips while sphere 1 is expanded and
-    stops at the element that passes the cap. A chunk that may pass the
-    cap is composed whole, so at most ``_CHUNK`` composes happen past it,
-    and the spheres are the same.
+    composed and keyed as one batch. When the visited set stays within
+    ``cap`` and no key of the batch was seen, one probe pass checks that
+    and one insert pass adds the keys. If the visited set then grew by the
+    batch's length, its keys are distinct, adding them one by one would
+    keep every one of them, in order, and the batch joins the sphere
+    whole. Otherwise some key repeats within the batch; since none was
+    seen before the insert, removing the batch's keys restores the visited
+    set exactly. A group never takes this rollback (p g = p' g forces
+    p = p'), but float keys and monoids can. A batch that was rolled back
+    or failed the probe goes to a loop over the pairs already composed,
+    which adds the new ones, records the skips while sphere 1 is expanded
+    and stops at the element that passes the cap. A chunk that may pass
+    the cap is composed whole, so at most ``_CHUNK`` composes happen past
+    it, and the spheres are the same.
 
     ``batch(chunk, g)`` composes a chunk. It must return exactly
     ``[compose(w, g) for w in chunk]``, element for element; its chunks
@@ -158,14 +164,17 @@ def spheres(identity, gens, compose, cap, key=None, batch=None):
                     lo += len(chunk)
                     cs = batch(chunk, g) if radius else [compose(identity, g)]
                     ks = cs if key is None else list(map(key, cs))
-                    fresh = set(ks)
-                    if (len(fresh) == len(ks) and len(seen) + len(ks) <= cap
-                            and fresh.isdisjoint(seen)):
-                        seen |= fresh
-                        sphere += cs
-                        if keys is not sphere:
-                            keys += ks
-                        continue
+                    size = len(seen)
+                    if size + len(ks) <= cap and seen.isdisjoint(ks):
+                        seen.update(ks)
+                        if len(seen) - size == len(ks):
+                            sphere += cs
+                            if keys is not sphere:
+                                keys += ks
+                            continue
+                        # a key repeated within the chunk; none was seen
+                        # before, so this restores seen exactly
+                        seen.difference_update(ks)
                     for c, k in zip(cs, ks):
                         if k not in seen:
                             seen.add(k)

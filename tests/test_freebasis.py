@@ -81,6 +81,17 @@ def test_no_loxodromic_in_elliptic_set(hp):
         find_short_loxodromic(S)
 
 
+@pytest.mark.parametrize("t, taken", [(6 / 15.5, True), (6 / 16.5, False)],
+                         ids=["first-at-16", "first-at-17"])
+def test_float_loxodromic_test_tries_sixteen_powers(t, taken):
+    # g = diag(e^(t/2), e^(-t/2)) translates i by t, so g^m passes the
+    # displacement criterion (m t >= 6 delta, delta = 1) first at m = 16
+    # for t = 6/15.5 and at m = 17 for t = 6/16.5
+    hpf = HalfPlane(arithmetic="float", delta=1.0)
+    g = hpf.element([[math.exp(t / 2), 0.0], [0.0, math.exp(-t / 2)]])
+    assert freebasis._is_loxodromic(g, [hpf.origin()]) is taken
+
+
 # -- elementary membership -------------------------------------------------------
 
 

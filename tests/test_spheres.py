@@ -300,6 +300,35 @@ def test_byte_batches_are_compose_on_every_element():
                 assert batch(chunk, g) == [compose(w, g) for w in chunk], (g, r, i)
 
 
+def test_exact_half_plane_batches_are_compose_on_every_element():
+    # the exact batch inlines _compose_exact's sign rule; its chunks hit
+    # a = 0 with b of either sign (the elliptic [[0,-1],[1,0]] reaches it),
+    # a negative a, and entries past 2**64
+    rng = random.Random(20)
+    gens = [g.canonical for inputs in (PSL2Z_ELLIPTIC, SANOV, TU)
+            for g in make_generating_set(HP, inputs)]
+    grow = HP._compose((2, 1, 1, 1), (2, 1, 1, 1))
+    pool = [grow]
+    for _ in range(60):
+        pool.append(HP._compose(pool[-1], grow))
+    for _ in range(400):
+        w = HP._identity_canonical()
+        for _ in range(rng.randint(1, 10)):
+            w = HP._compose(w, rng.choice(gens))
+        pool.append(w)
+    assert max(max(map(abs, w)) for w in pool) > 2**64
+    signs = set()
+    for g in gens + [grow]:
+        for _ in range(8):
+            chunk = rng.sample(pool, rng.randint(1, 64))
+            assert HP._compose_batch(chunk, g) == [HP._compose(w, g) for w in chunk], g
+            for a1, b1, _, _ in chunk:
+                a, b = a1 * g[0] + b1 * g[2], a1 * g[1] + b1 * g[3]
+                signs.add((a > 0, a == 0, b > 0))
+    assert signs >= {(True, False, True), (True, False, False), (False, False, True),
+                     (False, False, False), (False, True, True), (False, True, False)}
+
+
 def test_skips_exactly_the_steps_into_the_radius_one_ball():
     # on Z^2 with the unit steps, g h lies in the radius-1 ball only for
     # h = -g: each element past radius 1 takes the other three steps, even
@@ -480,24 +509,26 @@ def test_batches_match_the_reference_at_caps_and_chunk_edges(chunk, monkeypatch)
 
 @pytest.mark.parametrize("name, radius", [("c2c7 {a,b}", 15), ("elliptic squared", 9),
                                           ("z2", 60)])
-def test_batches_that_meet_the_walked_ball_match_the_reference(name, radius, monkeypatch):
+def test_batches_that_meet_the_walked_ball_match_the_reference(name, radius):
     # relations make whole batches land partly on seen elements, and those
     # fall back to the element loop over the pairs they composed
     ident, gens, compose, key, batch = _walked(name)
     full = list(islice(reference_spheres(ident, gens, compose, 10**7), radius))
+    step = batch or (lambda chunk, g: [compose(w, g) for w in chunk])
+    # the walk visits the identity, sphere 1 (composed without a batch) and
+    # every batch product, so a batch meets the walked ball exactly when
+    # one of its products lies in an earlier one of these
+    visited = {ident, *(compose(ident, g) for g in gens)}
     met = []
-    isdisjoint = set.isdisjoint
 
-    class Watched(set):
-        def isdisjoint(self, other):
-            met.append(not isdisjoint(self, other))
-            return not met[-1]
+    def watched(chunk, g):
+        cs = step(chunk, g)
+        met.append(not visited.isdisjoint(cs))
+        visited.update(cs)
+        return cs
 
-    # the batch's key set is built by the module's name ``set``
-    monkeypatch.setattr(words, "set", Watched, raising=False)
-    assert list(islice(spheres(ident, gens, compose, 10**7, batch=batch), radius)) == full
+    assert list(islice(spheres(ident, gens, compose, 10**7, batch=watched), radius)) == full
     assert any(met) and not all(met)
-    monkeypatch.undo()
     for cap in _cap_edges(_sizes(full), words._CHUNK):
         got = list(spheres(ident, gens, compose, cap, batch=batch))
         assert got == list(reference_spheres(ident, gens, compose, cap)), cap
