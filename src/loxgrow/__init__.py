@@ -49,7 +49,6 @@ from .growth import (
     GrowthTable,
     ball_sizes,
     growth_brackets,
-    theta_ratio,
 )
 from .freebasis import (
     FreeBasisCertificate,
@@ -64,7 +63,6 @@ from .freebasis import (
     check_certificate,
     find_independent,
     find_short_loxodromic,
-    in_elementary,
     verify_theorem,
 )
 
@@ -106,13 +104,11 @@ __all__ = [
     "find_short_loxodromic",
     "growth_brackets",
     "gromov_product",
-    "in_elementary",
     "make_backend",
     "make_generating_set",
     "min_displacement_search",
     "product_ball_set",
     "psl2z_normal_form",
-    "theta_ratio",
     "translation_length_bracket",
     "verify_theorem",
     "word_length_in_S",

@@ -6,7 +6,6 @@ from .table import (
     GrowthBrackets,
     GrowthTable,
     growth_brackets,
-    theta_ratio,
 )
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "KERNEL_AVAILABLE",
     "ball_sizes",
     "growth_brackets",
-    "theta_ratio",
 ]

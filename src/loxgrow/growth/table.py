@@ -80,10 +80,3 @@ def growth_brackets(table: GrowthTable) -> GrowthBrackets:
     if n < 2:
         raise ConfigError("growth brackets need a table of radius >= 2")
     return GrowthBrackets(omega_upper=table.upper(n), omega_hat=table.ratio(n))
-
-
-def theta_ratio(table: GrowthTable, S) -> float:
-    """omega_hat normalized by log #S; free groups on #S/2 letters approach 1."""
-    if len(S) < 2:
-        raise ConfigError("theta needs at least two generators")
-    return growth_brackets(table).omega_hat / math.log(len(S))

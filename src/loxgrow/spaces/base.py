@@ -157,19 +157,6 @@ class Backend:
     def identity(self) -> GroupElement:
         return GroupElement(self, self._identity_canonical(), ())
 
-    def power(self, a: GroupElement, n: int) -> GroupElement:
-        """a^n: the canonicals fold left from the identity as n composes do,
-        and the word is reduced once (free reduction is confluent)."""
-        if n < 0:
-            return self.power(self.invert(a), -n)
-        self._check(a)
-        out = self._identity_canonical()
-        for _ in range(n):
-            out = self._compose(out, a.canonical)
-        if a.word is None and n:
-            return GroupElement(self, out)
-        return GroupElement(self, out, reduce_symbol_word((a.word or ()) * n))
-
     def _check(self, obj):
         if obj.backend is not self:
             raise BackendMismatch(f"element of {obj.backend!r} used with {self!r}")

@@ -183,20 +183,21 @@ class HalfPlane(Backend):
         return math.acosh(1.0 + q)
 
     def apply(self, g, x):
-        # Split into real/imaginary parts by hand.  Naive complex division
-        # computes Im via fl(ad) - fl(bc), which cancels to zero once the
-        # entries pass 2**26; using det keeps Im exact up to rounding.
+        # Split into real/imaginary parts by hand: Im(g z) = det v / |cz + d|^2
+        # with det = 1. Exact canonicals are integer matrices of det 1, and
+        # float ones are products of matrices checked to det 1 on input.
+        # Computing det as fl(ad) - fl(bc) instead cancels to <= 0 once the
+        # entries pass about 1e8, as naive complex division does past 2**26.
         a, b, c, d = g.canonical
         z = x.data
         u, v = z.real, z.imag
-        det = a * d - b * c
         p = c * u + d
         q = c * v
         den = p * p + q * q
         if not 0.0 < den < math.inf:
             raise OverflowError("matrix entries exceed float range at this point")
         re = ((a * u + b) * p + (a * v) * q) / den
-        im = det * v / den
+        im = v / den
         if not (im > 0.0 and math.isfinite(re)):
             raise OverflowError("matrix entries exceed float range at this point")
         return Point(self, complex(re, im))

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
@@ -6,6 +8,11 @@ from loxgrow.words import make_generating_set
 SANOV = [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]
 # S = [[0,-1],[1,0]] (order 2), ST (order 3), (ST)^2: the elliptic PSL(2,Z) set
 PSL2Z_ELLIPTIC = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
+
+
+def power(g, n):
+    """g^n for n >= 0: n composes folded left from the identity."""
+    return functools.reduce(g.backend.compose, [g] * n, g.backend.identity())
 
 
 @pytest.fixture

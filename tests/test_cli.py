@@ -176,7 +176,7 @@ def test_free_basis_check_cert_round_trip(f2_config, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert main(["free-basis", f2_config, "--out", str(cert_path)]) == 0
     payload = json.loads(cert_path.read_text())
-    assert payload["format"] == "loxgrow-cert/1"
+    assert payload["format"] == "loxgrow-cert/2"
     assert payload["kappa"] == 11
     assert payload["r"] == 4
     assert main(["check-cert", str(cert_path)]) == 0
@@ -202,13 +202,27 @@ def test_check_cert_rejects_an_empty_basis(f2_config, tmp_path, capsys):
     assert main(["free-basis", f2_config, "--out", str(cert_path)]) == 0
     payload = json.loads(cert_path.read_text())
     empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({**payload, "r": 0, "T": [], "S0": []}), encoding="utf-8")
+    empty.write_text(json.dumps({**payload, "r": 0, "T": []}), encoding="utf-8")
     capsys.readouterr()
     assert main(["check-cert", str(empty)]) == 5
-    assert "T is empty" in capsys.readouterr().err
+    assert "rank 0: the bound needs a free basis of rank r >= 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value, message", [
+def test_check_cert_rejects_a_rank_one_basis(f2_config, tmp_path, capsys):
+    # one T entry passes every other check, but log(2r - 1) = 0 bounds nothing
+    cert_path = tmp_path / "cert.json"
+    assert main(["free-basis", f2_config, "--out", str(cert_path)]) == 0
+    payload = json.loads(cert_path.read_text())
+    one = tmp_path / "one.json"
+    t = payload["T"][0]
+    one.write_text(json.dumps({**payload, "r": 1, "T": [t], "kappa": len(t["symbols"]),
+                               "omega_lower": 0.0}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(one)]) == 5
+    assert "rank 1: the bound needs a free basis of rank r >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, value, message", [
     ("b", [[2, 1], [1, 1]], "non-normal syllable word"),
     ("b", [[-1, 1], [1, 1]], "non-normal syllable word"),
     ("b", [[0, 1], [1, 0]], "non-normal syllable word"),
@@ -219,9 +233,10 @@ def test_check_cert_rejects_an_empty_basis(f2_config, tmp_path, capsys):
     ("basepoint", [[[1, 1], [1, 2]], 0], "invalid coset representative"),
 ])
 def test_check_cert_rejects_bad_syllables_exits_five(write_config, tmp_path, capsys,
-                                                     field, value, message):
+                                                     target, value, message):
     # factors outside {0, 1} (negative ones included), exps outside
-    # 1 .. order - 1 and syllables of one factor side by side
+    # 1 .. order - 1 and syllables of one factor side by side, in the
+    # stored S entry of the generator b or in the basepoint
     cfg = write_config("c2c3.json", {
         "backend": {"kind": "free_product_tree", "orders": [2, 3]},
         "generators": ["a", "b"],
@@ -230,8 +245,8 @@ def test_check_cert_rejects_bad_syllables_exits_five(write_config, tmp_path, cap
     cert_path = tmp_path / "cert.json"
     assert main(["free-basis", cfg, "--out", str(cert_path)]) == 0
     payload = json.loads(cert_path.read_text())
-    if field == "b":
-        payload["b"]["canonical"] = value
+    if target == "b":
+        next(s for s in payload["S"] if s["word"] == "b")["canonical"] = value
     else:
         payload["basepoint"] = value
     bad = tmp_path / "bad.json"
@@ -268,34 +283,34 @@ _DROP = object()
 
 
 @pytest.mark.parametrize("kind, path, value", [
-    ("free_group_tree", ("b", "canonical"), 5),
-    ("free_group_tree", ("b", "canonical"), [[1]]),
-    ("free_group_tree", ("b", "canonical"), ["x"]),
-    ("free_group_tree", ("b", "canonical"), [1.5]),
+    ("free_group_tree", ("T", 0, "canonical"), 5),
+    ("free_group_tree", ("T", 0, "canonical"), [[1]]),
+    ("free_group_tree", ("T", 0, "canonical"), ["x"]),
+    ("free_group_tree", ("T", 0, "canonical"), [1.5]),
     ("free_group_tree", ("basepoint",), [None]),
-    ("free_group_tree", ("b",), 5),
-    ("free_group_tree", ("b",), {"word": "x"}),
-    ("free_product_tree", ("b", "canonical"), [[0, 1, 2]]),
-    ("free_product_tree", ("b", "canonical"), [[0]]),
-    ("free_product_tree", ("b", "canonical"), [["x", 1]]),
-    ("free_product_tree", ("b", "canonical"), 5),
-    ("free_product_tree", ("b", "canonical"), [[True, 1]]),
+    ("free_group_tree", ("T", 0), 5),
+    ("free_group_tree", ("T", 0), {"word": "x"}),
+    ("free_product_tree", ("T", 0, "canonical"), [[0, 1, 2]]),
+    ("free_product_tree", ("T", 0, "canonical"), [[0]]),
+    ("free_product_tree", ("T", 0, "canonical"), [["x", 1]]),
+    ("free_product_tree", ("T", 0, "canonical"), 5),
+    ("free_product_tree", ("T", 0, "canonical"), [[True, 1]]),
     ("free_product_tree", ("basepoint",), [[[0, 1]]]),
     ("free_product_tree", ("basepoint",), 7),
     ("free_product_tree", ("basepoint",), [[[0, 1]], "1"]),
     ("free_product_tree", ("basepoint",), _DROP),
-    ("free_product_tree", ("b", "symbols"), [["a"]]),
-    ("free_product_tree", ("b", "symbols"), [[1, 1]]),
-    ("half_plane", ("b", "canonical"), 5),
-    ("half_plane", ("b", "canonical"), [[1, 2], [0, 1]]),
-    ("half_plane", ("b", "canonical"), ["1", 2, 0, 1]),
-    ("half_plane", ("b", "canonical"), [1.0, 2, 0, 1]),
-    ("half_plane", ("b", "canonical"), [2, 2, 0, 1]),
-    ("half_plane", ("b", "canonical"), [None, 2, 0, 1]),
+    ("free_product_tree", ("T", 0, "symbols"), [["a"]]),
+    ("free_product_tree", ("T", 0, "symbols"), [[1, 1]]),
+    ("half_plane", ("T", 0, "canonical"), 5),
+    ("half_plane", ("T", 0, "canonical"), [[1, 2], [0, 1]]),
+    ("half_plane", ("T", 0, "canonical"), ["1", 2, 0, 1]),
+    ("half_plane", ("T", 0, "canonical"), [1.0, 2, 0, 1]),
+    ("half_plane", ("T", 0, "canonical"), [2, 2, 0, 1]),
+    ("half_plane", ("T", 0, "canonical"), [None, 2, 0, 1]),
     ("half_plane", ("basepoint",), [0.0]),
     ("half_plane", ("basepoint",), ["0", 1.0]),
     ("half_plane", ("basepoint",), [0.0, 10**400]),
-    ("half_plane", ("b", "symbols"), 5),
+    ("half_plane", ("T", 0, "symbols"), 5),
     ("half_plane", ("S",), 5),
     ("half_plane", ("n",), "x"),
     ("half_plane", ("n",), 1.5),
@@ -674,38 +689,38 @@ def _reprs(values):
 @pytest.mark.filterwarnings("ignore::loxgrow.errors.HeuristicOnly")
 def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, capsys):
     # every float of the float path's certificate, by repr (so -0.0 and the
-    # last digit count); r 1 and omega_lower 0 are the known float defect
+    # last digit count): a rank-4 T at (n, k) = (1, 8), as on exact Sanov
     cfg = write_config("sanov-float.json", _SANOV_FLOAT)
     capsys.readouterr()
     assert main(["verify-bound", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     cert = out["certificate"]
-    assert _reprs(cert["b"]["canonical"]) == ["1.0", "-2.0", "-2.0", "5.0"]
-    assert _reprs(cert["f"]["canonical"]) == ["1.0", "-2.0", "-0.0", "1.0"]
-    assert _reprs(cert["h"]["canonical"]) == [
-        "195025.0", "-470832.0", "-80782.0", "195025.0"]
     assert [_reprs(t["canonical"]) for t in cert["T"]] == [
-        ["356589.0", "-147704.0", "-80782.0", "33461.0"]]
-    assert (cert["n"], cert["k"], cert["r"]) == (7, 1, 1)
-    assert (cert["kappa"], cert["kappa_mode"]) == (15, "word-upper")
-    assert _reprs(cert["basepoint"]) == ["-2.0", "2.4142135623955365"]
+        ["83739041.0", "-37639840.0", "-18819920.0", "8459361.0"],
+        ["179739839.0", "112919520.0", "-432858160.0", "-271938241.0"],
+        ["271938241.0", "-112919520.0", "432858160.0", "-179739839.0"],
+        ["8459361.0", "-37639840.0", "-18819920.0", "83739041.0"]]
+    assert (cert["n"], cert["k"], cert["r"]) == (1, 8, 4)
+    assert (cert["kappa"], cert["kappa_mode"]) == (26, "word-upper")
+    assert _reprs(cert["basepoint"]) == ["0.0", "1.0"]
     assert _reprs([cert["m"], cert["p_max"], cert["margin"]]) == [
-        "25.74806043001977", "0.0", "2.718507553752471"]
+        "36.7197287074991", "3.5456110011537234", "0.5443550872836642"]
     assert _reprs([out["omega_lower"], out["omega_hat"], out["omega_upper"],
                    out["theta_hat"]]) == [
-        "0.0", "1.0990697452177152", "1.1976006502018457", "0.7928112355083471"]
+        "0.07484269804058898", "1.0990697452177152", "1.1976006502018457",
+        "0.7928112355083471"]
     assert out["heuristic"] is True
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert), encoding="utf-8")
     assert main(["check-cert", str(path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert {k: repr(v) for k, v in summary.items()} == {
-        "kappa": "15",
-        "margin": "2.718507553752471",
+        "kappa": "26",
+        "margin": "0.5443550872836642",
         "membership_heuristic": "True",
         "mode": "'geometric'",
-        "omega_lower": "0.0",
-        "r": "1",
+        "omega_lower": "0.07484269804058898",
+        "r": "4",
         "valid": "True",
         "version": repr(__version__),
     }

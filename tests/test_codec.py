@@ -63,24 +63,25 @@ def test_points_round_trip_through_json_text(case):
 # field in test_cli
 @pytest.mark.parametrize("config, gens, cap, digest", [
     ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"], DEFAULT_MEMORY_CAP,
-     "7df3c2a1a6d64eb73f2ca44d0e454f5095c2778d7d443a1501ed7dc3c6b576f4"),
+     "c465564b5b6176556837c02aec0e8c5aede43555e333139f8e0a97cfa1e647d7"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "beac9aa11620761ab08a9d15b24f4e30bc3dca5e879356901262d910602b97f1"),
+     "0025b1046e59670982559ce0bbae78772b64654dca786a19786595ff46d234a8"),
     ({"kind": "half_plane"}, SANOV, 50_000,
-     "05507b3764770127516afe030b366a7649f017cb4e6f513ac9b3a2fab4e84bc1"),
+     "fe36aa28521ccb6b0876bda577d40ab8e6dc151739aa465ee1c123e85b049ba5"),
     ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "1c045f676b32735b2ac02df5a750baaf05570b86ee987d4f1615152b210a2c77"),
+     "31a604d82fa217dd610b0fc47245bbb2f903d05f12b1556e52b8581233e0750f"),
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000,
-     "bd2c96cb58274acae2e5320cfb13aaf296f74bb96d43d2640b0078478f01b912"),
+     "8be8d415e1870930df1b3ca775394762e5ab099ed8c52ef14fc71df25f54865c"),
     # kappa 14 found by the breadth-first walk
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "a0a1c26cc8d2406643a6e6fed5d2242725f991dbd4dd91623185c61e6fee6747"),
-    # S0 drops one entry (coset separation at n = 2)
+     "ed7f021c624736663718a631efe059f21a795482a4d7bb85b2f55f11757d79a2"),
+    # coset separation at n = 2 keeps 3 of S's 4 entries, so r = 3
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], DEFAULT_MEMORY_CAP,
-     "2822dda5adefe2987a3c58b14a21e3f26d088a8ef68ea86ee9c11713512dcea2"),
-    # S0 drops two entries, and the normal form gives a word-upper kappa
+     "4ccc5bc33e2bc72ed86b073609bd9a697049a00279839205a114f6c857b447f5"),
+    # coset separation keeps 4 of S's 6 entries, so r = 4, and the normal
+    # form gives a word-upper kappa
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb", "ab"], 20_000,
-     "93167db4d465bc02157929bc991951c6f3d45a919b70cdfc1fe0214f47f52560"),
+     "70629a988adf2789b5e004b5642a1ae688e65a41d1e74ff9be37f5bf4c86011e"),
 ], ids=["f2", "c2c3", "sanov", "c3c3", "elliptic", "c2c7", "c2c4", "c2c4-ab"])
 def test_certificate_bytes_are_pinned(config, gens, cap, digest):
     S = make_generating_set(make_backend(config), gens)

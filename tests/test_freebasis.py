@@ -28,6 +28,7 @@ from loxgrow.freebasis import (
     GeometricCheck,
     SearchBudgets,
     _compute_kappa,
+    _elementary_member,
     build_free_basis,
     certificate_from_payload,
     certificate_payload,
@@ -37,15 +38,14 @@ from loxgrow.freebasis import (
     check_certificate,
     find_independent,
     find_short_loxodromic,
-    in_elementary,
     verify_theorem,
 )
 from loxgrow.hypcore import gromov_product
 from loxgrow.spaces import GroupElement, HalfPlane, Point, make_backend
 from loxgrow.spaces.base import basepoint_candidates
-from loxgrow.words import GeneratingSet, make_generating_set
+from loxgrow.words import GeneratingSet, make_generating_set, product_ball_set
 
-from conftest import PSL2Z_ELLIPTIC, SANOV
+from conftest import PSL2Z_ELLIPTIC, SANOV, power
 from test_words import _evaluate, _one_target
 
 
@@ -97,22 +97,73 @@ def test_float_loxodromic_test_tries_sixteen_powers(t, taken):
 
 def test_in_elementary_free_group(ft2):
     x = ft2.element("x")
-    assert in_elementary(x, ft2.element("X"))
-    assert in_elementary(x, ft2.element("xx"))
-    assert not in_elementary(x, ft2.element("y"))
-    assert not in_elementary(ft2.element("xx"), ft2.element("y"))
+    assert _elementary_member(x, ft2.element("X"))
+    assert _elementary_member(x, ft2.element("xx"))
+    assert not _elementary_member(x, ft2.element("y"))
+    assert not _elementary_member(ft2.element("xx"), ft2.element("y"))
 
 
 def test_in_elementary_product_tree(pt23):
     ab = pt23.element("ab")
-    assert not in_elementary(ab, pt23.element("a"))
-    assert in_elementary(ab, pt23.element("abab"))
+    assert not _elementary_member(ab, pt23.element("a"))
+    assert _elementary_member(ab, pt23.element("abab"))
 
 
 def test_in_elementary_float_warns(hpf):
+    # float membership is the axis-overlap heuristic, and the independence
+    # test that decides it says so
     b = hpf.element([[2.0, 0.0], [0.0, 0.5]])
+    S = GeneratingSet(hpf, [hpf.element([[2.0, 1.0], [1.0, 1.0]])])
     with pytest.warns(HeuristicOnly):
-        in_elementary(b, hpf.element([[1.0, 1.0], [0.0, 1.0]]))
+        assert find_independent(S, b) is S[0]
+
+
+def _six_power_member(b, g):
+    """The exact membership test before one conjugate sufficed:
+    g b^n g^-1 in {b^n, b^-n} for some 1 <= n <= 6."""
+    backend = b.backend
+    compose, invert = backend._compose, backend._invert
+    bc, gc = b.canonical, g.canonical
+    bn = bc
+    for i in range(6):
+        if i:
+            bn = compose(bn, bc)
+        conj = compose(compose(gc, bn), invert(gc))
+        if conj == bn or conj == invert(bn):
+            return True
+    return False
+
+
+_MEMBER_CASES = {
+    "f2": ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"]),
+    "f3": ({"kind": "free_group_tree", "rank": 3}, ["a", "b", "c"]),
+    "c2c3": ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"]),
+    "c3c4": ({"kind": "free_product_tree", "orders": [3, 4]}, ["a", "b"]),
+    "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"]),
+    "sanov": ({"kind": "half_plane"}, SANOV),
+    "psl2z {T,U}": ({"kind": "half_plane"}, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMBER_CASES))
+def test_one_conjugate_decides_exact_membership(case):
+    # on a tree with trivial edge stabilizers (g b g^-1)^n = b^(+-n) forces
+    # g b g^-1 = b^(+-1): one conjugate answers as six powers did, on every
+    # pair of a loxodromic b of the radius-2 ball and a g of the radius-4 one
+    config, gens = _MEMBER_CASES[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    ball = [backend.identity()] + list(product_ball_set(S, 4, 10_000))
+    pivots = [b for b in product_ball_set(S, 2, 10_000)
+              if backend.classify(b).kind == "loxodromic"]
+    assert pivots
+    answers = set()
+    for b in pivots:
+        for g in ball:
+            member = _elementary_member(b, g)
+            assert member == _six_power_member(b, g), (b.canonical, g.canonical)
+            answers.add(member)
+    assert answers == {True, False}
 
 
 def test_find_independent(ft2, S_f2):
@@ -159,8 +210,8 @@ def test_geometric_check_rejects_degenerate_letter_sets(ft2, pt23):
 
 
 def test_geometric_check_sanov_powers(hp):
-    A8 = hp.power(hp.element(SANOV[0]), 8)
-    B8 = hp.power(hp.element(SANOV[1]), 8)
+    A8 = power(hp.element(SANOV[0]), 8)
+    B8 = power(hp.element(SANOV[1]), 8)
     T = GeneratingSet(hp, [A8, B8])
     chk = certify_free_geometric(T, hp.origin(), delta=1.0)
     assert chk.m == pytest.approx(math.acosh(129.0))
@@ -309,9 +360,11 @@ def test_pipeline_f2(ft2, S_f2):
     cert = build_free_basis(S_f2)
     assert (cert.n, cert.k) == (1, 3)
     assert cert.mode == "geometric"
-    assert cert.b.canonical == ft2.element("xx").canonical
-    assert cert.f.canonical == ft2.element("y").canonical
-    assert cert.h.canonical == ft2.element("yxx").canonical
+    # b = xx, f = y and h = f b^n = yxx; every entry of S is kept, and
+    # T = {s h^k s^-1}
+    hk = power(ft2.element("yxx"), 3)
+    assert [t.canonical for t in cert.T] == [
+        ft2.compose(ft2.compose(s, hk), ft2.invert(s)).canonical for s in S_f2]
     assert cert.r == 4
     assert cert.margin == 0.125
     assert (cert.kappa, cert.kappa_mode) == (11, "exact")
@@ -436,7 +489,7 @@ def test_certificate_round_trip(ft2, S_f2):
     cert = build_free_basis(S_f2)
     payload = certificate_payload(cert)
     back = certificate_from_payload(payload)
-    assert back.h.canonical == cert.h.canonical
+    assert [t.canonical for t in back.T] == [t.canonical for t in cert.T]
     assert back.kappa == cert.kappa
     assert certificate_to_json(back) == certificate_to_json(cert)
     assert check_certificate(certificate_to_json(cert))["valid"]
@@ -460,13 +513,15 @@ def test_certificate_tamper_fuzz(S_f2):
         data.update(changes)
         return data
 
+    # a tree with delta 1 under a matching hash: the margin is recomputed
+    # with the stored backend's delta
+    loose = dict(base["backend"], delta=1.0)
     bad_variants = [
         tampered(mode="exact_only", exact_check_len=4),
         tampered(format="loxgrow-cert/0"),
+        tampered(format="loxgrow-cert/1"),
         tampered(backend_hash="0" * 16),
-        tampered(delta=1.0),
-        tampered(n=cert.n + 1),
-        tampered(k=cert.k + 1),
+        tampered(backend=loose, backend_hash=freebasis.backend_hash(loose)),
         tampered(r=cert.r + 1),
         tampered(m=cert.m + 0.5),
         tampered(p_max=cert.p_max + 0.5),
@@ -476,14 +531,14 @@ def test_certificate_tamper_fuzz(S_f2):
         tampered(kappa=cert.kappa + 1),
         tampered(kappa=cert.kappa - 1, omega_lower=math.log(2 * cert.r - 1) / (cert.kappa - 1)),
         tampered(omega_lower=cert.omega_lower * 1.01),
-        tampered(h=certificate_payload(cert)["f"]),
         tampered(basepoint=[1, 1]),
     ]
     for data in bad_variants:
         with pytest.raises(InvalidCertificate):
             check_certificate(data)
-    # kappa_mode is the builder's note on the words, not a checked claim
-    assert check_certificate(tampered(kappa_mode="word-upper"))["valid"]
+    # n, k and kappa_mode are the builder's notes, not checked claims
+    for note in (dict(n=cert.n + 1), dict(k=cert.k + 1), dict(kappa_mode="word-upper")):
+        assert check_certificate(tampered(**note)) == check_certificate(base)
 
     # a longest T word padded with x X: still a word for its entry, so it
     # checks once kappa and omega_lower follow it, and not before
@@ -507,11 +562,10 @@ def test_certificate_tamper_fuzz(S_f2):
 
 
 def test_repeated_T_entry_rejected(S_f2):
-    # one S0 entry and its T entry repeated, with r and omega_lower to
-    # match: every check before the degenerate-T one passes
+    # one T entry repeated, with r and omega_lower to match: every check
+    # before the degenerate-T one passes
     cert = build_free_basis(S_f2)
     data = certificate_payload(cert)
-    data["S0"].append(data["S0"][0])
     data["T"].append(data["T"][0])
     r = cert.r + 1
     data.update(r=r, omega_lower=math.log(2 * r - 1) / cert.kappa)
@@ -537,7 +591,7 @@ _KAPPA_CASES = {
     "sanov": ({"kind": "half_plane"}, SANOV, 50_000, (4, 26, "word-upper")),
     "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
                     [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]], 20_000,
-                    (1, 15, "word-upper")),
+                    (4, 26, "word-upper")),
     "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], 2_000_000,
              (3, 14, "exact")),
 }
@@ -674,7 +728,7 @@ def test_certificate_malformed_payloads(ft2, S_f2):
     cert = build_free_basis(S_f2)
     base = certificate_payload(cert)
     data = json.loads(json.dumps(base))
-    data["b"]["canonical"] = [1, -1]  # unreduced word
+    data["T"][0]["canonical"] = [1, -1]  # unreduced word
     with pytest.raises(InvalidCertificate):
         certificate_from_payload(data)
     data = json.loads(json.dumps(base))
@@ -772,12 +826,7 @@ def _mutations(backend, S, base):
                     put(key, v)
     put("mode", "exact_only")
     put("kappa_mode", "word-upper" if base["kappa_mode"] == "exact" else "exact")
-    for key in ("b", "f", "h"):
-        put(key, moved(base[key]))
-        for other in ("b", "f", "h"):
-            if other != key:
-                put(key, base[other])
-    for key in ("S", "S0", "T"):
+    for key in ("S", "T"):
         entries = base[key]
         put(key, [moved(entries[0])] + entries[1:])
         put(key, entries[:-1])
@@ -1108,7 +1157,7 @@ def test_build_free_basis_work_counts(case, monkeypatch):
     assert 0 < calls["reduce"] <= max_reduce
 
 
-# -- the heuristic flag and powers ----------------------------------------------
+# -- the heuristic flag and the checker's work ------------------------------------
 
 
 @pytest.mark.parametrize("case", ["f2", "c2c3", "sanov", "elliptic"])
@@ -1130,36 +1179,41 @@ def test_float_build_warns_once_that_independence_is_heuristic():
         "independence decided by the axis-overlap heuristic"]
 
 
-@pytest.mark.parametrize("n", [-3, 0, 1, 7, 50])
-def test_power_reduces_the_word_once(ft2, pt23, hp, hpf, n, monkeypatch):
-    cases = []
-    for backend, gens in ((ft2, ["x", "y"]), (pt23, ["a", "b"]), (hp, SANOV), (hpf, SANOV)):
-        S = make_generating_set(backend, gens)
-        # s t s^-1: its word cancels where two copies meet
-        g = backend.compose(backend.compose(S[0], S[1]), backend.invert(S[0]))
-        step = g if n >= 0 else backend.invert(g)
-        expect = backend.identity()
-        for _ in range(abs(n)):
-            expect = backend.compose(expect, step)
-        cases.append((backend, g, expect))
+def _count_composes(monkeypatch):
+    """Count _compose calls on every backend the checker builds."""
     calls = []
-    reduce = loxgrow.spaces.base.reduce_symbol_word
+    make = freebasis.make_backend
 
-    def counted(parts):
-        calls.append(1)
-        return reduce(parts)
+    def counted_backend(config):
+        backend = make(config)
+        compose = backend._compose
 
-    monkeypatch.setattr(loxgrow.spaces.base, "reduce_symbol_word", counted)
-    for backend, g, expect in cases:
+        def counted(a, b):
+            calls.append(1)
+            return compose(a, b)
+
+        backend._compose = counted
+        return backend
+
+    monkeypatch.setattr(freebasis, "make_backend", counted_backend)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["f2", "c2c3", "sanov", "sanov-float"])
+def test_checker_work_ignores_the_stored_n_and_k(case, monkeypatch):
+    # n and k are the builder's notes: the checker forms no b^n or h^k, so
+    # n = k = 10^9 checks as the honest certificate does, with the same work
+    config, gens, cap = _CHECK_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        honest = certificate_payload(build_free_basis(S, memory_cap=cap))
+    inflated = dict(honest, n=10**9, k=10**9)
+    calls = _count_composes(monkeypatch)
+    summaries, counts = [], []
+    for payload in (honest, inflated):
         calls.clear()
-        got = backend.power(g, n)
-        assert len(calls) <= 1
-        assert (got.canonical, got.word) == (expect.canonical, expect.word)
-
-
-def test_checker_rejects_an_inflated_k_without_stalling(S_f2):
-    # k is read from the file; s h^k s^-1 took O(k^2 |h|) word steps
-    payload = certificate_payload(build_free_basis(S_f2))
-    payload["k"] = 16_000
-    with pytest.raises(InvalidCertificate, match=r"is not s h\^k s\^-1"):
-        check_certificate(payload)
+        summaries.append(check_certificate(payload))
+        counts.append(len(calls))
+    assert summaries[0]["valid"] and summaries[1] == summaries[0]
+    assert counts[1] == counts[0] > 0

@@ -17,7 +17,6 @@ from loxgrow.growth import (
     _engine_py,
     ball_sizes,
     growth_brackets,
-    theta_ratio,
 )
 from loxgrow.growth.table import HEURISTIC_NOTE
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane, half_plane
@@ -309,16 +308,21 @@ def test_growth_brackets_and_fit(S_f2):
         growth_brackets(ball_sizes(S_f2, 1))
 
 
+def _theta(table, S):
+    # omega_hat normalized by log #S; free groups on #S/2 letters approach 1
+    return growth_brackets(table).omega_hat / math.log(len(S))
+
+
 def test_theta_ratio_f2(S_f2):
     table = ball_sizes(S_f2, 10)
-    theta = theta_ratio(table, S_f2)
+    theta = _theta(table, S_f2)
     assert theta == pytest.approx(math.log(3) / math.log(4), abs=1e-4)
 
 
 def test_theta_ratio_cyclic_shrinks():
     z = FreeGroupTree(1, letters="t")
     S = make_generating_set(z, ["t"])
-    thetas = [theta_ratio(ball_sizes(S, n), S) for n in (10, 25, 50)]
+    thetas = [_theta(ball_sizes(S, n), S) for n in (10, 25, 50)]
     assert all(a > b for a, b in zip(thetas, thetas[1:]))
     assert thetas[-1] < 0.03
 

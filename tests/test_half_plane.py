@@ -17,6 +17,8 @@ from loxgrow.spaces import (
 )
 from loxgrow.spaces.half_plane import EPS_ID
 
+from conftest import power
+
 LOG2 = math.log(2.0)
 
 
@@ -53,7 +55,7 @@ def test_apply_matches_exact_rational_arithmetic(hp):
     # entries around 1e6: naive complex division loses Im to cancellation
     g = hp.element([[1, 2], [0, 1]])
     h = hp.element([[1, 0], [2, 1]])
-    big = hp.power(hp.compose(g, h), 8)
+    big = power(hp.compose(g, h), 8)
     assert max(abs(v) for v in big.canonical) > 10**5
     z = hp.apply(big, hp.origin()).data
     a, b, c, d = (Fraction(v) for v in big.canonical)
@@ -67,7 +69,7 @@ def test_apply_matches_exact_rational_arithmetic(hp):
 def test_apply_overflow_raises(hp):
     g = hp.element([[1, -2], [-2, 5]])
     with pytest.raises(OverflowError):
-        hp.apply(hp.power(g, 500), hp.origin())
+        hp.apply(power(g, 500), hp.origin())
 
 
 def test_dist_degenerate_height_raises(hp):
@@ -113,7 +115,7 @@ def test_translation_length_from_trace(hpf):
     assert abs(tau - 2 * LOG2) <= 1e-12
     i = hpf.origin()
     n = 16
-    assert abs(hpf.dist(i, hpf.apply(hpf.power(g, n), i)) / n - tau) <= 1e-9
+    assert abs(hpf.dist(i, hpf.apply(power(g, n), i)) / n - tau) <= 1e-9
 
 
 def test_axis_apex_is_on_axis(hp):

@@ -20,6 +20,8 @@ from loxgrow.hypcore import (
 from loxgrow.spaces.base import Point
 from loxgrow.words import make_generating_set
 
+from conftest import power
+
 
 def random_tree_point(backend, rng, max_len=8):
     letters = "xyXY"
@@ -102,7 +104,7 @@ def test_loxodromic_criterion_power_rescues(hpf):
     g = hpf.element([[2.0, 0.0], [0.0, 0.5]])
     i = hpf.origin()
     assert not loxodromic_criterion(g, i, delta=1.0)
-    g8 = hpf.power(g, 8)
+    g8 = power(g, 8)
     assert loxodromic_criterion(g8, i, delta=1.0)
 
 

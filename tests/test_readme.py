@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from loxgrow.cli import main
+from loxgrow.freebasis import build_free_basis, certificate_payload
+from loxgrow.spaces import make_backend
+from loxgrow.words import make_generating_set
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 # (info string, body) of every fenced block, in order
@@ -49,3 +52,15 @@ def test_cli_transcript(transcript, tmp_path, monkeypatch, capsys):
     command, expected = transcript.split("\n", 1)
     assert main(shlex.split(command)[2:]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_certificate_key_list_matches_the_payload():
+    # the "* `key`: ..." bullets of the Certificates section name every key
+    # of a built certificate, and no other
+    section = README.split("\n## Certificates\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for heads in re.findall(r"^\* ((?:`\w+`(?:, )?)+):", section, re.M):
+        listed += re.findall(r"`(\w+)`", heads)
+    S = make_generating_set(make_backend({"kind": "free_group_tree", "rank": 2}), ["a", "b"])
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(certificate_payload(build_free_basis(S)))
