@@ -57,6 +57,7 @@ from .spaces.base import (
 )
 from .words import (
     DEFAULT_MEMORY_CAP,
+    Ball,
     GeneratingSet,
     product_ball_set,
     word_length_in_S,
@@ -402,16 +403,18 @@ def _diagonal(max_n, max_k):
             yield n, total - n
 
 
-def _compute_kappa(S, T, memory_cap) -> Tuple[GeneratingSet, int, str]:
+def _compute_kappa(S, T, memory_cap, ball=None) -> Tuple[GeneratingSet, int, str]:
     """T respelled over S, kappa and kappa_mode.
 
     One breadth-first walk searches for every entry up to its carried
-    word's length. An entry found there, or spelled by the backend's
-    shortcut, takes a shortest word; any other keeps its carried spelling,
-    or the backend's normal-form word over S where that is no longer.
+    word's length: ``ball``, a ``Ball`` of S that may be walked in part
+    already, or a fresh one. An entry found there, or spelled by the
+    backend's shortcut, takes a shortest word; any other keeps its carried
+    spelling, or the backend's normal-form word over S where that is no
+    longer.
     kappa is the longest word, and the mode is "exact" when every entry got
     a shortest word, else "word-upper"."""
-    outcomes = word_length_in_S(S, [(t, len(t.word)) for t in T], memory_cap)
+    outcomes = word_length_in_S(S, [(t, len(t.word)) for t in T], memory_cap, ball=ball)
     shortest = [isinstance(d, tuple) for d in outcomes]
     words = [d if ok else _upper_word(S, t) for t, d, ok in zip(T, outcomes, shortest)]
     T = GeneratingSet(S.backend, [GroupElement(S.backend, t.canonical, w)
@@ -438,7 +441,8 @@ def _coset_separated(S_eff, h):
     return S0
 
 
-def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeBasisCertificate:
+def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
+                     ball=None) -> FreeBasisCertificate:
     """Escalate to a loxodromic, then run the diagonal (n, k) amplification
     search ending in a freeness certificate.
 
@@ -462,7 +466,9 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
     wins. The basepoint is the candidate of largest margin, the first on
     ties (``_scan_basepoints``), and certify_free_geometric at that point
     gives the stored m, p_max and margin. If no (n, k) passes,
-    SearchExhausted is raised.
+    SearchExhausted is raised. Kappa's search resumes ``ball``, a ``Ball``
+    of S with this ``memory_cap``, when one is given (``verify_theorem``
+    passes the one its growth table walked), else walks a fresh one.
     """
     budgets = budgets or SearchBudgets()
     backend = S.backend
@@ -508,7 +514,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> FreeB
             continue
         # the stored numbers come from the checker's own function
         check = certify_free_geometric(T, x, backend.delta, eps)
-        T, kappa, kappa_mode = _compute_kappa(S, T, memory_cap)
+        T, kappa, kappa_mode = _compute_kappa(S, T, memory_cap, ball)
         r = len(T)
         return FreeBasisCertificate(
             backend_config=backend.config(), backend_hash=backend_hash(backend.config()),
@@ -545,13 +551,17 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     """Run the full pipeline and cross-check the growth brackets.
 
     Counts balls for S, then builds the free-basis certificate with
-    build_free_basis (which escalates by itself). Elementary outcomes are
-    reported, not raised; budget blowups propagate. A growth table
-    truncated below radius 2 raises BudgetExceeded; one truncated later
-    stays in the report (``table.truncated``) for the caller to flag. On
-    the half-plane the configured delta must cover an empirical four-point
-    defect estimate. The certified lower bound must not exceed the
-    certified upper bound, else the run aborts.
+    build_free_basis (which escalates by itself). Both read one ``Ball``
+    of S: the table counts its first ``n_max`` spheres, and the kappa
+    search reads them again and walks on from there only if it must, so
+    the ball of S is walked once; the Ball is dropped when both are done.
+    Elementary outcomes are reported, not raised; budget blowups
+    propagate. A growth table truncated below radius 2 raises
+    BudgetExceeded; one truncated later stays in the report
+    (``table.truncated``) for the caller to flag. On the half-plane the
+    configured delta must cover an empirical four-point defect estimate.
+    The certified lower bound must not exceed the certified upper bound,
+    else the run aborts.
     """
     backend = S.backend
     if backend.kind == "half_plane":
@@ -561,7 +571,8 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
                 f"empirical four-point defect {est:.4f} exceeds the configured "
                 f"delta {backend.delta:g}; raise delta"
             )
-    table = ball_sizes(S, n_max, memory_cap=memory_cap)
+    ball = Ball(S, memory_cap)
+    table = ball_sizes(S, n_max, memory_cap=memory_cap, ball=ball)
     if table.truncated and table.n_max < 2:
         raise BudgetExceeded(
             f"growth table truncated at radius {table.n_max}; brackets need radius >= 2"
@@ -573,12 +584,13 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     elementary = None
     reason = None
     try:
-        cert = build_free_basis(S, budgets, memory_cap=memory_cap)
+        cert = build_free_basis(S, budgets, memory_cap=memory_cap, ball=ball)
         rounds = cert.escalation_rounds
     except ElementaryDetected as exc:
         elementary = type(exc).__name__
         reason = str(exc)
         rounds = exc.escalation_rounds
+    del ball  # both readers are done with its records
 
     omega_lower = cert.omega_lower if cert is not None else 0.0
     if omega_lower > brackets.omega_upper + 1e-9:

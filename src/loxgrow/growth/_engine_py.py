@@ -9,7 +9,11 @@ slices of the sphere below; a slice whose products are all new joins the
 next sphere after one probe and one insert per key, both in C, with no
 Python step per element. So the per-element cost is the compose, and the
 key where canonicals are inexact. Each sphere comes with its keys and
-the slice each generator found; the counter reads only its length.
+the slice each generator found; the counter reads only its length, so it
+counts any stream of these records. ``verify-bound`` hands it a
+``words.Ball``, whose records the kappa search then reads on: that
+command walks the ball once for both. ``growth`` and other callers that
+hand it nothing get a fresh walk whose spheres are dropped once counted.
 
 The trees' canonicals are bytes, and their composes first try the common
 case: when the letters at the junction cannot cancel (free words: w's
@@ -33,19 +37,25 @@ it then costs about what the exact walk does.
 from ..words import spheres
 
 
-def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=None):
+def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=None,
+                        records=None):
     """Ball counts for radii 0..n_max from the identity, as (counts, truncated).
 
     ``compose``, ``key`` and ``batch`` act on canonical forms, as
     ``words.spheres`` takes them; ``key`` must be stable under the
-    backend's roundoff (None: canonicals are their own keys). On
+    backend's roundoff (None: canonicals are their own keys). ``records``
+    is the walk to count, the records of spheres 1, 2, ... from any
+    ``spheres`` walk with these arguments, such as a ``words.Ball`` shared
+    with other readers (default: a fresh walk, whose spheres are dropped
+    as soon as they are counted). Only ``len(sphere)`` is read. On
     truncation the counts stop at the last fully explored radius. A search
     that runs out of new elements means the ball stabilized (finite
     group); the constant tail is filled in.
     """
     counts = [1]
-    walk = spheres(identity, gens, compose, cap, key, batch=batch)
-    for _, (sphere, _, _) in zip(range(n_max), walk):
+    if records is None:
+        records = spheres(identity, gens, compose, cap, key, batch=batch)
+    for _, (sphere, _, _) in zip(range(n_max), records):
         counts.append(counts[-1] + len(sphere))
         if counts[-1] > cap:
             return counts[:-1], True
@@ -53,5 +63,5 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
     return counts, False
 
 
-# no caller; perfbench/tracing.py still wraps these names (ROADMAP item 9)
+# no caller; perfbench/tracing.py still wraps these names (ROADMAP item 5)
 free_ball_counts = product_ball_counts = matrix_ball_counts = generic_ball_counts

@@ -15,13 +15,17 @@ from .table import GrowthTable
 KERNEL_AVAILABLE = False
 
 
-def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP) -> GrowthTable:
+def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
+               ball=None) -> GrowthTable:
     """Exact ball sizes #S^{<=n} for n = 0..n_max.
 
     Stops at the last completed radius with ``truncated=True`` once the
     number of distinct elements passes ``memory_cap``. The table is
     ``heuristic`` when the backend's canonicals are inexact (the float
-    half-plane), whose elements are merged by ``_growth_key``.
+    half-plane), whose elements are merged by ``_growth_key``. ``ball``, a
+    ``words.Ball`` of S with this cap, is the walk to count, which keeps
+    its records for the next reader (``verify_theorem``'s kappa search);
+    without one the counter walks afresh and keeps no sphere.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -32,7 +36,7 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP) -> GrowthT
     counts, truncated = _engine_py.generic_ball_counts(
         backend._identity_canonical(), [g.canonical for g in S], backend._compose, n_max, cap,
         key=None if backend.exact_words else backend._growth_key,
-        batch=backend._compose_batch,
+        batch=backend._compose_batch, records=ball,
     )
     return GrowthTable(counts, truncated=truncated, engine="generic",
                        heuristic=not backend.exact_words)

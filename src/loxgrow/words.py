@@ -80,7 +80,7 @@ def make_generating_set(backend, inputs, symmetrize=True):
     return GeneratingSet(backend, elems)
 
 
-def spheres(identity, gens, compose, cap, key=None, batch=None):
+def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     """Breadth-first spheres of the Cayley graph, one record per radius 1, 2, ...
 
     Each sphere is walked one generator at a time: its elements come in
@@ -92,6 +92,10 @@ def spheres(identity, gens, compose, cap, key=None, batch=None):
     group). Once the visited set, identity included, passes ``cap`` it
     yields the partial sphere, ending with the element that passed the
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
+    ``seen`` is the visited set to dedup against: the caller's set holding
+    just the identity's key, which the walk then fills with every key it
+    yields (default: a fresh one). A ``Ball`` passes its own, so readers of
+    its records can probe it.
 
     A sphere comes as ``(sphere, keys, slices)``: ``keys[i]`` is the key
     of ``sphere[i]`` (``keys`` is ``sphere`` itself when ``key`` is None),
@@ -145,7 +149,8 @@ def spheres(identity, gens, compose, cap, key=None, batch=None):
         def batch(chunk, g):
             return list(map(compose, chunk, repeat(g)))
 
-    seen = {identity if key is None else key(identity)}
+    if seen is None:
+        seen = {identity if key is None else key(identity)}
     # frontier[lo:hi] for (lo, hi) = bounds[j] is what gens[j] found, and
     # sources[h] lists the slices gens[h] steps from; the identity is slice 0
     frontier, bounds = [identity], [(0, 1)]
@@ -201,6 +206,51 @@ def spheres(identity, gens, compose, cap, key=None, batch=None):
         frontier, bounds = sphere, found
 
 
+class Ball:
+    """One breadth-first walk of the Cayley ball of S, walked only as far as
+    its readers ask and read by each of them from radius 0.
+
+    The walk is ``spheres`` over S's canonicals with the backend's compose
+    and chunk batch, capped at ``memory_cap``; where canonicals are inexact
+    (``backend.exact_words`` false) it dedups by ``backend._growth_key``,
+    else canonicals are their own keys (``key`` None). ``records[n]`` is
+    sphere n's ``(sphere, keys, slices)``, ``records[0]`` the identity's,
+    and ``seen`` is the walk's visited set: the keys of every record so
+    far, which may run past the radius a reader has reached. Iterating
+    gives the records of spheres 1, 2, ..., those walked already first,
+    then walking on; it stops where the walk stops (an empty sphere, or
+    the partial sphere that passed the cap). ``growth.ball_sizes`` counts
+    from a Ball and ``word_length_in_S`` searches one, so the pipeline
+    walks the ball once for both.
+    """
+
+    def __init__(self, S, memory_cap=DEFAULT_MEMORY_CAP):
+        backend = S.backend
+        self.cap = memory_cap
+        self.key = None if backend.exact_words else backend._growth_key
+        ident = backend._identity_canonical()
+        self.ident_key = ident if self.key is None else self.key(ident)
+        self.seen = {self.ident_key}
+        self.records = [([ident], [self.ident_key], [(0, 1)])]
+        self._walk = self._spheres(backend, ident, [s.canonical for s in S])
+
+    def _spheres(self, backend, ident, gens):
+        # a generator, so a Ball that no reader walks starts no walk
+        yield from spheres(ident, gens, backend._compose, self.cap, self.key,
+                           batch=backend._compose_batch, seen=self.seen)
+
+    def __iter__(self):
+        radius = 1
+        while True:
+            if radius == len(self.records):
+                record = next(self._walk, None)
+                if record is None:
+                    return
+                self.records.append(record)
+            yield self.records[radius]
+            radius += 1
+
+
 def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
     """All nontrivial products of at most n generators, as a GeneratingSet."""
     if n < 1:
@@ -218,9 +268,11 @@ def product_ball_set(S, n, memory_cap=DEFAULT_MEMORY_CAP):
     return GeneratingSet(backend, out)
 
 
-def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
+def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP, ball=None):
     """A shortest word over S for every ``(g, cap)`` in ``targets``, from one
-    breadth-first walk of the Cayley ball of S.
+    breadth-first walk of the Cayley ball of S: ``ball``, a ``Ball`` of S
+    whose walk it resumes and whose cap stands for ``memory_cap``, or a
+    fresh ``Ball(S, memory_cap)``.
 
     Returns one outcome per target, in order: a word for g of d_S(1, g)
     steps, each step spelled by its S entry's own word (one symbol per
@@ -236,30 +288,34 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
     up to its own cap, before that sphere's budget check, and leaves the
     walk once found or past its cap. The identity and targets that
     ``backend.subgroup_word_exact`` spells are answered without a walk;
-    the walk stops when no target is left or the ball runs out.
+    the walk stops when no target is left or the ball runs out. A ``Ball``
+    walked further already (for the growth table) is only read.
 
-    The walk keeps the records ``spheres`` yields, and a target found at
+    At each sphere a pending target costs one probe of the walk's visited
+    set, ``ball.seen``, and only a target found there is looked for in the
+    sphere's keys: ``seen`` holds this sphere when the walk has gone no
+    further, but a pre-walked ``seen`` also holds the spheres beyond, so
+    the keys decide. The Ball keeps the records, and a target found at
     radius d is spelled backwards from its place in sphere d: the slice it
     lies in names the entry s that found it, and g s^-1 lies in sphere
-    d - 1, down to the identity. Where canonicals are inexact
-    (``backend.exact_words`` false) the walk dedups by
-    ``backend._growth_key``, which absorbs float roundoff, so its spheres
-    are the ones ``ball_sizes`` counts; targets, the identity and the
-    steps back are matched by that key, and a float target whose step back
-    still misses gives None. Exact canonicals are their own keys and cost
-    no key call. A sphere is mapped from key to place only when a found
-    target lies past it, so the last sphere walked, often the largest, is
-    never mapped.
+    d - 1, down to the identity. Where canonicals are inexact the Ball
+    dedups by ``backend._growth_key``, which absorbs float roundoff, so its
+    spheres are the ones ``ball_sizes`` counts; targets, the identity and
+    the steps back are matched by that key, and a float target whose step
+    back still misses gives None. Exact canonicals are their own keys and
+    cost no key call. A sphere is mapped from key to place only when a
+    found target lies past it, so the last sphere walked, often the
+    largest, is never mapped.
     """
     backend = S.backend
-    key = None if backend.exact_words else backend._growth_key
-    ident = backend._identity_canonical()
-    ident_key = ident if key is None else key(ident)
+    if ball is None:
+        ball = Ball(S, memory_cap)
+    key, seen = ball.key, ball.seen
     out = [None] * len(targets)
     pending = {}  # key -> [(index, cap)] still searched
     for i, (g, cap) in enumerate(targets):
         k = g.canonical if key is None else key(g.canonical)
-        if k == ident_key:
+        if k == ball.ident_key:
             out[i] = ()
             continue
         exact = backend.subgroup_word_exact(S, g)
@@ -271,21 +327,19 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
     visited = 1
-    walked = [([ident], [ident_key], [(0, 1)])]
     hits = {}  # index -> (radius, place in its sphere), spelled after the walk
-    ball = spheres(ident, [s.canonical for s in S], backend._compose, memory_cap, key,
-                   batch=backend._compose_batch)
-    for radius, record in enumerate(islice(ball, horizon), 1):
-        walked.append(record)
-        sphere, keys, _ = record
-        for target in [t for t in pending if t in keys]:
-            place = keys.index(target)
+    for radius, (sphere, keys, _) in enumerate(islice(ball, horizon), 1):
+        for target in [t for t in pending if t in seen]:
+            try:
+                place = keys.index(target)
+            except ValueError:  # a later sphere: the walk ran ahead
+                continue
             for i, _ in pending.pop(target):
                 hits[i] = radius, place
         visited += len(sphere)
-        if visited > memory_cap:
+        if visited > ball.cap:
             bust = BudgetExceeded(
-                f"word-length search exceeded {memory_cap} elements", completed=radius - 1
+                f"word-length search exceeded {ball.cap} elements", completed=radius - 1
             )
             for entries in pending.values():
                 for i, _ in entries:
@@ -297,6 +351,7 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP):
         if not pending:
             break
     if hits:
+        walked = ball.records
         deepest = max(d for d, _ in hits.values())
         places = [dict(zip(keys, range(len(keys)))) for _, keys, _ in walked[:deepest]]
         for i, (d, place) in hits.items():

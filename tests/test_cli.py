@@ -1,5 +1,6 @@
 """End-to-end command tests through cli.main(argv)."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -754,3 +755,33 @@ def test_verify_bound_says_whether_its_counts_are_heuristic(write_config, capsys
     assert (HEURISTIC_NOTE in capsys.readouterr().out) is heuristic
     assert main(["free-basis", cfg]) == 0
     assert json.loads(capsys.readouterr().out) == out["certificate"]
+
+
+# SHA-256 of the verify-bound JSON on the certify-kappa configs at their
+# benchmark budgets and on the certify-pingpong configs: the report's bytes
+# must not drift with how verify_theorem gets its balls and words
+@pytest.mark.parametrize("backend, gens, budgets, digest", [
+    ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, {"n_max": 3, "memory_cap": 5000},
+     "b6338961922d96c94d2bbb5eaf7504533327c350d71d0ac0e301490dfc762500"),
+    ({"kind": "half_plane"}, SANOV, {"n_max": 8, "memory_cap": 50000},
+     "e6c71043bbb7fb0d841fc971e76f4617e2d93785bf9401171fbd0073bcc76268"),
+    ({"kind": "half_plane", "arithmetic": "float"},
+     [[[float(v) for v in row] for row in g] for g in SANOV], {"n_max": 7, "memory_cap": 20000},
+     "5bb5f0e1255117e321ba5bddb5504512725bb3551cbe91398f4bf046ff34f7e4"),
+    ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], {"n_max": 10},
+     "ce94029a20715d77e4499f1836faf3cafb3c29dc310f6cf49aeed54e3c842baa"),
+    ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], {"n_max": 12},
+     "a947faf51079adb686811e1bbd60952535ccb827446ff7c38ea33a5df51656da"),
+    ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], {"n_max": 10},
+     "09608ca6076c0ca363f2c3237911df6ec41e651a11516363f2bb75375e81e65b"),
+    ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], {"n_max": 8},
+     "cbf0b0fd90eb2c1ee5a194d0aae9dd641594d3a0454b086037f219cb951e0faf"),
+], ids=["elliptic", "sanov", "sanov-float", "c2c7", "c2c3", "c2c4", "c3c3"])
+def test_verify_bound_bytes_are_pinned(write_config, tmp_path, capsys, backend, gens, budgets,
+                                       digest):
+    path = write_config("cfg.json", {"backend": backend, "generators": gens,
+                                     "budgets": budgets})
+    out = tmp_path / "report.json"
+    assert main(["verify-bound", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

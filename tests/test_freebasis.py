@@ -40,6 +40,7 @@ from loxgrow.freebasis import (
     find_short_loxodromic,
     verify_theorem,
 )
+from loxgrow.growth import _engine_py
 from loxgrow.hypcore import gromov_product
 from loxgrow.spaces import GroupElement, HalfPlane, Point, make_backend
 from loxgrow.spaces.base import basepoint_candidates
@@ -164,6 +165,27 @@ def test_one_conjugate_decides_exact_membership(case):
             assert member == _six_power_member(b, g), (b.canonical, g.canonical)
             answers.add(member)
     assert answers == {True, False}
+
+
+def test_float_membership_threshold_is_four_tau(hpf, monkeypatch):
+    # the float test calls g a member of E(b) once the axis of b and its
+    # g-translate stay close along a diameter of at least 8 tau / 2; an
+    # axis that degenerates to the boundary cannot rule membership out
+    b = hpf.element([[2.0, 0.0], [0.0, 0.5]])
+    g = hpf.element([[1.0, 2.0], [0.0, 1.0]])
+    tau = hpf.translation_length(b)
+    assert tau == pytest.approx(2 * math.log(2))
+    threshold = 8 * tau / 2
+    for diameter, member in [(math.nextafter(threshold, 0.0), False), (threshold, True)]:
+        monkeypatch.setattr(freebasis, "axis_overlap_diameter",
+                            lambda *args, d=diameter, **kwargs: d)
+        assert _elementary_member(b, g) is member
+
+    def degenerate(*args, **kwargs):
+        raise OverflowError("axis sample at the boundary")
+
+    monkeypatch.setattr(freebasis, "axis_overlap_diameter", degenerate)
+    assert _elementary_member(b, g) is True
 
 
 def test_find_independent(ft2, S_f2):
@@ -624,6 +646,35 @@ def test_kappa_walks_the_ball_once(case, monkeypatch):
     assert (got_kappa, got_mode) == (kappa, kappa_mode)
     assert [t.word for t in T] == [t.word for t in cert.T]
     assert len(walks) == 1
+
+
+# n_max of the certify-kappa configs in the benchmark
+_KAPPA_N_MAX = {"elliptic": 3, "sanov": 8, "sanov-float": 7, "c2c7": 10}
+
+
+@pytest.mark.parametrize("case", sorted(_KAPPA_CASES))
+def test_verify_theorem_walks_the_ball_of_S_once(case, monkeypatch):
+    # the growth table and the kappa search read one Ball, so a run makes
+    # one walk over S's canonicals; each escalation round walks S_eff's
+    # elements in product_ball_set, another set, which does not count
+    config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+    walked = []
+    spheres = loxgrow.words.spheres
+
+    def counted(identity, gens, *args, **kwargs):
+        walked.append(list(gens))
+        return spheres(identity, gens, *args, **kwargs)
+
+    # the counter imports spheres by name, so both names are counted
+    monkeypatch.setattr(loxgrow.words, "spheres", counted)
+    monkeypatch.setattr(_engine_py, "spheres", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        rep = verify_theorem(S, _KAPPA_N_MAX[case], memory_cap=cap)
+    assert (rep.cert.r, rep.cert.kappa, rep.cert.kappa_mode) == (r, kappa, kappa_mode)
+    assert walked.count([s.canonical for s in S]) == 1
+    assert len(walked) == 1 + rep.escalation_rounds
 
 
 _CHECK_CASES = {

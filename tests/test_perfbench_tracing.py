@@ -141,3 +141,29 @@ def test_tracer_records_the_generic_ball_count(tmp_path, capsys, backend, genera
     assert "growth.engine_python" not in recorded
     assert tracer.engine_tags == {"generic": 1}
     assert _engine_py.generic_ball_counts is counter
+
+
+def test_tracer_sees_one_ball_walk_in_verify_bound(tmp_path, capsys):
+    # certify-kappa's Sanov config: the growth table and the kappa search
+    # share one Ball, and each still runs under its own span, so
+    # growth.generic_s keeps timing the walk that growth.ball_sizes_s holds
+    cfg = tmp_path / "sanov.json"
+    cfg.write_text(json.dumps({
+        "backend": {"kind": "half_plane"},
+        "generators": SANOV,
+        "budgets": {"n_max": 8, "memory_cap": 50000},
+    }))
+    tracer = Tracer()
+    tracer.install(False)
+    try:
+        assert cli.main(["verify-bound", str(cfg), "--out", str(tmp_path / "rep.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    recorded = [row[0] for row in tracer.spans]
+    for span in ("growth.ball_sizes", "growth.generic", "words.word_length_in_S"):
+        assert recorded.count(span) == 1, span
+    # the free group of rank 2 has 2 * 3^8 - 1 elements within radius 8
+    assert tracer.counts["growth.elements"] == 2 * 3**8 - 1
+    assert tracer.engine_tags == {"generic": 1}

@@ -12,7 +12,8 @@ from loxgrow.errors import (
     EmptyAfterReduction,
     NotSymmetric,
 )
-from loxgrow.spaces import FreeProductTree
+from loxgrow.growth import ball_sizes
+from loxgrow.spaces import FreeProductTree, GroupElement, make_backend
 from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
 PSL2Z_GENS = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
@@ -400,8 +401,6 @@ def test_matrix_word_length_against_brute_force(hp):
 
 
 def test_ball_sizes_consistency(S_f2, S_pt):
-    from loxgrow.growth import ball_sizes
-
     for S in (S_f2, S_pt):
         table = ball_sizes(S, 4)
         for n in range(1, 5):
@@ -411,3 +410,66 @@ def test_ball_sizes_consistency(S_f2, S_pt):
 def test_empty_inputs_rejected(ft2):
     with pytest.raises(EmptyAfterReduction):
         make_generating_set(ft2, [])
+
+
+_PREWALK_SETS = {
+    # exact integer keys, rounded float keys and byte keys
+    "sanov": ({"kind": "half_plane"}, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]),
+    "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
+                    [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]]),
+    "elliptic": ({"kind": "half_plane"}, PSL2Z_GENS),
+    "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("depth", ["table", "past the targets"])
+@pytest.mark.parametrize("bust", [False, True], ids=["no-bust", "bust-at-4"])
+@pytest.mark.parametrize("case", sorted(_PREWALK_SETS))
+def test_pre_walked_ball_answers_as_a_fresh_walk(case, bust, depth):
+    # verify_theorem's kappa search reads the Ball its growth table walked,
+    # whose visited set already runs past the radius the search is at:
+    # every outcome must be what a fresh walk gives
+    config, gens = _PREWALK_SETS[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    n_max = 5
+    reference = words.Ball(S, 10**5)
+    list(itertools.islice(reference, n_max + 2))
+    spheres_of = [sphere for sphere, _, _ in reference.records]  # radii 0..n_max + 2
+    below = sum(map(len, spheres_of[:4]))
+    # with a bust, the visited set passes the cap at place k of sphere 4
+    k = len(spheres_of[4]) // 2
+    memory_cap = below + k if bust else 10**5
+
+    tagged = [(0, 0, 0), (0, 0, 4)]  # (radius, place in its sphere, cap)
+    for d in range(1, n_max + 1):
+        tagged += [(d, 0, d), (d, len(spheres_of[d]) - 1, n_max + 2)]
+    tagged += [(n_max + 2, 0, n_max + 2),  # beyond the table
+               (4, 1, 2),  # past its own cap
+               (4, k, 4), (4, k + 1, 4)]  # the one that passed the cap, and the next
+    targets = [(GroupElement(backend, spheres_of[d][place]), cap) for d, place, cap in tagged]
+
+    ball = words.Ball(S, memory_cap)
+    table = ball_sizes(S, n_max, memory_cap, ball=ball)
+    assert table.truncated == bust
+    if depth == "past the targets":
+        list(itertools.islice(ball, n_max + 3))
+    assert len(ball.seen) == sum(len(sphere) for sphere, _, _ in ball.records)
+
+    def outcomes(found):
+        return [("budget", d.completed, str(d)) if isinstance(d, BudgetExceeded) else d
+                for d in found]
+
+    fresh = word_length_in_S(S, targets, memory_cap)
+    assert outcomes(word_length_in_S(S, targets, memory_cap, ball=ball)) == outcomes(fresh)
+
+    def expected(d, place, cap):
+        if d > cap:
+            return None if not bust or cap < 4 else ("budget", 3)
+        if bust and (d > 4 or (d == 4 and place > k)):
+            return ("budget", 3)
+        return d
+
+    got = [("budget", d.completed) if isinstance(d, BudgetExceeded) else d
+           for d in _lengths(S, targets, fresh)]
+    assert got == [expected(*t) for t in tagged]
