@@ -590,7 +590,8 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
         elementary = type(exc).__name__
         reason = str(exc)
         rounds = exc.escalation_rounds
-    del ball  # both readers are done with its records
+    # readers done; Ball and walk form a cycle, so only the cyclic GC frees them
+    del ball
 
     omega_lower = cert.omega_lower if cert is not None else 0.0
     if omega_lower > brackets.omega_upper + 1e-9:

@@ -2,7 +2,8 @@
 loxodromic criterion, translation lengths, displacement and axis overlap.
 
 Everything here works through the backend protocol only, so the same
-inequalities run on exact tree metrics and on float plane distances.  The
+inequalities run on exact tree metrics and on float plane distances;
+only axis sampling needs the half-plane, for its ``geodesic_point``.  The
 Gromov product is <x, y>_o = (d(x,o) + d(y,o) - d(x,y)) / 2; a space is
 delta-hyperbolic when <x,y>_o >= min(<x,z>_o, <z,y>_o) - delta for all
 quadruples (the four-point inequality).
@@ -139,12 +140,13 @@ def axis_overlap_diameter(b, f, o: Point, theta: float = 1.0, window: int = 8) -
     """Diameter of the part of the sampled axis of b that stays theta*d(o,bo)
     close to its f-translate.
 
-    Proxy for |E(b)|-style tests on float backends: a conjugating f maps the
-    axis near itself, so a large overlap diameter flags a likely elementary
-    pair, a bounded one certifies nothing but suggests independence.
+    Proxy for |E(b)|-style tests on the half-plane, where axis sampling
+    runs: a conjugating f maps the axis near itself, so a large overlap
+    diameter flags a likely elementary pair, a bounded one certifies nothing
+    but suggests independence.
 
     A sample p is near when ``dist(p, q) <= L`` for some translated sample
-    q, with L = R + 1e-12 and R = theta*d(o,bo). On the half-plane each
+    q, with L = R + 1e-12 and R = theta*d(o,bo). Each sample
     p = x + iy calls ``dist`` only on the q = u + iv inside two windows, so
     the near samples are exactly those of the all-pairs sweep. If
     d(p, q) <= L then
@@ -163,8 +165,7 @@ def axis_overlap_diameter(b, f, o: Point, theta: float = 1.0, window: int = 8) -
     2*y*min(v) > 0 and (max|x - u|^2 + max(y, max v)^2) / (2*y*min(v))
     < 1e300, with both maxima below 1e150 so that the bound itself cannot
     overflow. Every other p scans all translated samples in order, as the
-    sweep does, so the same call raises the same error. Trees keep the
-    plain sweep.
+    sweep does, so the same call raises the same error.
     """
     backend = o.backend
     if backend.classify(b).kind != "loxodromic":
@@ -184,12 +185,7 @@ def axis_overlap_diameter(b, f, o: Point, theta: float = 1.0, window: int = 8) -
         d = backend.dist(p, q)
         if d > 0:
             for j in range(1, 4):
-                t = d * j / 4.0
-                if backend.kind != "half_plane":
-                    t = round(t)
-                    if t <= 0 or t >= d:
-                        continue
-                samples.append(backend.geodesic_point(p, q, t))
+                samples.append(backend.geodesic_point(p, q, d * j / 4.0))
     samples.append(orbit[-1])
     translated = [backend.apply(f, p) for p in samples]
     near = _near_samples(backend, samples, translated, R + 1e-12)
@@ -208,7 +204,7 @@ def _near_samples(backend, samples, translated, L):
         E = math.exp(L * (1.0 + 1e-9) + 1e-6)
     except OverflowError:
         E = math.inf
-    if backend.kind != "half_plane" or not math.isfinite(E):
+    if not math.isfinite(E):
         return [p for p in samples if any(dist(p, q) <= L for q in translated)]
     by_height = sorted(((q.data.imag, q.data.real, q) for q in translated), key=itemgetter(0))
     heights = [v for v, _, _ in by_height]

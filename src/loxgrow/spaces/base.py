@@ -119,7 +119,6 @@ class Point:
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "identity" | "elliptic" | "parabolic" | "loxodromic"
-    boundary: bool = False  # float trace within eps of the parabolic line
 
 
 class Backend:
@@ -204,9 +203,6 @@ class Backend:
         raise NotImplementedError
 
     def apply(self, g: GroupElement, x: Point) -> Point:
-        raise NotImplementedError
-
-    def geodesic_point(self, x: Point, y: Point, t: float) -> Point:
         raise NotImplementedError
 
     def classify(self, g: GroupElement) -> Classification:

@@ -156,21 +156,6 @@ class FreeGroupTree(Backend):
     def apply(self, g, x):
         return Point(self, self._compose(g.canonical, x.data))
 
-    def geodesic_point(self, x, y, t):
-        cx, cy = x.data, y.data
-        i = 0
-        m = min(len(cx), len(cy))
-        while i < m and cx[i] == cy[i]:
-            i += 1
-        d = (len(cx) - i) + (len(cy) - i)
-        ti = int(round(t))
-        if abs(t - ti) > 1e-9 or ti < 0 or ti > d:
-            raise ValueError(f"t must be an integer in [0, {d}] on a tree, got {t}")
-        up = len(cx) - i
-        if ti <= up:
-            return Point(self, cx[: len(cx) - ti])
-        return Point(self, cx[:i] + cy[i : i + (ti - up)])
-
     def _cyclic_reduce(self, ca):
         lo, hi = 0, len(ca)
         while hi - lo >= 2 and ca[lo] ^ ca[hi - 1] == 1:

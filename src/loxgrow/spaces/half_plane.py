@@ -237,7 +237,7 @@ class HalfPlane(Backend):
                 return Classification("parabolic")
             return Classification("loxodromic")
         if abs(tr - 2.0) <= EPS_ID:
-            return Classification("parabolic", boundary=True)
+            return Classification("parabolic")
         if tr < 2.0:
             return Classification("elliptic")
         return Classification("loxodromic")

@@ -207,31 +207,6 @@ class FreeProductTree(Backend):
         fv = rv[i] >> 6 if i < len(rv) else t
         return len(ru) + len(rv) - 2 * i + (0 if fu == fv else 1)
 
-    def _path_vertices(self, x, y):
-        (ru, s), (rv, t) = x.data, y.data
-        w = self._strip(self._compose(self._invert(ru), rv), t)
-        verts = [(b"", s)]
-        if not w:
-            if s != t:
-                verts.append((b"", t))
-        else:
-            if w[0] >> 6 != s:
-                verts.append((b"", 1 - s))
-            for i in range(1, len(w) + 1):
-                verts.append((w[:i], 1 - (w[i - 1] >> 6)))
-        out = []
-        for rep, side in verts:
-            rep = self._strip(self._compose(ru, rep), side)
-            out.append(Point(self, (rep, side)))
-        return out
-
-    def geodesic_point(self, x, y, t):
-        path = self._path_vertices(x, y)
-        ti = int(round(t))
-        if abs(t - ti) > 1e-9 or ti < 0 or ti >= len(path):
-            raise ValueError(f"t must be an integer in [0, {len(path) - 1}], got {t}")
-        return path[ti]
-
     def _cyclic_reduce(self, ca):
         # first == last factor forces odd syllable length; one nontrivial merge
         # leaves an alternating word with distinct end factors

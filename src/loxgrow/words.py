@@ -222,6 +222,8 @@ class Ball:
     the partial sphere that passed the cap). ``growth.ball_sizes`` counts
     from a Ball and ``word_length_in_S`` searches one, so the pipeline
     walks the ball once for both.
+    The walk's generator frame holds the Ball, a reference cycle: a dropped
+    Ball is freed only when the cyclic garbage collector runs.
     """
 
     def __init__(self, S, memory_cap=DEFAULT_MEMORY_CAP):

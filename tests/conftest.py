@@ -1,7 +1,9 @@
 import functools
+import sys
 
 import pytest
 
+import loxgrow.words
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
 from loxgrow.words import make_generating_set
 
@@ -13,6 +15,28 @@ PSL2Z_ELLIPTIC = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
 def power(g, n):
     """g^n for n >= 0: n composes folded left from the identity."""
     return functools.reduce(g.backend.compose, [g] * n, g.backend.identity())
+
+
+def count_walks(monkeypatch):
+    """Count the walks of ``loxgrow.words.spheres``: every ``loxgrow``
+    module attribute bound to it is patched, so a module that imports it by
+    name is counted too. Each walk appends its generator list. A test
+    module's own ``spheres`` name is left alone, so walks that go through it
+    (such as test_words' oracle) are not counted."""
+    walks = []
+    spheres = loxgrow.words.spheres
+
+    def counted(identity, gens, *args, **kwargs):
+        walks.append(list(gens))
+        return spheres(identity, gens, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "loxgrow" or name.startswith("loxgrow.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is spheres:
+                monkeypatch.setattr(module, attr, counted)
+    return walks
 
 
 @pytest.fixture

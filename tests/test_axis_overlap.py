@@ -45,12 +45,7 @@ def reference_axis_overlap(b, f, o, theta=1.0, window=8):
         d = backend.dist(p, q)
         if d > 0:
             for j in range(1, 4):
-                t = d * j / 4.0
-                if backend.kind != "half_plane":
-                    t = round(t)
-                    if t <= 0 or t >= d:
-                        continue
-                samples.append(backend.geodesic_point(p, q, t))
+                samples.append(backend.geodesic_point(p, q, d * j / 4.0))
     samples.append(orbit[-1])
     translated = [backend.apply(f, p) for p in samples]
     near = [
@@ -170,18 +165,13 @@ def test_random_float_loxodromics_match_the_sweep():
     assert kinds.count("value") > 100
 
 
-def test_exact_sanov_and_tree_pairs_match_the_sweep(hp, ft2, pt23):
+def test_exact_sanov_pairs_match_the_sweep(hp):
     S = make_generating_set(hp, SANOV)
     o = hp.origin()
     for b in S:
         for f in S:
             assert_same(b, f, o)
             assert_same(b, hp.compose(f, b), Point(hp, complex(0.3, 2.0)))
-    for backend, words in ((ft2, ["xx", "xy", "y", "yxY"]), (pt23, ["ab", "abb", "b"])):
-        o = backend.origin()
-        for b in words:
-            for f in words:
-                assert_same(backend.element(b), backend.element(f), o)
 
 
 def test_half_plane_axis_overlap_values(hpf):

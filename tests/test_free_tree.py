@@ -47,21 +47,6 @@ def test_apply_left_translates(ft2):
     assert ft2.apply(ft2.element("x"), v).data == ft2.element("xy").canonical
 
 
-def test_geodesic_point_on_word_path(ft2):
-    x, y = ft2.origin(), Point(ft2, ft2.element("xyx").canonical)
-    mid = ft2.geodesic_point(x, y, 2)
-    assert mid.data == ft2.element("xy").canonical
-    assert ft2.dist(x, mid) == 2 and ft2.dist(mid, y) == 1
-
-
-def test_geodesic_point_needs_integer_t(ft2):
-    x, y = ft2.origin(), Point(ft2, ft2.element("xx").canonical)
-    with pytest.raises(ValueError):
-        ft2.geodesic_point(x, y, 0.5)
-    with pytest.raises(ValueError):
-        ft2.geodesic_point(x, y, 3)
-
-
 def test_classification(ft2):
     assert ft2.classify(ft2.element("x")).kind == "loxodromic"
     assert ft2.classify(ft2.element("xX")).kind == "identity"

@@ -10,7 +10,6 @@ import pytest
 
 import loxgrow.freebasis as freebasis
 import loxgrow.spaces.base
-import loxgrow.words
 from loxgrow.errors import (
     AllElementary,
     BudgetExceeded,
@@ -40,13 +39,12 @@ from loxgrow.freebasis import (
     find_short_loxodromic,
     verify_theorem,
 )
-from loxgrow.growth import _engine_py
 from loxgrow.hypcore import gromov_product
 from loxgrow.spaces import GroupElement, HalfPlane, Point, make_backend
 from loxgrow.spaces.base import basepoint_candidates
 from loxgrow.words import GeneratingSet, make_generating_set, product_ball_set
 
-from conftest import PSL2Z_ELLIPTIC, SANOV, power
+from conftest import PSL2Z_ELLIPTIC, SANOV, count_walks, power
 from test_words import _evaluate, _one_target
 
 
@@ -619,18 +617,6 @@ _KAPPA_CASES = {
 }
 
 
-def _count_walks(monkeypatch):
-    walks = []
-    spheres = loxgrow.words.spheres
-
-    def counted(*args, **kwargs):
-        walks.append(1)
-        return spheres(*args, **kwargs)
-
-    monkeypatch.setattr(loxgrow.words, "spheres", counted)
-    return walks
-
-
 @pytest.mark.parametrize("case", sorted(_KAPPA_CASES))
 def test_kappa_walks_the_ball_once(case, monkeypatch):
     # the certify-kappa sets at their benchmark caps: all r entries of T
@@ -641,7 +627,7 @@ def test_kappa_walks_the_ball_once(case, monkeypatch):
         warnings.simplefilter("ignore", HeuristicOnly)
         cert = build_free_basis(S, memory_cap=cap)
     assert (cert.r, cert.kappa, cert.kappa_mode) == (r, kappa, kappa_mode)
-    walks = _count_walks(monkeypatch)
+    walks = count_walks(monkeypatch)
     T, got_kappa, got_mode = _compute_kappa(cert.S, cert.T, cap)
     assert (got_kappa, got_mode) == (kappa, kappa_mode)
     assert [t.word for t in T] == [t.word for t in cert.T]
@@ -659,16 +645,7 @@ def test_verify_theorem_walks_the_ball_of_S_once(case, monkeypatch):
     # elements in product_ball_set, another set, which does not count
     config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
     S = make_generating_set(make_backend(config), gens)
-    walked = []
-    spheres = loxgrow.words.spheres
-
-    def counted(identity, gens, *args, **kwargs):
-        walked.append(list(gens))
-        return spheres(identity, gens, *args, **kwargs)
-
-    # the counter imports spheres by name, so both names are counted
-    monkeypatch.setattr(loxgrow.words, "spheres", counted)
-    monkeypatch.setattr(_engine_py, "spheres", counted)
+    walked = count_walks(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HeuristicOnly)
         rep = verify_theorem(S, _KAPPA_N_MAX[case], memory_cap=cap)
@@ -695,7 +672,7 @@ def test_checker_walks_nothing(case, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HeuristicOnly)
         payload = certificate_payload(build_free_basis(S, memory_cap=cap))
-    walks = _count_walks(monkeypatch)
+    walks = count_walks(monkeypatch)
 
     def no_search(*args, **kwargs):
         raise AssertionError("the checker searched for a word")
@@ -705,6 +682,30 @@ def test_checker_walks_nothing(case, monkeypatch):
     # perfbench's call shape: the memory cap is accepted and ignored
     assert check_certificate(payload, memory_cap=1)["valid"]
     assert walks == []
+
+
+class _AxisSampled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
+def test_only_the_float_plane_samples_an_axis(case, monkeypatch):
+    # exact backends decide membership in E(b) by one conjugate, so the
+    # build never samples an axis; the float half-plane still does
+    config, gens, cap = _CHECK_CASES[case]
+    S = make_generating_set(make_backend(config), gens)
+
+    def sampled(*args, **kwargs):
+        raise _AxisSampled
+
+    monkeypatch.setattr(freebasis, "axis_overlap_diameter", sampled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HeuristicOnly)
+        if S.backend.exact_words:
+            build_free_basis(S, memory_cap=cap)
+        else:
+            with pytest.raises(_AxisSampled):
+                build_free_basis(S, memory_cap=cap)
 
 
 @pytest.mark.parametrize("case", ["f2", "c2c3", "c2c7", "sanov", "elliptic"])

@@ -1,14 +1,12 @@
-"""Hyperbolicity estimates, the loxodromic criterion, translation lengths,
-displacement and axis overlap."""
+"""Hyperbolicity estimates, the loxodromic criterion, translation lengths
+and displacement (axis overlap: test_axis_overlap.py)."""
 
 import math
 import random
 
 import pytest
 
-from loxgrow.errors import NotLoxodromic
 from loxgrow.hypcore import (
-    axis_overlap_diameter,
     displacement,
     estimate_delta,
     four_point_defect,
@@ -172,12 +170,3 @@ def test_displacement_equivariance(ft2, S_f2):
         )
         assert displacement(conj, ft2.apply(g, x)).value == displacement(S_f2, x).value
 
-
-def test_axis_overlap_diameter(ft2):
-    o = ft2.origin()
-    b = ft2.element("xx")
-    assert axis_overlap_diameter(b, ft2.element("y"), o) <= 2.0
-    assert axis_overlap_diameter(b, ft2.element("xx"), o) >= 14.0
-    assert axis_overlap_diameter(b, ft2.element("yxY"), o) <= 4.0
-    with pytest.raises(NotLoxodromic):
-        axis_overlap_diameter(ft2.element(""), ft2.element("y"), o)

@@ -105,16 +105,6 @@ def test_translation_length_via_orbit_minimum(pt23):
     assert pt23.translation_length(pt23.element("abab")) == 4
 
 
-def test_geodesic_point_midpoints(pt23):
-    x = Point(pt23, (b"", 0))
-    y = pt23.apply(pt23.element("abab"), x)
-    d = pt23.dist(x, y)
-    for t in range(d + 1):
-        p = pt23.geodesic_point(x, y, t)
-        assert pt23.dist(x, p) == t
-        assert pt23.dist(p, y) == d - t
-
-
 def test_isometry_exact(pt23):
     rng = random.Random(9)
     for _ in range(200):
@@ -240,8 +230,3 @@ def test_dist_between_arbitrary_vertices(orders):
             _assert_bfs(backend, backend.apply(far, x), backend.apply(far, y))
         for g in moves:
             _assert_bfs(backend, x, backend.apply(g, x))
-    for x, y in zip(pts, pts[1:]):
-        for t in range(backend.dist(x, y) + 1):
-            p = backend.geodesic_point(x, y, t)
-            _assert_bfs(backend, x, p)
-            _assert_bfs(backend, p, y)

@@ -16,6 +16,8 @@ from loxgrow.growth import ball_sizes
 from loxgrow.spaces import FreeProductTree, GroupElement, make_backend
 from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
+from conftest import count_walks
+
 PSL2Z_GENS = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
 
 
@@ -170,24 +172,11 @@ def _agrees_with_one_target_searches(S, targets, memory_cap=words.DEFAULT_MEMORY
     return got
 
 
-def _count_walks(monkeypatch):
-    """Count the walks of word_length_in_S; the oracle's walks go through
-    this module's own ``spheres`` name and are not counted."""
-    walks = []
-
-    def counted(*args, **kwargs):
-        walks.append(1)
-        return spheres(*args, **kwargs)
-
-    monkeypatch.setattr(words, "spheres", counted)
-    return walks
-
-
 def test_multi_target_radii_and_caps(ft2, monkeypatch):
     # {xx, y} generates a free subgroup, so its ball is a 4-regular tree:
     # spheres of 4, 12, 36, ... elements
     S = make_generating_set(ft2, ["xx", "y"])
-    walks = _count_walks(monkeypatch)
+    walks = count_walks(monkeypatch)
     e = ft2.element
     targets = [(e("y"), 5), (e("xxxxy"), 5), (e("xxY"), 5), (e("x"), 6),
                (e("x" * 8), 1), (e("x" * 6 + "y"), 5)]
@@ -231,7 +220,7 @@ def test_multi_target_duplicates(ft2):
 
 
 def test_multi_target_shortcuts_per_entry(ft2, S_f2, monkeypatch):
-    walks = _count_walks(monkeypatch)
+    walks = count_walks(monkeypatch)
     e = ft2.element
     # a free basis: every entry is answered by the tree shortcut, no walk
     targets = [(e(""), 0), (e("xyX"), 3), (e("xyX"), 2), (e("YY"), 5)]
@@ -275,7 +264,7 @@ def test_multi_target_agrees_with_one_target_searches_at_random(ft2, pt23):
 
 
 def test_tree_shortcuts_spell_the_normal_form(ft2, pt23, S_f2, S_pt, monkeypatch):
-    walks = _count_walks(monkeypatch)
+    walks = count_walks(monkeypatch)
     e = ft2.element
     targets = [(e("xyX"), 3), (e("YYx"), 3)]
     assert word_length_in_S(S_f2, targets) == [
