@@ -14,6 +14,11 @@ counts any stream of these records. ``verify-bound`` hands it a
 ``words.Ball``, whose records the kappa search then reads on: that
 command walks the ball once for both. ``growth`` and other callers that
 hand it nothing get a fresh walk whose spheres are dropped once counted.
+When the backend's ``_free_walk`` vouches for S (a tree set of distinct
+one-letter or one-syllable entries, closed in each factor), that walk is
+``free``: past sphere 2 no product can repeat, so it keeps no visited
+set, adds each batch to the sphere with no probe and no insert, and
+holds two spheres, not the whole ball.
 
 The trees' canonicals are bytes, and their composes first try the common
 case: when the letters at the junction cannot cancel (free words: w's
@@ -38,7 +43,7 @@ from ..words import spheres
 
 
 def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=None,
-                        records=None):
+                        records=None, free=False):
     """Ball counts for radii 0..n_max from the identity, as (counts, truncated).
 
     ``compose``, ``key`` and ``batch`` act on canonical forms, as
@@ -47,14 +52,15 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
     is the walk to count, the records of spheres 1, 2, ... from any
     ``spheres`` walk with these arguments, such as a ``words.Ball`` shared
     with other readers (default: a fresh walk, whose spheres are dropped
-    as soon as they are counted). Only ``len(sphere)`` is read. On
+    as soon as they are counted, and ``free`` is passed to it: it then
+    keeps no visited set past sphere 2). Only ``len(sphere)`` is read. On
     truncation the counts stop at the last fully explored radius. A search
     that runs out of new elements means the ball stabilized (finite
     group); the constant tail is filled in.
     """
     counts = [1]
     if records is None:
-        records = spheres(identity, gens, compose, cap, key, batch=batch)
+        records = spheres(identity, gens, compose, cap, key, batch=batch, free=free)
     for _, (sphere, _, _) in zip(range(n_max), records):
         counts.append(counts[-1] + len(sphere))
         if counts[-1] > cap:

@@ -25,7 +25,9 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     half-plane), whose elements are merged by ``_growth_key``. ``ball``, a
     ``words.Ball`` of S with this cap, is the walk to count, which keeps
     its records for the next reader (``verify_theorem``'s kappa search);
-    without one the counter walks afresh and keeps no sphere.
+    without one the counter walks afresh and keeps no sphere; where the
+    backend's ``_free_walk`` holds for S's canonicals (one-letter tree
+    sets), that walk keeps no visited set past sphere 2 either.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -33,10 +35,12 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     if cap < 1:
         raise ConfigError("memory_cap must be positive")
     backend = S.backend
+    gens = [g.canonical for g in S]
     counts, truncated = _engine_py.generic_ball_counts(
-        backend._identity_canonical(), [g.canonical for g in S], backend._compose, n_max, cap,
+        backend._identity_canonical(), gens, backend._compose, n_max, cap,
         key=None if backend.exact_words else backend._growth_key,
         batch=backend._compose_batch, records=ball,
+        free=backend._free_walk(gens),
     )
     return GrowthTable(counts, truncated=truncated, engine="generic",
                        heuristic=not backend.exact_words)

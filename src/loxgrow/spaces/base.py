@@ -219,6 +219,13 @@ class Backend:
     def _growth_key(self, canonical):
         return canonical
 
+    # whether a ball walk over the canonicals ``gens`` may stop deduplicating
+    # once sphere 2 is out (``words.spheres``' ``free``): True only when
+    # every compose the walk's skips leave from then on gives a new element;
+    # decided from the canonicals alone, with no compose
+    def _free_walk(self, gens):
+        return False
+
     # a geodesic word over S for g when S is exactly the backend's standard
     # generating set, else None (the caller searches)
     def subgroup_word_exact(self, S, g):

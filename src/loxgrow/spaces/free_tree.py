@@ -98,6 +98,12 @@ class FreeGroupTree(Backend):
             return list(map(FreeGroupTree._compose, chunk, repeat(g)))
         return list(map(add, chunk, repeat(g)))
 
+    # one letter per generator: two letters cancel or concatenate, so from
+    # sphere 2 on every step that the walk's skips leave appends one letter
+    @staticmethod
+    def _free_walk(gens):
+        return all(len(g) == 1 for g in gens) and len(set(gens)) == len(gens)
+
     def _invert(self, ca):
         return ca[::-1].translate(_INVERSE)
 

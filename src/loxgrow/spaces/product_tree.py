@@ -120,6 +120,19 @@ class FreeProductTree(Backend):
             return list(map(add, chunk, repeat(g)))
         return list(map(self._compose, chunk, repeat(g)))
 
+    # one syllable per generator, and per factor the exponents present
+    # together with 0 closed under addition: two syllables then merge into
+    # the identity or a generator, or concatenate, so from sphere 2 on every
+    # step that the walk's skips leave appends one syllable
+    def _free_walk(self, gens):
+        if any(len(g) != 1 for g in gens) or len(set(gens)) != len(gens):
+            return False
+        for f, order in enumerate(self.orders):
+            exps = {0} | {g[0] & 63 for g in gens if g[0] >> 6 == f}
+            if any((x + y) % order not in exps for x in exps for y in exps):
+                return False
+        return True
+
     def _invert(self, ca):
         return ca[::-1].translate(self._inverse)
 

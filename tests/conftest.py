@@ -39,6 +39,33 @@ def count_walks(monkeypatch):
     return walks
 
 
+def reference_spheres(identity, gens, compose, cap, key=None):
+    """``spheres`` without its skips and batches: every generator, in order,
+    is composed with every element of a sphere, one at a time. Yields the
+    same records: the sphere, its keys and the slice each generator found."""
+    seen = {identity if key is None else key(identity)}
+    frontier = [identity]
+    while True:
+        sphere, keys, slices = [], [], []
+        for g in gens:
+            start = len(sphere)
+            for w in frontier:
+                c = compose(w, g)
+                k = c if key is None else key(c)
+                if k not in seen:
+                    seen.add(k)
+                    sphere.append(c)
+                    keys.append(k)
+                    if len(seen) > cap:
+                        yield sphere, keys, slices + [(start, len(sphere))]
+                        return
+            slices.append((start, len(sphere)))
+        if not sphere:
+            return
+        yield sphere, keys, slices
+        frontier = sphere
+
+
 @pytest.fixture
 def ft2():
     return FreeGroupTree(2, letters="xy")

@@ -11,10 +11,11 @@ from loxgrow import __version__
 from loxgrow.cli import main
 from loxgrow.errors import ConfigError
 from loxgrow.freebasis import backend_hash
-from loxgrow.growth.table import HEURISTIC_NOTE
+from loxgrow.growth.table import HEURISTIC_NOTE, GrowthTable
 from loxgrow.spaces import make_backend
+from loxgrow.words import make_generating_set
 
-from conftest import PSL2Z_ELLIPTIC, SANOV
+from conftest import PSL2Z_ELLIPTIC, SANOV, reference_spheres
 
 F2_BACKEND = {"kind": "free_group_tree", "rank": 2, "letters": "xy"}
 
@@ -84,6 +85,28 @@ def test_growth_truncation_exit(write_config, capsys):
     assert rows[0] == "0,1,1,,"
     assert all(int(r.split(",")[1]) <= 101 for r in rows)
 
+
+@pytest.mark.parametrize("backend, generators, cap", [
+    (F2_BACKEND, ["x", "y"], 1000),
+    ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], 200),
+])
+def test_growth_truncated_past_radius_two(write_config, backend, generators, cap, capsys):
+    # the walk stops deduplicating after sphere 2, and the cap still cuts
+    # the growth table where the deduplicating walk cut it
+    cfg = write_config("trunc.json", {
+        "backend": backend, "generators": generators,
+        "budgets": {"n_max": 12, "memory_cap": cap},
+    })
+    S = make_generating_set(make_backend(backend), generators)
+    balls = [1]
+    for sphere, _, _ in reference_spheres(S.backend._identity_canonical(),
+                                          [g.canonical for g in S], S.backend._compose, cap):
+        balls.append(balls[-1] + len(sphere))
+    assert len(balls) > 4 and balls[-1] == cap + 1
+    assert main(["growth", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == GrowthTable(balls[:-1], truncated=True).to_csv()
+    assert captured.err == f"growth table truncated at radius {len(balls) - 2}\n"
 
 
 def test_verify_bound_truncation_exits_three(write_config, f2_config, tmp_path, capsys):

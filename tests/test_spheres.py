@@ -1,8 +1,10 @@
 """The breadth-first spheres against the loop they replaced, and the
 composes they skip."""
 
+import gc
 import math
 import random
+import tracemalloc
 from itertools import islice
 from operator import attrgetter
 
@@ -13,47 +15,22 @@ from loxgrow.growth import ball_sizes
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
 from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
-from conftest import PSL2Z_ELLIPTIC, SANOV
+from conftest import PSL2Z_ELLIPTIC, SANOV, reference_spheres
 
 TU = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
 CAPS = (1, 2, 3, 5, 17, 100, 1000, 20_000)
 RADII = 8
 
 
-def reference_spheres(identity, gens, compose, cap, key=None):
-    """``spheres`` without its skips and batches: every generator, in order,
-    is composed with every element of a sphere, one at a time. Yields the
-    same records: the sphere, its keys and the slice each generator found."""
-    seen = {identity if key is None else key(identity)}
-    frontier = [identity]
-    while True:
-        sphere, keys, slices = [], [], []
-        for g in gens:
-            start = len(sphere)
-            for w in frontier:
-                c = compose(w, g)
-                k = c if key is None else key(c)
-                if k not in seen:
-                    seen.add(k)
-                    sphere.append(c)
-                    keys.append(k)
-                    if len(seen) > cap:
-                        yield sphere, keys, slices + [(start, len(sphere))]
-                        return
-            slices.append((start, len(sphere)))
-        if not sphere:
-            return
-        yield sphere, keys, slices
-        frontier = sphere
-
-
 def _sizes(records):
     return [len(sphere) for sphere, _, _ in records]
 
 
-def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radii=RADII):
+def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radii=RADII,
+                  free=False):
     for cap in caps:
-        got = list(islice(spheres(identity, gens, compose, cap, key, batch=batch), radii))
+        got = list(islice(spheres(identity, gens, compose, cap, key, batch=batch, free=free),
+                          radii))
         want = list(islice(reference_spheres(identity, gens, compose, cap, key), radii))
         assert got == want, cap
 
@@ -81,6 +58,7 @@ SETS = {
     "c2c3 {a,b}": (FreeProductTree((2, 3)), ["a", "b"]),
     "c2c3 {a,b,ab}": (FreeProductTree((2, 3)), ["a", "b", "ab"]),
     "c2c7 {a,b}": (FreeProductTree((2, 7)), ["a", "b"]),
+    "c2c4 {a,b}": (FreeProductTree((2, 4)), ["a", "b"]),
     "c2c4 {a,b,bb}": (FreeProductTree((2, 4)), ["a", "b", "bb"]),
     "sanov": (HP, SANOV),
     "elliptic": (HP, PSL2Z_ELLIPTIC),
@@ -96,7 +74,8 @@ SETS = {
 def test_spheres_match_the_reference_on_every_encoding(name):
     backend, inputs = SETS[name]
     S = make_generating_set(backend, inputs)
-    _same_spheres(*_encoded(S))
+    # as ball_sizes walks S: free where the backend's predicate allows it
+    _same_spheres(*_encoded(S), free=backend._free_walk([g.canonical for g in S]))
 
 
 @pytest.mark.parametrize("name", [name for name in SETS if "non-integer" not in name])
@@ -184,14 +163,17 @@ def _random_free_word(rng, rank, length):
 
 
 def test_spheres_on_random_small_sets():
+    # a set its backend's predicate allows is also walked free
     rng = random.Random(9)
-    free = F2._compose
+    free_walks = 0
     for _ in range(30):
         gens = [_random_free_word(rng, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.6:
             gens += [bytes(c ^ 1 for c in reversed(g)) for g in gens]
         rng.shuffle(gens)
-        _same_spheres(b"", gens, free, caps=(7, 500, 5000), radii=6)
+        free = F2._free_walk(gens)
+        free_walks += free
+        _same_spheres(b"", gens, F2._compose, caps=(7, 500, 5000), radii=6, free=free)
     for _ in range(20):
         p, q = rng.choice(((2, 3), (2, 5), (3, 3), (3, 4)))
         backend = FreeProductTree((p, q))
@@ -199,7 +181,9 @@ def test_spheres_on_random_small_sets():
                  for _ in range(rng.randint(1, 3))]
         if any(backend.element(w).canonical for w in words):
             S = make_generating_set(backend, words)
-            _same_spheres(*_encoded(S), caps=(7, 500, 5000), radii=6)
+            free = backend._free_walk([g.canonical for g in S])
+            free_walks += free
+            _same_spheres(*_encoded(S), caps=(7, 500, 5000), radii=6, free=free)
     for _ in range(20):
         mats = []
         for _ in range(rng.randint(1, 3)):
@@ -210,6 +194,7 @@ def test_spheres_on_random_small_sets():
             mats.append(m)
         _same_spheres(HP._identity_canonical(), mats, HP._compose, caps=(7, 500, 5000),
                       radii=6)
+    assert free_walks >= 5
 
 
 def _counting(fn, calls):
@@ -560,3 +545,115 @@ def test_keyed_float_batches_match_the_reference():
         assert got == want, cap
         assert list(islice(spheres(ident, gens, compose, cap, key, batch=batch), radius)) == want
         assert all(keys == list(map(key, sphere)) for sphere, keys, _ in got)
+
+
+FREE_SETS = {
+    "f2 {x,y}": (F2, ["x", "y"]),
+    "f3 {a,b}": (FreeGroupTree(3), ["a", "b"]),
+    "c2c3 {a,b}": (FreeProductTree((2, 3)), ["a", "b"]),
+    "c2c4 {a,b,bb}": (FreeProductTree((2, 4)), ["a", "b", "bb"]),
+    "c2c4 {a,bb}": (FreeProductTree((2, 4)), ["a", "bb"]),
+    "c3c3 {a,b}": (FreeProductTree((3, 3)), ["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+@pytest.mark.parametrize("name", FREE_SETS)
+def test_free_walks_match_the_reference_at_every_cap(name, chunk, monkeypatch):
+    # the walk drops its visited set once sphere 2 is out; the records, the
+    # cap and the element that passes it stay the reference's, whether the
+    # cap falls in sphere 1 or 2, before the switch, or on a chunk's edge
+    if chunk is not None:
+        monkeypatch.setattr(words, "_CHUNK", chunk)
+    chunk = words._CHUNK
+    backend, inputs = FREE_SETS[name]
+    ident, gens, compose, key, batch = _encoded(make_generating_set(backend, inputs))
+    assert key is None and backend._free_walk(gens)
+    # up to the sphere stepped from a slice longer than two chunks, or the
+    # first past 100,000 elements (c2c4 {a,bb} is the infinite dihedral
+    # group: its spheres stay at 2)
+    full, size, longest = [], 1, 0
+    for record in reference_spheres(ident, gens, compose, 10**7):
+        full.append(record)
+        size += len(record[0])
+        if longest > 2 * chunk + 8 or size > 100_000 or len(full) == 30:
+            break
+        longest = max(hi - lo for lo, hi in record[2])
+    radius = len(full)
+    seen = {ident}
+    got = list(islice(spheres(ident, gens, compose, 10**7, batch=batch, seen=seen, free=True),
+                      radius))
+    assert got == full
+    assert len(seen) == 1 + len(full[0][0]) + len(full[1][0])
+    sizes = _sizes(full)
+    two = 1 + sizes[0] + sizes[1]
+    caps = {1, 2, 1 + sizes[0], 2 + sizes[0], two, two + 1,
+            *_cap_edges(sizes[:3], chunk), *_cap_edges(sizes, chunk)}
+    for cap in sorted(caps):
+        got = list(spheres(ident, gens, compose, cap, batch=batch, free=True))
+        assert got == list(reference_spheres(ident, gens, compose, cap)), cap
+
+
+def _standard_sets():
+    """Each tree's standard set, on which ``subgroup_word_exact`` answers."""
+    for rank in (1, 2, 3, 5):
+        backend = FreeGroupTree(rank)
+        yield backend, list(backend.letters)
+    for p, q in ((2, 3), (2, 4), (3, 3), (2, 7), (5, 6)):
+        backend = FreeProductTree((p, q))
+        yield backend, ["a" * e for e in range(1, p)] + ["b" * e for e in range(1, q)]
+
+
+def _never(*args):
+    raise AssertionError("the predicate composed")
+
+
+def test_free_walk_predicate(monkeypatch):
+    for backend, inputs in _standard_sets():
+        S = make_generating_set(backend, inputs)
+        g = backend.compose(S[0], S[-1])
+        assert backend.subgroup_word_exact(S, g) is not None
+        monkeypatch.setattr(backend, "_compose", _never)
+        monkeypatch.setattr(backend, "_compose_batch", _never)
+        assert backend._free_walk([s.canonical for s in S]), backend.config()
+    for name in ["f2 {x,y,xy}", "c2c3 {a,b,ab}", "c2c4 {a,b}", "c2c7 {a,b}", "sanov",
+                 "float sanov"]:
+        backend, inputs = SETS[name]
+        S = make_generating_set(backend, inputs)
+        assert not backend._free_walk([s.canonical for s in S]), name
+
+
+@pytest.mark.parametrize("name", ["f2 {xx,y,xy}", "c2c3 {a,b,ab}", "c2c7 {a,b}", "c2c4 {a,b}"])
+def test_a_free_walk_where_the_predicate_says_no_goes_wrong(name):
+    # these sets repeat elements past sphere 2, so a free walk counts
+    # repeats; it may even step back to the identity, which the batches do
+    # not take, so the compose is mapped (the predicate is only sufficient:
+    # walks over f2 {x,y,xy} happen to repeat nothing)
+    backend, inputs = SETS[name]
+    ident, gens, compose, _, _ = _encoded(make_generating_set(backend, inputs))
+    assert not backend._free_walk(gens)
+    forced = list(islice(spheres(ident, gens, compose, 10**6, free=True), 6))
+    assert forced != list(islice(reference_spheres(ident, gens, compose, 10**6), 6))
+
+
+def test_free_walk_frees_as_it_counts(monkeypatch):
+    # the free walk's gain is not memory left for the cyclic collector,
+    # which the benchmark's calibration runs untimed: it leaves no garbage,
+    # and holds much less at its peak than the deduplicating walk
+    backend = FreeGroupTree(2, letters="xy")
+    S = make_generating_set(backend, ["x", "y"])
+    gc.collect()
+    table = ball_sizes(S, 10)
+    assert gc.collect() == 0
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert ball_sizes(S, 10) == table
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    free = peak()
+    monkeypatch.setattr(backend, "_free_walk", lambda gens: False)
+    assert free < 0.75 * peak()
