@@ -234,10 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"loxgrow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, config_arg=True):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        if config_arg:
-            p.add_argument("config", help="path to the run-config JSON")
+        p.add_argument("config", help="path to the run-config JSON")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.set_defaults(func=func)
         return p

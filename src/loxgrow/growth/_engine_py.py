@@ -8,8 +8,9 @@ generator at a time and hands the backend's ``_compose_batch`` whole
 slices of the sphere below; a slice whose products are all new joins the
 next sphere after one probe and one insert per key, both in C, with no
 Python step per element. So the per-element cost is the compose, and the
-key where canonicals are inexact. Each sphere comes with its keys and
-the slice each generator found; the counter reads only its length, so it
+backend's walk key ``_growth_key`` where it is not None (only the float
+half-plane has one; exact canonicals are their own keys). Each sphere
+comes with its keys and the slice each generator found; the counter reads only its length, so it
 counts any stream of these records. ``verify-bound`` hands it a
 ``words.Ball``, whose records the kappa search then reads on: that
 command walks the ball once for both. ``growth`` and other callers that
@@ -34,9 +35,9 @@ its exact batch composes a chunk in one loop with g unpacked once, and
 its float batch maps the float compose.
 
 On the float half-plane, whose tables ``ball_sizes`` marks heuristic,
-the walk dedups by ``HalfPlane._growth_key``, which rounds only entries
-with more than 9 binary fractional digits; on integer-valued float sets
-it then costs about what the exact walk does.
+the walk key rounds only entries with more than 9 binary fractional
+digits; on integer-valued float sets it then costs about what the exact
+walk does.
 """
 
 from ..words import spheres

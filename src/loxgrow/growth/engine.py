@@ -20,14 +20,16 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     """Exact ball sizes #S^{<=n} for n = 0..n_max.
 
     Stops at the last completed radius with ``truncated=True`` once the
-    number of distinct elements passes ``memory_cap``. The table is
-    ``heuristic`` when the backend's canonicals are inexact (the float
-    half-plane), whose elements are merged by ``_growth_key``. ``ball``, a
-    ``words.Ball`` of S with this cap, is the walk to count, which keeps
-    its records for the next reader (``verify_theorem``'s kappa search);
-    without one the counter walks afresh and keeps no sphere; where the
-    backend's ``_free_walk`` holds for S's canonicals (one-letter tree
-    sets), that walk keeps no visited set past sphere 2 either.
+    number of distinct elements passes ``memory_cap``. Elements are told
+    apart by the backend's walk key ``_growth_key`` (None: canonicals are
+    their own keys). The table is ``heuristic`` when the backend's
+    canonicals are inexact (the float half-plane), whose key merges
+    matrices by rounding. ``ball``, a ``words.Ball`` of S with this cap,
+    is the walk to count, which keeps its records for the next reader
+    (``verify_theorem``'s kappa search); without one the counter walks
+    afresh and keeps no sphere; where the backend's ``_free_walk`` holds
+    for S's canonicals (one-letter tree sets), that walk keeps no visited
+    set past sphere 2 either.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -38,7 +40,7 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     gens = [g.canonical for g in S]
     counts, truncated = _engine_py.generic_ball_counts(
         backend._identity_canonical(), gens, backend._compose, n_max, cap,
-        key=None if backend.exact_words else backend._growth_key,
+        key=backend._growth_key,
         batch=backend._compose_batch, records=ball,
         free=backend._free_walk(gens),
     )

@@ -14,10 +14,9 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict
 
 from .errors import NotLoxodromic
-from .spaces.base import Point, basepoint_candidates, word_str
+from .spaces.base import Point, basepoint_candidates
 
 
 def gromov_product(x: Point, y: Point, o: Point) -> float:
@@ -103,21 +102,19 @@ def translation_length_bracket(g, o: Point, N: int = 32) -> Bracket:
 @dataclass
 class DisplacementRecord:
     point: Point
-    per_generator: Dict[str, float]
     value: float
 
 
 def displacement(S, x: Point) -> DisplacementRecord:
-    """max_{s in S} d(x, sx) with the per-generator breakdown."""
+    """max_{s in S} d(x, sx)."""
     backend = S.backend
-    per = {}
+    per = []
     for g in S:
         try:
-            d = backend.dist(x, backend.apply(g, x))
+            per.append(backend.dist(x, backend.apply(g, x)))
         except OverflowError:
-            d = math.inf
-        per[word_str(g.word)] = d
-    return DisplacementRecord(point=x, per_generator=per, value=max(per.values()))
+            per.append(math.inf)
+    return DisplacementRecord(point=x, value=max(per))
 
 
 def min_displacement_search(S, budget: int = 64) -> DisplacementRecord:

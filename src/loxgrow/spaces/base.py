@@ -8,16 +8,22 @@ proper hyperbolic space.  Group elements carry two representations:
   ``((symbol, sign), ...)`` with sign +/-1.  Words survive composition with
   free cancellation at the symbol level, so any derived element remembers a
   valid (not necessarily geodesic) spelling over the original generators.
+
+``ByteWordTree`` holds what the two trees' byte-word canonicals share: the
+identity, shortlex order, inversion, the chunk batch, the one-byte half of
+the free-walk test, ``classify`` and the spelling over the standard set.
 """
 
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add, itemgetter
 from typing import Any, Optional, Tuple
 
 from ..errors import BackendMismatch, ConfigError
 
 Word = Tuple[Tuple[str, int], ...]
+_last = itemgetter(-1)
 
 
 # JSON readers: a value of the wrong type raises TypeError and one out of
@@ -214,10 +220,10 @@ class Backend:
     def sample_points(self, rng, count: int):
         raise NotImplementedError
 
-    # dedup key of ball walks over inexact canonicals (exact_words false);
-    # must absorb any roundoff the backend's canonical forms carry
-    def _growth_key(self, canonical):
-        return canonical
+    # the dedup key of ball walks, as words.spheres takes it: None where
+    # canonicals are exact and so their own keys, else a function that
+    # absorbs any roundoff the backend's canonical forms carry
+    _growth_key = None
 
     # whether a ball walk over the canonicals ``gens`` may stop deduplicating
     # once sphere 2 is out (``words.spheres``' ``free``): True only when
@@ -268,6 +274,56 @@ class Backend:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.config()})"
+
+
+class ByteWordTree(Backend):
+    """A tree backend whose canonicals are normal-form byte words.
+
+    A subclass sets ``_inverse``, the bytes.translate table of each byte's
+    inverse, and ``_standard``, its standard generating set as one-byte
+    canonicals, and supplies ``_compose`` and the junction test
+    ``_plain(lasts, first)``: True when no word ending in a byte of
+    ``lasts`` reduces against a word starting with byte ``first``.
+    """
+
+    def _identity_canonical(self):
+        return b""
+
+    def sort_key(self, a):
+        return (len(a.canonical), a.canonical)
+
+    def _invert(self, ca):
+        return ca[::-1].translate(self._inverse)
+
+    def _compose_batch(self, chunk, g):
+        # one junction test for the chunk: when no last byte can meet g's
+        # first, nothing reduces and every product is w + g
+        if self._plain(bytes(map(_last, chunk)), g[0]):
+            return list(map(add, chunk, repeat(g)))
+        return list(map(self._compose, chunk, repeat(g)))
+
+    # one byte per generator, all distinct: two free-group letters then
+    # cancel or concatenate, so from sphere 2 on every step that the walk's
+    # skips leave appends one letter; FreeProductTree also asks that two
+    # syllables merge into the identity or a generator
+    def _free_walk(self, gens):
+        return all(len(g) == 1 for g in gens) and len(set(gens)) == len(gens)
+
+    def classify(self, g):
+        if not g.canonical:
+            return Classification("identity")
+        return Classification("loxodromic" if self.translation_length(g) else "elliptic")
+
+    # the normal form, one byte per entry of S, when S holds the standard
+    # set; a larger S can spell g shorter
+    def normal_form_word(self, S, g):
+        words = {e.canonical: e.word for e in S}
+        if all(c in words for c in self._standard):
+            return tuple(sym for c in g.canonical for sym in words[bytes((c,))])
+        return None
+
+    def subgroup_word_exact(self, S, g):
+        return self.normal_form_word(S, g) if len(S) == len(self._standard) else None
 
 
 def basepoint_candidates(S, budget: int = 64):

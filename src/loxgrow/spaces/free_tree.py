@@ -9,19 +9,18 @@ signed letter indices (+i for the i-th generator, -i for its inverse). The
 tree metric is the reduced length of x^{-1} y, delta = 0, and every
 nontrivial element is loxodromic with translation length equal to its
 cyclically reduced length.
+
+The byte-word algebra shared with the free-product tree (identity, order,
+inversion, batch, free-walk test, ``classify``, spelling over the standard
+basis) comes from ``base.ByteWordTree``.
 """
 
 import string
-from itertools import repeat
-from operator import add, itemgetter
 
 from ..errors import ConfigError
-from .base import Backend, Classification, GroupElement, Point, read_int, read_real, read_str
+from .base import ByteWordTree, GroupElement, Point, read_int, read_real, read_str
 
 _MAX_RANK = 128
-# the code of each letter's inverse, for bytes.translate
-_INVERSE = bytes(c ^ 1 for c in range(256))
-_last = itemgetter(-1)
 
 
 def _letter_code(v):
@@ -43,8 +42,10 @@ def reduce_codes(codes) -> bytes:
     return bytes(out)
 
 
-class FreeGroupTree(Backend):
+class FreeGroupTree(ByteWordTree):
     kind = "free_group_tree"
+    # the code of each letter's inverse, for bytes.translate
+    _inverse = bytes(c ^ 1 for c in range(256))
 
     def __init__(self, rank, letters=None, delta=0.0, torsion_bound=1):
         if read_int(rank, "rank") < 1:
@@ -67,6 +68,7 @@ class FreeGroupTree(Backend):
         self.delta = read_real(delta, "delta")
         self.torsion_bound = read_int(torsion_bound, "torsion_bound")
         self._code = {c: 2 * i for i, c in enumerate(letters)}
+        self._standard = [bytes((c,)) for c in range(2 * rank)]
 
     def config(self):
         return {
@@ -91,24 +93,8 @@ class FreeGroupTree(Backend):
         return w[: len(w) - cut] + g[cut:]
 
     @staticmethod
-    def _compose_batch(chunk, g):
-        # one junction test for the chunk: when no last letter is g's first
-        # inverted, nothing cancels and every product is w + g
-        if g[0] ^ 1 in bytes(map(_last, chunk)):
-            return list(map(FreeGroupTree._compose, chunk, repeat(g)))
-        return list(map(add, chunk, repeat(g)))
-
-    # one letter per generator: two letters cancel or concatenate, so from
-    # sphere 2 on every step that the walk's skips leave appends one letter
-    @staticmethod
-    def _free_walk(gens):
-        return all(len(g) == 1 for g in gens) and len(set(gens)) == len(gens)
-
-    def _invert(self, ca):
-        return ca[::-1].translate(_INVERSE)
-
-    def _identity_canonical(self):
-        return b""
+    def _plain(lasts, first):
+        return first ^ 1 not in lasts
 
     def element(self, spec, word=None):
         """Build from a word string like "aBa" (uppercase = inverse)."""
@@ -123,9 +109,6 @@ class FreeGroupTree(Backend):
         if word is None:
             word = tuple((self.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
         return GroupElement(self, reduce_codes(codes), word)
-
-    def sort_key(self, a):
-        return (len(a.canonical), a.canonical)
 
     # elements and vertices alike are stored as lists of signed letter indices
     def canonical_payload(self, canonical):
@@ -169,11 +152,6 @@ class FreeGroupTree(Backend):
             hi -= 1
         return ca[lo:hi]
 
-    def classify(self, g):
-        if not g.canonical:
-            return Classification("identity")
-        return Classification("loxodromic")
-
     def translation_length(self, g):
         return len(self._cyclic_reduce(g.canonical))
 
@@ -188,15 +166,3 @@ class FreeGroupTree(Backend):
                 word.append(rng.choice(choices))
             pts.append(Point(self, bytes(map(_letter_code, word))))
         return pts
-
-    # the reduced word, one letter per entry of S, when S holds the standard
-    # basis and its inverses; a larger S can spell g shorter
-    def normal_form_word(self, S, g):
-        words = {e.canonical: e.word for e in S}
-        letters = [bytes((c,)) for c in range(2 * self.rank)]
-        if all(c in words for c in letters):
-            return tuple(sym for c in g.canonical for sym in words[letters[c]])
-        return None
-
-    def subgroup_word_exact(self, S, g):
-        return self.normal_form_word(S, g) if len(S) == 2 * self.rank else None

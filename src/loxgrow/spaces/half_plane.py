@@ -34,6 +34,8 @@ class HalfPlane(Backend):
         self.exact_words = self.exact
         # chosen once, not per call: ball walks compose per element and generator
         self._compose = self._compose_exact if self.exact else self._compose_float
+        # the walk key: exact canonicals are their own keys
+        self._growth_key = None if self.exact else self._rounded_key
         self.dist_roundoff = 1e-9
         self.delta = read_real(delta, "delta")
         self.torsion_bound = read_int(torsion_bound, "torsion_bound")
@@ -278,8 +280,8 @@ class HalfPlane(Backend):
             pts.append(Point(self, complex(x, y)))
         return pts
 
-    def _growth_key(self, canonical):
-        """Dedup key of a canonical: float entries rounded to 9 decimals.
+    def _rounded_key(self, canonical):
+        """Walk key of a float canonical: its entries rounded to 9 decimals.
 
         Two float matrices are one element when their keys are equal. An
         entry v with ``v * 512`` integral has at most 9 binary fractional
@@ -288,10 +290,8 @@ class HalfPlane(Backend):
         ones included) is its own key, with no decimal conversion. Other
         entries are rounded as before. Keys are only hashed and compared,
         so the partition into elements is the same either way (-0.0 ==
-        0.0). Exact canonicals are their own keys.
+        0.0).
         """
-        if self.exact:
-            return canonical
         a, b, c, d = canonical
         if ((a * 512.0).is_integer() and (b * 512.0).is_integer()
                 and (c * 512.0).is_integer() and (d * 512.0).is_integer()):

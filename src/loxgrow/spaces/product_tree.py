@@ -13,16 +13,17 @@ ends in a syllable of its own factor).  Edge stabilizers are trivial, so
 the tree is 0-hyperbolic and torsion_bound defaults to 1.
 
 The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
+
+The byte-word algebra shared with the free-group tree (identity, order,
+inversion, batch, the one-byte half of the free-walk test, ``classify``,
+spelling over the standard set of every nontrivial syllable) comes from
+``base.ByteWordTree``.
 """
 
-from itertools import repeat
-from operator import add, itemgetter
-
 from ..errors import ConfigError
-from .base import Backend, Classification, GroupElement, Point, read_int, read_real
+from .base import ByteWordTree, GroupElement, Point, read_int, read_real
 
 _LETTERS = "ab"
-_last = itemgetter(-1)
 
 
 def _encode(syllables) -> bytes:
@@ -50,7 +51,7 @@ def _junction_compose(orders):
     return compose
 
 
-class FreeProductTree(Backend):
+class FreeProductTree(ByteWordTree):
     kind = "free_product_tree"
 
     def __init__(self, orders=(2, 3), delta=0.0, torsion_bound=1):
@@ -70,6 +71,7 @@ class FreeProductTree(Backend):
             for e in range(1, self.orders[f]):
                 inverse[(f << 6) | e] = (f << 6) | (self.orders[f] - e)
         self._inverse = bytes(inverse)
+        self._standard = [bytes(((f << 6) | e,)) for f in (0, 1) for e in range(1, self.orders[f])]
         self.delta = read_real(delta, "delta")
         self.torsion_bound = read_int(torsion_bound, "torsion_bound")
 
@@ -111,33 +113,24 @@ class FreeProductTree(Backend):
         """The (factor, exp) pairs of a canonical."""
         return tuple((s >> 6, s & 63) for s in canonical)
 
-    def _compose_batch(self, chunk, g):
-        # one junction test for the chunk: when no last syllable lies in
-        # g's first factor (factor a's bytes are those below 64), nothing
-        # merges and every product is w + g
-        lasts = bytes(map(_last, chunk))
-        if (min(lasts) >= 64) if g[0] < 64 else (max(lasts) < 64):
-            return list(map(add, chunk, repeat(g)))
-        return list(map(self._compose, chunk, repeat(g)))
+    # no last syllable lies in the factor of g's first (factor a's bytes
+    # are those below 64)
+    @staticmethod
+    def _plain(lasts, first):
+        return min(lasts) >= 64 if first < 64 else max(lasts) < 64
 
     # one syllable per generator, and per factor the exponents present
     # together with 0 closed under addition: two syllables then merge into
     # the identity or a generator, or concatenate, so from sphere 2 on every
     # step that the walk's skips leave appends one syllable
     def _free_walk(self, gens):
-        if any(len(g) != 1 for g in gens) or len(set(gens)) != len(gens):
+        if not super()._free_walk(gens):
             return False
         for f, order in enumerate(self.orders):
             exps = {0} | {g[0] & 63 for g in gens if g[0] >> 6 == f}
             if any((x + y) % order not in exps for x in exps for y in exps):
                 return False
         return True
-
-    def _invert(self, ca):
-        return ca[::-1].translate(self._inverse)
-
-    def _identity_canonical(self):
-        return b""
 
     def element(self, spec, word=None):
         if isinstance(spec, GroupElement):
@@ -154,9 +147,6 @@ class FreeProductTree(Backend):
         if word is None:
             word = tuple(symbols)
         return GroupElement(self, self.normalize(syllables), word)
-
-    def sort_key(self, a):
-        return (len(a.canonical), a.canonical)
 
     # a syllable word is stored as [[factor, exp], ...], a vertex as
     # [rep, side]
@@ -232,13 +222,6 @@ class FreeProductTree(Backend):
                 break
         return ca
 
-    def classify(self, g):
-        if not g.canonical:
-            return Classification("identity")
-        if len(self._cyclic_reduce(g.canonical)) <= 1:
-            return Classification("elliptic")
-        return Classification("loxodromic")
-
     def translation_length(self, g):
         red = self._cyclic_reduce(g.canonical)
         return len(red) if len(red) >= 2 else 0
@@ -255,15 +238,3 @@ class FreeProductTree(Backend):
                 factor = 1 - factor
             pts.append(Point(self, (self._strip(bytes(word), side), side)))
         return pts
-
-    # the normal form, one syllable per entry of S, when S holds every
-    # nontrivial factor element; a larger S can spell g shorter
-    def normal_form_word(self, S, g):
-        words = {e.canonical: e.word for e in S}
-        if all(bytes(((f << 6) | e,)) in words for f in (0, 1) for e in range(1, self.orders[f])):
-            return tuple(sym for s in g.canonical for sym in words[bytes((s,))])
-        return None
-
-    def subgroup_word_exact(self, S, g):
-        standard = self.orders[0] + self.orders[1] - 2
-        return self.normal_form_word(S, g) if len(S) == standard else None

@@ -8,12 +8,15 @@ continued-fraction decomposition M = T^{q1} S T^{q2} S ... T^{qr} yields an
 """
 
 from ..errors import NotInGroup
+from .half_plane import HalfPlane
 from .product_tree import FreeProductTree
 
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
 
 _P23 = FreeProductTree((2, 3))
+# its matrix product and sign rule evaluate syllable words
+_H = HalfPlane()
 
 
 def _t_syllables(m):
@@ -55,28 +58,11 @@ def psl2z_normal_form(matrix):
 
 def syllables_to_matrix(syll):
     """Evaluate an (a, b)-syllable word back to the normalized integer matrix."""
-    gens = {
-        (0, 1): S_MAT,
-        (1, 1): _mul(S_MAT, T_MAT),
-        (1, 2): _mul(_mul(S_MAT, T_MAT), _mul(S_MAT, T_MAT)),
-    }
-    out = ((1, 0), (0, 1))
+    s, t = (_H.element(m).canonical for m in (S_MAT, T_MAT))
+    st = _H._compose(s, t)
+    gens = {(0, 1): s, (1, 1): st, (1, 2): _H._compose(st, st)}
+    out = _H._identity_canonical()
     for f, e in syll:
-        out = _mul(out, gens[(f, e if f == 1 else 1)])
-    return _normalize(out)
-
-
-def _mul(m1, m2):
-    (a1, b1), (c1, d1) = m1
-    (a2, b2), (c2, d2) = m2
-    return ((a1 * a2 + b1 * c2, a1 * b2 + b1 * d2), (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2))
-
-
-def _normalize(m):
-    (a, b), (c, d) = m
-    for v in (a, b, c, d):
-        if v != 0:
-            if v < 0:
-                return ((-a, -b), (-c, -d))
-            break
+        out = _H._compose(out, gens[(f, e if f == 1 else 1)])
+    a, b, c, d = out
     return ((a, b), (c, d))

@@ -88,7 +88,8 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None, free=
     ``compose(element, generator)``. That is reverse shortlex: an element
     sits where its least geodesic word over ``gens``, read right to left
     as generator indices, sorts. ``key`` maps an element to its dedup key
-    (default: the element itself). Stops after an empty sphere (a finite
+    (default None: the element itself), as a backend's walk key
+    ``_growth_key`` does. Stops after an empty sphere (a finite
     group). Once the walked ball, identity included, passes ``cap`` it
     yields the partial sphere, ending with the element that passed the
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
@@ -245,13 +246,13 @@ class Ball:
     """One breadth-first walk of the Cayley ball of S, walked only as far as
     its readers ask and read by each of them from radius 0.
 
-    The walk is ``spheres`` over S's canonicals with the backend's compose
-    and chunk batch, capped at ``memory_cap``; where canonicals are inexact
-    (``backend.exact_words`` false) it dedups by ``backend._growth_key``,
-    else canonicals are their own keys (``key`` None). ``records[n]`` is
-    sphere n's ``(sphere, keys, slices)``, ``records[0]`` the identity's,
-    and ``seen`` is the walk's visited set: the keys of every record so
-    far, which may run past the radius a reader has reached. Iterating
+    The walk is ``spheres`` over S's canonicals with the backend's compose,
+    chunk batch and walk key ``_growth_key``, capped at ``memory_cap``: the
+    key is None where canonicals are exact and their own keys, and rounds
+    them on the float half-plane. ``records[n]`` is sphere n's
+    ``(sphere, keys, slices)``, ``records[0]`` the identity's, and
+    ``seen`` is the walk's visited set: the keys of every record so far,
+    which may run past the radius a reader has reached. Iterating
     gives the records of spheres 1, 2, ..., those walked already first,
     then walking on; it stops where the walk stops (an empty sphere, or
     the partial sphere that passed the cap). ``growth.ball_sizes`` counts
@@ -264,7 +265,7 @@ class Ball:
     def __init__(self, S, memory_cap=DEFAULT_MEMORY_CAP):
         backend = S.backend
         self.cap = memory_cap
-        self.key = None if backend.exact_words else backend._growth_key
+        self.key = backend._growth_key
         ident = backend._identity_canonical()
         self.ident_key = ident if self.key is None else self.key(ident)
         self.seen = {self.ident_key}
@@ -335,14 +336,14 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP, ball=None):
     the keys decide. The Ball keeps the records, and a target found at
     radius d is spelled backwards from its place in sphere d: the slice it
     lies in names the entry s that found it, and g s^-1 lies in sphere
-    d - 1, down to the identity. Where canonicals are inexact the Ball
-    dedups by ``backend._growth_key``, which absorbs float roundoff, so its
-    spheres are the ones ``ball_sizes`` counts; targets, the identity and
-    the steps back are matched by that key, and a float target whose step
-    back still misses gives None. Exact canonicals are their own keys and
-    cost no key call. A sphere is mapped from key to place only when a
-    found target lies past it, so the last sphere walked, often the
-    largest, is never mapped.
+    d - 1, down to the identity. Targets, the identity and the steps back
+    are matched by the backend's walk key ``_growth_key``, as the Ball
+    dedups, so its spheres are the ones ``ball_sizes`` counts. On the float
+    half-plane that key absorbs roundoff, and a float target whose step
+    back still misses gives None; exact canonicals are their own keys (the
+    key is None) and cost no key call. A sphere is mapped from key to
+    place only when a found target lies past it, so the last sphere
+    walked, often the largest, is never mapped.
     """
     backend = S.backend
     if ball is None:

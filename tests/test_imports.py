@@ -1,11 +1,16 @@
-"""Every name that a loxgrow module imports is used in that module.
+"""Every name that a loxgrow module imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
-No linter runs in the test suite, so this is its unused-import rule. Names
-listed in ``__all__`` and imports on a line marked ``# noqa: F401`` (names
-kept for perfbench's tracer to patch) are exempt.
+No linter runs in the test suite, so these are its unused-import and
+dead-helper rules. Names listed in ``__all__`` and imports on a line marked
+``# noqa: F401`` (names kept for perfbench's tracer to patch) are exempt
+from the first. The second covers each function, class and constant that
+a module defines at top level under a name starting with ``_`` (dunders
+aside): some module of the package must load it by name or import it.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,38 @@ def test_the_scan_covers_the_package():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(path):
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+@lru_cache(maxsize=None)
+def _referenced_names():
+    """Every name some module loads, or imports from another."""
+    refs = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name)
+    return refs
+
+
+def test_the_private_scan_sees_private_names():
+    assert "_spell_back" in _private_definitions(SRC / "words.py")
+    assert "_P23" in _private_definitions(SRC / "spaces" / "psl2z.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_unreferenced_private_names(path):
+    assert [n for n in _private_definitions(path) if n not in _referenced_names()] == []

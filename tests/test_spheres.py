@@ -39,7 +39,7 @@ def _encoded(S):
     """(identity, gens, compose, key, batch) of S as ball_sizes walks it."""
     backend = S.backend
     return (backend._identity_canonical(), [g.canonical for g in S], backend._compose,
-            None if backend.exact_words else backend._growth_key, backend._compose_batch)
+            backend._growth_key, backend._compose_batch)
 
 
 def _conjugated(mats, t):
