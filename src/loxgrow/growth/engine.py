@@ -27,9 +27,9 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     matrices by rounding. ``ball``, a ``words.Ball`` of S with this cap,
     is the walk to count, which keeps its records for the next reader
     (``verify_theorem``'s kappa search); without one the counter walks
-    afresh and keeps no sphere; where the backend's ``_free_walk`` holds
-    for S's canonicals (one-letter tree sets), that walk keeps no visited
-    set past sphere 2 either.
+    afresh and keeps no sphere. Where the backend's ``_free_walk`` holds
+    for S's canonicals (one-letter tree sets), the counter walks nothing,
+    not even ``ball``: it counts normal forms by their last letter.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")

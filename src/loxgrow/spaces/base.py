@@ -225,10 +225,10 @@ class Backend:
     # absorbs any roundoff the backend's canonical forms carry
     _growth_key = None
 
-    # whether a ball walk over the canonicals ``gens`` may stop deduplicating
-    # once sphere 2 is out (``words.spheres``' ``free``): True only when
-    # every compose the walk's skips leave from then on gives a new element;
-    # decided from the canonicals alone, with no compose
+    # whether the ball of the canonicals ``gens`` may be counted without a
+    # walk (``generic_ball_counts``' ``free``): True only when the normal
+    # forms over gens are the words in which g_h may follow g_j exactly
+    # when g_j g_h lies outside {1} u gens; decided with no compose
     def _free_walk(self, gens):
         return False
 
@@ -303,9 +303,10 @@ class ByteWordTree(Backend):
         return list(map(self._compose, chunk, repeat(g)))
 
     # one byte per generator, all distinct: two free-group letters then
-    # cancel or concatenate, so from sphere 2 on every step that the walk's
-    # skips leave appends one letter; FreeProductTree also asks that two
-    # syllables merge into the identity or a generator
+    # cancel or concatenate, and FreeProductTree also asks that two
+    # syllables merge into the identity or a generator; so a word over gens
+    # with no adjacent pair in {1} u gens is its own reduced byte word, the
+    # normal form theorem of free groups and free products
     def _free_walk(self, gens):
         return all(len(g) == 1 for g in gens) and len(set(gens)) == len(gens)
 

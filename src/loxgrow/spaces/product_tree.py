@@ -121,8 +121,7 @@ class FreeProductTree(ByteWordTree):
 
     # one syllable per generator, and per factor the exponents present
     # together with 0 closed under addition: two syllables then merge into
-    # the identity or a generator, or concatenate, so from sphere 2 on every
-    # step that the walk's skips leave appends one syllable
+    # the identity or a generator, or concatenate
     def _free_walk(self, gens):
         if not super()._free_walk(gens):
             return False

@@ -7,7 +7,6 @@ continued-fraction decomposition M = T^{q1} S T^{q2} S ... T^{qr} yields an
 (a, b)-word whose syllable reduction is the normal form.
 """
 
-from ..errors import NotInGroup
 from .half_plane import HalfPlane
 from .product_tree import FreeProductTree
 
@@ -15,7 +14,7 @@ S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
 
 _P23 = FreeProductTree((2, 3))
-# its matrix product and sign rule evaluate syllable words
+# its input checks read matrices, and its product evaluates syllable words
 _H = HalfPlane()
 
 
@@ -29,21 +28,17 @@ def _t_syllables(m):
 def psl2z_normal_form(matrix):
     """Alternating (a, b)-syllable word equal to ``matrix`` projectively.
 
-    ``matrix`` is a 2x2 integer matrix with determinant 1 (nested sequence or
-    the canonical 4-tuple).  Returns the syllable tuple ((factor, exp), ...)
+    ``matrix`` is a 2x2 integer matrix with determinant 1 (nested sequence,
+    the canonical 4-tuple or an element), checked as the exact half-plane
+    checks its input.  Returns the syllable tuple ((factor, exp), ...)
     with factor 0 of order 2 and factor 1 of order 3.
     """
     if hasattr(matrix, "canonical"):
         matrix = matrix.canonical
-    try:
-        (a, b), (c, d) = matrix
-    except (TypeError, ValueError):
-        a, b, c, d = matrix
-    for v in (a, b, c, d):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise NotInGroup(f"integer matrix required, got entry {v!r}")
-    if a * d - b * c != 1:
-        raise NotInGroup(f"determinant {a * d - b * c} != 1")
+    if len(matrix) == 4:
+        matrix = (matrix[:2], matrix[2:])
+    # the exact half-plane's entry and determinant checks
+    a, b, c, d = _H.element(matrix).canonical
 
     syll = b""
     while c != 0:

@@ -80,7 +80,7 @@ def make_generating_set(backend, inputs, symmetrize=True):
     return GeneratingSet(backend, elems)
 
 
-def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None, free=False):
+def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     """Breadth-first spheres of the Cayley graph, one record per radius 1, 2, ...
 
     Each sphere is walked one generator at a time: its elements come in
@@ -95,9 +95,8 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None, free=
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
     ``seen`` is the visited set to dedup against: the caller's set holding
     just the identity's key, which the walk then fills with every key it
-    yields (default: a fresh one; a ``free`` walk fills it only up to
-    sphere 2). A ``Ball`` passes its own, so readers of its records can
-    probe it.
+    yields (default: a fresh one). A ``Ball`` passes its own, so readers
+    of its records can probe it.
 
     A sphere comes as ``(sphere, keys, slices)``: ``keys[i]`` is the key
     of ``sphere[i]`` (``keys`` is ``sphere`` itself when ``key`` is None),
@@ -146,25 +145,6 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None, free=
     never hold the identity, whose products, the radius-1 sphere, come
     from ``compose``. The default maps ``compose`` over the chunk; a
     caller that can compose a whole chunk at once passes its own.
-
-    ``free`` promises that from sphere 2 on every compose the skips leave
-    gives a new key. The walk then drops its visited set
-    once sphere 2 is yielded and counts the ball instead: each chunk
-    joins the sphere whole, with no probe and no insert, in the same
-    loop, chunks and skip table, so the records are the same. The cap
-    still counts every element: a chunk that would pass it is cut after
-    the element that passes it, where the loop over the pairs would
-    have stopped. The tree backends' ``_free_walk`` vouches for this on
-    byte canonicals: the generators are distinct, each is one byte, and
-    each product of two of them lies in {1} u gens, so the walk skips
-    it, or is their two-byte word. By induction every element of sphere
-    n >= 1 is then an n-byte word ending in the byte of the generator
-    that found it. A step the skips leave, from slice j with g_h, has
-    g_j g_h outside {1} u gens, so g_j g_h is the two-byte word and the
-    step concatenates g_h. Distinct (element, generator) pairs give
-    distinct words, because the last byte names the generator, and a
-    word of n + 1 bytes cannot lie in the walked ball. (These are the
-    normal-form theorems for free groups and free products.)
     """
     if batch is None:
         def batch(chunk, g):
@@ -190,19 +170,6 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None, free=
                     lo += len(chunk)
                     cs = batch(chunk, g) if radius else [compose(identity, g)]
                     ks = cs if key is None else list(map(key, cs))
-                    if seen is None:
-                        # a free walk past sphere 2: every product is new
-                        passed = size + len(cs) > cap
-                        if passed:
-                            cs, ks = cs[:cap + 1 - size], ks[:cap + 1 - size]
-                        size += len(cs)
-                        sphere += cs
-                        if keys is not sphere:
-                            keys += ks
-                        if passed:
-                            yield sphere, keys, found + [(start, len(sphere))]
-                            return
-                        continue
                     size = len(seen)
                     if size + len(ks) <= cap and seen.isdisjoint(ks):
                         seen.update(ks)
@@ -237,8 +204,6 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None, free=
             sources = [[j for j, skip in enumerate(skipped) if h not in skip]
                        for h in range(len(gens))]
             ball1 = None
-            if free:
-                size, seen = len(seen), None
         frontier, bounds = sphere, found
 
 

@@ -109,6 +109,20 @@ def test_growth_truncated_past_radius_two(write_config, backend, generators, cap
     assert captured.err == f"growth table truncated at radius {len(balls) - 2}\n"
 
 
+def test_growth_truncated_at_the_default_cap(write_config, capsys):
+    # ball 13 of F2 (4,782,968 elements) passes the default memory_cap of
+    # 2,000,000, so the table stops at radius 12, counted without a walk
+    cfg = write_config("f2.json", {
+        "backend": F2_BACKEND, "generators": ["x", "y"], "budgets": {"n_max": 14},
+    })
+    assert main(["growth", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "growth table truncated at radius 12\n"
+    assert captured.out.splitlines()[-1].startswith("12,1062881,708588,")
+    assert captured.out == GrowthTable([2 * 3**n - 1 for n in range(13)],
+                                       truncated=True).to_csv()
+
+
 def test_verify_bound_truncation_exits_three(write_config, f2_config, tmp_path, capsys):
     # the growth table stops at radius 3 of the requested 10: the report is
     # still written, and the exit code says the budget ran out

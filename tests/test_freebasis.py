@@ -654,6 +654,38 @@ def test_verify_theorem_walks_the_ball_of_S_once(case, monkeypatch):
     assert len(walked) == 1 + rep.escalation_rounds
 
 
+_PINGPONG_CASES = {
+    # the certify-pingpong sets and their n_max in the benchmark
+    "c2c3": ((2, 3), ["a", "b"], 12),
+    "c2c4": ((2, 4), ["a", "b", "bb"], 10),
+    "c3c3": ((3, 3), ["a", "b"], 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINGPONG_CASES))
+def test_verify_theorem_on_a_free_standard_set_walks_nothing(case, monkeypatch):
+    # the table counts normal forms without a walk and the tree shortcut
+    # spells kappa's targets, so the Ball never walks past the identity
+    orders, gens, n_max = _PINGPONG_CASES[case]
+    backend = make_backend({"kind": "free_product_tree", "orders": list(orders)})
+    S = make_generating_set(backend, gens)
+    balls = []
+
+    class Watched(freebasis.Ball):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            balls.append(self)
+
+    def no_batch(*args):
+        raise AssertionError("a batch was composed")
+
+    monkeypatch.setattr(freebasis, "Ball", Watched)
+    monkeypatch.setattr(backend, "_compose_batch", no_batch)
+    rep = verify_theorem(S, n_max)
+    assert rep.cert is not None and rep.cert.kappa_mode == "exact"
+    assert [len(ball.records) for ball in balls] == [1]
+
+
 _CHECK_CASES = {
     # F2 and the certify-pingpong sets, whose tree shortcut spells T
     # without a walk

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,18 @@ def test_normal_form_rejects_bad_input():
         psl2z_normal_form([[1, 1], [1, 1]])
     with pytest.raises(NotInGroup):
         psl2z_normal_form([[1.5, 0], [0, 1]])
+
+
+def test_normal_form_checks_as_the_exact_half_plane():
+    # one rule for integer matrices: the bridge raises the half-plane's messages
+    for bad, message in (
+        ([[1.0, 0], [0, 1]], "exact_integer arithmetic needs int entries, got 1.0"),
+        ((2, 0, 0, 1), "determinant 2 != 1"),
+    ):
+        with pytest.raises(NotInGroup, match=f"^{re.escape(message)}$"):
+            psl2z_normal_form(bad)
+    with pytest.raises(NotInGroup, match="^exact_integer arithmetic needs int entries"):
+        HalfPlane().element([[1.0, 0], [0, 1]])
 
 
 def _float_pool(rng):

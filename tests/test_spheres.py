@@ -12,6 +12,7 @@ import pytest
 
 import loxgrow.words as words
 from loxgrow.growth import ball_sizes
+from loxgrow.growth._engine_py import generic_ball_counts
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
 from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
@@ -26,13 +27,29 @@ def _sizes(records):
     return [len(sphere) for sphere, _, _ in records]
 
 
-def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radii=RADII,
-                  free=False):
+def _same_spheres(identity, gens, compose, key=None, batch=None, caps=CAPS, radii=RADII):
     for cap in caps:
-        got = list(islice(spheres(identity, gens, compose, cap, key, batch=batch, free=free),
-                          radii))
+        got = list(islice(spheres(identity, gens, compose, cap, key, batch=batch), radii))
         want = list(islice(reference_spheres(identity, gens, compose, cap, key), radii))
         assert got == want, cap
+
+
+def _reference_counts(identity, gens, compose, n_max, cap):
+    """(counts, truncated) of ``reference_spheres``, as a walk is counted."""
+    counts = [1]
+    for sphere, _, _ in islice(reference_spheres(identity, gens, compose, cap), n_max):
+        counts.append(counts[-1] + len(sphere))
+        if counts[-1] > cap:
+            return counts[:-1], True
+    return counts + counts[-1:] * (n_max + 1 - len(counts)), False
+
+
+def _same_counts(identity, gens, compose, caps, n_max):
+    """The slice recurrence counts what the reference walks, at every cap."""
+    for cap in caps:
+        for n in range(n_max + 1):
+            got = generic_ball_counts(identity, gens, compose, n, cap, free=True)
+            assert got == _reference_counts(identity, gens, compose, n, cap), (cap, n)
 
 
 def _encoded(S):
@@ -73,9 +90,7 @@ SETS = {
 @pytest.mark.parametrize("name", SETS)
 def test_spheres_match_the_reference_on_every_encoding(name):
     backend, inputs = SETS[name]
-    S = make_generating_set(backend, inputs)
-    # as ball_sizes walks S: free where the backend's predicate allows it
-    _same_spheres(*_encoded(S), free=backend._free_walk([g.canonical for g in S]))
+    _same_spheres(*_encoded(make_generating_set(backend, inputs)))
 
 
 @pytest.mark.parametrize("name", [name for name in SETS if "non-integer" not in name])
@@ -163,17 +178,18 @@ def _random_free_word(rng, rank, length):
 
 
 def test_spheres_on_random_small_sets():
-    # a set its backend's predicate allows is also walked free
+    # a set its backend's predicate allows is also counted by the recurrence
     rng = random.Random(9)
-    free_walks = 0
+    free_sets = 0
     for _ in range(30):
         gens = [_random_free_word(rng, 2, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.6:
             gens += [bytes(c ^ 1 for c in reversed(g)) for g in gens]
         rng.shuffle(gens)
-        free = F2._free_walk(gens)
-        free_walks += free
-        _same_spheres(b"", gens, F2._compose, caps=(7, 500, 5000), radii=6, free=free)
+        _same_spheres(b"", gens, F2._compose, caps=(7, 500, 5000), radii=6)
+        if F2._free_walk(gens):
+            free_sets += 1
+            _same_counts(b"", gens, F2._compose, caps=(7, 500, 5000), n_max=6)
     for _ in range(20):
         p, q = rng.choice(((2, 3), (2, 5), (3, 3), (3, 4)))
         backend = FreeProductTree((p, q))
@@ -181,9 +197,11 @@ def test_spheres_on_random_small_sets():
                  for _ in range(rng.randint(1, 3))]
         if any(backend.element(w).canonical for w in words):
             S = make_generating_set(backend, words)
-            free = backend._free_walk([g.canonical for g in S])
-            free_walks += free
-            _same_spheres(*_encoded(S), caps=(7, 500, 5000), radii=6, free=free)
+            ident, gens, compose, _, _ = encoded = _encoded(S)
+            _same_spheres(*encoded, caps=(7, 500, 5000), radii=6)
+            if backend._free_walk(gens):
+                free_sets += 1
+                _same_counts(ident, gens, compose, caps=(7, 500, 5000), n_max=6)
     for _ in range(20):
         mats = []
         for _ in range(rng.randint(1, 3)):
@@ -194,7 +212,7 @@ def test_spheres_on_random_small_sets():
             mats.append(m)
         _same_spheres(HP._identity_canonical(), mats, HP._compose, caps=(7, 500, 5000),
                       radii=6)
-    assert free_walks >= 5
+    assert free_sets >= 5
 
 
 def _counting(fn, calls):
@@ -224,16 +242,22 @@ def _counting_batch(batch, calls):
 ])
 def test_tree_balls_compose_only_into_new_elements(backend, inputs, n, monkeypatch):
     # normal forms over these sets form a tree, so past radius 1 the only
-    # duplicates are steps back to the parent, and those are skipped; a
+    # duplicates are steps back to the parent, and the walk skips those; a
     # product counts once, made by a compose or in a batch
     calls = []
     S = make_generating_set(backend, inputs)
     monkeypatch.setattr(backend, "_compose", _counting(backend._compose, calls))
     monkeypatch.setattr(backend, "_compose_batch", _counting_batch(backend._compose_batch, calls))
-    table = ball_sizes(S, n)
+    ident, gens, compose, key, batch = _encoded(S)
+    sizes = _sizes(islice(spheres(ident, gens, compose, 10**7, key, batch=batch), n))
     # radius 0 and radius 1 compose with every generator; after that, each
     # compose finds an element of spheres 3..n
-    assert len(calls) == len(S) + len(S) ** 2 + table.ball(n) - table.ball(2)
+    assert len(calls) == len(S) + len(S) ** 2 + sum(sizes[2:])
+    # ball_sizes walks nothing: it composes each pair of generators once
+    del calls[:]
+    monkeypatch.setattr(backend, "_compose_batch", _never)
+    assert ball_sizes(S, n).balls == [1 + sum(sizes[:r]) for r in range(n + 1)]
+    assert len(calls) == len(S) ** 2
 
 
 def _free_inverse(w):
@@ -550,6 +574,7 @@ def test_keyed_float_batches_match_the_reference():
 FREE_SETS = {
     "f2 {x,y}": (F2, ["x", "y"]),
     "f3 {a,b}": (FreeGroupTree(3), ["a", "b"]),
+    "c2c3 {a}": (FreeProductTree((2, 3)), ["a"]),
     "c2c3 {a,b}": (FreeProductTree((2, 3)), ["a", "b"]),
     "c2c4 {a,b,bb}": (FreeProductTree((2, 4)), ["a", "b", "bb"]),
     "c2c4 {a,bb}": (FreeProductTree((2, 4)), ["a", "bb"]),
@@ -560,38 +585,21 @@ FREE_SETS = {
 @pytest.mark.parametrize("chunk", [None, 100])
 @pytest.mark.parametrize("name", FREE_SETS)
 def test_free_walks_match_the_reference_at_every_cap(name, chunk, monkeypatch):
-    # the walk drops its visited set once sphere 2 is out; the records, the
-    # cap and the element that passes it stay the reference's, whether the
-    # cap falls in sphere 1 or 2, before the switch, or on a chunk's edge
+    # the recurrence counts what the reference walks up to radius 7, with
+    # the cap in sphere 1, just past it, and on either side of each ball;
+    # the deduplicating walk, at either chunk size, counts the same (c2c3
+    # {a} is the finite group C2: its spheres run out after radius 1)
     if chunk is not None:
         monkeypatch.setattr(words, "_CHUNK", chunk)
-    chunk = words._CHUNK
     backend, inputs = FREE_SETS[name]
     ident, gens, compose, key, batch = _encoded(make_generating_set(backend, inputs))
     assert key is None and backend._free_walk(gens)
-    # up to the sphere stepped from a slice longer than two chunks, or the
-    # first past 100,000 elements (c2c4 {a,bb} is the infinite dihedral
-    # group: its spheres stay at 2)
-    full, size, longest = [], 1, 0
-    for record in reference_spheres(ident, gens, compose, 10**7):
-        full.append(record)
-        size += len(record[0])
-        if longest > 2 * chunk + 8 or size > 100_000 or len(full) == 30:
-            break
-        longest = max(hi - lo for lo, hi in record[2])
-    radius = len(full)
-    seen = {ident}
-    got = list(islice(spheres(ident, gens, compose, 10**7, batch=batch, seen=seen, free=True),
-                      radius))
-    assert got == full
-    assert len(seen) == 1 + len(full[0][0]) + len(full[1][0])
-    sizes = _sizes(full)
-    two = 1 + sizes[0] + sizes[1]
-    caps = {1, 2, 1 + sizes[0], 2 + sizes[0], two, two + 1,
-            *_cap_edges(sizes[:3], chunk), *_cap_edges(sizes, chunk)}
+    balls, _ = _reference_counts(ident, gens, compose, 7, 10**7)
+    caps = {1, 2, 1 + len(gens), *(b + d for b in balls for d in (-1, 0, 1) if b + d > 0)}
+    _same_counts(ident, gens, compose, sorted(caps), n_max=7)
     for cap in sorted(caps):
-        got = list(spheres(ident, gens, compose, cap, batch=batch, free=True))
-        assert got == list(reference_spheres(ident, gens, compose, cap)), cap
+        assert generic_ball_counts(ident, gens, compose, 7, cap, batch=batch) == \
+            generic_ball_counts(ident, gens, compose, 7, cap, free=True), cap
 
 
 def _standard_sets():
@@ -625,35 +633,29 @@ def test_free_walk_predicate(monkeypatch):
 
 @pytest.mark.parametrize("name", ["f2 {xx,y,xy}", "c2c3 {a,b,ab}", "c2c7 {a,b}", "c2c4 {a,b}"])
 def test_a_free_walk_where_the_predicate_says_no_goes_wrong(name):
-    # these sets repeat elements past sphere 2, so a free walk counts
-    # repeats; it may even step back to the identity, which the batches do
-    # not take, so the compose is mapped (the predicate is only sufficient:
-    # walks over f2 {x,y,xy} happen to repeat nothing)
+    # these sets repeat elements past sphere 2, so the recurrence counts
+    # repeats (the predicate is only sufficient: f2 {x,y,xy} happens to
+    # count right)
     backend, inputs = SETS[name]
     ident, gens, compose, _, _ = _encoded(make_generating_set(backend, inputs))
     assert not backend._free_walk(gens)
-    forced = list(islice(spheres(ident, gens, compose, 10**6, free=True), 6))
-    assert forced != list(islice(reference_spheres(ident, gens, compose, 10**6), 6))
+    forced = generic_ball_counts(ident, gens, compose, 6, 10**6, free=True)
+    assert forced != _reference_counts(ident, gens, compose, 6, 10**6)
 
 
-def test_free_walk_frees_as_it_counts(monkeypatch):
-    # the free walk's gain is not memory left for the cyclic collector,
-    # which the benchmark's calibration runs untimed: it leaves no garbage,
-    # and holds much less at its peak than the deduplicating walk
+def test_free_walk_frees_as_it_counts():
+    # the recurrence holds one count per radius and one per generator: no
+    # element, and no garbage left for the cyclic collector, which the
+    # benchmark's calibration runs untimed
     backend = FreeGroupTree(2, letters="xy")
     S = make_generating_set(backend, ["x", "y"])
     gc.collect()
     table = ball_sizes(S, 10)
     assert gc.collect() == 0
-
-    def peak():
-        tracemalloc.start()
-        try:
-            assert ball_sizes(S, 10) == table
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    free = peak()
-    monkeypatch.setattr(backend, "_free_walk", lambda gens: False)
-    assert free < 0.75 * peak()
+    tracemalloc.start()
+    try:
+        assert ball_sizes(S, 10) == table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8192
