@@ -9,13 +9,14 @@ at a time and hands the backend's ``_compose_batch`` whole slices of the
 sphere below; a slice whose products are all new joins the next sphere
 after one probe and one insert per key, both in C, with no Python step
 per element. So the per-element cost is the compose, and the backend's
-walk key ``_growth_key`` where it is not None (only the float half-plane
-has one; exact canonicals are their own keys). Each sphere comes with its
-keys and the slice each generator found; the counter reads only its
-length, so it counts any stream of these records. ``verify-bound`` hands
-it a ``words.Ball``, whose records the kappa search then reads on: that
-command walks the ball once for both. ``growth`` and other callers that
-hand it nothing get a fresh walk whose spheres are dropped once counted.
+walk key ``_walk_key(gens)`` where it is not None (only float
+half-plane sets with a non-integer entry have one). Each sphere comes
+with its keys and the slice each generator found; the counter reads only
+its length, so it counts any stream of these records. ``verify-bound``
+hands it a ``words.Ball``, whose records the kappa search then reads on:
+that command walks the ball once for both. ``growth`` and other callers
+that hand it nothing get a fresh walk whose spheres are dropped once
+counted.
 
 When the backend's ``_free_walk`` vouches for S (distinct one-letter or
 one-syllable tree entries, closed in each factor), nothing is walked:
@@ -31,14 +32,14 @@ junction. Their batches run the same junction test once for a whole
 chunk: they gather every last byte into one bytes object, and when none
 of them can meet g's first byte, the chunk is concatenated with g by
 ``map``, with no Python step per element. Any other chunk is composed
-element by element. The half-plane composes integer or float 4-tuples;
-its exact batch composes a chunk in one loop with g unpacked once, and
-its float batch maps the float compose.
+element by element. The half-plane composes integer or float 4-tuples
+in one loop per chunk for both arithmetics, with g unpacked once; its
+``_compose`` is a one-element batch.
 
 On the float half-plane, whose tables ``ball_sizes`` marks heuristic,
 the walk key rounds only entries with more than 9 binary fractional
-digits; on integer-valued float sets it then costs about what the exact
-walk does.
+digits, and an integer-valued set, whose products stay integer-valued
+(or +-inf and NaN), walks with no key, as the exact plane does.
 """
 
 from ..words import spheres
@@ -90,5 +91,5 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
     return counts, False
 
 
-# no caller; perfbench/tracing.py still wraps these names (ROADMAP item 5)
+# no caller; perfbench/tracing.py still wraps these names (ROADMAP item 6)
 free_ball_counts = product_ball_counts = matrix_ball_counts = generic_ball_counts

@@ -21,10 +21,11 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
 
     Stops at the last completed radius with ``truncated=True`` once the
     number of distinct elements passes ``memory_cap``. Elements are told
-    apart by the backend's walk key ``_growth_key`` (None: canonicals are
-    their own keys). The table is ``heuristic`` when the backend's
-    canonicals are inexact (the float half-plane), whose key merges
-    matrices by rounding. ``ball``, a ``words.Ball`` of S with this cap,
+    apart by the backend's walk key ``_walk_key`` of S's canonicals (None:
+    canonicals are their own keys). The table is ``heuristic`` when the
+    backend's canonicals are inexact (the float half-plane), whose key
+    merges matrices by rounding unless S is integer-valued. ``ball``, a
+    ``words.Ball`` of S with this cap,
     is the walk to count, which keeps its records for the next reader
     (``verify_theorem``'s kappa search); without one the counter walks
     afresh and keeps no sphere. Where the backend's ``_free_walk`` holds
@@ -40,7 +41,7 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     gens = [g.canonical for g in S]
     counts, truncated = _engine_py.generic_ball_counts(
         backend._identity_canonical(), gens, backend._compose, n_max, cap,
-        key=backend._growth_key,
+        key=backend._walk_key(gens),
         batch=backend._compose_batch, records=ball,
         free=backend._free_walk(gens),
     )

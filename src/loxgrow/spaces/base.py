@@ -173,18 +173,18 @@ class Backend:
 
     # -- hooks implemented per backend --------------------------------------
 
-    # the product of two canonicals; ball walks call it once per element
-    # and generator, so backends bind it once, as a plain function where
-    # they can
+    # the product of two canonicals; ball walks call it, or the batch
+    # below, once per element and generator, so backends bind it once, as
+    # a plain function where they can
     def _compose(self, ca, cb):
         raise NotImplementedError
 
     # [_compose(w, g) for w in chunk], element for element: the batch that
     # words.spheres takes. Its chunks never hold the identity; the trees
     # override it with one junction test for the whole chunk, and the
-    # exact half-plane with one loop that unpacks g once
+    # half-plane with one loop that unpacks g once
     def _compose_batch(self, chunk, g):
-        return list(map(self._compose, chunk, repeat(g)))
+        raise NotImplementedError
 
     def _invert(self, ca):
         raise NotImplementedError
@@ -220,10 +220,16 @@ class Backend:
     def sample_points(self, rng, count: int):
         raise NotImplementedError
 
-    # the dedup key of ball walks, as words.spheres takes it: None where
-    # canonicals are exact and so their own keys, else a function that
-    # absorbs any roundoff the backend's canonical forms carry
+    # the key that matches elements to a walk's keys (targets, steps
+    # back): None where canonicals are exact and so their own keys, else a
+    # function that absorbs any roundoff the backend's canonical forms carry
     _growth_key = None
+
+    # the dedup key of a ball walk over the canonicals ``gens``, as
+    # words.spheres takes it: _growth_key, or None where that returns every
+    # canonical the walk can reach unchanged
+    def _walk_key(self, gens):
+        return self._growth_key
 
     # whether the ball of the canonicals ``gens`` may be counted without a
     # walk (``generic_ball_counts``' ``free``): True only when the normal

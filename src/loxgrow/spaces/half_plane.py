@@ -32,9 +32,9 @@ class HalfPlane(Backend):
         self.arithmetic = arithmetic
         self.exact = arithmetic == "exact_integer"
         self.exact_words = self.exact
-        # chosen once, not per call: ball walks compose per element and generator
-        self._compose = self._compose_exact if self.exact else self._compose_float
-        # the walk key: exact canonicals are their own keys
+        # the sign rule's threshold: the first entry past +-eps carries the sign
+        self._eps = 0 if self.exact else EPS_ID
+        # the target key: exact canonicals are their own keys
         self._growth_key = None if self.exact else self._rounded_key
         self.dist_roundoff = 1e-9
         self.delta = read_real(delta, "delta")
@@ -51,60 +51,37 @@ class HalfPlane(Backend):
     # -- group algebra ------------------------------------------------------
 
     def _normalize(self, a, b, c, d):
+        # _compose_batch's sign rule on one matrix; it keeps -0.0 entries,
+        # which a compose with the identity turns into 0.0
+        eps = self._eps
         for v in (a, b, c, d):
-            if self.exact:
-                if v != 0:
-                    return (a, b, c, d) if v > 0 else (-a, -b, -c, -d)
-            else:
-                if abs(v) > EPS_ID:
-                    return (a, b, c, d) if v > 0 else (-a, -b, -c, -d)
+            if v > eps:
+                return (a, b, c, d)
+            if v < -eps:
+                return (-a, -b, -c, -d)
         return (a, b, c, d)
 
-    def _compose_exact(self, ca, cb):
-        a1, b1, c1, d1 = ca
-        a2, b2, c2, d2 = cb
-        a = a1 * a2 + b1 * c2
-        b = a1 * b2 + b1 * d2
-        c = c1 * a2 + d1 * c2
-        d = c1 * b2 + d1 * d2
-        # det 1 rules out a = b = 0, so a, then b, carries the sign
-        if a < 0 or (a == 0 and b < 0):
-            return (-a, -b, -c, -d)
-        return (a, b, c, d)
+    def _compose(self, ca, cb):
+        return self._compose_batch((ca,), cb)[0]
 
     def _compose_batch(self, chunk, g):
-        # exact: _compose_exact over the chunk in one loop, g unpacked once;
-        # float: the base map, so the EPS_ID sign rule lives in one place
-        if not self.exact:
-            return super()._compose_batch(chunk, g)
+        # one loop for both arithmetics: the first entry past +-eps carries
+        # the sign; NaN and entries within eps are skipped
         a2, b2, c2, d2 = g
+        eps = self._eps
+        neg = -eps
         out = []
         for a1, b1, c1, d1 in chunk:
             a = a1 * a2 + b1 * c2
             b = a1 * b2 + b1 * d2
             c = c1 * a2 + d1 * c2
             d = c1 * b2 + d1 * d2
-            if a < 0 or (a == 0 and b < 0):
+            if a < neg or not a > eps and (
+                    b < neg or not b > eps and (c < neg or not c > eps and d < neg)):
                 out.append((-a, -b, -c, -d))
             else:
                 out.append((a, b, c, d))
         return out
-
-    def _compose_float(self, ca, cb):
-        a1, b1, c1, d1 = ca
-        a2, b2, c2, d2 = cb
-        a = a1 * a2 + b1 * c2
-        b = a1 * b2 + b1 * d2
-        c = c1 * a2 + d1 * c2
-        d = c1 * b2 + d1 * d2
-        # _normalize's float rule, inline: the first entry past EPS_ID
-        # carries the sign; NaN and tiny entries are skipped
-        for v in (a, b, c, d):
-            if v > EPS_ID:
-                return (a, b, c, d)
-            if v < -EPS_ID:
-                return (-a, -b, -c, -d)
-        return (a, b, c, d)
 
     def _invert(self, ca):
         a, b, c, d = ca
@@ -279,6 +256,14 @@ class HalfPlane(Backend):
             y = math.exp(rng.uniform(-log_height, log_height))
             pts.append(Point(self, complex(x, y)))
         return pts
+
+    def _walk_key(self, gens):
+        # products of integer-valued floats stay so, or turn +-inf or NaN,
+        # and _rounded_key keys such canonicals by their own values (a NaN
+        # entry, a fresh object each time, matches nothing either way)
+        if not self.exact and all(v.is_integer() for g in gens for v in g):
+            return None
+        return self._growth_key
 
     def _rounded_key(self, canonical):
         """Walk key of a float canonical: its entries rounded to 9 decimals.

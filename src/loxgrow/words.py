@@ -89,7 +89,7 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     sits where its least geodesic word over ``gens``, read right to left
     as generator indices, sorts. ``key`` maps an element to its dedup key
     (default None: the element itself), as a backend's walk key
-    ``_growth_key`` does. Stops after an empty sphere (a finite
+    ``_walk_key(gens)`` does. Stops after an empty sphere (a finite
     group). Once the walked ball, identity included, passes ``cap`` it
     yields the partial sphere, ending with the element that passed the
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
@@ -121,8 +121,8 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     Float canonicals meet this only up to roundoff: a skipped compose is,
     in exact arithmetic, an element already seen, so with raw float
     canonicals as keys the walk drops roundoff copies of walked elements
-    that a full walk would have counted as new (``_growth_key`` rounds
-    them together either way).
+    that a full walk would have counted as new (``_rounded_key`` rounds
+    them together either way; integer-valued float sets have no roundoff).
 
     A slice is stepped from in chunks of at most ``_CHUNK`` elements, each
     composed and keyed as one batch. When the visited set stays within
@@ -212,9 +212,10 @@ class Ball:
     its readers ask and read by each of them from radius 0.
 
     The walk is ``spheres`` over S's canonicals with the backend's compose,
-    chunk batch and walk key ``_growth_key``, capped at ``memory_cap``: the
-    key is None where canonicals are exact and their own keys, and rounds
-    them on the float half-plane. ``records[n]`` is sphere n's
+    chunk batch and walk key ``_walk_key``, capped at ``memory_cap``.
+    ``key``, the backend's ``_growth_key``, matches targets and steps back
+    to the walk's keys: it is the walk key, or keeps the walk's canonicals
+    as they are where the walk key is None. ``records[n]`` is sphere n's
     ``(sphere, keys, slices)``, ``records[0]`` the identity's, and
     ``seen`` is the walk's visited set: the keys of every record so far,
     which may run past the radius a reader has reached. Iterating
@@ -231,15 +232,17 @@ class Ball:
         backend = S.backend
         self.cap = memory_cap
         self.key = backend._growth_key
+        gens = [s.canonical for s in S]
+        walk_key = backend._walk_key(gens)
         ident = backend._identity_canonical()
-        self.ident_key = ident if self.key is None else self.key(ident)
+        self.ident_key = ident if walk_key is None else walk_key(ident)
         self.seen = {self.ident_key}
         self.records = [([ident], [self.ident_key], [(0, 1)])]
-        self._walk = self._spheres(backend, ident, [s.canonical for s in S])
+        self._walk = self._spheres(backend, ident, gens, walk_key)
 
-    def _spheres(self, backend, ident, gens):
+    def _spheres(self, backend, ident, gens, key):
         # a generator, so a Ball that no reader walks starts no walk
-        yield from spheres(ident, gens, backend._compose, self.cap, self.key,
+        yield from spheres(ident, gens, backend._compose, self.cap, key,
                            batch=backend._compose_batch, seen=self.seen)
 
     def __iter__(self):
@@ -302,13 +305,13 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP, ball=None):
     radius d is spelled backwards from its place in sphere d: the slice it
     lies in names the entry s that found it, and g s^-1 lies in sphere
     d - 1, down to the identity. Targets, the identity and the steps back
-    are matched by the backend's walk key ``_growth_key``, as the Ball
-    dedups, so its spheres are the ones ``ball_sizes`` counts. On the float
-    half-plane that key absorbs roundoff, and a float target whose step
-    back still misses gives None; exact canonicals are their own keys (the
-    key is None) and cost no key call. A sphere is mapped from key to
-    place only when a found target lies past it, so the last sphere
-    walked, often the largest, is never mapped.
+    are matched by the backend's ``_growth_key`` (``ball.key``), which
+    gives the Ball's walk keys, so its spheres are the ones ``ball_sizes``
+    counts. On the float half-plane that key absorbs roundoff, and a float
+    target whose step back still misses gives None; exact canonicals are
+    their own keys (the key is None) and cost no key call. A sphere is
+    mapped from key to place only when a found target lies past it, so
+    the last sphere walked, often the largest, is never mapped.
     """
     backend = S.backend
     if ball is None:

@@ -261,10 +261,16 @@ def test_integer_valued_growth_key_is_the_canonical(hpf):
     assert HalfPlane()._growth_key is None
 
 
+def _raw_product(ca, cb):
+    a1, b1, c1, d1 = ca
+    a2, b2, c2, d2 = cb
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
 def test_float_compose_normalizes_like_normalize(hpf):
-    # sign normalisation is inline in the float compose; it must pick the
-    # sign _normalize picks, also at +-EPS_ID, with every entry tiny, and
-    # past NaN and inf
+    # the compose and its batch write the sign rule inline; they must pick
+    # the sign _normalize picks, also at +-EPS_ID, with every entry tiny,
+    # and past NaN and inf
     eps = EPS_ID
     edge = [eps, -eps, math.nextafter(eps, 1.0), -math.nextafter(eps, 1.0),
             math.nextafter(eps, 0.0), 0.0, -0.0, 1e-12, -1e-12, math.nan, math.inf,
@@ -277,8 +283,12 @@ def test_float_compose_normalizes_like_normalize(hpf):
     pairs += [(one, (1e-12, -1e-12, 0.0, -0.0)), (one, (-eps, -eps, -eps, -eps)),
               (one, (math.nan, -eps, -3.0, 1.0)), (one, (-0.0, -math.inf, 1.0, 0.0))]
     for ca, cb in pairs:
-        a1, b1, c1, d1 = ca
-        a2, b2, c2, d2 = cb
-        raw = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-        want = hpf._normalize(*raw)
-        assert repr(hpf._compose_float(ca, cb)) == repr(want), (ca, cb)
+        want = hpf._normalize(*_raw_product(ca, cb))
+        assert repr(hpf._compose(ca, cb)) == repr(want), (ca, cb)
+    # chunks of edge matrices and products of them, against one edge g
+    pool = [cb for _, cb in pairs] + [hpf._compose(ca, cb) for ca, cb in pairs]
+    for _ in range(300):
+        chunk = rng.sample(pool, rng.randint(1, 64))
+        g = tuple(rng.choice(edge) for _ in range(4))
+        want = [hpf._normalize(*_raw_product(w, g)) for w in chunk]
+        assert repr(hpf._compose_batch(chunk, g)) == repr(want), g

@@ -19,6 +19,8 @@ from loxgrow.words import make_generating_set, product_ball_set, spheres, word_l
 from conftest import PSL2Z_ELLIPTIC, SANOV, reference_spheres
 
 TU = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+# Lyndon-Ullman mu = 1/2: dyadic, with no integer form
+LYNDON_ULLMAN = [[[1, 0.5], [0, 1]], [[1, 0], [0.5, 1]]]
 CAPS = (1, 2, 3, 5, 17, 100, 1000, 20_000)
 RADII = 8
 
@@ -55,8 +57,9 @@ def _same_counts(identity, gens, compose, caps, n_max):
 def _encoded(S):
     """(identity, gens, compose, key, batch) of S as ball_sizes walks it."""
     backend = S.backend
-    return (backend._identity_canonical(), [g.canonical for g in S], backend._compose,
-            backend._growth_key, backend._compose_batch)
+    gens = [g.canonical for g in S]
+    return (backend._identity_canonical(), gens, backend._compose, backend._walk_key(gens),
+            backend._compose_batch)
 
 
 def _conjugated(mats, t):
@@ -310,9 +313,10 @@ def test_byte_batches_are_compose_on_every_element():
 
 
 def test_exact_half_plane_batches_are_compose_on_every_element():
-    # the exact batch inlines _compose_exact's sign rule; its chunks hit
-    # a = 0 with b of either sign (the elliptic [[0,-1],[1,0]] reaches it),
-    # a negative a, and entries past 2**64
+    # the batch (and so _compose, its one-element call) writes the sign
+    # rule inline; it must match _normalize on the raw products. Its chunks
+    # hit a = 0 with b of either sign (the elliptic [[0,-1],[1,0]] reaches
+    # it), a negative a, and entries past 2**64
     rng = random.Random(20)
     gens = [g.canonical for inputs in (PSL2Z_ELLIPTIC, SANOV, TU)
             for g in make_generating_set(HP, inputs)]
@@ -330,9 +334,12 @@ def test_exact_half_plane_batches_are_compose_on_every_element():
     for g in gens + [grow]:
         for _ in range(8):
             chunk = rng.sample(pool, rng.randint(1, 64))
-            assert HP._compose_batch(chunk, g) == [HP._compose(w, g) for w in chunk], g
-            for a1, b1, _, _ in chunk:
-                a, b = a1 * g[0] + b1 * g[2], a1 * g[1] + b1 * g[3]
+            raws = [(a1 * g[0] + b1 * g[2], a1 * g[1] + b1 * g[3],
+                     c1 * g[0] + d1 * g[2], c1 * g[1] + d1 * g[3]) for a1, b1, c1, d1 in chunk]
+            want = [HP._normalize(*raw) for raw in raws]
+            assert repr(HP._compose_batch(chunk, g)) == repr(want), g
+            assert [HP._compose(w, g) for w in chunk] == want, g
+            for a, b, _, _ in raws:
                 signs.add((a > 0, a == 0, b > 0))
     assert signs >= {(True, False, True), (True, False, False), (False, False, True),
                      (False, False, False), (False, True, True), (False, True, False)}
@@ -418,29 +425,93 @@ def test_kappa_walk_keys_each_float_element_once(monkeypatch):
     # one _growth_key call per composed element, walked or spelled, one for
     # the walk's identity, and one for each target and the identity they
     # are matched against: the walk matches and spells by the keys its
-    # dedup computed
-    backend, inputs = SETS["float sanov"]
+    # dedup computed. The set is non-dyadic, so the walk has a key; every
+    # compose, _compose included, is an element of a _compose_batch call
+    backend, inputs = SETS["float sanov, non-integer"]
     S = make_generating_set(backend, inputs)
     e = math.e
     targets = [(backend.element([[e, 0.0], [0.0, 1 / e]]), 6),
                (backend.compose(backend.compose(S[0], S[1]), S[0]), 6)]
     calls = {"key": 0, "compose": 0}
-    key, compose = backend._growth_key, backend._compose
+    key, batch = backend._growth_key, backend._compose_batch
 
     def counted_key(canonical):
         calls["key"] += 1
         return key(canonical)
 
-    def counted_compose(a, b):
-        calls["compose"] += 1
-        return compose(a, b)
+    def counted_batch(chunk, g):
+        calls["compose"] += len(chunk)
+        return batch(chunk, g)
 
     monkeypatch.setattr(backend, "_growth_key", counted_key)
-    monkeypatch.setattr(backend, "_compose", counted_compose)
+    monkeypatch.setattr(backend, "_compose_batch", counted_batch)
     far_word, near_word = word_length_in_S(S, targets)
     assert far_word is None and len(near_word) == 3
     assert calls["compose"] > 100
-    assert calls["key"] <= calls["compose"] + 1 + len(targets) + 1
+    assert calls["key"] <= calls["compose"] + 1 + len(targets) + 1, calls
+
+
+INTEGER_FLOAT_SETS = {
+    "float sanov": SANOV,
+    "float {T,U}": TU,
+    "-0.0 entries": [[[1, 2], [-0.0, 1]], [[1, -0.0], [2, 1]]],
+    # past 2**53 at radius 2, and past float range (+-inf, then NaN) at 3
+    "past 2**53": [[[1, 2**30], [0, 1]], [[1, 0], [2**30, 1]]],
+    "past float range": [[[1, 2**500], [0, 1]], [[1, 0], [2**500, 1]]],
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FLOAT_SETS)
+def test_integer_valued_float_sets_walk_with_no_key(name):
+    # products of integer-valued floats stay integer-valued (or +-inf and
+    # NaN), which _rounded_key keys by their own values: with no key the
+    # walk yields the same records and counts, at every cap
+    S = make_generating_set(HPF, INTEGER_FLOAT_SETS[name])
+    ident, gens, compose, key, batch = _encoded(S)
+    assert key is None and HPF._growth_key == HPF._rounded_key
+    rounded = HPF._rounded_key
+    full = list(islice(spheres(ident, gens, compose, 10**5, batch=batch), 7))
+    entries = [v for sphere, _, _ in full for c in sphere for v in c]
+    if name == "-0.0 entries":
+        assert "-0.0" in repr(gens)
+    if name.startswith("past"):
+        assert max(abs(v) for v in entries if v == v) > 2**53
+    if name == "past float range":
+        assert any(math.isinf(v) for v in entries) and any(math.isnan(v) for v in entries)
+    for cap in (1, 2, 5, 100, *(1 + sum(_sizes(full[:n])) + d for n in (3, 6) for d in (-1, 0))):
+        got = list(islice(spheres(ident, gens, compose, cap, batch=batch), 7))
+        want = list(islice(spheres(ident, gens, compose, cap, rounded, batch=batch), 7))
+        assert repr(got) == repr(want), cap
+        for n in (0, 1, 5, 9):
+            table = ball_sizes(S, n, cap)
+            assert (table.balls, table.truncated) == generic_ball_counts(
+                ident, gens, compose, n, cap, rounded, batch), (cap, n)
+
+
+@pytest.mark.parametrize("inputs", [_conjugated(SANOV, 1.1), _conjugated(PSL2Z_ELLIPTIC, 2 ** 0.5),
+                                    _conjugated(TU, 0.37), LYNDON_ULLMAN],
+                         ids=["sanov diag(1.1)", "elliptic diag(2**0.5)", "{T,U} diag(0.37)",
+                              "lyndon-ullman"])
+def test_non_integer_float_sets_walk_with_the_rounded_key(inputs):
+    gens = [s.canonical for s in make_generating_set(HPF, inputs)]
+    assert HPF._walk_key(gens) == HPF._rounded_key
+
+
+def test_integer_valued_float_sets_still_match_nearby_targets():
+    # the walk keys canonicals by themselves, but targets keep the rounded
+    # key: a target within 5e-10 of a walked matrix is found and spelled
+    S = make_generating_set(HPF, SANOV)
+    near = HPF.compose(HPF.compose(S[0], S[1]), S[0])
+    shift = HPF.element([[1 + 3e-11, 0.0], [0.0, 1 / (1 + 3e-11)]])
+    target = HPF.compose(near, shift)
+    gap = max(abs(x - y) for x, y in zip(target.canonical, near.canonical))
+    assert 0 < gap < 5e-10
+    word, = word_length_in_S(S, [(target, 6)])
+    by_symbol = {s.word[0]: s for s in S}
+    spelled = HPF.identity()
+    for sym in word:
+        spelled = HPF.compose(spelled, by_symbol[sym])
+    assert spelled.canonical == near.canonical and len(word) == 3
 
 
 def _add(w, g):
