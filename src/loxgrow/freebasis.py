@@ -555,9 +555,10 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     of S: the table counts its first ``n_max`` spheres, and the kappa
     search reads them again and walks on from there only if it must, so
     the ball of S is walked once; the Ball is dropped when both are done.
-    On a one-letter tree set the table is counted without a walk, and
-    when S is the standard set the normal form spells kappa's targets,
-    so the Ball walks nothing.
+    On a one-letter tree set, or an exact half-plane set that passes
+    ``HalfPlane._free_walk``'s ping-pong test, the table is counted without
+    a walk; when a tree's S is its standard set the normal form spells
+    kappa's targets, so the Ball walks nothing.
     Elementary outcomes are reported, not raised; budget blowups
     propagate. A growth table truncated below radius 2 raises
     BudgetExceeded; one truncated later stays in the report

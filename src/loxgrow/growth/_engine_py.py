@@ -19,9 +19,10 @@ that hand it nothing get a fresh walk whose spheres are dropped once
 counted.
 
 When the backend's ``_free_walk`` vouches for S (distinct one-letter or
-one-syllable tree entries, closed in each factor), nothing is walked:
-the normal forms over S are a language whose only state is the last
-letter, so each sphere's slice sizes follow from the sphere below.
+one-syllable tree entries, closed in each factor, or an exact half-plane
+set that a ping-pong test proves a free basis), nothing is walked: the
+normal forms over S are a language whose only state is the last letter,
+so each sphere's slice sizes follow from the sphere below.
 
 The trees' canonicals are bytes, and their composes first try the common
 case: when the letters at the junction cannot cancel (free words: w's
@@ -34,7 +35,7 @@ of them can meet g's first byte, the chunk is concatenated with g by
 ``map``, with no Python step per element. Any other chunk is composed
 element by element. The half-plane composes integer or float 4-tuples
 in one loop per chunk for both arithmetics, with g unpacked once; its
-``_compose`` is a one-element batch.
+``_compose`` applies the same sign rule, ``_normalize``, to one product.
 
 On the float half-plane, whose tables ``ball_sizes`` marks heuristic,
 the walk key rounds only entries with more than 9 binary fractional
@@ -64,10 +65,11 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
     ``free`` promises that ``gens`` are distinct canonicals, none the
     identity, whose words have unique normal forms in which g_h may follow
     g_j exactly when ``compose(g_j, g_h)`` lies outside {1} u gens (a
-    backend's ``_free_walk``). The counts then come from each sphere's
-    slice sizes, one per last letter, and neither ``records`` nor a walk
-    is read; ``key`` and ``batch`` go unused. An all-zero sphere (a finite
-    group) repeats the last count.
+    backend's ``_free_walk``; a free basis with its inverses qualifies).
+    The counts then come from each sphere's slice sizes, one per last
+    letter, and neither ``records`` nor a walk is read; ``key`` and
+    ``batch`` go unused. An all-zero sphere (a finite group) repeats the
+    last count.
     """
     counts = [1]
     if free:

@@ -29,8 +29,9 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     is the walk to count, which keeps its records for the next reader
     (``verify_theorem``'s kappa search); without one the counter walks
     afresh and keeps no sphere. Where the backend's ``_free_walk`` holds
-    for S's canonicals (one-letter tree sets), the counter walks nothing,
-    not even ``ball``: it counts normal forms by their last letter.
+    for S's canonicals (one-letter tree sets, exact half-plane sets that
+    pass its ping-pong test), the counter walks nothing, not even
+    ``ball``: it counts normal forms by their last letter.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")

@@ -234,7 +234,9 @@ class Backend:
     # whether the ball of the canonicals ``gens`` may be counted without a
     # walk (``generic_ball_counts``' ``free``): True only when the normal
     # forms over gens are the words in which g_h may follow g_j exactly
-    # when g_j g_h lies outside {1} u gens; decided with no compose
+    # when g_j g_h lies outside {1} u gens; decided with no compose. The
+    # trees test one-letter sets (ByteWordTree), the exact half-plane a
+    # free basis by ping-pong (HalfPlane)
     def _free_walk(self, gens):
         return False
 

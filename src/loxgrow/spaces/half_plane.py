@@ -16,6 +16,7 @@ lie below that; estimate_delta probes it empirically).
 
 import cmath
 import math
+from itertools import combinations
 
 from ..errors import ConfigError, NotInGroup
 from .base import Backend, Classification, GroupElement, Point, read_int, read_real
@@ -62,7 +63,9 @@ class HalfPlane(Backend):
         return (a, b, c, d)
 
     def _compose(self, ca, cb):
-        return self._compose_batch((ca,), cb)[0]
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = ca, cb
+        return self._normalize(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                               c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
     def _compose_batch(self, chunk, g):
         # one loop for both arithmetics: the first entry past +-eps carries
@@ -265,6 +268,27 @@ class HalfPlane(Backend):
             return None
         return self._growth_key
 
+    # Klein's ping-pong on integer matrices. Each letter s = (a, b, c, d)
+    # gets an open region O_s that s maps the complement of closure(O_s^-1)
+    # onto: the disk |cz - a| < 1 when c != 0, as c s(z) - a = -1/(cz + d),
+    # and for the one translation pair z -> z +- t allowed, the half-planes
+    # Re z > h + t and Re z < h. When the regions are pairwise disjoint, a
+    # point x0 + iY with Y large lies outside every closure, and a reduced
+    # word w, applied letter by letter from the right, moves it into O_s of
+    # w's first letter s, so w != 1: gens with their inverses are a free
+    # basis. Regions may be tangent: an open set disjoint from O_s misses
+    # its closure too, which is all each step needs. Conjugating changes no
+    # word, so S is also tried with each parabolic letter's cusp sent to
+    # infinity. Regions ignore the sign: raw integer products, no compose.
+    def _free_walk(self, gens):
+        letters = set(gens)
+        if not self.exact or any(g == h or h not in letters
+                                 for g, h in zip(gens, map(self._invert, gens))):
+            return False
+        cusps = {(a - d, 2 * c) if c > 0 else (d - a, -2 * c)
+                 for a, _, c, d in gens if c and (a + d) ** 2 == 4}
+        return any(_ping_pong(_conjugated(gens, q)) for q in [None, *cusps])
+
     def _rounded_key(self, canonical):
         """Walk key of a float canonical: its entries rounded to 9 decimals.
 
@@ -282,3 +306,32 @@ class HalfPlane(Backend):
                 and (c * 512.0).is_integer() and (d * 512.0).is_integer()):
             return canonical
         return (round(a, 9), round(b, 9), round(c, 9), round(d, 9))
+
+
+def _conjugated(mats, cusp):
+    """M s M^-1 up to sign for each s of ``mats``, where M = (x, y; n, -m) of
+    det 1 sends ``cusp``, a (numerator, denominator > 0) pair, to infinity."""
+    if cusp is None:
+        return mats
+    m, n = (v // math.gcd(*cusp) for v in cusp)
+    x = -pow(m, -1, n)
+    y = (-x * m - 1) // n
+    out = []
+    for a, b, c, d in mats:
+        p, q, r, u = x * a + y * c, x * b + y * d, n * a - m * c, n * b - m * d
+        out.append((-p * m - q * n, q * x - p * y, -r * m - u * n, u * x - r * y))
+    return out
+
+
+def _ping_pong(mats):
+    """Whether the letters ``mats`` have the disjoint regions of
+    HalfPlane._free_walk: with each disk as center a/c, radius 1/c, c > 0,
+    |a1 c2 - a2 c1| >= c1 + c2 for two disks, and with the one translation
+    t allowed, (a1 + 1)/c1 - (a2 - 1)/c2 <= t for any two: all in a strip."""
+    disks = [(a, c) if c > 0 else (-a, -c) for a, _, c, _ in mats if c]
+    shifts = [abs(b) for _, b, c, _ in mats if not c]
+    if len(shifts) > 2 or any(abs(a1 * c2 - a2 * c1) < c1 + c2
+                              for (a1, c1), (a2, c2) in combinations(disks, 2)):
+        return False
+    return not shifts or all((a1 + 1) * c2 - (a2 - 1) * c1 <= shifts[0] * c1 * c2
+                             for a1, c1 in disks for a2, c2 in disks)

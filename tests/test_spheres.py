@@ -67,6 +67,22 @@ def _conjugated(mats, t):
     return [[[a, b * t * t], [c / (t * t), d]] for (a, b), (c, d) in mats]
 
 
+def _conjugated_by(mats, m):
+    """mats conjugated by the SL(2, Z) matrix m: the same group, new entries."""
+    (p, q), (r, s) = m
+    out = []
+    for (a, b), (c, d) in mats:
+        # (m x) m^-1, with m^-1 = [[s, -q], [-r, p]]
+        a1, b1, c1, d1 = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        out.append([[a1 * s - b1 * r, b1 * p - a1 * q], [c1 * s - d1 * r, d1 * p - c1 * q]])
+    return out
+
+
+def _sanov(k):
+    """Sanov's pair for k; k >= 2 is a free basis, k = 1 is {T, U}."""
+    return [[[1, k], [0, 1]], [[1, 0], [k, 1]]]
+
+
 F2 = FreeGroupTree(2, letters="xy")
 HP = HalfPlane()
 HPF = HalfPlane(arithmetic="float")
@@ -425,25 +441,30 @@ def test_kappa_walk_keys_each_float_element_once(monkeypatch):
     # one _growth_key call per composed element, walked or spelled, one for
     # the walk's identity, and one for each target and the identity they
     # are matched against: the walk matches and spells by the keys its
-    # dedup computed. The set is non-dyadic, so the walk has a key; every
-    # compose, _compose included, is an element of a _compose_batch call
+    # dedup computed. The set is non-dyadic, so the walk has a key; a
+    # compose is a _compose call or an element of a _compose_batch call
     backend, inputs = SETS["float sanov, non-integer"]
     S = make_generating_set(backend, inputs)
     e = math.e
     targets = [(backend.element([[e, 0.0], [0.0, 1 / e]]), 6),
                (backend.compose(backend.compose(S[0], S[1]), S[0]), 6)]
     calls = {"key": 0, "compose": 0}
-    key, batch = backend._growth_key, backend._compose_batch
+    key, compose, batch = backend._growth_key, backend._compose, backend._compose_batch
 
     def counted_key(canonical):
         calls["key"] += 1
         return key(canonical)
+
+    def counted_compose(ca, cb):
+        calls["compose"] += 1
+        return compose(ca, cb)
 
     def counted_batch(chunk, g):
         calls["compose"] += len(chunk)
         return batch(chunk, g)
 
     monkeypatch.setattr(backend, "_growth_key", counted_key)
+    monkeypatch.setattr(backend, "_compose", counted_compose)
     monkeypatch.setattr(backend, "_compose_batch", counted_batch)
     far_word, near_word = word_length_in_S(S, targets)
     assert far_word is None and len(near_word) == 3
@@ -650,6 +671,9 @@ FREE_SETS = {
     "c2c4 {a,b,bb}": (FreeProductTree((2, 4)), ["a", "b", "bb"]),
     "c2c4 {a,bb}": (FreeProductTree((2, 4)), ["a", "bb"]),
     "c3c3 {a,b}": (FreeProductTree((3, 3)), ["a", "b"]),
+    "sanov": (HP, SANOV),
+    "sanov, conjugated by [[2,1],[1,1]]": (HP, _conjugated_by(SANOV, [[2, 1], [1, 1]])),
+    "sanov, conjugated by [[3,-1],[7,-2]]": (HP, _conjugated_by(SANOV, [[3, -1], [7, -2]])),
 }
 
 
@@ -695,9 +719,21 @@ def test_free_walk_predicate(monkeypatch):
         monkeypatch.setattr(backend, "_compose", _never)
         monkeypatch.setattr(backend, "_compose_batch", _never)
         assert backend._free_walk([s.canonical for s in S]), backend.config()
-    for name in ["f2 {x,y,xy}", "c2c3 {a,b,ab}", "c2c4 {a,b}", "c2c7 {a,b}", "sanov",
-                 "float sanov"]:
-        backend, inputs = SETS[name]
+    for backend in (HP, HPF):
+        monkeypatch.setattr(backend, "_compose", _never)
+        monkeypatch.setattr(backend, "_compose_batch", _never)
+    # exact Sanov passes the ping-pong test in its own frame, but not
+    # without its inverses
+    assert HP._free_walk([s.canonical for s in make_generating_set(HP, SANOV)])
+    assert not HP._free_walk([(1, 2, 0, 1), (1, 0, 2, 1)])
+    not_free = {name: SETS[name] for name in [
+        "f2 {x,y,xy}", "c2c3 {a,b,ab}", "c2c4 {a,b}", "c2c7 {a,b}", "float sanov", "elliptic",
+        "{T,U}"]}
+    not_free["sanov k=1"] = (HP, _sanov(1))
+    # an order-2 element is its own inverse: not a free basis, though the
+    # regions of {S, T^3} are disjoint
+    not_free["order 2 and T^3"] = (HP, [[[0, -1], [1, 0]], [[1, 3], [0, 1]]])
+    for name, (backend, inputs) in not_free.items():
         S = make_generating_set(backend, inputs)
         assert not backend._free_walk([s.canonical for s in S]), name
 
@@ -712,6 +748,47 @@ def test_a_free_walk_where_the_predicate_says_no_goes_wrong(name):
     assert not backend._free_walk(gens)
     forced = generic_ball_counts(ident, gens, compose, 6, 10**6, free=True)
     assert forced != _reference_counts(ident, gens, compose, 6, 10**6)
+
+
+def _tu_word(rng, length, k=1):
+    """A product of ``length`` random letters T^k, U^k and their inverses,
+    as a matrix; never the identity."""
+    steps = ((1, k, 0, 1), (1, -k, 0, 1), (1, 0, k, 1), (1, 0, -k, 1))
+    m = HP._identity_canonical()
+    while m == HP._identity_canonical():
+        for _ in range(length):
+            m = HP._compose(m, rng.choice(steps))
+    a, b, c, d = m
+    return [[a, b], [c, d]]
+
+
+def test_certified_half_plane_sets_count_what_they_walk():
+    # wherever the ping-pong test holds on a random exact set (Sanov k =
+    # 2..4 conjugated by a T/U word, sets of T/U words, sets of words in
+    # Sanov's letters, which pass far more often, and single T/U words),
+    # ball_sizes counts what the walk counts, at each radius and cap
+    rng = random.Random(28)
+    cases = [_conjugated_by(_sanov(rng.randint(2, 4)), _tu_word(rng, rng.randint(1, 5)))
+             for _ in range(25)]
+    cases += [[_tu_word(rng, rng.randint(1, 6)) for _ in range(rng.randint(2, 3))]
+              for _ in range(40)]
+    for _ in range(60):
+        k = rng.randint(2, 3)
+        cases.append([_tu_word(rng, rng.randint(1, 4), k) for _ in range(rng.randint(2, 3))])
+    cases += [[_tu_word(rng, rng.randint(1, 8))] for _ in range(25)]
+    certified = 0
+    for mats in cases:
+        S = make_generating_set(HP, mats)
+        ident, gens, compose, _, batch = _encoded(S)
+        if not HP._free_walk(gens):
+            continue
+        certified += 1
+        for cap in (1, 2, 1 + len(gens), 100, 10**6):
+            for n in (0, 1, 3, 6):
+                table = ball_sizes(S, n, memory_cap=cap)
+                walked = generic_ball_counts(ident, gens, compose, n, cap, batch=batch)
+                assert (table.balls, table.truncated) == walked, (mats, cap, n)
+    assert certified >= 60, certified
 
 
 def test_free_walk_frees_as_it_counts():
