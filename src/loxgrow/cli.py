@@ -15,10 +15,10 @@ results go to --out or stdout.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
-import warnings
 
 from . import __version__
 from .errors import (
@@ -162,7 +162,8 @@ def cmd_verify_bound(args) -> int:
         "log_card_S": rep.log_card_S,
         "theta_hat": rep.theta_hat,
         "escalation_rounds": rep.escalation_rounds,
-        "heuristic": rep.table.heuristic,
+        # a constant of the output format: every count is exact
+        "heuristic": False,
         "elementary": rep.elementary,
         "elementary_reason": rep.elementary_reason,
         "certificate": certificate_payload(rep.cert) if rep.cert is not None else None,
@@ -261,17 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
+@contextlib.contextmanager
+def _long_ints():
+    """Lift Python's limit on int <-> str conversion (4300 digits since
+    3.10.7, none before) while a command runs: certificates of float-spelled
+    sets can hold longer integers, which json writes and reads as text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # one line per warning; library callers keep Python's format
-        with warnings.catch_warnings():
-            warnings.showwarning = _print_warning
+        with _long_ints():
             return args.func(args)
     except ElementaryDetected as exc:
         print(f"elementary subgroup detected: {exc}", file=sys.stderr)

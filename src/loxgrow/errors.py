@@ -39,10 +39,6 @@ class BudgetExceeded(LoxgrowError):
         self.completed = completed
 
 
-class NotLoxodromic(LoxgrowError):
-    pass
-
-
 class ElementaryDetected(LoxgrowError):
     """Base for outcomes where the acting subgroup looks elementary.
 
@@ -70,13 +66,5 @@ class SearchExhausted(LoxgrowError):
     """The (n, k) amplification search ran out of budget without a certificate."""
 
 
-class ExactWordProblemUnavailable(LoxgrowError):
-    """The backend cannot decide exact equality (float arithmetic)."""
-
-
 class InvalidCertificate(LoxgrowError):
     """A certificate failed independent re-verification."""
-
-
-class HeuristicOnly(UserWarning):
-    """The answer came from a float-backend heuristic, not an exact decision."""

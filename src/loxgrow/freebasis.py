@@ -19,7 +19,6 @@ bound from T and the stored S, and searches nothing.
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -28,8 +27,6 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     ElementaryDetected,
-    ExactWordProblemUnavailable,
-    HeuristicOnly,
     InvalidCertificate,
     LikelyElementary,
     NoLoxodromicFound,
@@ -37,13 +34,7 @@ from .errors import (
     SearchExhausted,
 )
 from .growth import GrowthTable, ball_sizes, growth_brackets
-from .hypcore import (
-    axis_overlap_diameter,
-    estimate_delta,
-    loxodromic_criterion,
-    min_displacement_search,
-    translation_length_bracket,
-)
+from .hypcore import estimate_delta
 from .spaces import make_backend
 from .spaces.base import (
     GroupElement,
@@ -63,8 +54,8 @@ from .words import (
     word_length_in_S,
 )
 
-# unused here; perfbench/tracing.py patches this name on this module
-from .hypcore import gromov_product  # noqa: F401
+# unused here; perfbench/tracing.py patches these names on this module
+from .hypcore import gromov_product, min_displacement_search  # noqa: F401
 
 CERT_FORMAT = "loxgrow-cert/2"
 
@@ -88,42 +79,15 @@ class LoxodromicPick:
     tau: float
 
 
-def _is_loxodromic(g, pool):
-    """Whether the pipeline takes g as loxodromic: the backend's classify
-    when ``pool`` is None (exact backends), else the displacement criterion
-    for some g^m, m <= 16, at a pool point (skipping points that overflow)."""
-    if pool is None:
-        return g.backend.classify(g).kind == "loxodromic"
-    gm = g
-    for m in range(1, 17):
-        if m > 1:
-            gm = g.backend.compose(gm, g)
-        for o in pool:
-            try:
-                if loxodromic_criterion(gm, o):
-                    return True
-            except OverflowError:
-                # power left the float range at this basepoint
-                continue
-    return False
-
-
 def find_short_loxodromic(S) -> LoxodromicPick:
     """Scan S and S*S for the loxodromic of largest translation length.
 
-    Ties go to the shorter word, then canonical order. Candidates pass by
-    ``_is_loxodromic``: float backends need the displacement criterion for
-    one of the first 16 powers at a basepoint candidate, and estimate tau
-    from the 16th and 32nd powers at the joint-displacement minimizer.
-    Raises NoLoxodromicFound when no candidate passes; build_free_basis
-    then escalates.
+    Ties go to the shorter word, then canonical order. The backend's
+    ``classify`` picks the loxodromics and ``translation_length`` gives tau.
+    Raises NoLoxodromicFound when no candidate is loxodromic;
+    build_free_basis then escalates.
     """
     backend = S.backend
-    pool = None
-    if not backend.exact_words:
-        o = min_displacement_search(S).point
-        pool = basepoint_candidates(S)
-
     candidates = []
     seen = set()
     for g in S:
@@ -141,12 +105,9 @@ def find_short_loxodromic(S) -> LoxodromicPick:
     best = None
     best_key = None
     for g in candidates:
-        if not _is_loxodromic(g, pool):
+        if backend.classify(g).kind != "loxodromic":
             continue
-        if pool is None:
-            tau = backend.translation_length(g)
-        else:
-            tau = translation_length_bracket(g, o, N=16).estimate
+        tau = backend.translation_length(g)
         key = (-tau, len(g.word or ()), backend.sort_key(g))
         if best is None or key < best_key:
             best, best_key = g, key
@@ -159,39 +120,24 @@ def find_short_loxodromic(S) -> LoxodromicPick:
 
 
 def _elementary_member(b, g) -> bool:
-    """Whether g lies in E(b). Exact backends test g b g^-1 in {b, b^-1}.
-    Float backends fall back to a heuristic: the axis of b, sampled from
-    b^-8 o to b^8 o, must stay near its g-translate along a stretch of
-    diameter at least 8 tau / 2, with tau the translation length of b
-    (``axis_overlap_diameter``)."""
+    """Whether g lies in E(b), the stabilizer of the fixed-point pair of the
+    loxodromic b: whether g b g^-1 is b or b^-1."""
+    # One conjugate decides on every backend. The trees act with trivial
+    # edge stabilizers (free groups, C_p*C_q), so (g b g^-1)^n = b^(+-n)
+    # forces g b g^-1 = b^(+-1). In PSL(2, R), discrete or not, a g that
+    # fixes both fixed points of b shares b's axis and commutes with b, and
+    # a g that swaps them is a half-turn about a point of that axis and
+    # inverts b; any other g moves the pair, and so the axis of g b g^-1.
     backend = b.backend
-    if backend.exact_words:
-        # every exact backend acts on a tree with trivial edge stabilizers
-        # (free groups, C_p*C_q, PSL(2,Z) = C2*C3), so (g b g^-1)^n = b^(+-n)
-        # forces g b g^-1 = b^(+-1): one conjugate decides for all powers
-        bc, gc = b.canonical, g.canonical
-        conj = backend._compose(backend._compose(gc, bc), backend._invert(gc))
-        return conj == bc or conj == backend._invert(bc)
-    o = backend.origin()
-    tau = backend.translation_length(b)
-    try:
-        diam = axis_overlap_diameter(b, g, o, window=8)
-    except OverflowError:
-        # axis samples degenerated to the boundary; cannot rule membership out
-        return True
-    return diam >= 8 * max(tau, 1e-9) / 2.0
+    bc, gc = b.canonical, g.canonical
+    conj = backend._compose(backend._compose(gc, bc), backend._invert(gc))
+    return conj == bc or conj == backend._invert(bc)
 
 
 def find_independent(S, b) -> GroupElement:
     """First generator (canonical order) outside E(b); AllElementary if none."""
     for s in S:
         if not _elementary_member(b, s):
-            if not b.backend.exact_words:
-                warnings.warn(
-                    "independence decided by the axis-overlap heuristic",
-                    HeuristicOnly,
-                    stacklevel=2,
-                )
             return s
     raise AllElementary("every generator normalizes the axis of the pivot element")
 
@@ -323,15 +269,10 @@ def certify_free_exact(T, L, memory_cap=DEFAULT_MEMORY_CAP) -> bool:
     A True result bounds the length of a shortest relation from below; it
     certifies neither freeness nor any growth bound, and the pipeline does
     not call it. Tests use it as an exact reference for the geometric
-    check. Raises ExactWordProblemUnavailable on float backends and
-    BudgetExceeded when the word count sum_{l<=L} 2r (2r-1)^(l-1) passes
-    the cap.
+    check. Raises BudgetExceeded when the word count
+    sum_{l<=L} 2r (2r-1)^(l-1) passes the cap.
     """
     backend = T.backend
-    if not backend.exact_words:
-        raise ExactWordProblemUnavailable(
-            "exact freeness checks need exact canonical forms"
-        )
     if L < 1:
         raise ConfigError("relation length bound must be >= 1")
     r = len(T)
@@ -392,6 +333,7 @@ class FreeBasisCertificate:
     kappa_mode: str  # "exact" | "word-upper"
     omega_lower: float
     escalation_rounds: int
+    # a constant of the format: membership in E(b) is always decided exactly
     membership_heuristic: bool = False
 
 
@@ -456,10 +398,9 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
 
     Then b = find_short_loxodromic, f = find_independent, h = f b^n, S0
     the entries in distinct cosets of E(h) and T = {s h^k s^-1 : s in S0},
-    skipping an n whose h fails ``_is_loxodromic`` (16 powers on float
-    backends) or whose S0 has fewer than two entries, since a rank-1 T
-    bounds nothing. Membership in E(b) and E(h) tests one conjugate on
-    exact backends and the axis overlap (window 8) on float ones.
+    skipping an n whose h is not loxodromic or whose S0 has fewer than
+    two entries, since a rank-1 T bounds nothing. Membership in E(b) and
+    E(h) tests one conjugate (``_elementary_member``).
 
     Smallest n + k first, n ascending inside a diagonal; the first (n, k)
     whose T passes the ping-pong margin test at some basepoint candidate
@@ -491,7 +432,6 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     except AllElementary as exc:
         exc.escalation_rounds = rounds
         raise
-    pool = None if backend.exact_words else basepoint_candidates(S_eff)
 
     b_pows = [b]  # b^1, b^2, ...
     stages = {}  # n -> (S0, [h^1, h^2, ...]), or None if h is not loxodromic or #S0 < 2
@@ -500,7 +440,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
             while len(b_pows) < n:
                 b_pows.append(backend.compose(b_pows[-1], b))
             h = backend.compose(f, b_pows[n - 1])
-            S0 = _coset_separated(S_eff, h) if _is_loxodromic(h, pool) else []
+            S0 = _coset_separated(S_eff, h) if backend.classify(h).kind == "loxodromic" else []
             stages[n] = (S0, [h]) if len(S0) >= 2 else None
         if stages[n] is None:
             continue
@@ -521,7 +461,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
             mode="geometric", n=n, k=k, S=S, T=T, r=r, basepoint=x,
             m=check.m, p_max=check.p_max, margin=check.margin, epsilon_margin=eps,
             kappa=kappa, kappa_mode=kappa_mode, omega_lower=math.log(2 * r - 1) / kappa,
-            escalation_rounds=rounds, membership_heuristic=not backend.exact_words,
+            escalation_rounds=rounds,
         )
 
     raise SearchExhausted(
@@ -555,8 +495,9 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     of S: the table counts its first ``n_max`` spheres, and the kappa
     search reads them again and walks on from there only if it must, so
     the ball of S is walked once; the Ball is dropped when both are done.
-    On a one-letter tree set, or an exact half-plane set that passes
-    ``HalfPlane._free_walk``'s ping-pong test, the table is counted without
+    On a one-letter tree set, or a half-plane set of det-1 integer
+    matrices that passes ``HalfPlane._free_walk``'s ping-pong test (both
+    spellings of Sanov's pair do), the table is counted without
     a walk; when a tree's S is its standard set the normal form spells
     kappa's targets, so the Ball walks nothing.
     Elementary outcomes are reported, not raised; budget blowups
@@ -717,7 +658,7 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
 
 
 # what loading a field of the wrong shape or type raises; NotInGroup is a
-# stored matrix with det != 1 or entries of the wrong type
+# stored matrix of the wrong det (!= 1 exact, <= 0 float) or entry type
 _SHAPE_ERRORS = (TypeError, ValueError, KeyError, OverflowError, NotInGroup)
 
 
@@ -733,7 +674,7 @@ def _check_T_words(S, T):
 
     S must be identity-free and inverse-closed, with exactly one symbol
     (label, +-1) per entry and no symbol twice; sign -1 stands for the
-    inverse. Float backends compare up to sign with a relative 1e-9.
+    inverse.
     """
     backend = S.backend
     symbols = {}
@@ -756,13 +697,7 @@ def _check_T_words(S, T):
         value = backend._identity_canonical()
         for sym in t.word:
             value = backend._compose(value, letters[sym])
-        if backend.exact_words:
-            ok = value == t.canonical
-        else:
-            tol = 1e-9 * max(1.0, max(abs(x) for x in t.canonical))
-            ok = any(max(abs(v - sign * x) for v, x in zip(value, t.canonical)) <= tol
-                     for sign in (1, -1))
-        if not ok:
+        if value != t.canonical:
             raise InvalidCertificate(f"T entry {word_str(t.word)} does not evaluate to itself")
 
 
@@ -780,9 +715,8 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     unchecked notes, and no work depends on them. No search runs, so
     ``memory_cap`` is accepted and ignored.
 
-    Exact backends must reproduce each number bit-for-bit; the float
-    backend gets a 1e-9 tolerance. The only accepted mode is "geometric".
-    ``membership_heuristic`` must equal ``not backend.exact_words`` and
+    Each number must be reproduced bit for bit. The only accepted mode is
+    "geometric", ``membership_heuristic`` must be false, and
     ``epsilon_margin`` must cover ``backend.dist_roundoff``. Raises
     InvalidCertificate on the first mismatch.
     """
@@ -791,7 +725,6 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     else:
         cert = certificate_from_payload(source, backend)
     backend = cert.S.backend
-    tol = 0.0 if backend.exact_words else 1e-9
 
     def fail(msg):
         raise InvalidCertificate(msg)
@@ -801,9 +734,8 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     if cert.epsilon_margin < backend.dist_roundoff:
         fail(f"epsilon_margin {cert.epsilon_margin!r} is below the backend's "
              f"distance roundoff {backend.dist_roundoff!r}")
-    membership_heuristic = not backend.exact_words
-    if cert.membership_heuristic != membership_heuristic:
-        fail(f"membership_heuristic must be {membership_heuristic} on this backend")
+    if cert.membership_heuristic:
+        fail("membership_heuristic must be false: membership is decided exactly")
     if backend_hash(backend.config()) != cert.backend_hash:
         fail("backend hash mismatch")
     if cert.escalation_rounds < 0:
@@ -821,11 +753,11 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     except OverflowError:
         fail("geometric quantities overflow at the stored basepoint")
     # fail closed: NaN compares false
-    if not abs(chk.m - cert.m) <= tol:
+    if not chk.m == cert.m:
         fail(f"m mismatch: recomputed {chk.m!r}, stored {cert.m!r}")
-    if not abs(chk.p_max - cert.p_max) <= tol:
+    if not chk.p_max == cert.p_max:
         fail(f"p_max mismatch: recomputed {chk.p_max!r}, stored {cert.p_max!r}")
-    if not abs(chk.margin - cert.margin) <= tol:
+    if not chk.margin == cert.margin:
         fail(f"margin mismatch: recomputed {chk.margin!r}, stored {cert.margin!r}")
     if not chk.valid:
         fail("geometric margin does not clear the floor")
@@ -845,5 +777,5 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
         "kappa": cert.kappa,
         "omega_lower": float(cert.omega_lower),
         "margin": float(chk.margin),
-        "membership_heuristic": membership_heuristic,
+        "membership_heuristic": False,
     }

@@ -7,22 +7,21 @@ breadth-first search, ``words.spheres``, which skips the composes that
 step back into the ball it has walked. It walks a sphere one generator
 at a time and hands the backend's ``_compose_batch`` whole slices of the
 sphere below; a slice whose products are all new joins the next sphere
-after one probe and one insert per key, both in C, with no Python step
-per element. So the per-element cost is the compose, and the backend's
-walk key ``_walk_key(gens)`` where it is not None (only float
-half-plane sets with a non-integer entry have one). Each sphere comes
-with its keys and the slice each generator found; the counter reads only
-its length, so it counts any stream of these records. ``verify-bound``
-hands it a ``words.Ball``, whose records the kappa search then reads on:
-that command walks the ball once for both. ``growth`` and other callers
-that hand it nothing get a fresh walk whose spheres are dropped once
-counted.
+after one probe and one insert per canonical, both in C, with no Python
+step per element. So the per-element cost is the compose. Each sphere
+comes with its keys and the slice each generator found; the counter
+reads only its length, so it counts any stream of these records.
+``verify-bound`` hands it a ``words.Ball``, whose records the kappa
+search then reads on: that command walks the ball once for both.
+``growth`` and other callers that hand it nothing get a fresh walk whose
+spheres are dropped once counted.
 
 When the backend's ``_free_walk`` vouches for S (distinct one-letter or
-one-syllable tree entries, closed in each factor, or an exact half-plane
-set that a ping-pong test proves a free basis), nothing is walked: the
-normal forms over S are a language whose only state is the last letter,
-so each sphere's slice sizes follow from the sphere below.
+one-syllable tree entries, closed in each factor, or a half-plane set of
+det-1 integer matrices that a ping-pong test proves a free basis),
+nothing is walked: the normal forms over S are a language whose only
+state is the last letter, so each sphere's slice sizes follow from the
+sphere below.
 
 The trees' canonicals are bytes, and their composes first try the common
 case: when the letters at the junction cannot cancel (free words: w's
@@ -33,26 +32,22 @@ junction. Their batches run the same junction test once for a whole
 chunk: they gather every last byte into one bytes object, and when none
 of them can meet g's first byte, the chunk is concatenated with g by
 ``map``, with no Python step per element. Any other chunk is composed
-element by element. The half-plane composes integer or float 4-tuples
-in one loop per chunk for both arithmetics, with g unpacked once; its
-``_compose`` applies the same sign rule, ``_normalize``, to one product.
-
-On the float half-plane, whose tables ``ball_sizes`` marks heuristic,
-the walk key rounds only entries with more than 9 binary fractional
-digits, and an integer-valued set, whose products stay integer-valued
-(or +-inf and NaN), walks with no key, as the exact plane does.
+element by element. The half-plane's canonicals are integer matrices in
+lowest terms, whichever way the input was written; it composes a chunk
+with a det-1 g in one loop, with g unpacked once, where each product is
+already in lowest terms and only needs the sign rule, and a chunk with
+any other g one ``_compose`` at a time, which divides out the gcd.
 """
 
 from ..words import spheres
 
 
-def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=None,
+def generic_ball_counts(identity, gens, compose, n_max, cap, batch=None,
                         records=None, free=False):
     """Ball counts for radii 0..n_max from the identity, as (counts, truncated).
 
-    ``compose``, ``key`` and ``batch`` act on canonical forms, as
-    ``words.spheres`` takes them; ``key`` must be stable under the
-    backend's roundoff (None: canonicals are their own keys). ``records``
+    ``compose`` and ``batch`` act on canonical forms, one per element, as
+    ``words.spheres`` takes them. ``records``
     is the walk to count, the records of spheres 1, 2, ... from any
     ``spheres`` walk with these arguments, such as a ``words.Ball`` shared
     with other readers (default: a fresh walk, whose spheres are dropped
@@ -67,8 +62,8 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
     g_j exactly when ``compose(g_j, g_h)`` lies outside {1} u gens (a
     backend's ``_free_walk``; a free basis with its inverses qualifies).
     The counts then come from each sphere's slice sizes, one per last
-    letter, and neither ``records`` nor a walk is read; ``key`` and
-    ``batch`` go unused. An all-zero sphere (a finite group) repeats the
+    letter, and neither ``records`` nor a walk is read; ``batch`` goes
+    unused. An all-zero sphere (a finite group) repeats the
     last count.
     """
     counts = [1]
@@ -84,7 +79,7 @@ def generic_ball_counts(identity, gens, compose, n_max, cap, key=None, batch=Non
             sizes = [sum(sizes[j] for j in src) for src in sources]
         return counts, False
     if records is None:
-        records = spheres(identity, gens, compose, cap, key, batch=batch)
+        records = spheres(identity, gens, compose, cap, batch=batch)
     for _, (sphere, _, _) in zip(range(n_max), records):
         counts.append(counts[-1] + len(sphere))
         if counts[-1] > cap:

@@ -21,17 +21,14 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
 
     Stops at the last completed radius with ``truncated=True`` once the
     number of distinct elements passes ``memory_cap``. Elements are told
-    apart by the backend's walk key ``_walk_key`` of S's canonicals (None:
-    canonicals are their own keys). The table is ``heuristic`` when the
-    backend's canonicals are inexact (the float half-plane), whose key
-    merges matrices by rounding unless S is integer-valued. ``ball``, a
-    ``words.Ball`` of S with this cap,
-    is the walk to count, which keeps its records for the next reader
-    (``verify_theorem``'s kappa search); without one the counter walks
-    afresh and keeps no sphere. Where the backend's ``_free_walk`` holds
-    for S's canonicals (one-letter tree sets, exact half-plane sets that
-    pass its ping-pong test), the counter walks nothing, not even
-    ``ball``: it counts normal forms by their last letter.
+    apart by their canonicals, one per element on every backend. ``ball``,
+    a ``words.Ball`` of S with this cap, is the walk to count, which keeps
+    its records for the next reader (``verify_theorem``'s kappa search);
+    without one the counter walks afresh and keeps no sphere. Where the
+    backend's ``_free_walk`` holds for S's canonicals (one-letter tree
+    sets, half-plane sets of det-1 integer matrices that pass its
+    ping-pong test), the counter walks nothing, not even ``ball``: it
+    counts normal forms by their last letter.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -42,9 +39,7 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     gens = [g.canonical for g in S]
     counts, truncated = _engine_py.generic_ball_counts(
         backend._identity_canonical(), gens, backend._compose, n_max, cap,
-        key=backend._walk_key(gens),
         batch=backend._compose_batch, records=ball,
         free=backend._free_walk(gens),
     )
-    return GrowthTable(counts, truncated=truncated, engine="generic",
-                       heuristic=not backend.exact_words)
+    return GrowthTable(counts, truncated=truncated, engine="generic")

@@ -14,9 +14,6 @@ from .. import __version__
 from ..errors import ConfigError
 
 CSV_HEADER = "n,ball,sphere,upper_bound,ratio_estimate"
-# the comment line a heuristic table's CSV carries after the version line
-HEURISTIC_NOTE = ("# heuristic: float counts; matrices whose entries agree to 9 decimals "
-                  "count as one element")
 
 
 @dataclass
@@ -24,8 +21,6 @@ class GrowthTable:
     balls: List[int]
     truncated: bool = False
     engine: str = ""
-    # counted on inexact canonicals, which are merged by rounding
-    heuristic: bool = False
 
     def __post_init__(self):
         if not self.balls or self.balls[0] != 1:
@@ -59,10 +54,7 @@ class GrowthTable:
         def fmt(v):
             return "" if v is None else format(v, ".9g")
 
-        lines = [f"# loxgrow {__version__}"]
-        if self.heuristic:
-            lines.append(HEURISTIC_NOTE)
-        lines.append(CSV_HEADER)
+        lines = [f"# loxgrow {__version__}", CSV_HEADER]
         for n, ball, sphere, upper, ratio in self.rows():
             lines.append(f"{n},{ball},{sphere},{fmt(upper)},{fmt(ratio)}")
         return "\n".join(lines) + "\n"

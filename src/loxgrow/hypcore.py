@@ -1,9 +1,8 @@
-"""Coarse-geometry primitives: Gromov products, delta estimates, the
-loxodromic criterion, translation lengths, displacement and axis overlap.
+"""Coarse-geometry primitives: Gromov products, delta estimates,
+translation-length brackets and displacement.
 
 Everything here works through the backend protocol only, so the same
-inequalities run on exact tree metrics and on float plane distances;
-only axis sampling needs the half-plane, for its ``geodesic_point``.  The
+inequalities run on exact tree metrics and on float plane distances.  The
 Gromov product is <x, y>_o = (d(x,o) + d(y,o) - d(x,y)) / 2; a space is
 delta-hyperbolic when <x,y>_o >= min(<x,z>_o, <z,y>_o) - delta for all
 quadruples (the four-point inequality).
@@ -11,11 +10,8 @@ quadruples (the four-point inequality).
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .errors import NotLoxodromic
 from .spaces.base import Point, basepoint_candidates
 
 
@@ -44,26 +40,6 @@ def estimate_delta(backend, sample_size: int, seed: int) -> float:
         x, y, z, o = backend.sample_points(rng, 4)
         worst = max(worst, four_point_defect(x, y, z, o))
     return worst
-
-
-# -- loxodromicity criterion --------------------------------------------------
-
-
-def loxodromic_criterion(g, o: Point, delta=None) -> bool:
-    """Sufficient displacement test: d(o, go) >= 2 <o, g^2 o>_{go} + 6 delta.
-
-    True certifies that g is loxodromic; False says nothing.
-    """
-    backend = o.backend
-    if delta is None:
-        delta = backend.delta
-    go = backend.apply(g, o)
-    ggo = backend.apply(g, go)
-    lhs = backend.dist(o, go)
-    rhs = 2.0 * gromov_product(o, ggo, go) + 6.0 * delta
-    # at delta = 0 equality certifies nothing: the orbit lower bound
-    # degenerates to tau >= 0 and a fixed point passes 0 >= 0
-    return lhs >= rhs if delta > 0 else lhs > rhs
 
 
 # -- translation length -------------------------------------------------------
@@ -128,100 +104,3 @@ def min_displacement_search(S, budget: int = 64) -> DisplacementRecord:
         if best is None or rec.value < best.value:
             best = rec
     return best
-
-
-# -- axis overlap -------------------------------------------------------------
-
-
-def axis_overlap_diameter(b, f, o: Point, theta: float = 1.0, window: int = 8) -> float:
-    """Diameter of the part of the sampled axis of b that stays theta*d(o,bo)
-    close to its f-translate.
-
-    Proxy for |E(b)|-style tests on the half-plane, where axis sampling
-    runs: a conjugating f maps the axis near itself, so a large overlap
-    diameter flags a likely elementary pair, a bounded one certifies nothing
-    but suggests independence.
-
-    A sample p is near when ``dist(p, q) <= L`` for some translated sample
-    q, with L = R + 1e-12 and R = theta*d(o,bo). Each sample
-    p = x + iy calls ``dist`` only on the q = u + iv inside two windows, so
-    the near samples are exactly those of the all-pairs sweep. If
-    d(p, q) <= L then
-    * |ln(v/y)| <= L, since height is a 1-Lipschitz Busemann function;
-    * |u - x| <= y*(e^L - 1), since cosh d - 1 >= (u - x)^2/(2yv) and
-      v <= y*e^L.
-    With E = exp(L*(1 + 1e-9) + 1e-6) the windows are y/E <= v <= y*E and
-    |u - x| <= y*E*(1 + 1e-6). The margin in E is far above the float
-    error of ``dist``, a few 1e-8 at worst as d -> 0, and rounding is
-    monotone, so no q that the sweep finds near falls outside them.
-
-    A pair raises OverflowError when 2yv underflows or the distance leaves
-    float range, and the sweep raises at the first such pair that comes
-    before p's first near q. The windows therefore serve only a p none of
-    whose pairs can raise (such a p may scan its window in height order):
-    2*y*min(v) > 0 and (max|x - u|^2 + max(y, max v)^2) / (2*y*min(v))
-    < 1e300, with both maxima below 1e150 so that the bound itself cannot
-    overflow. Every other p scans all translated samples in order, as the
-    sweep does, so the same call raises the same error.
-    """
-    backend = o.backend
-    if backend.classify(b).kind != "loxodromic":
-        raise NotLoxodromic("axis sampling needs a loxodromic b")
-    R = theta * backend.dist(o, backend.apply(b, o))
-    orbit = [o]
-    cur_f, cur_b = o, o
-    binv = backend.invert(b)
-    for _ in range(window):
-        cur_f = backend.apply(b, cur_f)
-        orbit.append(cur_f)
-        cur_b = backend.apply(binv, cur_b)
-        orbit.insert(0, cur_b)
-    samples = []
-    for p, q in zip(orbit, orbit[1:]):
-        samples.append(p)
-        d = backend.dist(p, q)
-        if d > 0:
-            for j in range(1, 4):
-                samples.append(backend.geodesic_point(p, q, d * j / 4.0))
-    samples.append(orbit[-1])
-    translated = [backend.apply(f, p) for p in samples]
-    near = _near_samples(backend, samples, translated, R + 1e-12)
-    best = 0.0
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            best = max(best, backend.dist(near[i], near[j]))
-    return best
-
-
-def _near_samples(backend, samples, translated, L):
-    """The samples p with ``dist(p, q) <= L`` for some translated q, in
-    order; ``axis_overlap_diameter`` documents the windows and the guard."""
-    dist = backend.dist
-    try:
-        E = math.exp(L * (1.0 + 1e-9) + 1e-6)
-    except OverflowError:
-        E = math.inf
-    if not math.isfinite(E):
-        return [p for p in samples if any(dist(p, q) <= L for q in translated)]
-    by_height = sorted(((q.data.imag, q.data.real, q) for q in translated), key=itemgetter(0))
-    heights = [v for v, _, _ in by_height]
-    u_lo = min(u for _, u, _ in by_height)
-    u_hi = max(u for _, u, _ in by_height)
-    v_lo, v_hi = heights[0], heights[-1]
-    near = []
-    for p in samples:
-        x, y = p.data.real, p.data.imag
-        mx = max(abs(x - u_lo), abs(x - u_hi))
-        mh = max(y, v_hi)
-        den = 2.0 * y * v_lo
-        # written so that NaN fails every test
-        if mx < 1e150 and mh < 1e150 and den > 0.0 and (mx * mx + mh * mh) / den < 1e300:
-            # no pair of p can raise, so the scan order cannot change the answer
-            width = y * E * (1.0 + 1e-6)
-            window = by_height[bisect_left(heights, y / E):bisect_right(heights, y * E)]
-            hit = any(abs(u - x) <= width and dist(p, q) <= L for _, u, q in window)
-        else:
-            hit = any(dist(p, q) <= L for q in translated)
-        if hit:
-            near.append(p)
-    return near

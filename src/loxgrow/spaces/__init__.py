@@ -2,7 +2,8 @@
 
 Three backends share one protocol: the Cayley tree of a free group, the
 Bass-Serre tree of a free product of two finite cyclic groups, and the
-hyperbolic plane acted on by 2x2 matrices (exact integer or float).
+hyperbolic plane acted on by 2x2 matrices (entries written as integers or
+floats, both loaded exactly).
 """
 
 from ..errors import ConfigError

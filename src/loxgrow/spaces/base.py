@@ -1,9 +1,10 @@
 """Common element/point types and the backend protocol.
 
-A backend bundles a group with exact (or float) arithmetic and an action on a
-proper hyperbolic space.  Group elements carry two representations:
+A backend bundles a group with exact arithmetic and an action on a proper
+hyperbolic space.  Group elements carry two representations:
 
-* ``canonical`` -- the backend normal form, hashable, used for equality;
+* ``canonical`` -- the backend normal form, hashable, one per element, used
+  for equality;
 * ``word`` -- an optional expression over named generator symbols,
   ``((symbol, sign), ...)`` with sign +/-1.  Words survive composition with
   free cancellation at the symbol level, so any derived element remembers a
@@ -133,8 +134,6 @@ class Backend:
     kind = "abstract"
     delta = 0.0
     torsion_bound = 1
-    # canonical forms decide the word problem exactly (float backends lie)
-    exact_words = True
     # worst-case roundoff of dist(); margins must absorb it
     dist_roundoff = 0.0
 
@@ -220,22 +219,11 @@ class Backend:
     def sample_points(self, rng, count: int):
         raise NotImplementedError
 
-    # the key that matches elements to a walk's keys (targets, steps
-    # back): None where canonicals are exact and so their own keys, else a
-    # function that absorbs any roundoff the backend's canonical forms carry
-    _growth_key = None
-
-    # the dedup key of a ball walk over the canonicals ``gens``, as
-    # words.spheres takes it: _growth_key, or None where that returns every
-    # canonical the walk can reach unchanged
-    def _walk_key(self, gens):
-        return self._growth_key
-
     # whether the ball of the canonicals ``gens`` may be counted without a
     # walk (``generic_ball_counts``' ``free``): True only when the normal
     # forms over gens are the words in which g_h may follow g_j exactly
     # when g_j g_h lies outside {1} u gens; decided with no compose. The
-    # trees test one-letter sets (ByteWordTree), the exact half-plane a
+    # trees test one-letter sets (ByteWordTree), the half-plane a det-1
     # free basis by ping-pong (HalfPlane)
     def _free_walk(self, gens):
         return False

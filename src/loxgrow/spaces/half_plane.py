@@ -1,12 +1,19 @@
-"""Upper half-plane with the PSL(2) action by Moebius transformations.
+"""Upper half-plane with the PSL(2, R) action by Moebius transformations.
 
-Group elements are 2x2 matrices up to sign, normalized so the first nonzero
-entry of (a, b, c, d) is positive.  Two arithmetic modes:
+A 2x2 real matrix of positive determinant is one element of PSL(2, R) up
+to scale (Beardon, *The Geometry of Discrete Groups*, section 4.3), so a
+group element is stored as an integer matrix (a, b, c, d) of positive
+determinant whose entries have gcd 1 and whose first nonzero entry is
+positive: one canonical per element, and equality, the identity and the
+type are decided exactly. The ``arithmetic`` setting says how input is
+written:
 
-* ``exact_integer`` -- Python ints, det == 1 required; the word problem is
-  decided exactly (PSL(2, Z) and its subgroups such as the Sanov pair).
-* ``float`` -- det checked to 1e-12 relative to max(1, |ad|, |bc|),
-  identity/equality decided to eps_id.
+* ``exact_integer`` -- int entries of det 1 (PSL(2, Z) and its subgroups
+  such as the Sanov pair);
+* ``float`` -- int or float entries, finite, with det checked to 1e-12
+  relative to max(1, |ad|, |bc|). Every float is a binary rational, so the
+  matrix loads exactly: scaled to integers and divided by the gcd of its
+  four entries. Its det may then differ from 1, and the geometry reads it.
 
 Points are complex numbers with positive imaginary part.  The metric is
 d(z, w) = arccosh(1 + |z - w|^2 / (2 Im z Im w)); the constant delta of the
@@ -14,14 +21,15 @@ four-point inequality defaults to 1.0 (the plane's thin-triangle constants
 lie below that; estimate_delta probes it empirically).
 """
 
-import cmath
 import math
 from itertools import combinations
 
 from ..errors import ConfigError, NotInGroup
 from .base import Backend, Classification, GroupElement, Point, read_int, read_real
 
-EPS_ID = 1e-9
+# apply and axis_apex shift entries longer than this many bits right by a
+# common number of bits: squares of the shifted entries stay in float range
+_FLOAT_BITS = 500
 
 
 class HalfPlane(Backend):
@@ -32,11 +40,6 @@ class HalfPlane(Backend):
             raise ConfigError(f"unknown arithmetic {arithmetic!r}")
         self.arithmetic = arithmetic
         self.exact = arithmetic == "exact_integer"
-        self.exact_words = self.exact
-        # the sign rule's threshold: the first entry past +-eps carries the sign
-        self._eps = 0 if self.exact else EPS_ID
-        # the target key: exact canonicals are their own keys
-        self._growth_key = None if self.exact else self._rounded_key
         self.dist_roundoff = 1e-9
         self.delta = read_real(delta, "delta")
         self.torsion_bound = read_int(torsion_bound, "torsion_bound")
@@ -52,14 +55,13 @@ class HalfPlane(Backend):
     # -- group algebra ------------------------------------------------------
 
     def _normalize(self, a, b, c, d):
-        # _compose_batch's sign rule on one matrix; it keeps -0.0 entries,
-        # which a compose with the identity turns into 0.0
-        eps = self._eps
-        for v in (a, b, c, d):
-            if v > eps:
-                return (a, b, c, d)
-            if v < -eps:
-                return (-a, -b, -c, -d)
+        # divide out the gcd of the entries; then, as det != 0 leaves a or b
+        # nonzero, the first nonzero of those two carries the sign
+        g = math.gcd(a, b, c, d)
+        if g != 1:
+            a, b, c, d = a // g, b // g, c // g, d // g
+        if a < 0 or not a and b < 0:
+            return (-a, -b, -c, -d)
         return (a, b, c, d)
 
     def _compose(self, ca, cb):
@@ -68,19 +70,19 @@ class HalfPlane(Backend):
                                c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
     def _compose_batch(self, chunk, g):
-        # one loop for both arithmetics: the first entry past +-eps carries
-        # the sign; NaN and entries within eps are skipped
         a2, b2, c2, d2 = g
-        eps = self._eps
-        neg = -eps
+        if a2 * d2 - b2 * c2 != 1:
+            # a factor of det != 1 can leave the product a common factor
+            return [self._compose(w, g) for w in chunk]
+        # g lies in SL(2, Z), so each product keeps the gcd 1 of its w: only
+        # _normalize's sign rule is left, with g unpacked once
         out = []
         for a1, b1, c1, d1 in chunk:
             a = a1 * a2 + b1 * c2
             b = a1 * b2 + b1 * d2
             c = c1 * a2 + d1 * c2
             d = c1 * b2 + d1 * d2
-            if a < neg or not a > eps and (
-                    b < neg or not b > eps and (c < neg or not c > eps and d < neg)):
+            if a < 0 or not a and b < 0:
                 out.append((-a, -b, -c, -d))
             else:
                 out.append((a, b, c, d))
@@ -91,13 +93,7 @@ class HalfPlane(Backend):
         return self._normalize(d, -b, -c, a)
 
     def _identity_canonical(self):
-        return (1, 0, 0, 1) if self.exact else (1.0, 0.0, 0.0, 1.0)
-
-    def is_identity(self, a):
-        self._check(a)
-        if self.exact:
-            return a.canonical == (1, 0, 0, 1)
-        return max(abs(x - y) for x, y in zip(a.canonical, (1.0, 0.0, 0.0, 1.0))) <= EPS_ID
+        return (1, 0, 0, 1)
 
     def element(self, spec, word=None):
         if isinstance(spec, GroupElement):
@@ -117,25 +113,40 @@ class HalfPlane(Backend):
                 raise NotInGroup(f"determinant {a * d - b * c} != 1")
             return GroupElement(self, self._normalize(a, b, c, d), word)
         try:
-            a, b, c, d = float(a), float(b), float(c), float(d)
+            fa, fb, fc, fd = float(a), float(b), float(c), float(d)
         except OverflowError:
             raise NotInGroup(f"matrix entries exceed float range in {spec!r}") from None
-        ad, bc = a * d, b * c
+        ad, bc = fa * fd, fb * fc
         det = ad - bc
         # relative to the products: ad - bc cancels, so an honest det-1
         # matrix with entries near 1e8 computes det 0.0 or 2.0
         tol = 1e-12 * max(1.0, abs(ad), abs(bc))
         if not (math.isfinite(det) and abs(det - 1.0) <= tol):
             raise NotInGroup(f"determinant {det} not within {tol:.3g} of 1")
-        return GroupElement(self, self._normalize(a, b, c, d), word)
+        # the entries as written, each p / q with q a power of two, over
+        # the largest q: integers with the same ratios
+        ratios = [v.as_integer_ratio() for v in (a, b, c, d)]
+        scale = max(q for _, q in ratios)
+        return GroupElement(self, self._integer_canonical(*(p * (scale // q) for p, q in ratios)),
+                            word)
+
+    def _integer_canonical(self, a, b, c, d):
+        # large entries can pass the float check, whose tolerance grows
+        # with |ad| and |bc|, with an exact det of 0 or below
+        if a * d - b * c <= 0:
+            raise NotInGroup(f"determinant {a * d - b * c} of the exact matrix is not positive")
+        return self._normalize(a, b, c, d)
 
     def sort_key(self, a):
         return a.canonical
 
-    # a matrix is stored as [a, b, c, d], a point as [re, im]
+    # a matrix is stored as [a, b, c, d], a point as [re, im]; a stored
+    # canonical of the float spelling is an integer matrix of any det > 0
     def canonical_from_payload(self, data):
         a, b, c, d = data
-        return self.element([[a, b], [c, d]]).canonical
+        if self.exact:
+            return self.element([[a, b], [c, d]]).canonical
+        return self._integer_canonical(*(read_int(v, "matrix entry") for v in data))
 
     # -- geometry -----------------------------------------------------------
 
@@ -166,11 +177,10 @@ class HalfPlane(Backend):
 
     def apply(self, g, x):
         # Split into real/imaginary parts by hand: Im(g z) = det v / |cz + d|^2
-        # with det = 1. Exact canonicals are integer matrices of det 1, and
-        # float ones are products of matrices checked to det 1 on input.
-        # Computing det as fl(ad) - fl(bc) instead cancels to <= 0 once the
-        # entries pass about 1e8, as naive complex division does past 2**26.
-        a, b, c, d = g.canonical
+        # with the exact det. Computing det as fl(ad) - fl(bc) instead
+        # cancels to <= 0 once the entries pass about 1e8, as naive complex
+        # division does past 2**26.
+        a, b, c, d, det = _scaled(g.canonical)
         z = x.data
         u, v = z.real, z.imag
         p = c * u + d
@@ -179,63 +189,39 @@ class HalfPlane(Backend):
         if not 0.0 < den < math.inf:
             raise OverflowError("matrix entries exceed float range at this point")
         re = ((a * u + b) * p + (a * v) * q) / den
-        im = v / den
+        im = det * v / den
         if not (im > 0.0 and math.isfinite(re)):
             raise OverflowError("matrix entries exceed float range at this point")
         return Point(self, complex(re, im))
 
-    def geodesic_point(self, x, y, t):
-        z, w = x.data, y.data
-        d = self.dist(x, y)
-        if t < -1e-9 or t > d + 1e-9:
-            raise ValueError(f"t must lie in [0, {d}], got {t}")
-        if d < 1e-15:
-            return Point(self, z)
-        t = max(0.0, min(float(t), d))
-        if abs(z.real - w.real) <= 1e-12 * (1.0 + abs(z.real) + abs(w.real)):
-            s = 1.0 if w.imag > z.imag else -1.0
-            return Point(self, complex(z.real, z.imag * math.exp(s * t)))
-        cen = (abs(z) ** 2 - abs(w) ** 2) / (2.0 * (z.real - w.real))
-        r = abs(z - cen)
-        # arclength along the semicircle: u(theta) = log tan(theta/2)
-        uz = math.log(math.tan(math.atan2(z.imag, z.real - cen) / 2.0))
-        uw = math.log(math.tan(math.atan2(w.imag, w.real - cen) / 2.0))
-        up = uz + (1.0 if uw > uz else -1.0) * t
-        th = 2.0 * math.atan(math.exp(up))
-        return Point(self, cen + r * cmath.exp(1j * th))
-
-    def _trace(self, g):
-        a, _, _, d = g.canonical
-        return a + d
-
     def classify(self, g):
         if self.is_identity(g):
             return Classification("identity")
-        tr = abs(self._trace(g))
-        if self.exact:
-            if tr < 2:
-                return Classification("elliptic")
-            if tr == 2:
-                return Classification("parabolic")
-            return Classification("loxodromic")
-        if abs(tr - 2.0) <= EPS_ID:
-            return Classification("parabolic")
-        if tr < 2.0:
+        a, b, c, d = g.canonical
+        # tr^2 against 4 det, the scale-free form of |tr| against 2
+        tr2, det4 = (a + d) ** 2, 4 * (a * d - b * c)
+        if tr2 < det4:
             return Classification("elliptic")
+        if tr2 == det4:
+            return Classification("parabolic")
         return Classification("loxodromic")
 
     def translation_length(self, g):
-        tr = abs(self._trace(g))
         if self.classify(g).kind != "loxodromic":
             return 0.0
-        return 2.0 * math.acosh(tr / 2.0)
+        a, b, c, d = g.canonical
+        tr, det = abs(a + d), a * d - b * c
+        # tau = 2 arccosh(|tr| / (2 sqrt(det))), with the root taken of an
+        # int quotient, which stays in float range for entries past it; det
+        # 1 keeps |tr| / 2, which the root could round one ulp apart
+        return 2.0 * math.acosh(tr / 2.0 if det == 1 else math.sqrt(tr * tr / (4 * det)))
 
     def axis_apex(self, g):
         """One sample point on the axis of a loxodromic element."""
-        a, b, c, d = (float(v) for v in g.canonical)
-        if abs(c) > EPS_ID:
+        a, b, c, d, det = (float(v) for v in _scaled(g.canonical))
+        if c:
             cen = (a - d) / (2.0 * c)
-            r = math.sqrt((a + d) ** 2 - 4.0) / (2.0 * abs(c))
+            r = math.sqrt((a + d) ** 2 - 4.0 * det) / (2.0 * abs(c))
             return Point(self, complex(cen, r))
         # fixes infinity; the axis is the vertical line over the finite fixed point
         x0 = b / (d - a)
@@ -248,7 +234,9 @@ class HalfPlane(Backend):
                 continue
             try:
                 out.append(self.axis_apex(g))
-            except OverflowError:
+            except (ArithmeticError, ValueError):
+                # an apex past float range, or one that the shift of
+                # _scaled rounds onto a zero divisor or a negative root
                 continue
         return out
 
@@ -260,15 +248,7 @@ class HalfPlane(Backend):
             pts.append(Point(self, complex(x, y)))
         return pts
 
-    def _walk_key(self, gens):
-        # products of integer-valued floats stay so, or turn +-inf or NaN,
-        # and _rounded_key keys such canonicals by their own values (a NaN
-        # entry, a fresh object each time, matches nothing either way)
-        if not self.exact and all(v.is_integer() for g in gens for v in g):
-            return None
-        return self._growth_key
-
-    # Klein's ping-pong on integer matrices. Each letter s = (a, b, c, d)
+    # Klein's ping-pong on det-1 integer matrices. Each letter s = (a, b, c, d)
     # gets an open region O_s that s maps the complement of closure(O_s^-1)
     # onto: the disk |cz - a| < 1 when c != 0, as c s(z) - a = -1/(cz + d),
     # and for the one translation pair z -> z +- t allowed, the half-planes
@@ -282,30 +262,25 @@ class HalfPlane(Backend):
     # infinity. Regions ignore the sign: raw integer products, no compose.
     def _free_walk(self, gens):
         letters = set(gens)
-        if not self.exact or any(g == h or h not in letters
-                                 for g, h in zip(gens, map(self._invert, gens))):
+        if any(a * d - b * c != 1 for a, b, c, d in gens) or any(
+                g == h or h not in letters for g, h in zip(gens, map(self._invert, gens))):
             return False
         cusps = {(a - d, 2 * c) if c > 0 else (d - a, -2 * c)
                  for a, _, c, d in gens if c and (a + d) ** 2 == 4}
         return any(_ping_pong(_conjugated(gens, q)) for q in [None, *cusps])
 
-    def _rounded_key(self, canonical):
-        """Walk key of a float canonical: its entries rounded to 9 decimals.
 
-        Two float matrices are one element when their keys are equal. An
-        entry v with ``v * 512`` integral has at most 9 binary fractional
-        digits, so its decimal expansion has at most 9 digits and
-        ``round(v, 9) == v``: a canonical of such entries (integer-valued
-        ones included) is its own key, with no decimal conversion. Other
-        entries are rounded as before. Keys are only hashed and compared,
-        so the partition into elements is the same either way (-0.0 ==
-        0.0).
-        """
-        a, b, c, d = canonical
-        if ((a * 512.0).is_integer() and (b * 512.0).is_integer()
-                and (c * 512.0).is_integer() and (d * 512.0).is_integer()):
-            return canonical
-        return (round(a, 9), round(b, 9), round(c, 9), round(d, 9))
+def _scaled(canonical):
+    """The entries and det of ``canonical``, entries past _FLOAT_BITS bits
+    shifted right by one number of bits s and det divided by 4^s to match:
+    the same map, as a canonical is projective, with no entry past float
+    range."""
+    a, b, c, d = canonical
+    det = a * d - b * c
+    s = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()) - _FLOAT_BITS
+    if s > 0:
+        return a >> s, b >> s, c >> s, d >> s, det / (1 << 2 * s)
+    return a, b, c, d, det
 
 
 def _conjugated(mats, cusp):

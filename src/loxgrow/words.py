@@ -88,8 +88,8 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     ``compose(element, generator)``. That is reverse shortlex: an element
     sits where its least geodesic word over ``gens``, read right to left
     as generator indices, sorts. ``key`` maps an element to its dedup key
-    (default None: the element itself), as a backend's walk key
-    ``_walk_key(gens)`` does. Stops after an empty sphere (a finite
+    (default None: the element itself), as ``product_ball_set`` keys group
+    elements by their canonicals. Stops after an empty sphere (a finite
     group). Once the walked ball, identity included, passes ``cap`` it
     yields the partial sphere, ending with the element that passed the
     cap, and stops; callers spot this as 1 + (elements yielded) > cap.
@@ -118,11 +118,6 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     ``key`` respects compose: keys of (p g_j) h and p (g_j h) agree, and
     equal keys stay equal when composed on the left. Every sphere, its
     order and the cap are then as if every element met every generator.
-    Float canonicals meet this only up to roundoff: a skipped compose is,
-    in exact arithmetic, an element already seen, so with raw float
-    canonicals as keys the walk drops roundoff copies of walked elements
-    that a full walk would have counted as new (``_rounded_key`` rounds
-    them together either way; integer-valued float sets have no roundoff).
 
     A slice is stepped from in chunks of at most ``_CHUNK`` elements, each
     composed and keyed as one batch. When the visited set stays within
@@ -133,7 +128,7 @@ def spheres(identity, gens, compose, cap, key=None, batch=None, seen=None):
     whole. Otherwise some key repeats within the batch; since none was
     seen before the insert, removing the batch's keys restores the visited
     set exactly. A group never takes this rollback (p g = p' g forces
-    p = p'), but float keys and monoids can. A batch that was rolled back
+    p = p'), but a monoid can. A batch that was rolled back
     or failed the probe goes to a loop over the pairs already composed,
     which adds the new ones, records the skips while sphere 1 is expanded
     and stops at the element that passes the cap. A chunk that may pass
@@ -211,14 +206,12 @@ class Ball:
     """One breadth-first walk of the Cayley ball of S, walked only as far as
     its readers ask and read by each of them from radius 0.
 
-    The walk is ``spheres`` over S's canonicals with the backend's compose,
-    chunk batch and walk key ``_walk_key``, capped at ``memory_cap``.
-    ``key``, the backend's ``_growth_key``, matches targets and steps back
-    to the walk's keys: it is the walk key, or keeps the walk's canonicals
-    as they are where the walk key is None. ``records[n]`` is sphere n's
-    ``(sphere, keys, slices)``, ``records[0]`` the identity's, and
-    ``seen`` is the walk's visited set: the keys of every record so far,
-    which may run past the radius a reader has reached. Iterating
+    The walk is ``spheres`` over S's canonicals with the backend's compose
+    and chunk batch, capped at ``memory_cap``; canonicals are their own
+    keys. ``records[n]`` is sphere n's ``(sphere, keys, slices)``,
+    ``records[0]`` the identity's, and ``seen`` is the walk's visited set:
+    the canonicals of every record so far, which may run past the radius a
+    reader has reached. Iterating
     gives the records of spheres 1, 2, ..., those walked already first,
     then walking on; it stops where the walk stops (an empty sphere, or
     the partial sphere that passed the cap). ``growth.ball_sizes`` counts
@@ -231,18 +224,15 @@ class Ball:
     def __init__(self, S, memory_cap=DEFAULT_MEMORY_CAP):
         backend = S.backend
         self.cap = memory_cap
-        self.key = backend._growth_key
         gens = [s.canonical for s in S]
-        walk_key = backend._walk_key(gens)
         ident = backend._identity_canonical()
-        self.ident_key = ident if walk_key is None else walk_key(ident)
-        self.seen = {self.ident_key}
-        self.records = [([ident], [self.ident_key], [(0, 1)])]
-        self._walk = self._spheres(backend, ident, gens, walk_key)
+        self.seen = {ident}
+        self.records = [([ident], [ident], [(0, 1)])]
+        self._walk = self._spheres(backend, ident, gens)
 
-    def _spheres(self, backend, ident, gens, key):
+    def _spheres(self, backend, ident, gens):
         # a generator, so a Ball that no reader walks starts no walk
-        yield from spheres(ident, gens, backend._compose, self.cap, key,
+        yield from spheres(ident, gens, backend._compose, self.cap,
                            batch=backend._compose_batch, seen=self.seen)
 
     def __iter__(self):
@@ -305,30 +295,27 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP, ball=None):
     radius d is spelled backwards from its place in sphere d: the slice it
     lies in names the entry s that found it, and g s^-1 lies in sphere
     d - 1, down to the identity. Targets, the identity and the steps back
-    are matched by the backend's ``_growth_key`` (``ball.key``), which
-    gives the Ball's walk keys, so its spheres are the ones ``ball_sizes``
-    counts. On the float half-plane that key absorbs roundoff, and a float
-    target whose step back still misses gives None; exact canonicals are
-    their own keys (the key is None) and cost no key call. A sphere is
-    mapped from key to place only when a found target lies past it, so
-    the last sphere walked, often the largest, is never mapped.
+    are matched by canonical, as the Ball's spheres, the ones
+    ``ball_sizes`` counts, are keyed. A sphere is mapped from canonical to
+    place only when a found target lies past it, so the last sphere
+    walked, often the largest, is never mapped.
     """
     backend = S.backend
     if ball is None:
         ball = Ball(S, memory_cap)
-    key, seen = ball.key, ball.seen
+    seen = ball.seen
+    ident = backend._identity_canonical()
     out = [None] * len(targets)
-    pending = {}  # key -> [(index, cap)] still searched
+    pending = {}  # canonical -> [(index, cap)] still searched
     for i, (g, cap) in enumerate(targets):
-        k = g.canonical if key is None else key(g.canonical)
-        if k == ball.ident_key:
+        if g.canonical == ident:
             out[i] = ()
             continue
         exact = backend.subgroup_word_exact(S, g)
         if exact is not None:
             out[i] = exact if len(exact) <= cap else None
         elif cap >= 1:
-            pending.setdefault(k, []).append((i, cap))
+            pending.setdefault(g.canonical, []).append((i, cap))
     if not pending:
         return out
     horizon = max(cap for entries in pending.values() for _, cap in entries)
@@ -361,22 +348,19 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP, ball=None):
         deepest = max(d for d, _ in hits.values())
         places = [dict(zip(keys, range(len(keys)))) for _, keys, _ in walked[:deepest]]
         for i, (d, place) in hits.items():
-            out[i] = _spell_back(backend, key, S, walked[1:d + 1], places[:d], place)
+            out[i] = _spell_back(backend, S, walked[1:d + 1], places[:d], place)
     return out
 
 
-def _spell_back(backend, key, S, records, places, place):
+def _spell_back(backend, S, records, places, place):
     """A word over S for the element at ``place`` of the last of
     ``records``, the spheres 1..d of a walk over S: the slice it lies in
     names the entry s that found it, and one compose with s^-1 steps to
-    sphere d - 1, whose ``places`` map finds it by key, down to the
-    identity. None if roundoff hides a step back."""
+    sphere d - 1, whose ``places`` map finds it by canonical, down to the
+    identity."""
     steps = []
     for (sphere, _, slices), below in zip(reversed(records), reversed(places)):
         j = bisect_right([lo for lo, _ in slices], place) - 1
-        prev = backend._compose(sphere[place], backend._invert(S[j].canonical))
-        place = below.get(prev if key is None else key(prev))
-        if place is None:
-            return None
+        place = below[backend._compose(sphere[place], backend._invert(S[j].canonical))]
         steps.append(S[j].word)
     return tuple(sym for word in reversed(steps) for sym in word)

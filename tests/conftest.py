@@ -10,6 +10,14 @@ from loxgrow.words import make_generating_set
 SANOV = [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]
 # S = [[0,-1],[1,0]] (order 2), ST (order 3), (ST)^2: the elliptic PSL(2,Z) set
 PSL2Z_ELLIPTIC = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
+# float sets with no integer form: Lyndon-Ullman mu = 1/2, and Sanov
+# conjugated in floats by diag(1.1, 1/1.1), whose off-diagonal product is
+# not exactly 4
+NON_INTEGER_FLOAT_SETS = {
+    "lyndon-ullman": [[[1, 0.5], [0, 1]], [[1, 0], [0.5, 1]]],
+    "sanov diag(1.1)": [[[1.0, 2.4200000000000004], [0.0, 1.0]],
+                        [[1.0, 0.0], [1.652892561983471, 1.0]]],
+}
 
 
 def power(g, n):

@@ -3,7 +3,8 @@
 import hashlib
 import json
 import math
-import warnings
+import re
+import sys
 
 import pytest
 
@@ -11,11 +12,11 @@ from loxgrow import __version__
 from loxgrow.cli import main
 from loxgrow.errors import ConfigError
 from loxgrow.freebasis import backend_hash
-from loxgrow.growth.table import HEURISTIC_NOTE, GrowthTable
+from loxgrow.growth.table import CSV_HEADER, GrowthTable
 from loxgrow.spaces import make_backend
 from loxgrow.words import make_generating_set
 
-from conftest import PSL2Z_ELLIPTIC, SANOV, reference_spheres
+from conftest import NON_INTEGER_FLOAT_SETS, PSL2Z_ELLIPTIC, SANOV, reference_spheres
 
 F2_BACKEND = {"kind": "free_group_tree", "rank": 2, "letters": "xy"}
 
@@ -724,20 +725,20 @@ def _reprs(values):
     return [repr(v) for v in values]
 
 
-@pytest.mark.filterwarnings("ignore::loxgrow.errors.HeuristicOnly")
 def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, capsys):
-    # every float of the float path's certificate, by repr (so -0.0 and the
-    # last digit count): a rank-4 T at (n, k) = (1, 8), as on exact Sanov
+    # every number of the float spelling's certificate, by repr (so an int
+    # entry, -0.0 and the last digit count): a rank-4 T at (n, k) = (1, 8),
+    # as on exact Sanov, whose integer canonicals the float input loads as
     cfg = write_config("sanov-float.json", _SANOV_FLOAT)
     capsys.readouterr()
     assert main(["verify-bound", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     cert = out["certificate"]
     assert [_reprs(t["canonical"]) for t in cert["T"]] == [
-        ["83739041.0", "-37639840.0", "-18819920.0", "8459361.0"],
-        ["179739839.0", "112919520.0", "-432858160.0", "-271938241.0"],
-        ["271938241.0", "-112919520.0", "432858160.0", "-179739839.0"],
-        ["8459361.0", "-37639840.0", "-18819920.0", "83739041.0"]]
+        ["83739041", "-37639840", "-18819920", "8459361"],
+        ["179739839", "112919520", "-432858160", "-271938241"],
+        ["271938241", "-112919520", "432858160", "-179739839"],
+        ["8459361", "-37639840", "-18819920", "83739041"]]
     assert (cert["n"], cert["k"], cert["r"]) == (1, 8, 4)
     assert (cert["kappa"], cert["kappa_mode"]) == (26, "word-upper")
     assert _reprs(cert["basepoint"]) == ["0.0", "1.0"]
@@ -747,7 +748,7 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
                    out["theta_hat"]]) == [
         "0.07484269804058898", "1.0990697452177152", "1.1976006502018457",
         "0.7928112355083471"]
-    assert out["heuristic"] is True
+    assert out["heuristic"] is False
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert), encoding="utf-8")
     assert main(["check-cert", str(path)]) == 0
@@ -755,7 +756,7 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
     assert {k: repr(v) for k, v in summary.items()} == {
         "kappa": "26",
         "margin": "0.5443550872836642",
-        "membership_heuristic": "True",
+        "membership_heuristic": "False",
         "mode": "'geometric'",
         "omega_lower": "0.07484269804058898",
         "r": "4",
@@ -764,23 +765,11 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
     }
 
 
-def test_float_run_prints_the_heuristic_warning_on_one_line(write_config, capsys):
-    # no source path and no code line; library callers keep Python's format
-    cfg = write_config("sanov-float.json", _SANOV_FLOAT)
-    capsys.readouterr()
-    before = warnings.showwarning
-    assert main(["verify-bound", cfg]) == 0
-    assert capsys.readouterr().err == (
-        "warning: independence decided by the axis-overlap heuristic\n")
-    assert warnings.showwarning is before
-
-
-@pytest.mark.filterwarnings("ignore::loxgrow.errors.HeuristicOnly")
-@pytest.mark.parametrize("arithmetic, heuristic", [("float", True), ("exact_integer", False)])
+@pytest.mark.parametrize("arithmetic, heuristic", [("float", False), ("exact_integer", False)])
 def test_verify_bound_says_whether_its_counts_are_heuristic(write_config, capsys,
                                                             arithmetic, heuristic):
-    # the summary's flag is the growth table's: float counts merge matrices
-    # by rounding, as the float growth CSV's comment line says; the
+    # both spellings load exactly, so the summary's flag stays false and
+    # the growth CSV has no comment line past the version; the
     # certificate inside is what free-basis writes
     cfg = write_config("sanov.json", dict(_SANOV_FLOAT, backend={
         "kind": "half_plane", "arithmetic": arithmetic}))
@@ -789,9 +778,55 @@ def test_verify_bound_says_whether_its_counts_are_heuristic(write_config, capsys
     out = json.loads(capsys.readouterr().out)
     assert out["heuristic"] is heuristic
     assert main(["growth", cfg]) == 0
-    assert (HEURISTIC_NOTE in capsys.readouterr().out) is heuristic
+    assert capsys.readouterr().out.splitlines()[:2] == [f"# loxgrow {__version__}", CSV_HEADER]
     assert main(["free-basis", cfg]) == 0
     assert json.loads(capsys.readouterr().out) == out["certificate"]
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_FLOAT_SETS))
+def test_non_integer_float_sets_certify_or_exit_cleanly(write_config, tmp_path, capsys, name):
+    # float sets whose canonicals are integer matrices of det != 1, whose
+    # entries grow by up to 53 bits a letter: verify-bound ends in a
+    # documented exit code, and check-cert accepts what it certifies
+    cfg = write_config("cfg.json", {
+        "backend": {"kind": "half_plane", "arithmetic": "float"},
+        "generators": NON_INTEGER_FLOAT_SETS[name],
+        "budgets": {"n_max": 7, "memory_cap": 20000},
+    })
+    out = tmp_path / "report.json"
+    assert main(["verify-bound", cfg, "--out", str(out)]) in (0, 2, 3)
+    cert = json.loads(out.read_text(encoding="utf-8"))["certificate"]
+    if cert is not None:
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert), encoding="utf-8")
+        assert main(["check-cert", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_certificates_past_the_int_text_limit_round_trip(write_config, tmp_path, capsys):
+    # {T, U} conjugated in floats by diag(0.37, 1/0.37): T's entries pass the
+    # 4300 digits that Python converts between int and text by default,
+    # so the CLI lifts that limit while a command runs, and restores it
+    cfg = write_config("cfg.json", {
+        "backend": {"kind": "half_plane", "arithmetic": "float"},
+        "generators": [[[1, 0.1369], [0.0, 1]], [[1, 0.0], [7.304601899196494, 1]]],
+        "budgets": {"n_max": 2, "memory_cap": 1000},
+    })
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "report.json"
+    assert main(["verify-bound", cfg, "--out", str(out)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = out.read_text(encoding="utf-8")
+    assert max(map(len, re.findall(r"\d+", text))) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        cert = json.loads(text)["certificate"]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert), encoding="utf-8")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["check-cert", str(path)]) == 0
+    capsys.readouterr()
 
 
 # SHA-256 of the verify-bound JSON on the certify-kappa configs at their
@@ -804,7 +839,7 @@ def test_verify_bound_says_whether_its_counts_are_heuristic(write_config, capsys
      "e6c71043bbb7fb0d841fc971e76f4617e2d93785bf9401171fbd0073bcc76268"),
     ({"kind": "half_plane", "arithmetic": "float"},
      [[[float(v) for v in row] for row in g] for g in SANOV], {"n_max": 7, "memory_cap": 20000},
-     "5bb5f0e1255117e321ba5bddb5504512725bb3551cbe91398f4bf046ff34f7e4"),
+     "13ad95fbb197b3f0df5354ff7d63a160115f37416a397e7e85bcab7c652db4b2"),
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], {"n_max": 10},
      "ce94029a20715d77e4499f1836faf3cafb3c29dc310f6cf49aeed54e3c842baa"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], {"n_max": 12},

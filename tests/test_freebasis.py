@@ -16,8 +16,6 @@ from loxgrow.errors import (
     ConfigError,
     ElementaryDetected,
     EmptyAfterReduction,
-    ExactWordProblemUnavailable,
-    HeuristicOnly,
     InvalidCertificate,
     LikelyElementary,
     NoLoxodromicFound,
@@ -80,17 +78,6 @@ def test_no_loxodromic_in_elliptic_set(hp):
         find_short_loxodromic(S)
 
 
-@pytest.mark.parametrize("t, taken", [(6 / 15.5, True), (6 / 16.5, False)],
-                         ids=["first-at-16", "first-at-17"])
-def test_float_loxodromic_test_tries_sixteen_powers(t, taken):
-    # g = diag(e^(t/2), e^(-t/2)) translates i by t, so g^m passes the
-    # displacement criterion (m t >= 6 delta, delta = 1) first at m = 16
-    # for t = 6/15.5 and at m = 17 for t = 6/16.5
-    hpf = HalfPlane(arithmetic="float", delta=1.0)
-    g = hpf.element([[math.exp(t / 2), 0.0], [0.0, math.exp(-t / 2)]])
-    assert freebasis._is_loxodromic(g, [hpf.origin()]) is taken
-
-
 # -- elementary membership -------------------------------------------------------
 
 
@@ -106,15 +93,6 @@ def test_in_elementary_product_tree(pt23):
     ab = pt23.element("ab")
     assert not _elementary_member(ab, pt23.element("a"))
     assert _elementary_member(ab, pt23.element("abab"))
-
-
-def test_in_elementary_float_warns(hpf):
-    # float membership is the axis-overlap heuristic, and the independence
-    # test that decides it says so
-    b = hpf.element([[2.0, 0.0], [0.0, 0.5]])
-    S = GeneratingSet(hpf, [hpf.element([[2.0, 1.0], [1.0, 1.0]])])
-    with pytest.warns(HeuristicOnly):
-        assert find_independent(S, b) is S[0]
 
 
 def _six_power_member(b, g):
@@ -163,27 +141,6 @@ def test_one_conjugate_decides_exact_membership(case):
             assert member == _six_power_member(b, g), (b.canonical, g.canonical)
             answers.add(member)
     assert answers == {True, False}
-
-
-def test_float_membership_threshold_is_four_tau(hpf, monkeypatch):
-    # the float test calls g a member of E(b) once the axis of b and its
-    # g-translate stay close along a diameter of at least 8 tau / 2; an
-    # axis that degenerates to the boundary cannot rule membership out
-    b = hpf.element([[2.0, 0.0], [0.0, 0.5]])
-    g = hpf.element([[1.0, 2.0], [0.0, 1.0]])
-    tau = hpf.translation_length(b)
-    assert tau == pytest.approx(2 * math.log(2))
-    threshold = 8 * tau / 2
-    for diameter, member in [(math.nextafter(threshold, 0.0), False), (threshold, True)]:
-        monkeypatch.setattr(freebasis, "axis_overlap_diameter",
-                            lambda *args, d=diameter, **kwargs: d)
-        assert _elementary_member(b, g) is member
-
-    def degenerate(*args, **kwargs):
-        raise OverflowError("axis sample at the boundary")
-
-    monkeypatch.setattr(freebasis, "axis_overlap_diameter", degenerate)
-    assert _elementary_member(b, g) is True
 
 
 def test_find_independent(ft2, S_f2):
@@ -310,9 +267,7 @@ def test_geometric_check_matches_per_pair_reference(case, monkeypatch):
         backend = make_backend({"kind": "half_plane", "arithmetic": arith})
         gens = SANOV if backend.exact else [[[float(v) for v in row] for row in M] for M in SANOV]
     S = make_generating_set(backend, gens)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        sets = _searched_T_sets(S, monkeypatch, 50_000)
+    sets = _searched_T_sets(S, monkeypatch, 50_000)
     assert sets
 
     calls = [0]
@@ -368,9 +323,9 @@ def test_exact_check_guards(ft2, hpf):
         certify_free_exact(T, 0)
     with pytest.raises(BudgetExceeded):
         certify_free_exact(T, 8, memory_cap=10)
+    # the float spelling loads exactly, so its word problem is decided too
     Tf = GeneratingSet(hpf, [hpf.element([[2.0, 0.0], [0.0, 0.5]])])
-    with pytest.raises(ExactWordProblemUnavailable):
-        certify_free_exact(Tf, 3)
+    assert certify_free_exact(Tf, 3) is True
 
 
 # -- pipelines ----------------------------------------------------------------------
@@ -623,9 +578,7 @@ def test_kappa_walks_the_ball_once(case, monkeypatch):
     # are searched in one walk of the ball of S
     config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
     S = make_generating_set(make_backend(config), gens)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        cert = build_free_basis(S, memory_cap=cap)
+    cert = build_free_basis(S, memory_cap=cap)
     assert (cert.r, cert.kappa, cert.kappa_mode) == (r, kappa, kappa_mode)
     walks = count_walks(monkeypatch)
     T, got_kappa, got_mode = _compute_kappa(cert.S, cert.T, cap)
@@ -646,9 +599,7 @@ def test_verify_theorem_walks_the_ball_of_S_once(case, monkeypatch):
     config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
     S = make_generating_set(make_backend(config), gens)
     walked = count_walks(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        rep = verify_theorem(S, _KAPPA_N_MAX[case], memory_cap=cap)
+    rep = verify_theorem(S, _KAPPA_N_MAX[case], memory_cap=cap)
     assert (rep.cert.r, rep.cert.kappa, rep.cert.kappa_mode) == (r, kappa, kappa_mode)
     assert walked.count([s.canonical for s in S]) == 1
     assert len(walked) == 1 + rep.escalation_rounds
@@ -701,9 +652,7 @@ _CHECK_CASES = {
 def test_checker_walks_nothing(case, monkeypatch):
     config, gens, cap = _CHECK_CASES[case]
     S = make_generating_set(make_backend(config), gens)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        payload = certificate_payload(build_free_basis(S, memory_cap=cap))
+    payload = certificate_payload(build_free_basis(S, memory_cap=cap))
     walks = count_walks(monkeypatch)
 
     def no_search(*args, **kwargs):
@@ -714,30 +663,6 @@ def test_checker_walks_nothing(case, monkeypatch):
     # perfbench's call shape: the memory cap is accepted and ignored
     assert check_certificate(payload, memory_cap=1)["valid"]
     assert walks == []
-
-
-class _AxisSampled(Exception):
-    pass
-
-
-@pytest.mark.parametrize("case", sorted(_CHECK_CASES))
-def test_only_the_float_plane_samples_an_axis(case, monkeypatch):
-    # exact backends decide membership in E(b) by one conjugate, so the
-    # build never samples an axis; the float half-plane still does
-    config, gens, cap = _CHECK_CASES[case]
-    S = make_generating_set(make_backend(config), gens)
-
-    def sampled(*args, **kwargs):
-        raise _AxisSampled
-
-    monkeypatch.setattr(freebasis, "axis_overlap_diameter", sampled)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        if S.backend.exact_words:
-            build_free_basis(S, memory_cap=cap)
-        else:
-            with pytest.raises(_AxisSampled):
-                build_free_basis(S, memory_cap=cap)
 
 
 @pytest.mark.parametrize("case", ["f2", "c2c3", "c2c7", "sanov", "elliptic"])
@@ -835,17 +760,14 @@ def test_checker_fails_closed_on_nan(S_f2, field):
         check_certificate(cert)
 
 
-def test_float_certificate_tolerance(hpf):
+def test_float_certificate_is_bit_strict(hpf):
+    # the float spelling loads exactly, and its certificate is checked as
+    # the exact one is: no tolerance
     S = make_generating_set(hpf, [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]])
-    with pytest.warns(HeuristicOnly):
-        cert = build_free_basis(S, memory_cap=50_000)
-    assert cert.membership_heuristic is True
-    payload = certificate_payload(cert)
+    payload = certificate_payload(build_free_basis(S, memory_cap=50_000))
     assert check_certificate(payload)["valid"]
-    payload["m"] = payload["m"] + 1e-12  # under the float tolerance
-    assert check_certificate(payload)["valid"]
-    payload["m"] = payload["m"] + 1e-6
-    with pytest.raises(InvalidCertificate):
+    payload["m"] = payload["m"] + 1e-12
+    with pytest.raises(InvalidCertificate, match="m mismatch"):
         check_certificate(payload)
 
 
@@ -877,9 +799,7 @@ def honest():
     for case, (config, gens) in _SWEEP_CASES.items():
         backend = make_backend(config)
         S = make_generating_set(backend, gens)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", HeuristicOnly)
-            cert = build_free_basis(S, memory_cap=_SWEEP_CAP)
+        cert = build_free_basis(S, memory_cap=_SWEEP_CAP)
         out[case] = (backend, S, certificate_payload(cert))
     return out
 
@@ -947,13 +867,13 @@ def test_checker_rejects_negative_escalation_rounds(honest):
 
 
 def test_checker_derives_backend_fixed_fields(honest):
-    _, _, flt = honest["sanov-float"]
-    assert flt["membership_heuristic"] is True
-    with pytest.raises(InvalidCertificate, match="membership_heuristic"):
-        check_certificate(dict(flt, membership_heuristic=False))
-    _, _, f2 = honest["f2"]
-    with pytest.raises(InvalidCertificate, match="membership_heuristic"):
-        check_certificate(dict(f2, membership_heuristic=True))
+    # membership is decided exactly on every backend, both half-plane
+    # spellings included
+    for case in sorted(honest):
+        _, _, base = honest[case]
+        assert base["membership_heuristic"] is False
+        with pytest.raises(InvalidCertificate, match="membership_heuristic"):
+            check_certificate(dict(base, membership_heuristic=True))
     _, _, exact = honest["sanov"]
     assert exact["epsilon_margin"] == HalfPlane().dist_roundoff
     with pytest.raises(InvalidCertificate, match="epsilon_margin"):
@@ -1015,12 +935,10 @@ def _build_both_ways(S, monkeypatch, memory_cap, budgets=None):
         picked = _per_basepoint_pick(T, points, delta, eps)
         return None if picked is None else picked[0]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        monkeypatch.setattr(freebasis, "_scan_basepoints", checked_scan)
-        new = outcome()
-        monkeypatch.setattr(freebasis, "_scan_basepoints", loop)
-        old = outcome()
+    monkeypatch.setattr(freebasis, "_scan_basepoints", checked_scan)
+    new = outcome()
+    monkeypatch.setattr(freebasis, "_scan_basepoints", loop)
+    old = outcome()
     monkeypatch.setattr(freebasis, "_scan_basepoints", _scan)
     return new, old, scanned
 
@@ -1068,9 +986,7 @@ def test_scan_matches_the_loop_over_shuffled_and_sampled_points(case, monkeypatc
     config, gens, cap = _CHECK_CASES[case]
     backend = make_backend(config)
     S = make_generating_set(backend, gens)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        sets = _searched_T_sets(S, monkeypatch, cap)
+    sets = _searched_T_sets(S, monkeypatch, cap)
     rng = random.Random(f"points/{case}")
     passed = 0
     for T, eps in sets:
@@ -1244,23 +1160,13 @@ def test_build_free_basis_work_counts(case, monkeypatch):
 # -- the heuristic flag and the checker's work ------------------------------------
 
 
-@pytest.mark.parametrize("case", ["f2", "c2c3", "sanov", "elliptic"])
+@pytest.mark.parametrize("case", ["f2", "c2c3", "sanov", "elliptic", "sanov-float"])
 def test_exact_backends_build_without_a_heuristic_warning(case):
     config, gens, cap = _CHECK_CASES[case]
     S = make_generating_set(make_backend(config), gens)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", HeuristicOnly)
+        warnings.simplefilter("error")
         assert not build_free_basis(S, memory_cap=cap).membership_heuristic
-
-
-def test_float_build_warns_once_that_independence_is_heuristic():
-    config, gens, cap = _CHECK_CASES["sanov-float"]
-    S = make_generating_set(make_backend(config), gens)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert build_free_basis(S, memory_cap=cap).membership_heuristic
-    assert [str(w.message) for w in caught if issubclass(w.category, HeuristicOnly)] == [
-        "independence decided by the axis-overlap heuristic"]
 
 
 def _count_composes(monkeypatch):
@@ -1289,9 +1195,7 @@ def test_checker_work_ignores_the_stored_n_and_k(case, monkeypatch):
     # n = k = 10^9 checks as the honest certificate does, with the same work
     config, gens, cap = _CHECK_CASES[case]
     S = make_generating_set(make_backend(config), gens)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HeuristicOnly)
-        honest = certificate_payload(build_free_basis(S, memory_cap=cap))
+    honest = certificate_payload(build_free_basis(S, memory_cap=cap))
     inflated = dict(honest, n=10**9, k=10**9)
     calls = _count_composes(monkeypatch)
     summaries, counts = [], []

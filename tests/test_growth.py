@@ -1,9 +1,7 @@
 """Ball counting, growth brackets, theta ratios."""
 
 import math
-import os
 import random
-import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -18,15 +16,10 @@ from loxgrow.growth import (
     ball_sizes,
     growth_brackets,
 )
-from loxgrow.growth.table import HEURISTIC_NOTE
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane, half_plane
 from loxgrow.words import make_generating_set, product_ball_set
 
-from conftest import SANOV
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
-
-from gate import read_csv_balls  # noqa: E402
+from conftest import NON_INTEGER_FLOAT_SETS, SANOV
 
 PSL_TREE_BALLS = [1, 4, 8, 14, 22, 34, 50, 74, 106]
 
@@ -59,7 +52,6 @@ def test_each_encoding_calls_its_engine_counter_once(monkeypatch, S_f2, S_pt, S_
         calls.clear()
         table = ball_sizes(S, 4)
         assert table.engine == "generic"
-        assert table.heuristic == (S is S_float)
         # one call, with the backend's own compose
         assert calls == [S.backend._compose]
 
@@ -284,21 +276,6 @@ def test_csv_format(S_f2):
     assert len(lines) == 6
 
 
-def test_float_csv_carries_the_heuristic_note():
-    # the float half-plane merges matrices by rounding, so its table says so
-    # in one comment line after the version; the rows and every exact CSV
-    # stay as they were, and the benchmark gate's reader skips the note
-    exact = ball_sizes(make_generating_set(HalfPlane(), SANOV), 4)
-    floated = ball_sizes(make_generating_set(HalfPlane(arithmetic="float"), SANOV), 4)
-    assert not exact.heuristic and floated.heuristic
-    assert not ball_sizes(make_generating_set(FreeGroupTree(2), ["a", "b"]), 2).heuristic
-    lines = floated.to_csv().splitlines()
-    assert lines[:2] == [f"# loxgrow {__version__}", HEURISTIC_NOTE]
-    assert HEURISTIC_NOTE.startswith("# ") and "9 decimals" in HEURISTIC_NOTE
-    assert [lines[0]] + lines[2:] == exact.to_csv().splitlines()
-    assert read_csv_balls(floated.to_csv()) == floated.balls == exact.balls
-
-
 def test_growth_brackets_and_fit(S_f2):
     table = ball_sizes(S_f2, 10)
     br = growth_brackets(table)
@@ -367,15 +344,48 @@ def test_dyadic_float_balls_round_nothing(monkeypatch, hpf):
     assert calls == []
 
 
-def test_non_dyadic_float_balls_still_round(monkeypatch, hpf):
-    # Sanov conjugated by diag(1.1, 1/1.1): entries that are not dyadic go
-    # through round(), and the counts stay the free group's
-    t2 = 1.1 * 1.1
-    S = make_generating_set(hpf, [[[a, b * t2], [c / t2, d]] for (a, b), (c, d) in SANOV])
-    calls = _counting_round(monkeypatch)
-    table = ball_sizes(S, 6)
-    assert table.balls == [1, 5, 17, 53, 161, 485, 1457]
-    assert len(calls) > 0
+def test_float_generator_near_the_identity_is_kept():
+    # [[1, 1e-10], [0, 1]] lies within 1e-9 of the identity, but it loads
+    # exactly, as a parabolic of its own that generates Z
+    S = make_generating_set(HalfPlane(arithmetic="float"), [[[1.0, 1e-10], [0.0, 1.0]]])
+    assert len(S) == 2
+    assert ball_sizes(S, 4).balls == [1, 3, 5, 7, 9]
+
+
+def _fraction_balls(mats, n_max):
+    """Ball sizes 0..n_max of the group that the 2x2 matrices ``mats`` and
+    their inverses generate, walked breadth-first over Fraction matrices,
+    each scaled so that its first nonzero entry is 1."""
+    def scaled(m):
+        lead = next(v for v in m if v)
+        return tuple(v / lead for v in m)
+
+    gens = [scaled(tuple(Fraction(v) for row in m for v in row)) for m in mats]
+    gens += [scaled((d, -b, -c, a)) for a, b, c, d in gens]
+    one = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    seen, frontier, balls = {one}, [one], [1]
+    for _ in range(n_max):
+        sphere = []
+        for a1, b1, c1, d1 in frontier:
+            for a2, b2, c2, d2 in gens:
+                m = scaled((a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2))
+                if m not in seen:
+                    seen.add(m)
+                    sphere.append(m)
+        balls.append(balls[-1] + len(sphere))
+        frontier = sphere
+    return balls
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_FLOAT_SETS))
+def test_non_integer_float_balls_match_the_rational_walk(name):
+    # the float spelling loads each float as the binary rational it is, so
+    # its counts are those of the rational matrices; for Sanov's conjugate
+    # that is not 2 * 3^n - 1 by assumption: the rational walk decides
+    mats = NON_INTEGER_FLOAT_SETS[name]
+    S = make_generating_set(HalfPlane(arithmetic="float"), mats)
+    assert ball_sizes(S, 7).balls == _fraction_balls(mats, 7)
 
 
 def test_table_validation():

@@ -1,5 +1,4 @@
-"""Hyperbolicity estimates, the loxodromic criterion, translation lengths
-and displacement (axis overlap: test_axis_overlap.py)."""
+"""Hyperbolicity estimates, translation lengths and displacement."""
 
 import math
 import random
@@ -11,14 +10,11 @@ from loxgrow.hypcore import (
     estimate_delta,
     four_point_defect,
     gromov_product,
-    loxodromic_criterion,
     min_displacement_search,
     translation_length_bracket,
 )
 from loxgrow.spaces.base import Point
 from loxgrow.words import make_generating_set
-
-from conftest import power
 
 
 def random_tree_point(backend, rng, max_len=8):
@@ -81,40 +77,6 @@ def test_estimate_delta_half_plane(hp):
 def test_estimate_delta_sample_size_validation(ft2):
     with pytest.raises(ValueError):
         estimate_delta(ft2, 3, 0)
-
-
-def test_loxodromic_criterion_tree(ft2):
-    o = ft2.origin()
-    assert loxodromic_criterion(ft2.element("x"), o)
-    assert not loxodromic_criterion(ft2.element(""), o)
-
-
-def test_loxodromic_criterion_elliptic_offset(pt23):
-    # a moves the B-vertex by 2 but <o, a^2 o>_{ao} = 2 as well: 2 < 4
-    a = pt23.element("a")
-    bvert = pt23.vertex(pt23.element(""), 1)
-    assert pt23.dist(bvert, pt23.apply(a, bvert)) == 2.0
-    assert not loxodromic_criterion(a, bvert)
-    assert loxodromic_criterion(pt23.element("ab"), pt23.origin())
-
-
-def test_loxodromic_criterion_power_rescues(hpf):
-    g = hpf.element([[2.0, 0.0], [0.0, 0.5]])
-    i = hpf.origin()
-    assert not loxodromic_criterion(g, i, delta=1.0)
-    g8 = power(g, 8)
-    assert loxodromic_criterion(g8, i, delta=1.0)
-
-
-def test_criteria_sound_against_classification(ft2, pt23):
-    rng = random.Random(23)
-    for backend, letters in ((ft2, "xyXY"), (pt23, "abB")):
-        for _ in range(60):
-            w = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
-            g = backend.element(w)
-            o = backend.origin()
-            if loxodromic_criterion(g, o):
-                assert backend.classify(g).kind == "loxodromic"
 
 
 def test_translation_bracket_tree(ft2):

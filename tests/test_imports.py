@@ -10,6 +10,9 @@ aside): some module of the package must load it by name or import it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -81,3 +84,13 @@ def test_the_private_scan_sees_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_unreferenced_private_names(path):
     assert [n for n in _private_definitions(path) if n not in _referenced_names()] == []
+
+
+def test_the_cli_loads_no_fractions_or_decimal():
+    # importing fractions costs about 2 ms of every command's start; the
+    # half-plane loads float entries with as_integer_ratio and math.gcd
+    code = "import sys, loxgrow.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"

@@ -55,11 +55,11 @@ def _same_counts(identity, gens, compose, caps, n_max):
 
 
 def _encoded(S):
-    """(identity, gens, compose, key, batch) of S as ball_sizes walks it."""
+    """(identity, gens, compose, key, batch) of S as ball_sizes walks it;
+    the key is None, as canonicals are their own keys on every backend."""
     backend = S.backend
     gens = [g.canonical for g in S]
-    return (backend._identity_canonical(), gens, backend._compose, backend._walk_key(gens),
-            backend._compose_batch)
+    return backend._identity_canonical(), gens, backend._compose, None, backend._compose_batch
 
 
 def _conjugated(mats, t):
@@ -118,23 +118,6 @@ def test_spheres_match_the_reference_on_group_elements(name):
     S = make_generating_set(backend, inputs)
     _same_spheres(backend.identity(), list(S), backend.compose, attrgetter("canonical"),
                   caps=(3, 100, 2000), radii=5)
-
-
-@pytest.mark.parametrize("name", ["float sanov, non-integer", "float elliptic, non-integer"])
-def test_raw_float_keys_skip_roundoff_copies(name):
-    # raw float canonicals do not respect compose: (p g) h and p (g h) can
-    # differ in the last bits. The full loop kept such copies of walked
-    # elements as new ones; the skipping walk drops those it skips, which on
-    # these sets are all of them, so its spheres are the rounded-key spheres
-    backend, inputs = SETS[name]
-    S = make_generating_set(backend, inputs)
-    ident, gens, compose, key, _ = _encoded(S)
-    rounded = list(islice(spheres(ident, gens, compose, 10**6, key), 7))
-    raw = list(islice(spheres(ident, gens, compose, 10**6), 7))
-    assert [[key(c) for c in sphere] for sphere, _, _ in raw] == \
-        [keys for _, keys, _ in rounded]
-    full = list(islice(reference_spheres(ident, gens, compose, 10**6), 7))
-    assert sum(_sizes(full)) > sum(_sizes(raw))
 
 
 def test_spheres_with_odd_generator_lists():
@@ -406,9 +389,8 @@ def test_product_ball_set_composes_no_more_than_before(name, monkeypatch):
 @pytest.mark.parametrize("name", ["float {T,U}, non-integer", "float sanov, non-integer",
                                   "float elliptic, non-integer", "float sanov"])
 def test_kappa_walks_the_spheres_ball_sizes_counts(name, monkeypatch):
-    # the word-length walk dedups float canonicals by _growth_key, as
-    # ball_sizes does; with raw keys its {T,U} spheres 4..6 held 60, 166
-    # and 448 roundoff copies against 48, 96 and 192 elements
+    # the word-length walk dedups the float spelling's canonicals, which
+    # are exact, as ball_sizes does
     backend, inputs = SETS[name]
     S = make_generating_set(backend, inputs)
     radii = 6
@@ -433,50 +415,14 @@ def test_kappa_walks_the_spheres_ball_sizes_counts(name, monkeypatch):
     spelled = backend.identity()
     for sym in near_word:
         spelled = backend.compose(spelled, by_symbol[sym])
-    key = backend._growth_key
-    assert key(spelled.canonical) == key(near.canonical) and len(near_word) <= 3
-
-
-def test_kappa_walk_keys_each_float_element_once(monkeypatch):
-    # one _growth_key call per composed element, walked or spelled, one for
-    # the walk's identity, and one for each target and the identity they
-    # are matched against: the walk matches and spells by the keys its
-    # dedup computed. The set is non-dyadic, so the walk has a key; a
-    # compose is a _compose call or an element of a _compose_batch call
-    backend, inputs = SETS["float sanov, non-integer"]
-    S = make_generating_set(backend, inputs)
-    e = math.e
-    targets = [(backend.element([[e, 0.0], [0.0, 1 / e]]), 6),
-               (backend.compose(backend.compose(S[0], S[1]), S[0]), 6)]
-    calls = {"key": 0, "compose": 0}
-    key, compose, batch = backend._growth_key, backend._compose, backend._compose_batch
-
-    def counted_key(canonical):
-        calls["key"] += 1
-        return key(canonical)
-
-    def counted_compose(ca, cb):
-        calls["compose"] += 1
-        return compose(ca, cb)
-
-    def counted_batch(chunk, g):
-        calls["compose"] += len(chunk)
-        return batch(chunk, g)
-
-    monkeypatch.setattr(backend, "_growth_key", counted_key)
-    monkeypatch.setattr(backend, "_compose", counted_compose)
-    monkeypatch.setattr(backend, "_compose_batch", counted_batch)
-    far_word, near_word = word_length_in_S(S, targets)
-    assert far_word is None and len(near_word) == 3
-    assert calls["compose"] > 100
-    assert calls["key"] <= calls["compose"] + 1 + len(targets) + 1, calls
+    assert spelled.canonical == near.canonical and len(near_word) <= 3
 
 
 INTEGER_FLOAT_SETS = {
     "float sanov": SANOV,
     "float {T,U}": TU,
     "-0.0 entries": [[[1, 2], [-0.0, 1]], [[1, -0.0], [2, 1]]],
-    # past 2**53 at radius 2, and past float range (+-inf, then NaN) at 3
+    # past 2**53 at radius 2, and past float range at 3
     "past 2**53": [[[1, 2**30], [0, 1]], [[1, 0], [2**30, 1]]],
     "past float range": [[[1, 2**500], [0, 1]], [[1, 0], [2**500, 1]]],
 }
@@ -484,55 +430,29 @@ INTEGER_FLOAT_SETS = {
 
 @pytest.mark.parametrize("name", INTEGER_FLOAT_SETS)
 def test_integer_valued_float_sets_walk_with_no_key(name):
-    # products of integer-valued floats stay integer-valued (or +-inf and
-    # NaN), which _rounded_key keys by their own values: with no key the
-    # walk yields the same records and counts, at every cap
-    S = make_generating_set(HPF, INTEGER_FLOAT_SETS[name])
+    # an integer-valued float set loads as the integer matrices it spells,
+    # so it walks with no key, as the exact plane does: the same
+    # canonicals, records and counts at every cap, with integer entries
+    # past 2**53 and past float range
+    inputs = [[[float(v) for v in row] for row in m] for m in INTEGER_FLOAT_SETS[name]]
+    S = make_generating_set(HPF, inputs)
+    S_exact = make_generating_set(HP, [[[int(v) for v in row] for row in m] for m in inputs])
+    assert [s.canonical for s in S] == [s.canonical for s in S_exact]
     ident, gens, compose, key, batch = _encoded(S)
-    assert key is None and HPF._growth_key == HPF._rounded_key
-    rounded = HPF._rounded_key
     full = list(islice(spheres(ident, gens, compose, 10**5, batch=batch), 7))
     entries = [v for sphere, _, _ in full for c in sphere for v in c]
-    if name == "-0.0 entries":
-        assert "-0.0" in repr(gens)
+    assert all(type(v) is int for v in entries)
     if name.startswith("past"):
-        assert max(abs(v) for v in entries if v == v) > 2**53
+        assert max(map(abs, entries)) > 2**53
     if name == "past float range":
-        assert any(math.isinf(v) for v in entries) and any(math.isnan(v) for v in entries)
+        assert max(map(abs, entries)) > 2**1024
+    exact = _encoded(S_exact)
     for cap in (1, 2, 5, 100, *(1 + sum(_sizes(full[:n])) + d for n in (3, 6) for d in (-1, 0))):
         got = list(islice(spheres(ident, gens, compose, cap, batch=batch), 7))
-        want = list(islice(spheres(ident, gens, compose, cap, rounded, batch=batch), 7))
-        assert repr(got) == repr(want), cap
+        assert got == list(islice(spheres(*exact[:3], cap, batch=exact[4]), 7)), cap
         for n in (0, 1, 5, 9):
-            table = ball_sizes(S, n, cap)
-            assert (table.balls, table.truncated) == generic_ball_counts(
-                ident, gens, compose, n, cap, rounded, batch), (cap, n)
-
-
-@pytest.mark.parametrize("inputs", [_conjugated(SANOV, 1.1), _conjugated(PSL2Z_ELLIPTIC, 2 ** 0.5),
-                                    _conjugated(TU, 0.37), LYNDON_ULLMAN],
-                         ids=["sanov diag(1.1)", "elliptic diag(2**0.5)", "{T,U} diag(0.37)",
-                              "lyndon-ullman"])
-def test_non_integer_float_sets_walk_with_the_rounded_key(inputs):
-    gens = [s.canonical for s in make_generating_set(HPF, inputs)]
-    assert HPF._walk_key(gens) == HPF._rounded_key
-
-
-def test_integer_valued_float_sets_still_match_nearby_targets():
-    # the walk keys canonicals by themselves, but targets keep the rounded
-    # key: a target within 5e-10 of a walked matrix is found and spelled
-    S = make_generating_set(HPF, SANOV)
-    near = HPF.compose(HPF.compose(S[0], S[1]), S[0])
-    shift = HPF.element([[1 + 3e-11, 0.0], [0.0, 1 / (1 + 3e-11)]])
-    target = HPF.compose(near, shift)
-    gap = max(abs(x - y) for x, y in zip(target.canonical, near.canonical))
-    assert 0 < gap < 5e-10
-    word, = word_length_in_S(S, [(target, 6)])
-    by_symbol = {s.word[0]: s for s in S}
-    spelled = HPF.identity()
-    for sym in word:
-        spelled = HPF.compose(spelled, by_symbol[sym])
-    assert spelled.canonical == near.canonical and len(word) == 3
+            table, want = ball_sizes(S, n, cap), ball_sizes(S_exact, n, cap)
+            assert (table.balls, table.truncated) == (want.balls, want.truncated), (cap, n)
 
 
 def _add(w, g):
@@ -649,20 +569,6 @@ def test_batches_with_repeated_products_match_the_reference(chunk, monkeypatch):
         _same_spheres(0, gens, lambda w, g: min(w + g, bound), radii=12)
 
 
-def test_keyed_float_batches_match_the_reference():
-    # a non-integer float set rounds every key; each record's keys are its
-    # sphere's keys, in the reference's order, at every cap
-    ident, gens, compose, key, batch = _walked("float sanov, non-integer")
-    radius = 7
-    full = list(islice(reference_spheres(ident, gens, compose, 10**7, key), radius))
-    for cap in (10**7, *_cap_edges(_sizes(full), words._CHUNK)):
-        want = list(islice(reference_spheres(ident, gens, compose, cap, key), radius))
-        got = list(islice(spheres(ident, gens, compose, cap, key), radius))
-        assert got == want, cap
-        assert list(islice(spheres(ident, gens, compose, cap, key, batch=batch), radius)) == want
-        assert all(keys == list(map(key, sphere)) for sphere, keys, _ in got)
-
-
 FREE_SETS = {
     "f2 {x,y}": (F2, ["x", "y"]),
     "f3 {a,b}": (FreeGroupTree(3), ["a", "b"]),
@@ -722,13 +628,15 @@ def test_free_walk_predicate(monkeypatch):
     for backend in (HP, HPF):
         monkeypatch.setattr(backend, "_compose", _never)
         monkeypatch.setattr(backend, "_compose_batch", _never)
-    # exact Sanov passes the ping-pong test in its own frame, but not
-    # without its inverses
+    # Sanov, in either spelling, passes the ping-pong test in its own
+    # frame, but not without its inverses
     assert HP._free_walk([s.canonical for s in make_generating_set(HP, SANOV)])
+    assert HPF._free_walk([s.canonical for s in make_generating_set(*SETS["float sanov"])])
     assert not HP._free_walk([(1, 2, 0, 1), (1, 0, 2, 1)])
     not_free = {name: SETS[name] for name in [
-        "f2 {x,y,xy}", "c2c3 {a,b,ab}", "c2c4 {a,b}", "c2c7 {a,b}", "float sanov", "elliptic",
-        "{T,U}"]}
+        "f2 {x,y,xy}", "c2c3 {a,b,ab}", "c2c4 {a,b}", "c2c7 {a,b}", "elliptic", "{T,U}"]}
+    # a letter of det != 1 is outside the test's integer regions
+    not_free["float sanov, non-integer"] = SETS["float sanov, non-integer"]
     not_free["sanov k=1"] = (HP, _sanov(1))
     # an order-2 element is its own inverse: not a free basis, though the
     # regions of {S, T^3} are disjoint

@@ -296,31 +296,32 @@ def test_tree_shortcuts_need_exactly_the_standard_set(ft2, pt23):
 
 def test_float_words_step_back_through_the_spheres(hp, hpf):
     # Sanov conjugated by diag(1.1, 1/1.1): the entries are not integers,
-    # so a step back g s^-1 lands on its sphere element only up to roundoff
+    # so the float spelling loads them as integer matrices of det != 1, and
+    # each step back g s^-1 lands exactly on its sphere element
     c = 1.1
     gens = [[[1.0, 2.0 * c * c], [0.0, 1.0]], [[1.0, 0.0], [2.0 / (c * c), 1.0]]]
     S = make_generating_set(hpf, gens)
     S_exact = make_generating_set(hp, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
-    # both sets sort as a^-1, b^-1, b, a: S[3 - i] inverts S[i]
-    assert [s.word for s in S] == [s.word for s in S_exact]
+    # the two sets sort differently; pair the entries by their one symbol
+    twin = {s.word: s for s in S_exact}
+    assert set(twin) == {s.word for s in S}
+    inverse = [[t.word for t in S].index(((sym, -sign),)) for ((sym, sign),) in (s.word for s in S)]
     rng = random.Random(5)
     targets, exact_targets = [], []
     for _ in range(40):
         # reduced words: the walk composes the same letters in the same order
         length, picks = rng.randint(1, 7), [rng.randrange(4)]
         while len(picks) < length:
-            picks.append(rng.choice([i for i in range(4) if i != 3 - picks[-1]]))
+            picks.append(rng.choice([i for i in range(4) if i != inverse[picks[-1]]]))
         g, g_exact = hpf.identity(), hp.identity()
         for i in picks:
-            g, g_exact = hpf.compose(g, S[i]), hp.compose(g_exact, S_exact[i])
+            g, g_exact = hpf.compose(g, S[i]), hp.compose(g_exact, twin[S[i].word])
         targets.append((g, 8))
         exact_targets.append((g_exact, 8))
     got = word_length_in_S(S, targets, 100_000)
     assert [len(w) for w in got] == _search(S_exact, exact_targets, 100_000)
     for (g, _), w in zip(targets, got):
-        value = _evaluate(S, w)
-        tol = 1e-9 * max(1.0, max(abs(x) for x in g.canonical))
-        assert max(abs(v - x) for v, x in zip(value, g.canonical)) <= tol
+        assert _evaluate(S, w) == g.canonical
 
 
 def test_spheres_order_and_cap():
@@ -402,7 +403,7 @@ def test_empty_inputs_rejected(ft2):
 
 
 _PREWALK_SETS = {
-    # exact integer keys, rounded float keys and byte keys
+    # integer canonicals in both half-plane spellings, and byte canonicals
     "sanov": ({"kind": "half_plane"}, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]),
     "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
                     [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]]),
