@@ -348,12 +348,14 @@ def _diagonal(max_n, max_k):
 def _compute_kappa(S, T, memory_cap, ball=None) -> Tuple[GeneratingSet, int, str]:
     """T respelled over S, kappa and kappa_mode.
 
-    One breadth-first walk searches for every entry up to its carried
+    An entry that the backend's ``subgroup_word_exact`` spells in closed
+    form (every entry of a one-syllable tree set, or of a half-plane free
+    basis such as Sanov's pair) takes that shortest word with no walk. One
+    breadth-first walk searches for every other entry up to its carried
     word's length: ``ball``, a ``Ball`` of S that may be walked in part
-    already, or a fresh one. An entry found there, or spelled by the
-    backend's shortcut, takes a shortest word; any other keeps its carried
-    spelling, or the backend's normal-form word over S where that is no
-    longer.
+    already, or a fresh one. An entry found there takes a shortest word;
+    any other keeps its carried spelling, or the backend's normal-form
+    word over S where that is no longer.
     kappa is the longest word, and the mode is "exact" when every entry got
     a shortest word, else "word-upper"."""
     outcomes = word_length_in_S(S, [(t, len(t.word)) for t in T], memory_cap, ball=ball)
@@ -498,8 +500,10 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     On a one-letter tree set, or a half-plane set of det-1 integer
     matrices that passes ``HalfPlane._free_walk``'s ping-pong test (both
     spellings of Sanov's pair do), the table is counted without
-    a walk; when a tree's S is its standard set the normal form spells
-    kappa's targets, so the Ball walks nothing.
+    a walk. Kappa's targets are spelled in closed form, with no walk, on
+    a tree set of one-byte entries and on such a half-plane set: Sanov's
+    pair and the trees' standard sets walk nothing at all, and C2*C7
+    {a, b} walks only the table's ``n_max`` spheres.
     Elementary outcomes are reported, not raised; budget blowups
     propagate. A growth table truncated below radius 2 raises
     BudgetExceeded; one truncated later stays in the report

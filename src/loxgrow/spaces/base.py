@@ -12,7 +12,8 @@ hyperbolic space.  Group elements carry two representations:
 
 ``ByteWordTree`` holds what the two trees' byte-word canonicals share: the
 identity, shortlex order, inversion, the chunk batch, the one-byte half of
-the free-walk test, ``classify`` and the spelling over the standard set.
+the free-walk test, ``classify``, the spelling over the standard set and
+the closed-form word over a set of one-byte entries.
 """
 
 import sys
@@ -228,8 +229,11 @@ class Backend:
     def _free_walk(self, gens):
         return False
 
-    # a geodesic word over S for g when S is exactly the backend's standard
-    # generating set, else None (the caller searches)
+    # a geodesic word over S for g where a normal-form theorem gives one in
+    # closed form, else None (the caller searches): the trees answer when
+    # every entry of S is one byte (ByteWordTree), the half-plane when S
+    # passes _free_walk and g's carried word reduces to g (HalfPlane). The
+    # word is the one word_length_in_S's walk would spell back
     def subgroup_word_exact(self, S, g):
         return None
 
@@ -319,8 +323,24 @@ class ByteWordTree(Backend):
             return tuple(sym for c in g.canonical for sym in words[bytes((c,))])
         return None
 
+    # one byte per entry of S, so each entry is one letter or one syllable:
+    # by the normal form theorem of free groups and free products, |g|_S is
+    # the sum over g's syllables of their lengths over S's entries in their
+    # factor, and ``_syllable_words`` spells each syllable; None when one
+    # lies outside <S>
     def subgroup_word_exact(self, S, g):
-        return self.normal_form_word(S, g) if len(S) == len(self._standard) else None
+        if any(len(s.canonical) != 1 for s in S):
+            return None
+        table = self._syllable_words(S)
+        try:
+            return tuple(sym for c in g.canonical for sym in table[c])
+        except KeyError:
+            return None
+
+    # each entry spells its own byte: on the free group, where every letter
+    # is a syllable, that is the whole table (FreeProductTree overrides it)
+    def _syllable_words(self, S):
+        return {s.canonical[0]: s.word for s in S}
 
 
 def basepoint_candidates(S, budget: int = 64):

@@ -12,7 +12,8 @@ cyclically reduced length.
 
 The byte-word algebra shared with the free-product tree (identity, order,
 inversion, batch, free-walk test, ``classify``, spelling over the standard
-basis) comes from ``base.ByteWordTree``.
+basis, the closed-form word over a set of letters, each spelled by its own
+entry) comes from ``base.ByteWordTree``.
 """
 
 import string

@@ -22,6 +22,7 @@ lie below that; estimate_delta probes it empirically).
 """
 
 import math
+from functools import reduce
 from itertools import combinations
 
 from ..errors import ConfigError, NotInGroup
@@ -214,7 +215,13 @@ class HalfPlane(Backend):
         # tau = 2 arccosh(|tr| / (2 sqrt(det))), with the root taken of an
         # int quotient, which stays in float range for entries past it; det
         # 1 keeps |tr| / 2, which the root could round one ulp apart
-        return 2.0 * math.acosh(tr / 2.0 if det == 1 else math.sqrt(tr * tr / (4 * det)))
+        try:
+            x = tr / 2.0 if det == 1 else math.sqrt(tr * tr / (4 * det))
+        except OverflowError:
+            # past float range, acosh(x) = log(2x) to far below one ulp, and
+            # 2 log(2x) = 2 log |tr| - log det, from the logs of the ints
+            return 2.0 * math.log(tr) - math.log(det)
+        return 2.0 * math.acosh(x)
 
     def axis_apex(self, g):
         """One sample point on the axis of a loxodromic element."""
@@ -268,6 +275,35 @@ class HalfPlane(Backend):
         cusps = {(a - d, 2 * c) if c > 0 else (d - a, -2 * c)
                  for a, _, c, d in gens if c and (a + d) ** 2 == 4}
         return any(_ping_pong(_conjugated(gens, q)) for q in [None, *cusps])
+
+    # When S's canonicals pass _free_walk they are a free basis with their
+    # inverses, so the freely reduced word over them is g's one geodesic
+    # (the normal form theorem of free groups). g's carried word is read as
+    # S canonicals, reduced by canonicals (an input may list both A and
+    # A^-1 under two labels) and trusted only when what is left composes to
+    # g; each letter is spelled by its S entry's word. None when the word
+    # is missing or holds a symbol of no one-symbol entry of S
+    def subgroup_word_exact(self, S, g):
+        if g.word is None or not self._free_walk([s.canonical for s in S]):
+            return None
+        entry, letter = {}, {}
+        for s in S:
+            entry[s.canonical] = s.word
+            if s.word is not None and len(s.word) == 1:
+                (sym, sign), = s.word
+                letter[sym, sign], letter[sym, -sign] = s.canonical, self._invert(s.canonical)
+        reduced = []
+        for part in g.word:
+            c = letter.get(part)
+            if c is None:
+                return None
+            if reduced and reduced[-1] == self._invert(c):
+                reduced.pop()
+            else:
+                reduced.append(c)
+        if reduce(self._compose, reduced, self._identity_canonical()) != g.canonical:
+            return None
+        return tuple(sym for c in reduced for sym in entry[c])
 
 
 def _scaled(canonical):

@@ -16,8 +16,10 @@ The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 
 The byte-word algebra shared with the free-group tree (identity, order,
 inversion, batch, the one-byte half of the free-walk test, ``classify``,
-spelling over the standard set of every nontrivial syllable) comes from
-``base.ByteWordTree``.
+spelling over the standard set of every nontrivial syllable, the
+closed-form word over a set of one-syllable entries) comes from
+``base.ByteWordTree``; the spelling of each syllable over such a set,
+``_syllable_words``, is this module's.
 """
 
 from ..errors import ConfigError
@@ -130,6 +132,32 @@ class FreeProductTree(ByteWordTree):
             if any((x + y) % order not in exps for x in exps for y in exps):
                 return False
         return True
+
+    # per factor, a breadth-first search over Z/order by S's exponents in
+    # that factor gives each exponent's distance from 0; a syllable is
+    # spelled from the right, each step the least S index one step closer
+    # to 0: the word that word_length_in_S's walk spells back
+    def _syllable_words(self, S):
+        table = {}
+        for f, order in enumerate(self.orders):
+            steps = [(s.canonical[0] & 63, s.word) for s in S if s.canonical[0] >> 6 == f]
+            dist, frontier = {0: 0}, [0]
+            while frontier:
+                below, frontier = frontier, []
+                for e in below:
+                    for x, _ in steps:
+                        y = (e + x) % order
+                        if y not in dist:
+                            dist[y] = dist[e] + 1
+                            frontier.append(y)
+            for e in dist:
+                rest, word = e, ()
+                while rest:
+                    x, w = next((x, w) for x, w in steps
+                                if dist.get((rest - x) % order) == dist[rest] - 1)
+                    rest, word = (rest - x) % order, w + word
+                table[(f << 6) | e] = word
+        return table
 
     def element(self, spec, word=None):
         if isinstance(spec, GroupElement):

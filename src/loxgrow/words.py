@@ -283,9 +283,14 @@ def word_length_in_S(S, targets, memory_cap=DEFAULT_MEMORY_CAP, ball=None):
     that target alone would give: a target is checked against every sphere
     up to its own cap, before that sphere's budget check, and leaves the
     walk once found or past its cap. The identity and targets that
-    ``backend.subgroup_word_exact`` spells are answered without a walk;
-    the walk stops when no target is left or the ball runs out. A ``Ball``
-    walked further already (for the growth table) is only read.
+    ``backend.subgroup_word_exact`` spells in closed form are answered
+    without a walk, whatever ``memory_cap``: on a tree whose S has one
+    letter or syllable per entry, and on the half-plane when S is a
+    ping-pong free basis and the target's carried word reduces to it (both
+    spellings of Sanov's pair). Such a word is the one the walk would
+    spell back. The walk stops when no target is left or the ball runs
+    out. A ``Ball`` walked further already (for the growth table) is only
+    read.
 
     At each sphere a pending target costs one probe of the walk's visited
     set, ``ball.seen``, and only a target found there is looked for in the

@@ -25,18 +25,34 @@ def power(g, n):
     return functools.reduce(g.backend.compose, [g] * n, g.backend.identity())
 
 
+class Walk:
+    """One counted walk: its generator list and the number of spheres it
+    has yielded so far, the last one partial when the walk passed its cap."""
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.radius = 0
+
+    def follow(self, records):
+        for record in records:
+            self.radius += 1
+            yield record
+
+
 def count_walks(monkeypatch):
     """Count the walks of ``loxgrow.words.spheres``: every ``loxgrow``
     module attribute bound to it is patched, so a module that imports it by
-    name is counted too. Each walk appends its generator list. A test
-    module's own ``spheres`` name is left alone, so walks that go through it
-    (such as test_words' oracle) are not counted."""
+    name is counted too. Each walk appends a ``Walk``, its generator list
+    and how far it went. A test module's own ``spheres`` name is left
+    alone, so walks that go through it (such as test_words' oracle) are not
+    counted."""
     walks = []
     spheres = loxgrow.words.spheres
 
     def counted(identity, gens, *args, **kwargs):
-        walks.append(list(gens))
-        return spheres(identity, gens, *args, **kwargs)
+        walk = Walk(list(gens))
+        walks.append(walk)
+        return walk.follow(spheres(identity, gens, *args, **kwargs))
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "loxgrow" or name.startswith("loxgrow.")):

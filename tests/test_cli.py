@@ -538,22 +538,29 @@ def test_check_cert_non_object_exits_five(tmp_path, capsys, text):
 @pytest.mark.parametrize("cap", [50, 200, 1000])
 def test_check_cert_accepts_certificates_built_under_a_small_cap(write_config, tmp_path,
                                                                  cap, capsys):
-    # under these caps the builder's walk passes memory_cap before it meets
-    # any T entry, so T keeps its carried words and kappa is 22 word-upper;
-    # the checker only evaluates those words, whatever the builder's cap
-    cfg = write_config("c2c7.json", {
-        "backend": {"kind": "free_product_tree", "orders": [2, 7]},
-        "generators": ["a", "b"],
-        "budgets": {"n_max": 4, "memory_cap": cap},
-    })
-    cert_path = tmp_path / "cert.json"
-    assert main(["free-basis", cfg, "--out", str(cert_path)]) == 0
-    payload = json.loads(cert_path.read_text())
-    assert (payload["kappa"], payload["kappa_mode"]) == (22, "word-upper")
-    capsys.readouterr()
-    assert main(["check-cert", str(cert_path)]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert (result["valid"], result["kappa"]) == (True, 22)
+    # C2*C4 {a, b, bb, ab} has a two-syllable entry, so no closed form
+    # spells T: under these caps the builder's walk passes memory_cap before
+    # it meets any T entry, T keeps its words and kappa is 21 word-upper.
+    # On C2*C7 {a, b} every entry is one syllable, and the closed form
+    # spells T whatever the cap: 14 exact. The checker only evaluates the
+    # words, whatever the builder's cap
+    for orders, gens, pinned in [
+        ([2, 4], ["a", "b", "bb", "ab"], (21, "word-upper")),
+        ([2, 7], ["a", "b"], (14, "exact")),
+    ]:
+        cfg = write_config("cfg.json", {
+            "backend": {"kind": "free_product_tree", "orders": orders},
+            "generators": gens,
+            "budgets": {"n_max": 4, "memory_cap": cap},
+        })
+        cert_path = tmp_path / "cert.json"
+        assert main(["free-basis", cfg, "--out", str(cert_path)]) == 0
+        payload = json.loads(cert_path.read_text())
+        assert (payload["kappa"], payload["kappa_mode"]) == pinned
+        capsys.readouterr()
+        assert main(["check-cert", str(cert_path)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["valid"], result["kappa"]) == (True, pinned[0])
 
 
 def test_verify_bound_f2(f2_config, tmp_path, capsys):
@@ -713,6 +720,33 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == f"loxgrow {__version__}"
 
 
+# det 1 and trace 10**400 + 1, past float range: the translation length
+# comes from the logs of the ints, 2 log|tr| - log det
+_HUGE = [[10**400, 1], [10**400 - 1, 1]]
+
+
+def test_classify_reads_a_trace_past_float_range(write_config, capsys):
+    cfg = write_config("huge.json", {"backend": {"kind": "half_plane"}, "generators": [_HUGE]})
+    assert main(["classify", cfg]) == 0
+    out, err = capsys.readouterr()
+    [row] = json.loads(out)["elements"]
+    assert row["kind"] == "loxodromic"
+    assert row["translation_length"] == 2.0 * math.log(10**400 + 1)
+    assert err == ""
+
+
+def test_verify_bound_with_a_trace_past_float_range_exits_documented(write_config, capsys):
+    # the loxodromic pick measures the huge letter; the (n, k) search then
+    # finds no certificate within these budgets and exits 3, as documented
+    cfg = write_config("huge.json", {
+        "backend": {"kind": "half_plane"},
+        "generators": [_HUGE, [[1, 0], [2, 1]]],
+        "budgets": {"n_max": 3, "memory_cap": 2000, "max_n": 2, "max_k": 2},
+    })
+    assert main(["verify-bound", cfg]) == 3
+    assert capsys.readouterr().err == "budget exceeded: no certificate with n <= 2, k <= 2\n"
+
+
 # the float-Sanov config of the benchmark's certify-kappa workload (seed 0)
 _SANOV_FLOAT = {
     "backend": {"kind": "half_plane", "arithmetic": "float"},
@@ -740,7 +774,7 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
         ["271938241", "-112919520", "432858160", "-179739839"],
         ["8459361", "-37639840", "-18819920", "83739041"]]
     assert (cert["n"], cert["k"], cert["r"]) == (1, 8, 4)
-    assert (cert["kappa"], cert["kappa_mode"]) == (26, "word-upper")
+    assert (cert["kappa"], cert["kappa_mode"]) == (26, "exact")
     assert _reprs(cert["basepoint"]) == ["0.0", "1.0"]
     assert _reprs([cert["m"], cert["p_max"], cert["margin"]]) == [
         "36.7197287074991", "3.5456110011537234", "0.5443550872836642"]
@@ -836,10 +870,10 @@ def test_certificates_past_the_int_text_limit_round_trip(write_config, tmp_path,
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, {"n_max": 3, "memory_cap": 5000},
      "b6338961922d96c94d2bbb5eaf7504533327c350d71d0ac0e301490dfc762500"),
     ({"kind": "half_plane"}, SANOV, {"n_max": 8, "memory_cap": 50000},
-     "e6c71043bbb7fb0d841fc971e76f4617e2d93785bf9401171fbd0073bcc76268"),
+     "783fa55964ba01920c1263470c65056cb1ba90d299f2f9d94d6e211d518e538b"),
     ({"kind": "half_plane", "arithmetic": "float"},
      [[[float(v) for v in row] for row in g] for g in SANOV], {"n_max": 7, "memory_cap": 20000},
-     "13ad95fbb197b3f0df5354ff7d63a160115f37416a397e7e85bcab7c652db4b2"),
+     "0c25d7fe0c4ab99b563390be381790031b03e0be0b6ede392c3ae86e617fec1d"),
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], {"n_max": 10},
      "ce94029a20715d77e4499f1836faf3cafb3c29dc310f6cf49aeed54e3c842baa"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], {"n_max": 12},

@@ -67,12 +67,12 @@ def test_points_round_trip_through_json_text(case):
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
      "0025b1046e59670982559ce0bbae78772b64654dca786a19786595ff46d234a8"),
     ({"kind": "half_plane"}, SANOV, 50_000,
-     "fe36aa28521ccb6b0876bda577d40ab8e6dc151739aa465ee1c123e85b049ba5"),
+     "ea1f3a1cad43ea2ba37f3e8b969283c975041d76c5eb183fb6264f5a822e0aba"),
     ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
      "31a604d82fa217dd610b0fc47245bbb2f903d05f12b1556e52b8581233e0750f"),
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000,
      "8be8d415e1870930df1b3ca775394762e5ab099ed8c52ef14fc71df25f54865c"),
-    # kappa 14 found by the breadth-first walk
+    # kappa 14 spelled by the one-syllable closed form, no walk
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], DEFAULT_MEMORY_CAP,
      "ed7f021c624736663718a631efe059f21a795482a4d7bb85b2f55f11757d79a2"),
     # coset separation at n = 2 keeps 3 of S's 4 entries, so r = 3

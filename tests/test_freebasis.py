@@ -367,7 +367,8 @@ def test_pipeline_sanov(hp, S_sanov):
     assert cert.m == pytest.approx(36.7197287074991)
     assert cert.p_max == pytest.approx(3.5456110011537234)
     assert cert.margin == pytest.approx(0.5443550872836642)
-    assert (cert.kappa, cert.kappa_mode) == (26, "word-upper")
+    # S is a free basis, so T's reduced words over it are shortest
+    assert (cert.kappa, cert.kappa_mode) == (26, "exact")
     assert cert.omega_lower == math.log(7) / 26
     assert check_certificate(cert)["valid"]
 
@@ -563,19 +564,26 @@ def test_forged_T_words_rejected(S_f2):
 _KAPPA_CASES = {
     # case: (backend config, generators, memory cap, pinned (r, kappa, kappa_mode))
     "elliptic": ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000, (7, 76, "word-upper")),
-    "sanov": ({"kind": "half_plane"}, SANOV, 50_000, (4, 26, "word-upper")),
+    "sanov": ({"kind": "half_plane"}, SANOV, 50_000, (4, 26, "exact")),
     "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
                     [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]], 20_000,
-                    (4, 26, "word-upper")),
+                    (4, 26, "exact")),
     "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], 2_000_000,
              (3, 14, "exact")),
+    # ab is a two-syllable entry, so no closed form spells T: the walk runs
+    "c2c4-ab": ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb", "ab"], 20_000,
+                (4, 21, "word-upper")),
 }
+# the cases whose T subgroup_word_exact spells: a free basis on the plane,
+# one-syllable entries on the tree
+_CLOSED_FORM = {"sanov", "sanov-float", "c2c7"}
 
 
 @pytest.mark.parametrize("case", sorted(_KAPPA_CASES))
 def test_kappa_walks_the_ball_once(case, monkeypatch):
-    # the certify-kappa sets at their benchmark caps: all r entries of T
-    # are searched in one walk of the ball of S
+    # the certify-kappa sets at their benchmark caps: the entries of T that
+    # no closed form spells are all searched in one walk of the ball of S,
+    # and a T the closed form spells walks nothing
     config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
     S = make_generating_set(make_backend(config), gens)
     cert = build_free_basis(S, memory_cap=cap)
@@ -584,25 +592,34 @@ def test_kappa_walks_the_ball_once(case, monkeypatch):
     T, got_kappa, got_mode = _compute_kappa(cert.S, cert.T, cap)
     assert (got_kappa, got_mode) == (kappa, kappa_mode)
     assert [t.word for t in T] == [t.word for t in cert.T]
-    assert len(walks) == 1
+    assert len(walks) == (0 if case in _CLOSED_FORM else 1)
 
 
 # n_max of the certify-kappa configs in the benchmark
-_KAPPA_N_MAX = {"elliptic": 3, "sanov": 8, "sanov-float": 7, "c2c7": 10}
+_KAPPA_N_MAX = {"elliptic": 3, "sanov": 8, "sanov-float": 7, "c2c7": 10, "c2c4-ab": 4}
 
 
 @pytest.mark.parametrize("case", sorted(_KAPPA_CASES))
 def test_verify_theorem_walks_the_ball_of_S_once(case, monkeypatch):
     # the growth table and the kappa search read one Ball, so a run makes
-    # one walk over S's canonicals; each escalation round walks S_eff's
-    # elements in product_ball_set, another set, which does not count
+    # at most one walk over S's canonicals; each escalation round walks
+    # S_eff's elements in product_ball_set, another set, which does not count
     config, gens, cap, (r, kappa, kappa_mode) = _KAPPA_CASES[case]
     S = make_generating_set(make_backend(config), gens)
     walked = count_walks(monkeypatch)
-    rep = verify_theorem(S, _KAPPA_N_MAX[case], memory_cap=cap)
+    n_max = _KAPPA_N_MAX[case]
+    rep = verify_theorem(S, n_max, memory_cap=cap)
     assert (rep.cert.r, rep.cert.kappa, rep.cert.kappa_mode) == (r, kappa, kappa_mode)
-    assert walked.count([s.canonical for s in S]) == 1
-    assert len(walked) == 1 + rep.escalation_rounds
+    radii = [w.radius for w in walked if w.gens == [s.canonical for s in S]]
+    assert len(walked) == len(radii) + rep.escalation_rounds
+    if case in _CLOSED_FORM:
+        # kappa walks nothing: the table walks to n_max and no further,
+        # or not at all where it counts a free basis's ball (Sanov)
+        assert radii == ([] if case.startswith("sanov") else [n_max])
+    else:
+        # the kappa search walks on from the table's spheres
+        [radius] = radii
+        assert radius > n_max
 
 
 _PINGPONG_CASES = {
@@ -675,15 +692,19 @@ def test_T_words_are_evidence_for_kappa(case, monkeypatch):
     for t in cert.T:
         assert _evaluate(S, t.word) == t.canonical
     assert cert.kappa == max(len(t.word) for t in cert.T)
-    # against the one-target walk, with the tree shortcut switched off so
-    # its words are measured too: a word the builder calls shortest has
-    # the walk's length; an entry it kept spelled is one the walk could
-    # not reach within the cap
+    # an entry a closed form spells carries that word
+    closed = [backend.subgroup_word_exact(S, t) for t in cert.T]
+    assert all(w in (None, t.word) for t, w in zip(cert.T, closed))
+    # against the one-target walk, with the closed forms switched off so
+    # their words are measured too: a word the builder calls shortest has
+    # the walk's length; an entry it kept spelled is one that neither a
+    # closed form nor the walk within the cap spells
     monkeypatch.setattr(backend, "subgroup_word_exact", lambda S, g: None)
     outcomes = [_one_target(S, t, len(t.word), cap) for t in cert.T]
     reached = [(d, len(t.word)) for t, d in zip(cert.T, outcomes) if not isinstance(d, tuple)]
     assert all(d == n for d, n in reached)
-    assert (cert.kappa_mode == "exact") == (len(reached) == cert.r)
+    shortest = [w is not None or not isinstance(d, tuple) for w, d in zip(closed, outcomes)]
+    assert (cert.kappa_mode == "exact") == all(shortest)
 
 
 def test_kappa_over_a_set_larger_than_the_standard_one():

@@ -10,6 +10,7 @@ import pytest
 from loxgrow.errors import ConfigError, NotInGroup
 from loxgrow.spaces import (
     FreeProductTree,
+    GroupElement,
     HalfPlane,
     Point,
     psl2z_normal_form,
@@ -93,6 +94,22 @@ def test_translation_length_from_trace(hpf):
     i = hpf.origin()
     n = 16
     assert abs(hpf.dist(i, hpf.apply(power(g, n), i)) / n - tau) <= 1e-9
+
+
+def test_translation_length_past_float_range(hp, hpf):
+    # a trace past float range: tau = 2 log|tr| - log det, from the ints
+    big = 10**400
+    g = hp.element([[big, 1], [big - 1, 1]])
+    assert hp.translation_length(g) == 2.0 * math.log(big + 1)
+    # det 2, as the float spelling can store a canonical
+    g = GroupElement(hpf, (big, 1, big - 2, 1))
+    assert hpf.translation_length(g) == pytest.approx(2.0 * math.log(big + 1) - LOG2, rel=1e-15)
+    # within range the trace formula holds as before, and the log form
+    # agrees with it where |tr| nears the end of float range
+    near = 10**300
+    g = hp.element([[near, 1], [near - 1, 1]])
+    assert hp.translation_length(g) == 2.0 * math.acosh((near + 1) / 2.0)
+    assert hp.translation_length(g) == pytest.approx(2.0 * math.log(near + 1), rel=1e-15)
 
 
 def test_axis_apex_is_on_axis(hp):

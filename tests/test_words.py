@@ -12,11 +12,18 @@ from loxgrow.errors import (
     EmptyAfterReduction,
     NotSymmetric,
 )
+from loxgrow.freebasis import _compute_kappa
 from loxgrow.growth import ball_sizes
-from loxgrow.spaces import FreeProductTree, GroupElement, make_backend
-from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
+from loxgrow.spaces import FreeGroupTree, FreeProductTree, GroupElement, make_backend
+from loxgrow.words import (
+    GeneratingSet,
+    make_generating_set,
+    product_ball_set,
+    spheres,
+    word_length_in_S,
+)
 
-from conftest import count_walks
+from conftest import SANOV, count_walks
 
 PSL2Z_GENS = [[[0, -1], [1, 0]], [[0, -1], [1, 1]], [[-1, -1], [1, 0]]]
 
@@ -275,23 +282,124 @@ def test_tree_shortcuts_spell_the_normal_form(ft2, pt23, S_f2, S_pt, monkeypatch
     assert walks == []
 
 
-def test_tree_shortcuts_need_exactly_the_standard_set(ft2, pt23):
-    # over a larger S the normal form need not be shortest: xy is one letter
-    # of {x, y, xy}, ab one of {a, b, ab}
-    for backend, standard, larger, g in [
+def test_tree_shortcuts_need_one_byte_entries(ft2, pt23):
+    # with an entry of two letters or syllables the normal form need not
+    # be shortest: xy is one letter of {x, y, xy}, ab one of {a, b, ab}
+    c24 = FreeProductTree((2, 4))
+    for backend, one_byte, larger, g in [
         (ft2, ["x", "y"], ["x", "y", "xy"], "xyxy"),
         (pt23, ["a", "b"], ["a", "b", "ab"], "abab"),
-        (FreeProductTree((2, 4)), ["a", "b", "bb"], ["a", "b", "bb", "ab"], "abab"),
+        (c24, ["a", "b", "bb"], ["a", "b", "bb", "ab"], "abab"),
     ]:
         g = backend.element(g)
-        assert len(backend.subgroup_word_exact(make_generating_set(backend, standard), g)) == 4
+        assert len(backend.subgroup_word_exact(make_generating_set(backend, one_byte), g)) == 4
         S = make_generating_set(backend, larger)
         assert backend.subgroup_word_exact(S, g) is None
         assert _evaluate(S, backend.normal_form_word(S, g)) == g.canonical
         assert _search(S, [(g, 4)]) == [2]
-    # a set missing a factor element has no shortcut either
-    c24 = FreeProductTree((2, 4))
-    assert c24.subgroup_word_exact(make_generating_set(c24, ["a", "b"]), c24.element("ab")) is None
+    # a one-byte set need not hold the standard set: over {a, b} of C2*C4,
+    # b^2 is two letters, and over {a, bb} the syllable b lies outside <S>
+    S = make_generating_set(c24, ["a", "b"])
+    assert c24.subgroup_word_exact(S, c24.element("abb")) == (("a", 1), ("b", 1), ("b", 1))
+    assert c24.subgroup_word_exact(make_generating_set(c24, ["a", "bb"]), c24.element("ab")) is None
+    # a free-group set of some letters spells the words over those letters
+    f3 = FreeGroupTree(3)
+    S = make_generating_set(f3, ["a", "c"])
+    assert f3.subgroup_word_exact(S, f3.element("aC")) == (("a", 1), ("c", -1))
+    assert f3.subgroup_word_exact(S, f3.element("ab")) is None
+
+
+def _spelled_ball(S, radius):
+    """Every element of the ball of S out to ``radius`` but the identity,
+    each with the word the walk spells back for it, from one Ball."""
+    ball = words.Ball(S, 10**6)
+    list(itertools.islice(ball, radius))
+    records = ball.records[:radius + 1]
+    places = [dict(zip(keys, range(len(keys)))) for _, keys, _ in records]
+    for d in range(1, len(records)):
+        for place, c in enumerate(records[d][0]):
+            yield c, words._spell_back(S.backend, S, records[1:d + 1], places[:d], place)
+
+
+def _padded(S, word, rng):
+    """``word`` with one cancelling pair s s^-1 put in at a random place:
+    the same element, spelled with one detour."""
+    (sym, sign), = rng.choice(list(S)).word
+    at = rng.randint(0, len(word))
+    return word[:at] + ((sym, sign), (sym, -sign)) + word[at:]
+
+
+_ORACLE_SETS = {
+    "c2c7 {a,b}": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], 7),
+    "c2c4 {a,b,bb}": ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], 7),
+    "c2c4 {a,bb}": ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "bb"], 12),
+    "c3c5 {a,b,bb}": ({"kind": "free_product_tree", "orders": [3, 5]}, ["a", "b", "bb"], 5),
+    # syllables with two shortest spellings, such as b^3 = b bb = bb b
+    "c2c7 {a,b,bb}": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b", "bb"], 5),
+    "c2c8 {a,b,bbb}": ({"kind": "free_product_tree", "orders": [2, 8]}, ["a", "b", "bbb"], 5),
+    "f3 {a,c}": ({"kind": "free_group_tree", "rank": 3}, ["a", "c"], 6),
+    "sanov": ({"kind": "half_plane"}, SANOV, 6),
+    "sanov-float": ({"kind": "half_plane", "arithmetic": "float"},
+                    [[[float(v) for v in row] for row in g] for g in SANOV], 6),
+    # T Sanov T^-1 for T = [[1, 1], [0, 1]]
+    "sanov, conjugated": ({"kind": "half_plane"}, [[[1, 2], [0, 1]], [[3, -2], [2, -1]]], 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_SETS))
+def test_closed_forms_spell_what_the_walk_spells(case):
+    # every element of the ball out to the radius, word for word: the
+    # closed form's spelling of each syllable or letter is the walk's
+    config, gens, radius = _ORACLE_SETS[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    rng = random.Random(case)
+    count = 0
+    for c, walked in _spelled_ball(S, radius):
+        # the plane reads the carried word, here with a detour to reduce
+        g = GroupElement(backend, c, _padded(S, walked, rng))
+        assert backend.subgroup_word_exact(S, g) == walked, g
+        count += 1
+    assert count >= 2 * radius
+
+
+def test_plane_closed_form_reduces_by_canonicals(hp):
+    # A and A^-1 listed under two labels: g0 g1 is the identity, though no
+    # two symbols cancel, and the answer is still the walk's geodesic
+    A, B = SANOV
+    A_inv = [[1, -2], [0, 1]]
+    S = make_generating_set(hp, [A, A_inv, B])
+    assert len(S) == 4 and S.labels().count("g1") == 1
+    rng = random.Random(3)
+    for c, walked in _spelled_ball(S, 5):
+        detour = (("g0", 1), ("g1", 1))
+        g = GroupElement(hp, c, detour + _padded(S, walked, rng) + detour[::-1])
+        assert hp.subgroup_word_exact(S, g) == walked
+
+
+def test_plane_closed_form_fails_safe(hp, monkeypatch):
+    # each of these returns None, so word_length_in_S walks
+    S = make_generating_set(hp, SANOV)
+    t = hp.compose(hp.compose(S[0], S[1]), S[0])
+    assert hp.subgroup_word_exact(S, t) == t.word and len(t.word) == 3
+    # a carried word that does not spell its element, a symbol of no entry
+    # of S, and no carried word at all
+    forged = GroupElement(hp, t.canonical, t.word[:1])
+    foreign = GroupElement(hp, t.canonical, t.word + (("g9", 1), ("g9", -1)))
+    bare = GroupElement(hp, t.canonical)
+    # a set that is not a free basis: the elliptic PSL(2, Z) generators
+    E = make_generating_set(hp, PSL2Z_GENS)
+    g = hp.compose(E[0], E[1])
+    walks = count_walks(monkeypatch)
+    for gens, target in [(S, forged), (S, foreign), (S, bare), (E, g)]:
+        assert hp.subgroup_word_exact(gens, target) is None
+        [found] = word_length_in_S(gens, [(target, 3)])
+        assert _evaluate(gens, found) == target.canonical
+    assert [w.gens for w in walks] == [[s.canonical for s in S]] * 3 + [[e.canonical for e in E]]
+    # the forged entry goes to the walk, which cannot spell it in one
+    # letter, so it keeps its word and kappa is word-upper
+    T, kappa, mode = _compute_kappa(S, GeneratingSet(hp, [forged]), 1000)
+    assert ([w.word for w in T], kappa, mode) == ([forged.word], 1, "word-upper")
 
 
 def test_float_words_step_back_through_the_spheres(hp, hpf):
@@ -409,7 +517,13 @@ _PREWALK_SETS = {
                     [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 1.0]]]),
     "elliptic": ({"kind": "half_plane"}, PSL2Z_GENS),
     "c2c7": ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"]),
+    # one entry of two syllables: no closed form, so the walk answers
+    "c2c4-ab": ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb", "ab"]),
 }
+# sets whose closed form answers every target, whatever the caps: the
+# trees' one-syllable sets (the plane's closed form needs a carried word,
+# and these targets carry none)
+_PREWALK_CLOSED = {"c2c7"}
 
 
 @pytest.mark.parametrize("depth", ["table", "past the targets"])
@@ -454,6 +568,8 @@ def test_pre_walked_ball_answers_as_a_fresh_walk(case, bust, depth):
     assert outcomes(word_length_in_S(S, targets, memory_cap, ball=ball)) == outcomes(fresh)
 
     def expected(d, place, cap):
+        if case in _PREWALK_CLOSED:
+            return None if d > cap else d
         if d > cap:
             return None if not bust or cap < 4 else ("budget", 3)
         if bust and (d > 4 or (d == 4 and place > k)):
