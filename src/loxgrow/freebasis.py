@@ -385,6 +385,23 @@ def _coset_separated(S_eff, h):
     return S0
 
 
+def _spelled(S0, f, b, n, k):
+    """T = {s h^k s^-1 : s in S0} with h = f b^n, composed with words by
+    the backend: the canonicals the search composed bare, and each word
+    the free reduction of the concatenated words of s, f, b and s^-1 (one
+    word whatever order the reductions run in)."""
+    backend = b.backend
+    bn = b
+    for _ in range(n - 1):
+        bn = backend.compose(bn, b)
+    h = backend.compose(f, bn)
+    hk = h
+    for _ in range(k - 1):
+        hk = backend.compose(hk, h)
+    return GeneratingSet(backend, [backend.compose(backend.compose(s, hk), backend.invert(s))
+                                   for s in S0])
+
+
 def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
                      ball=None) -> FreeBasisCertificate:
     """Escalate to a loxodromic, then run the diagonal (n, k) amplification
@@ -408,10 +425,13 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     whose T passes the ping-pong margin test at some basepoint candidate
     wins. The basepoint is the candidate of largest margin, the first on
     ties (``_scan_basepoints``), and certify_free_geometric at that point
-    gives the stored m, p_max and margin. If no (n, k) passes,
-    SearchExhausted is raised. Kappa's search resumes ``ball``, a ``Ball``
-    of S with this ``memory_cap``, when one is given (``verify_theorem``
-    passes the one its growth table walked), else walks a fresh one.
+    gives the stored m, p_max and margin. The search composes bare
+    canonicals, and a tried T holds elements with no word; only the
+    winning T is spelled (``_spelled``), once, before kappa reads its
+    words. If no (n, k) passes, SearchExhausted is raised. Kappa's search
+    resumes ``ball``, a ``Ball`` of S with this ``memory_cap``, when one is
+    given (``verify_theorem`` passes the one its growth table walked),
+    else walks a fresh one.
     """
     budgets = budgets or SearchBudgets()
     backend = S.backend
@@ -435,28 +455,34 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
         exc.escalation_rounds = rounds
         raise
 
-    b_pows = [b]  # b^1, b^2, ...
-    stages = {}  # n -> (S0, [h^1, h^2, ...]), or None if h is not loxodromic or #S0 < 2
+    # bare canonicals from here on; _spelled spells the winner
+    compose, invert = backend._compose, backend._invert
+    b_pows = [b.canonical]  # b^1, b^2, ...
+    # n -> (S0, [s^-1 for s in S0], [h^1, h^2, ...]), or None if h is not
+    # loxodromic or #S0 < 2
+    stages = {}
     for n, k in _diagonal(budgets.max_n, budgets.max_k):
         if n not in stages:
             while len(b_pows) < n:
-                b_pows.append(backend.compose(b_pows[-1], b))
-            h = backend.compose(f, b_pows[n - 1])
+                b_pows.append(compose(b_pows[-1], b_pows[0]))
+            h = GroupElement(backend, compose(f.canonical, b_pows[n - 1]))
             S0 = _coset_separated(S_eff, h) if backend.classify(h).kind == "loxodromic" else []
-            stages[n] = (S0, [h]) if len(S0) >= 2 else None
+            stages[n] = ((S0, [invert(s.canonical) for s in S0], [h.canonical])
+                         if len(S0) >= 2 else None)
         if stages[n] is None:
             continue
-        S0, h_pows = stages[n]
+        S0, S0_inv, h_pows = stages[n]
         while len(h_pows) < k:
-            h_pows.append(backend.compose(h_pows[-1], h_pows[0]))
-        T = GeneratingSet(backend, [backend.compose(backend.compose(s, h_pows[k - 1]),
-                                                    backend.invert(s)) for s in S0])
+            h_pows.append(compose(h_pows[-1], h_pows[0]))
+        hk = h_pows[k - 1]
+        T = GeneratingSet(backend, [GroupElement(backend, compose(compose(s.canonical, hk), s_inv))
+                                    for s, s_inv in zip(S0, S0_inv)])
         x = _scan_basepoints(T, basepoint_candidates(T), backend.delta, eps)
         if x is None:
             continue
         # the stored numbers come from the checker's own function
         check = certify_free_geometric(T, x, backend.delta, eps)
-        T, kappa, kappa_mode = _compute_kappa(S, T, memory_cap, ball)
+        T, kappa, kappa_mode = _compute_kappa(S, _spelled(S0, f, b, n, k), memory_cap, ball)
         r = len(T)
         return FreeBasisCertificate(
             backend_config=backend.config(), backend_hash=backend_hash(backend.config()),

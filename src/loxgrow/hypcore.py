@@ -21,7 +21,14 @@ def gromov_product(x: Point, y: Point, o: Point) -> float:
 
 
 def four_point_defect(x, y, z, o) -> float:
-    return min(gromov_product(x, z, o), gromov_product(z, y, o)) - gromov_product(x, y, o)
+    """min(<x,z>_o, <z,y>_o) - <x,y>_o, each product in gromov_product's
+    expression; the three share d(x,o), d(y,o) and d(z,o), so six distances
+    are measured, not nine."""
+    dist = o.backend.dist
+    xo, yo, zo = dist(x, o), dist(y, o), dist(z, o)
+    xz = 0.5 * (xo + zo - dist(x, z))
+    zy = 0.5 * (zo + yo - dist(z, y))
+    return min(xz, zy) - 0.5 * (xo + yo - dist(x, y))
 
 
 def estimate_delta(backend, sample_size: int, seed: int) -> float:

@@ -9,6 +9,13 @@ hyperbolic space.  Group elements carry two representations:
   ``((symbol, sign), ...)`` with sign +/-1.  Words survive composition with
   free cancellation at the symbol level, so any derived element remembers a
   valid (not necessarily geodesic) spelling over the original generators.
+  Where only canonicals matter an element carries no word: the (n, k)
+  search's tried T sets and the basepoint pool's pair products are bare
+  canonicals, and only the winning T is spelled.
+
+``GroupElement`` and ``Point`` are plain ``__slots__`` classes, since
+every ``apply`` builds a Point: equal when the backend is one object and
+the canonical (the point's data) is equal, the word ignored.
 
 ``ByteWordTree`` holds what the two trees' byte-word canonicals share: the
 identity, shortlex order, inversion, the chunk batch, the one-byte half of
@@ -17,7 +24,7 @@ the closed-form word over a set of one-byte entries.
 """
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter
 from typing import Any, Optional, Tuple
@@ -89,11 +96,17 @@ def word_str(word: Optional[Word]) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    backend: Any = field(repr=False)
-    canonical: Any
-    word: Optional[Word] = field(default=None, compare=False)
+    """A group element of ``backend``: equal, and hashed alike, when the
+    backends are one object and the canonicals are equal; the word is
+    ignored."""
+
+    __slots__ = ("backend", "canonical", "word")
+
+    def __init__(self, backend: Any, canonical: Any, word: Optional[Word] = None):
+        self.backend = backend
+        self.canonical = canonical
+        self.word = word
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -107,10 +120,14 @@ class GroupElement:
         return f"<{word_str(self.word)}|{self.canonical}>"
 
 
-@dataclass(frozen=True)
 class Point:
-    backend: Any = field(repr=False)
-    data: Any
+    """A point of ``backend``'s space, compared like a GroupElement."""
+
+    __slots__ = ("backend", "data")
+
+    def __init__(self, backend: Any, data: Any):
+        self.backend = backend
+        self.data = data
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -361,18 +378,21 @@ def basepoint_candidates(S, budget: int = 64):
         push(p)
     elems = list(S)
     # cap the pair products at the budget; escalated sets grow too fast
-    # for the full quadratic sweep; only the products' canonicals matter
+    # for the full quadratic sweep; only the products' canonicals matter,
+    # so they are composed raw, and the identity starts out known
     heads = [g.canonical for g in elems[:budget]]
+    compose = backend._compose
     prods = []
     known = {g.canonical for g in elems}
+    known.add(backend._identity_canonical())
     for a in heads:
         if len(prods) >= budget:
             break
         for b in heads:
-            ab = GroupElement(backend, backend._compose(a, b))
-            if ab.canonical not in known and not backend.is_identity(ab):
-                known.add(ab.canonical)
-                prods.append(ab)
+            ab = compose(a, b)
+            if ab not in known:
+                known.add(ab)
+                prods.append(GroupElement(backend, ab))
                 if len(prods) >= budget:
                     break
     prods.sort(key=backend.sort_key)

@@ -39,7 +39,7 @@ from loxgrow.freebasis import (
 )
 from loxgrow.hypcore import gromov_product
 from loxgrow.spaces import GroupElement, HalfPlane, Point, make_backend
-from loxgrow.spaces.base import basepoint_candidates
+from loxgrow.spaces.base import basepoint_candidates, reduce_symbol_word
 from loxgrow.words import GeneratingSet, make_generating_set, product_ball_set
 
 from conftest import PSL2Z_ELLIPTIC, SANOV, count_walks, power
@@ -705,6 +705,47 @@ def test_T_words_are_evidence_for_kappa(case, monkeypatch):
     assert all(d == n for d, n in reached)
     shortest = [w is not None or not isinstance(d, tuple) for w, d in zip(closed, outcomes)]
     assert (cert.kappa_mode == "exact") == all(shortest)
+
+
+@pytest.mark.parametrize("case", ["elliptic", "c3c3"])
+def test_search_spells_only_the_winner(case, monkeypatch):
+    config, gens, cap = _CHECK_CASES[case]
+    backend = make_backend(config)
+    S = make_generating_set(backend, gens)
+    scanned, spelled = [], []
+    scan, kappa = freebasis._scan_basepoints, freebasis._compute_kappa
+
+    def record_scan(T, *args):
+        scanned.append(T)
+        return scan(T, *args)
+
+    def record_kappa(S, T, *args):
+        spelled.append(T)
+        return kappa(S, T, *args)
+
+    monkeypatch.setattr(freebasis, "_scan_basepoints", record_scan)
+    monkeypatch.setattr(freebasis, "_compute_kappa", record_kappa)
+    cert = build_free_basis(S, memory_cap=cap)
+    # the search tries bare canonicals; one T, the last scanned, is spelled
+    assert len(scanned) >= 2 and len(spelled) == 1
+    assert all(t.word is None for T in scanned for t in T)
+    (T,) = spelled
+    assert [t.canonical for t in T] == [t.canonical for t in scanned[-1]]
+    assert [t.canonical for t in T] == [t.canonical for t in cert.T]
+    # each word is s h^k s^-1 freely reduced, h's word rebuilt from b, f, n
+    S_eff = S
+    for _ in range(cert.escalation_rounds):
+        S_eff = product_ball_set(S_eff, 2, cap)
+    b = find_short_loxodromic(S_eff).b
+    f = find_independent(S_eff, b)
+    h = backend.compose(f, power(b, cert.n))
+    h_word = f.word + b.word * cert.n
+    S0 = freebasis._coset_separated(S_eff, h)
+    want = [reduce_symbol_word(s.word + h_word * cert.k
+                               + tuple((sym, -sign) for sym, sign in reversed(s.word)))
+            for s in S0]
+    assert [t.word for t in T] == want
+    assert all(_evaluate(S, w) == t.canonical for t, w in zip(T, want))
 
 
 def test_kappa_over_a_set_larger_than_the_standard_one():

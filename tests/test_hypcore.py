@@ -64,6 +64,34 @@ def test_four_point_defect_respects_delta(ft2, pt23, hp):
             assert four_point_defect(x, y, z, o) <= backend.delta + 1e-9
 
 
+def _three_product_defect(x, y, z, o):
+    # the defect as three calls of gromov_product: nine distances
+    return min(gromov_product(x, z, o), gromov_product(z, y, o)) - gromov_product(x, y, o)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_four_point_defect_is_bit_identical_to_three_products(seed, ft2, pt23, hp):
+    for backend in (ft2, pt23, hp):
+        calls = []
+        dist = backend.dist
+
+        def counted(a, b):
+            calls.append(1)
+            return dist(a, b)
+
+        rng = random.Random(seed)
+        for _ in range(4):
+            x, y, z, o = backend.sample_points(rng, 4)
+            want = _three_product_defect(x, y, z, o)
+            backend.dist = counted
+            try:
+                got = four_point_defect(x, y, z, o)
+            finally:
+                del backend.dist
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert len(calls) == 6 * 4
+
+
 def test_estimate_delta_trees_exact(ft2, pt23):
     assert estimate_delta(ft2, 200, seed=3) == 0.0
     assert estimate_delta(pt23, 200, seed=3) == 0.0
