@@ -40,10 +40,12 @@ from .spaces.base import (
     GroupElement,
     Point,
     basepoint_candidates,
+    inverse_word,
     read_flag,
     read_int,
     read_real,
     read_str,
+    reduce_symbol_word,
     word_str,
 )
 from .words import (
@@ -385,21 +387,15 @@ def _coset_separated(S_eff, h):
     return S0
 
 
-def _spelled(S0, f, b, n, k):
-    """T = {s h^k s^-1 : s in S0} with h = f b^n, composed with words by
-    the backend: the canonicals the search composed bare, and each word
-    the free reduction of the concatenated words of s, f, b and s^-1 (one
-    word whatever order the reductions run in)."""
-    backend = b.backend
-    bn = b
-    for _ in range(n - 1):
-        bn = backend.compose(bn, b)
-    h = backend.compose(f, bn)
-    hk = h
-    for _ in range(k - 1):
-        hk = backend.compose(hk, h)
-    return GeneratingSet(backend, [backend.compose(backend.compose(s, hk), backend.invert(s))
-                                   for s in S0])
+def _spelled(T, S0, f, b, n, k):
+    """The tried T = {s h^k s^-1 : s in S0}, h = f b^n, with words: each
+    entry keeps the canonical the search composed, and its word is the
+    free reduction of the words of s, (f b^n)^k and s^-1 concatenated (one
+    word whatever order the reductions run in), so nothing is composed."""
+    backend = T.backend
+    hk = (f.word + b.word * n) * k
+    words = (reduce_symbol_word(s.word + hk + inverse_word(s.word)) for s in S0)
+    return GeneratingSet(backend, [GroupElement(backend, t.canonical, w) for t, w in zip(T, words)])
 
 
 def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
@@ -482,7 +478,7 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
             continue
         # the stored numbers come from the checker's own function
         check = certify_free_geometric(T, x, backend.delta, eps)
-        T, kappa, kappa_mode = _compute_kappa(S, _spelled(S0, f, b, n, k), memory_cap, ball)
+        T, kappa, kappa_mode = _compute_kappa(S, _spelled(T, S0, f, b, n, k), memory_cap, ball)
         r = len(T)
         return FreeBasisCertificate(
             backend_config=backend.config(), backend_hash=backend_hash(backend.config()),

@@ -10,8 +10,8 @@ hyperbolic space.  Group elements carry two representations:
   free cancellation at the symbol level, so any derived element remembers a
   valid (not necessarily geodesic) spelling over the original generators.
   Where only canonicals matter an element carries no word: the (n, k)
-  search's tried T sets and the basepoint pool's pair products are bare
-  canonicals, and only the winning T is spelled.
+  search's tried T sets are bare canonicals, and only the winning T is
+  spelled.
 
 ``GroupElement`` and ``Point`` are plain ``__slots__`` classes, since
 every ``apply`` builds a Point: equal when the backend is one object and
@@ -25,7 +25,7 @@ the closed-form word over a set of one-byte entries.
 
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import Any, Optional, Tuple
 
@@ -79,6 +79,10 @@ def reduce_symbol_word(parts) -> Word:
         else:
             out.append((sym, sign))
     return tuple(out)
+
+
+def inverse_word(word) -> Word:
+    return tuple((sym, -sign) for sym, sign in reversed(word))
 
 
 def word_str(word: Optional[Word]) -> str:
@@ -169,7 +173,7 @@ class Backend:
         self._check(a)
         word = None
         if a.word is not None:
-            word = tuple((sym, -sign) for sym, sign in reversed(a.word))
+            word = inverse_word(a.word)
         return GroupElement(self, self._invert(a.canonical), word)
 
     def is_identity(self, a: GroupElement) -> bool:
@@ -361,52 +365,17 @@ class ByteWordTree(Backend):
 
 
 def basepoint_candidates(S, budget: int = 64):
-    """Deterministic basepoint pool: the origin-type seeds, the S^{<=2} orbit
-    of the origin, and backend-specific extras (axis apexes on the plane)."""
+    """Deterministic basepoint pool: the backend's seeds (``_candidate_seeds``),
+    then its extra candidates for S (``_extra_candidates``: the axis apexes
+    on the plane), deduplicated by ``_point_key`` and cut at ``budget``.
+    The pool composes no element, so it holds no point of the seeds'
+    S-orbit: no such point was the winning basepoint of any certificate
+    measured."""
     backend = S.backend
-    seeds = backend._candidate_seeds()
-    pts = []
-    seen = set()
-
-    def push(p):
+    pts, seen = [], set()
+    for p in chain(backend._candidate_seeds(), backend._extra_candidates(list(S))):
         key = backend._point_key(p)
         if key not in seen:
             seen.add(key)
             pts.append(p)
-
-    for p in seeds:
-        push(p)
-    elems = list(S)
-    # cap the pair products at the budget; escalated sets grow too fast
-    # for the full quadratic sweep; only the products' canonicals matter,
-    # so they are composed raw, and the identity starts out known
-    heads = [g.canonical for g in elems[:budget]]
-    compose = backend._compose
-    prods = []
-    known = {g.canonical for g in elems}
-    known.add(backend._identity_canonical())
-    for a in heads:
-        if len(prods) >= budget:
-            break
-        for b in heads:
-            ab = compose(a, b)
-            if ab not in known:
-                known.add(ab)
-                prods.append(GroupElement(backend, ab))
-                if len(prods) >= budget:
-                    break
-    prods.sort(key=backend.sort_key)
-    for g in elems + prods:
-        for p in seeds:
-            try:
-                push(backend.apply(g, p))
-            except OverflowError:
-                # huge matrix entries push the orbit onto the boundary
-                continue
-        if len(pts) >= budget:
-            break
-    for p in backend._extra_candidates(elems):
-        if len(pts) >= budget:
-            break
-        push(p)
     return pts[:budget]

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 import loxgrow.words
-from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
+from loxgrow.errors import EmptyAfterReduction
+from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane, make_backend
 from loxgrow.words import make_generating_set
 
 SANOV = [[[1, 2], [0, 1]], [[1, 0], [2, 1]]]
@@ -18,6 +19,53 @@ NON_INTEGER_FLOAT_SETS = {
     "sanov diag(1.1)": [[[1.0, 2.4200000000000004], [0.0, 1.0]],
                         [[1.0, 0.0], [1.652892561983471, 1.0]]],
 }
+
+
+def mat_mul(a, b):
+    """The product of two 2x2 matrices given as nested sequences."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+# the backends of random_generating_set, by kind
+RANDOM_SET_BACKENDS = {
+    "f2": {"kind": "free_group_tree", "rank": 2, "letters": "ab"},
+    "c2c3": {"kind": "free_product_tree", "orders": [2, 3]},
+    "c3c3": {"kind": "free_product_tree", "orders": [3, 3]},
+    "plane": {"kind": "half_plane"},
+    "plane-float": {"kind": "half_plane", "arithmetic": "float"},
+    "conjugate": {"kind": "half_plane", "arithmetic": "float"},
+}
+# T^+-2 and U^+-2 generate Sanov's free group; T and the order-2 S leave it
+_PLANE_LETTERS = [((1, 2), (0, 1)), ((1, -2), (0, 1)), ((1, 0), (2, 1)), ((1, 0), (-2, 1)),
+                  ((1, 1), (0, 1)), ((0, -1), (1, 0))]
+
+
+def random_generating_set(kind, rng):
+    """A seeded random generating set on ``RANDOM_SET_BACKENDS[kind]``, for
+    tests that run a search against a reference on many inputs: 1-3 words
+    of 1-3 letters over a, b and their inverses on a tree; on the plane 1-3
+    products of 1-4 of the PSL(2, Z) letters above, with float entries on
+    "plane-float", and on "conjugate" also conjugated in floats by
+    diag(l, 1/l) for an l that leaves some entries non-integer. Sets whose
+    entries all reduce to the identity are drawn again."""
+    backend = make_backend(RANDOM_SET_BACKENDS[kind])
+    while True:
+        if kind in ("f2", "c2c3", "c3c3"):
+            gens = ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 3))]
+        else:
+            gens = [functools.reduce(mat_mul, rng.choices(_PLANE_LETTERS, k=rng.randint(1, 4)))
+                    for _ in range(rng.randint(1, 3))]
+            if kind == "conjugate":
+                l2 = rng.choice((0.5, 1.1, 0.37)) ** 2
+                gens = [((a, b * l2), (c / l2, d)) for (a, b), (c, d) in gens]
+            if kind != "plane":
+                gens = [[[float(v) for v in row] for row in m] for m in gens]
+        try:
+            return make_generating_set(backend, gens)
+        except EmptyAfterReduction:
+            continue
 
 
 def power(g, n):

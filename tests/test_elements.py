@@ -1,16 +1,20 @@
-"""GroupElement and Point semantics, and the basepoint pool against a
-reference that builds a GroupElement per pair product."""
+"""GroupElement and Point semantics, and the basepoint pool: seeds and
+axis apexes, which certify what the larger reference pool certifies."""
 
+import functools
 import random
 
 import pytest
 
+import loxgrow.freebasis as freebasis
+from loxgrow.errors import LoxgrowError
+from loxgrow.freebasis import SearchBudgets, build_free_basis, certificate_to_json
 from loxgrow.spaces import GroupElement, Point, make_backend
 from loxgrow.spaces.base import basepoint_candidates, word_str
 from loxgrow.words import GeneratingSet, make_generating_set
 
-from conftest import SANOV
-from test_freebasis import _CHECK_CASES, _searched_T_sets
+from conftest import SANOV, mat_mul, random_generating_set
+from test_freebasis import _CHECK_CASES
 
 _TREE = {"kind": "free_group_tree", "rank": 2, "letters": "xy"}
 
@@ -73,8 +77,10 @@ def test_reprs_are_unchanged():
 
 
 def _reference_candidates(S, budget=64):
-    """The reference pool: a GroupElement and an is_identity call per pair
-    product."""
+    """The reference pool: the seeds, their orbit under S and under up to
+    ``budget`` pair products of S, then the backend's extra candidates,
+    deduplicated and cut at ``budget``. It builds a GroupElement and makes
+    an is_identity call per pair product."""
     backend = S.backend
     seeds = backend._candidate_seeds()
     pts = []
@@ -118,88 +124,107 @@ def _reference_candidates(S, budget=64):
     return pts[:budget]
 
 
-def _assert_same_pool(T, budget=64):
-    got, want = basepoint_candidates(T, budget), _reference_candidates(T, budget)
-    assert got == want
-    # point for point, with the float coordinates bit for bit
-    assert [repr(p.data) for p in got] == [repr(p.data) for p in want]
+def _outcomes(S, monkeypatch, memory_cap, budgets=None):
+    """certificate_to_json of build_free_basis, or the error's type and
+    message, with the pool and then with the reference pool in its place."""
+    def outcome():
+        try:
+            return certificate_to_json(build_free_basis(S, budgets, memory_cap=memory_cap))
+        except LoxgrowError as exc:
+            return f"{type(exc).__name__}: {exc}"
 
-
-def _new_products(T):
-    """The distinct pair products of T outside T and the identity."""
-    backend = T.backend
-    known = {t.canonical for t in T} | {backend._identity_canonical()}
-    return {backend._compose(a.canonical, b.canonical) for a in T for b in T} - known
+    pool = freebasis.basepoint_candidates
+    new = outcome()
+    monkeypatch.setattr(freebasis, "basepoint_candidates", _reference_candidates)
+    old = outcome()
+    monkeypatch.setattr(freebasis, "basepoint_candidates", pool)
+    return new, old
 
 
 _CERTIFY = ["elliptic", "sanov", "sanov-float", "c2c7", "c2c3", "c2c4", "c3c3"]
 
 
 @pytest.mark.parametrize("case", _CERTIFY)
-def test_pool_matches_the_reference_on_every_searched_T(case, monkeypatch):
+def test_certify_configs_write_the_reference_pools_certificate(case, monkeypatch):
     config, gens, cap = _CHECK_CASES[case]
     S = make_generating_set(make_backend(config), gens)
-    searched = _searched_T_sets(S, monkeypatch, cap)
-    assert searched
-    for T, _ in searched:
-        _assert_same_pool(T)
+    new, old = _outcomes(S, monkeypatch, cap)
+    assert new == old and new.startswith("{")
 
 
-@pytest.mark.parametrize("config", [
-    _TREE,
-    {"kind": "free_product_tree", "orders": [2, 3]},
-    {"kind": "free_product_tree", "orders": [3, 3]},
-])
-def test_pool_matches_the_reference_on_random_tree_sets(config):
-    backend = make_backend(config)
-    letters = "xyXY" if config["kind"] == "free_group_tree" else "aAbB"
-    rng = random.Random(f"pool/{config}")
-    for _ in range(40):
-        words = {"".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
-                 for _ in range(rng.randint(1, 9))}
-        elems = [backend.element(w) for w in sorted(words)]
-        T = GeneratingSet(backend, [g for g in elems if g.canonical])
-        if len(T):
-            for budget in (4, 16, 64):
-                _assert_same_pool(T, budget)
+@pytest.mark.parametrize("kind, count", [("f2", 15), ("c2c3", 15), ("c3c3", 15), ("plane", 15),
+                                         ("plane-float", 4), ("conjugate", 4)])
+def test_random_sets_end_as_with_the_reference_pool(kind, count, monkeypatch):
+    # the same certificate, byte for byte, or the same error
+    rng = random.Random(f"pool/{kind}")
+    certified = 0
+    for _ in range(count):
+        S = random_generating_set(kind, rng)
+        new, old = _outcomes(S, monkeypatch, 5_000, SearchBudgets(max_n=6, max_k=8))
+        assert new == old, S
+        certified += new.startswith("{")
+    assert certified >= count // 3
+
+
+def _plane_words(*words):
+    """The matrices of words over T^2, U^2 and their inverses (t, u, T, U)."""
+    letters = {"t": ((1, 2), (0, 1)), "T": ((1, -2), (0, 1)),
+               "u": ((1, 0), (2, 1)), "U": ((1, 0), (-2, 1))}
+    return [[list(row) for row in functools.reduce(mat_mul, map(letters.get, w))]
+            for w in words]
+
+
+def test_a_T_past_the_reference_budget_writes_its_certificate(monkeypatch):
+    # nine entries give a first T of 18, whose orbit and pair products fill
+    # the reference pool's 64 points before most of its 18 apexes
+    hp = make_backend({"kind": "half_plane"})
+    S = make_generating_set(hp, _plane_words("t", "u", "tu", "ut", "tU", "Ut", "ttu", "uut", "tut"))
+    scanned = []
+    scan = freebasis._scan_basepoints
+
+    def record(T, *args):
+        scanned.append(T)
+        return scan(T, *args)
+
+    monkeypatch.setattr(freebasis, "_scan_basepoints", record)
+    new, old = _outcomes(S, monkeypatch, 20_000)
+    assert new == old and new.startswith("{")
+    T = scanned[0]
+    reference = {hp._point_key(p) for p in _reference_candidates(T)}
+    assert len(reference) == 64
+    assert any(hp._point_key(p) not in reference for p in basepoint_candidates(T))
+
+
+def _no_compose(*args):
+    raise AssertionError("the basepoint pool composed an element")
 
 
 @pytest.mark.parametrize("arithmetic", ["exact_integer", "float"])
-def test_pool_matches_the_reference_on_random_plane_sets(arithmetic):
-    backend = make_backend({"kind": "half_plane", "arithmetic": arithmetic})
-    letters = [((1, 2), (0, 1)), ((1, -2), (0, 1)), ((1, 0), (2, 1)), ((1, 0), (-2, 1)),
-               ((0, -1), (1, 0)), ((1, 1), (0, 1))]
-    rng = random.Random(f"pool/{arithmetic}")
-    for _ in range(30):
-        elems = []
-        for _ in range(rng.randint(1, 6)):
-            m = ((1, 0), (0, 1))
-            for _ in range(rng.randint(1, 7)):
-                g = rng.choice(letters)
-                m = tuple(tuple(sum(m[i][j] * g[j][c] for j in range(2)) for c in range(2))
-                          for i in range(2))
-            elems.append(backend.element([list(r) for r in m]))
-        T = GeneratingSet(backend, elems)
-        for budget in (8, 64):
-            _assert_same_pool(T, budget)
+def test_plane_pool_is_the_origin_then_the_apexes_in_canonical_order(arithmetic, monkeypatch):
+    hp = make_backend({"kind": "half_plane", "arithmetic": arithmetic})
+    # loxodromic, parabolic and elliptic entries, given out of canonical order
+    specs = _plane_words("tu", "u", "Ut", "tuu", "t") + [[[0, -1], [1, 0]], [[2, 1], [1, 1]]]
+    if arithmetic == "float":
+        specs = [[[float(v) for v in row] for row in m] for m in specs]
+    T = GeneratingSet(hp, [hp.element(m) for m in specs])
+    lox = sorted((t for t in T if hp.classify(t).kind == "loxodromic"), key=hp.sort_key)
+    assert 1 < len(lox) < len(T)
+    want = [hp.origin()] + [hp.axis_apex(t) for t in lox]
+    monkeypatch.setattr(hp, "_compose", _no_compose)
+    assert basepoint_candidates(T) == want
+    assert basepoint_candidates(T, 3) == want[:3]
+    # a repeated apex counts once
+    assert basepoint_candidates(GeneratingSet(hp, list(T) + list(T))) == want
 
 
-def test_pool_matches_the_reference_with_an_involution():
-    # a*a = 1: the product that is the identity is left out of the pool
-    tree = make_backend({"kind": "free_product_tree", "orders": [2, 3]})
-    plane = make_backend({"kind": "half_plane"})
-    for T in (GeneratingSet(tree, [tree.element(w) for w in ("a", "b", "ab", "bab")]),
-              GeneratingSet(plane, [plane.element(m) for m in ([[0, -1], [1, 0]], *SANOV)])):
-        backend = T.backend
-        a = T[0].canonical
-        assert backend._compose(a, a) == backend._identity_canonical()
-        _assert_same_pool(T)
-
-
-def test_pool_matches_the_reference_past_the_product_budget():
-    backend = make_backend(_TREE)
-    words = ["x", "y", "xy", "xY", "yx", "xxy", "yyx", "xYx", "yXy", "xxx", "yyy", "xyxy"]
+@pytest.mark.parametrize("config, seeds", [
+    (_TREE, [b""]),
+    ({"kind": "free_product_tree", "orders": [2, 3]}, [(b"", 0), (b"", 1)]),
+], ids=["free", "product"])
+def test_tree_pool_is_the_seeds(config, seeds, monkeypatch):
+    backend = make_backend(config)
+    words = ["xy", "x", "yyx"] if config is _TREE else ["ab", "a", "bab"]
     T = GeneratingSet(backend, [backend.element(w) for w in words])
-    assert len(_new_products(T)) > 64
-    _assert_same_pool(T)
-    _assert_same_pool(T, 16)
+    monkeypatch.setattr(backend, "_compose", _no_compose)
+    assert [p.data for p in basepoint_candidates(T)] == seeds
+    assert basepoint_candidates(T, 1) == [backend.origin()]

@@ -712,8 +712,8 @@ def test_search_spells_only_the_winner(case, monkeypatch):
     config, gens, cap = _CHECK_CASES[case]
     backend = make_backend(config)
     S = make_generating_set(backend, gens)
-    scanned, spelled = [], []
-    scan, kappa = freebasis._scan_basepoints, freebasis._compute_kappa
+    scanned, spelled, composes = [], [], []
+    scan, kappa, spell = freebasis._scan_basepoints, freebasis._compute_kappa, freebasis._spelled
 
     def record_scan(T, *args):
         scanned.append(T)
@@ -723,11 +723,19 @@ def test_search_spells_only_the_winner(case, monkeypatch):
         spelled.append(T)
         return kappa(S, T, *args)
 
+    def counted_spell(*args):
+        # spelling the winner composes nothing, with or without words
+        with monkeypatch.context() as m:
+            m.setattr(backend, "_compose", lambda a, b: composes.append((a, b)))
+            m.setattr(backend, "compose", lambda a, b: composes.append((a, b)))
+            return spell(*args)
+
     monkeypatch.setattr(freebasis, "_scan_basepoints", record_scan)
     monkeypatch.setattr(freebasis, "_compute_kappa", record_kappa)
+    monkeypatch.setattr(freebasis, "_spelled", counted_spell)
     cert = build_free_basis(S, memory_cap=cap)
     # the search tries bare canonicals; one T, the last scanned, is spelled
-    assert len(scanned) >= 2 and len(spelled) == 1
+    assert len(scanned) >= 2 and len(spelled) == 1 and composes == []
     assert all(t.word is None for T in scanned for t in T)
     (T,) = spelled
     assert [t.canonical for t in T] == [t.canonical for t in scanned[-1]]
@@ -1176,14 +1184,16 @@ def test_margin_stops_early_only_below_the_floor(case):
 
 
 # counts from the scan, which drops a basepoint at the first displacement
-# or Gromov product that sinks it below the best margin so far: 3,648 dist
-# and 2,841 apply calls on C3*C3, 7,019 and 4,913 on the elliptic set; the
-# per-basepoint loop with symbol words took 27,972 dist and 1,147
-# reduce_symbol_word calls on C3*C3 and 140,280 and 4,597 on the elliptic set
+# or Gromov product that sinks it below the best margin so far, over a pool
+# of seeds and apexes: 782 dist and 245 apply calls on C3*C3, 3,486 and 999
+# on the elliptic set (3,648 and 2,841, 7,019 and 4,913 with the S-orbit and
+# pair products in the pool); the per-basepoint loop with symbol words took
+# 27,972 dist and 1,147 reduce_symbol_word calls on C3*C3 and 140,280 and
+# 4,597 on the elliptic set
 _WORK_BOUNDS = {
     # case: (dist, apply, reduce_symbol_word)
-    "c3c3": (4_000, 3_200, 250),
-    "elliptic": (8_000, 5_500, 600),
+    "c3c3": (1_000, 320, 250),
+    "elliptic": (4_000, 1_200, 600),
 }
 
 
@@ -1212,6 +1222,7 @@ def test_build_free_basis_work_counts(case, monkeypatch):
     monkeypatch.setattr(type(backend), "dist", counted_dist)
     monkeypatch.setattr(type(backend), "apply", counted_apply)
     monkeypatch.setattr(loxgrow.spaces.base, "reduce_symbol_word", counted_reduce)
+    monkeypatch.setattr(freebasis, "reduce_symbol_word", counted_reduce)
     build_free_basis(S, memory_cap=cap)
     max_dist, max_apply, max_reduce = _WORK_BOUNDS[case]
     assert 0 < calls["dist"] <= max_dist
