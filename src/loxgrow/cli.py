@@ -147,13 +147,8 @@ def cmd_verify_bound(args) -> int:
     S = _generating_set(config)
     budgets = config.get("budgets", {})
     n_max = args.max_radius if args.max_radius is not None else budgets.get("n_max", _DEFAULT_N_MAX)
-    rep = verify_theorem(
-        S,
-        n_max,
-        _search_budgets(budgets),
-        memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP),
-        seed=config.get("seed", 0),
-    )
+    rep = verify_theorem(S, n_max, _search_budgets(budgets),
+                         memory_cap=budgets.get("memory_cap", DEFAULT_MEMORY_CAP))
     summary = {
         "version": __version__,
         "omega_lower": rep.omega_lower,

@@ -4,8 +4,10 @@ Pipeline (``build_free_basis``): square the generating ball S_eff until a
 loxodromic shows up among S_eff and S_eff*S_eff, pick a short loxodromic b,
 find an independent f, amplify to h = f b^n, conjugate a coset-separated
 subset S0 of at least two entries into T = {s h^k s^-1}, certify that T is
-a free basis by the ping-pong margin test (displacement against Gromov
-products at one basepoint), and convert the rank into
+a free basis by the backend's ``certificate_mode`` ("ping-pong" on the
+half-plane: integer ping-pong, with no point or float; "geometric" on the
+trees: displacement against Gromov products at one basepoint, in integer
+tree distances), and convert the rank into
 omega(<S>, S) >= log(2r - 1) / kappa with kappa >= max_t d_S(1, t).
 
 Kappa is word evidence: each T entry carries a word over S's symbols, the
@@ -34,7 +36,6 @@ from .errors import (
     SearchExhausted,
 )
 from .growth import GrowthTable, ball_sizes, growth_brackets
-from .hypcore import estimate_delta
 from .spaces import make_backend
 from .spaces.base import (
     GroupElement,
@@ -57,7 +58,7 @@ from .words import (
 )
 
 # unused here; perfbench/tracing.py patches these names on this module
-from .hypcore import gromov_product, min_displacement_search  # noqa: F401
+from .hypcore import estimate_delta, gromov_product, min_displacement_search  # noqa: F401
 
 CERT_FORMAT = "loxgrow-cert/2"
 
@@ -155,14 +156,15 @@ class GeometricCheck:
     margin: float
 
 
-def certify_free_geometric(T, x, delta=None, epsilon_margin=0.0) -> GeometricCheck:
+def certify_free_geometric(T, x, delta=None) -> GeometricCheck:
     """Ping-pong margin test at basepoint x.
 
     m is the least displacement of T and its inverses; p_max the largest
     Gromov product <a^-1 x, b x>_x over ordered letter pairs with b != a^-1
-    (equal letters included). Valid means m > 0 and
-    p_max <= m/8 - delta/2 - epsilon_margin; every nonempty reduced word W
-    over T then moves x by at least |W| m / 2, so <T> is free of rank #T.
+    (equal letters included). Valid means m > 0 and p_max <= m/8 - delta/2;
+    every nonempty reduced word W over T then moves x by at least |W| m / 2,
+    so <T> is free of rank #T. The search and the checker run it on the
+    trees, whose distances are integers, so the margin is exact there.
 
     T must carry one representative per +/- pair: if two entries coincide
     or pair as inverses (or an entry is an involution), the 2#T letters are
@@ -181,7 +183,7 @@ def certify_free_geometric(T, x, delta=None, epsilon_margin=0.0) -> GeometricChe
         delta = backend.delta
     letters, earlier, degenerate = _letters(T)
     m, p_max, margin = _margin(backend, letters, earlier, x, delta, -math.inf)
-    valid = m > 0 and margin >= epsilon_margin and not degenerate
+    valid = m > 0 and margin >= 0 and not degenerate
     return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
 
 
@@ -230,21 +232,18 @@ def _margin(backend, letters, earlier, x, delta, floor):
     return m, p_max, m / 8.0 - half_delta - p_max
 
 
-def _scan_basepoints(T, points, delta, epsilon_margin):
+def _scan_basepoints(T, points, delta):
     """The basepoint among ``points`` at which T passes the ping-pong test,
     or None.
 
     It is the point that certify_free_geometric at every point would pick:
-    the first of largest margin, skipping points where a distance
-    overflows, if the check passes there. The scan gets there with less
-    work. It builds T's letters once, and it rejects a T whose letters
-    coincide before computing any distance. Each point is measured letter
-    by letter (``_margin``) against the floor max(epsilon_margin, best
-    margin so far): a point whose margin is below ``epsilon_margin`` fails
-    the test, and one at or below the best so far can no longer win, so
-    the point is dropped at the first displacement or Gromov product that
-    sinks it. A dropped point may thus skip a letter whose distance would
-    overflow; it is dropped either way.
+    the first of largest margin, if the check passes there. The scan gets
+    there with less work. It builds T's letters once, and it rejects a T
+    whose letters coincide before computing any distance. Each point is
+    measured letter by letter (``_margin``) against the floor max(0, best
+    margin so far): a point whose margin is below 0 fails the test, and one
+    at or below the best so far can no longer win, so the point is dropped
+    at the first displacement or Gromov product that sinks it.
     """
     backend = T.backend
     letters, earlier, degenerate = _letters(T)
@@ -252,17 +251,31 @@ def _scan_basepoints(T, points, delta, epsilon_margin):
         return None
     best = None  # (margin, m, point)
     for x in points:
-        floor = epsilon_margin if best is None else max(epsilon_margin, best[0])
-        try:
-            m, _, margin = _margin(backend, letters, earlier, x, delta, floor)
-        except OverflowError:
-            # entries of T grew past float range; drop the basepoint
-            continue
-        if margin >= epsilon_margin and (best is None or margin > best[0]):
+        floor = 0.0 if best is None else max(0.0, best[0])
+        m, _, margin = _margin(backend, letters, earlier, x, delta, floor)
+        if margin >= 0.0 and (best is None or margin > best[0]):
             best = (margin, m, x)
     if best is None or not best[1] > 0:
         return None
     return best[2]
+
+
+def _free_basis_evidence(T):
+    """The certificate fields that prove T a free basis, or None when T
+    fails its backend's test: on the half-plane, ping-pong on T and its
+    inverses (``HalfPlane._free_walk``), which stores nothing beyond T; on
+    a tree, the margin test at the best basepoint (``_scan_basepoints``),
+    stored with m, p_max and margin from certify_free_geometric, the
+    checker's own function."""
+    backend = T.backend
+    if backend.certificate_mode == "ping-pong":
+        canon = [t.canonical for t in T]
+        return {} if backend._free_walk(canon + [backend._invert(c) for c in canon]) else None
+    x = _scan_basepoints(T, basepoint_candidates(T), backend.delta)
+    if x is None:
+        return None
+    check = certify_free_geometric(T, x, backend.delta)
+    return {"basepoint": x, "m": check.m, "p_max": check.p_max, "margin": check.margin}
 
 
 def certify_free_exact(T, L, memory_cap=DEFAULT_MEMORY_CAP) -> bool:
@@ -270,8 +283,8 @@ def certify_free_exact(T, L, memory_cap=DEFAULT_MEMORY_CAP) -> bool:
 
     A True result bounds the length of a shortest relation from below; it
     certifies neither freeness nor any growth bound, and the pipeline does
-    not call it. Tests use it as an exact reference for the geometric
-    check. Raises BudgetExceeded when the word count
+    not call it. Tests use it as an exact reference for both freeness
+    tests. Raises BudgetExceeded when the word count
     sum_{l<=L} 2r (2r-1)^(l-1) passes the cap.
     """
     backend = T.backend
@@ -312,31 +325,35 @@ class FreeBasisCertificate:
     """The fields of a ``loxgrow-cert/2`` certificate, each stored under its
     name (``key`` in the metadata where that differs).
 
-    The evidence for the bound is S, T with its words, the basepoint, the
-    margin numbers, kappa and omega_lower; the checker re-derives each of
-    them from T and the stored backend. n, k, ``kappa_mode`` and
+    The evidence for the bound is S, T with its words, kappa, omega_lower
+    and, in the "geometric" mode only, the basepoint and margin numbers
+    (``_GEOMETRIC``, else None); the checker re-derives each of them from
+    T and the stored backend. n, k, ``kappa_mode`` and
     ``escalation_rounds`` are notes from the builder and are not checked.
     """
 
     backend_config: dict = field(metadata={"key": "backend"})
     backend_hash: str
-    mode: str  # always "geometric"
+    mode: str  # the backend's certificate_mode: "ping-pong" | "geometric"
     n: int  # builder note: h = f b^n
     k: int  # builder note: T = {s h^k s^-1}
     S: GeneratingSet  # word metric of the final bound
     T: GeneratingSet  # one representative per +- pair
     r: int
-    basepoint: Point
-    m: float
-    p_max: float
-    margin: float
-    epsilon_margin: float
     kappa: int
     kappa_mode: str  # "exact" | "word-upper"
     omega_lower: float
     escalation_rounds: int
     # a constant of the format: membership in E(b) is always decided exactly
     membership_heuristic: bool = False
+    basepoint: Optional[Point] = None
+    m: Optional[float] = None
+    p_max: Optional[float] = None
+    margin: Optional[float] = None
+
+
+# the fields of the "geometric" mode's evidence, stored in no other mode
+_GEOMETRIC = ("basepoint", "m", "p_max", "margin")
 
 
 def _diagonal(max_n, max_k):
@@ -418,20 +435,18 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     E(h) tests one conjugate (``_elementary_member``).
 
     Smallest n + k first, n ascending inside a diagonal; the first (n, k)
-    whose T passes the ping-pong margin test at some basepoint candidate
-    wins. The basepoint is the candidate of largest margin, the first on
-    ties (``_scan_basepoints``), and certify_free_geometric at that point
-    gives the stored m, p_max and margin. The search composes bare
-    canonicals, and a tried T holds elements with no word; only the
-    winning T is spelled (``_spelled``), once, before kappa reads its
-    words. If no (n, k) passes, SearchExhausted is raised. Kappa's search
+    whose T passes the backend's freeness test (``_free_basis_evidence``)
+    wins: integer ping-pong on the half-plane, which reads no point, and
+    the margin test at the best basepoint candidate on a tree. The search
+    composes bare canonicals, and a tried T holds elements with no word;
+    only the winning T is spelled (``_spelled``), once, before kappa reads
+    its words. If no (n, k) passes, SearchExhausted is raised. Kappa's search
     resumes ``ball``, a ``Ball`` of S with this ``memory_cap``, when one is
     given (``verify_theorem`` passes the one its growth table walked),
     else walks a fresh one.
     """
     budgets = budgets or SearchBudgets()
     backend = S.backend
-    eps = backend.dist_roundoff
     S_eff, rounds = S, 0
     while True:
         try:
@@ -473,19 +488,16 @@ def build_free_basis(S, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
         hk = h_pows[k - 1]
         T = GeneratingSet(backend, [GroupElement(backend, compose(compose(s.canonical, hk), s_inv))
                                     for s, s_inv in zip(S0, S0_inv)])
-        x = _scan_basepoints(T, basepoint_candidates(T), backend.delta, eps)
-        if x is None:
+        evidence = _free_basis_evidence(T)
+        if evidence is None:
             continue
-        # the stored numbers come from the checker's own function
-        check = certify_free_geometric(T, x, backend.delta, eps)
         T, kappa, kappa_mode = _compute_kappa(S, _spelled(T, S0, f, b, n, k), memory_cap, ball)
         r = len(T)
         return FreeBasisCertificate(
             backend_config=backend.config(), backend_hash=backend_hash(backend.config()),
-            mode="geometric", n=n, k=k, S=S, T=T, r=r, basepoint=x,
-            m=check.m, p_max=check.p_max, margin=check.margin, epsilon_margin=eps,
+            mode=backend.certificate_mode, n=n, k=k, S=S, T=T, r=r,
             kappa=kappa, kappa_mode=kappa_mode, omega_lower=math.log(2 * r - 1) / kappa,
-            escalation_rounds=rounds,
+            escalation_rounds=rounds, **evidence,
         )
 
     raise SearchExhausted(
@@ -510,8 +522,7 @@ class TheoremReport:
     elementary_reason: Optional[str] = None
 
 
-def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
-                   seed=0) -> TheoremReport:
+def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP) -> TheoremReport:
     """Run the full pipeline and cross-check the growth brackets.
 
     Counts balls for S, then builds the free-basis certificate with
@@ -519,9 +530,9 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     of S: the table counts its first ``n_max`` spheres, and the kappa
     search reads them again and walks on from there only if it must, so
     the ball of S is walked once; the Ball is dropped when both are done.
-    On a one-letter tree set, or a half-plane set of det-1 integer
-    matrices that passes ``HalfPlane._free_walk``'s ping-pong test (both
-    spellings of Sanov's pair do), the table is counted without
+    On a one-letter tree set, or a half-plane set of integer matrices
+    that passes ``HalfPlane._free_walk``'s ping-pong test (both spellings
+    of Sanov's pair do), the table is counted without
     a walk. Kappa's targets are spelled in closed form, with no walk, on
     a tree set of one-byte entries and on such a half-plane set: Sanov's
     pair and the trees' standard sets walk nothing at all, and C2*C7
@@ -529,19 +540,9 @@ def verify_theorem(S, n_max, budgets=None, *, memory_cap=DEFAULT_MEMORY_CAP,
     Elementary outcomes are reported, not raised; budget blowups
     propagate. A growth table truncated below radius 2 raises
     BudgetExceeded; one truncated later stays in the report
-    (``table.truncated``) for the caller to flag. On the half-plane the
-    configured delta must cover an empirical four-point defect estimate.
-    The certified lower bound must not exceed the certified upper bound,
-    else the run aborts.
+    (``table.truncated``) for the caller to flag. The certified lower
+    bound must not exceed the certified upper bound, else the run aborts.
     """
-    backend = S.backend
-    if backend.kind == "half_plane":
-        est = estimate_delta(backend, 200, seed)
-        if est > backend.delta:
-            raise ConfigError(
-                f"empirical four-point defect {est:.4f} exceeds the configured "
-                f"delta {backend.delta:g}; raise delta"
-            )
     ball = Ball(S, memory_cap)
     table = ball_sizes(S, n_max, memory_cap=memory_cap, ball=ball)
     if table.truncated and table.n_max < 2:
@@ -636,11 +637,20 @@ def _key(f):
     return f.metadata.get("key", f.name)
 
 
+def _type(f):
+    """The field's type, Point for Optional[Point]."""
+    return getattr(f.type, "__args__", (f.type,))[0]
+
+
 def certificate_payload(cert: FreeBasisCertificate) -> dict:
+    """The certificate as a JSON-ready dict; a field that is None (the
+    geometric evidence in the ping-pong mode) is left out."""
     codec = _codec(cert.S.backend)
     out = {"format": CERT_FORMAT}
     for f in fields(FreeBasisCertificate):
-        out[_key(f)] = codec[f.type][0](getattr(cert, f.name))
+        value = getattr(cert, f.name)
+        if value is not None:
+            out[_key(f)] = codec[_type(f)][0](value)
     return out
 
 
@@ -654,6 +664,8 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
     Raises InvalidCertificate on text that is not JSON, on a missing field,
     on a field of the wrong shape or type, on a number that is not finite,
     and on a stored element or point that the backend's own rules refuse.
+    The geometric evidence (``_GEOMETRIC``) may be missing; the checker
+    asks for it in the geometric mode and refuses it in any other.
     A stored backend config that ``make_backend`` cannot build raises its
     ConfigError, as in a run config.
     """
@@ -676,8 +688,10 @@ def certificate_from_payload(data, backend=None) -> FreeBasisCertificate:
         raise InvalidCertificate("certificate was produced by a different backend")
     codec, values = _codec(backend), {}
     for f in fields(FreeBasisCertificate):
+        if f.name in _GEOMETRIC and _key(f) not in data:
+            continue
         try:
-            values[f.name] = codec[f.type][1](data[_key(f)])
+            values[f.name] = codec[_type(f)][1](data[_key(f)])
         except _SHAPE_ERRORS as exc:
             raise _malformed(exc, f" field {_key(f)!r}") from exc
     return FreeBasisCertificate(**values)
@@ -731,20 +745,21 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     """Re-derive the bound from T and compare with the stored numbers.
 
     Accepts a FreeBasisCertificate, a payload dict, or JSON text, checked
-    on the backend its stored config builds. It checks that r = #T >= 2
-    with 2r distinct letters; that the ping-pong margin at the stored
-    basepoint, with the backend's delta, reproduces m, p_max and margin
-    and clears ``epsilon_margin``; that each T word evaluates over the
-    stored S to its entry, with kappa the longest word; and that
-    omega_lower = log(2r - 1) / kappa. It does not ask how T was found: n,
-    k, ``kappa_mode`` and ``escalation_rounds`` (beyond being >= 0) are
-    unchecked notes, and no work depends on them. No search runs, so
-    ``memory_cap`` is accepted and ignored.
+    on the backend its stored config builds. The mode must be the
+    backend's ``certificate_mode``, with the geometric evidence
+    (``_GEOMETRIC``) stored in that mode only. It checks that r = #T >= 2
+    with 2r distinct letters; that T is a free basis (the builder's test,
+    ``_free_basis_evidence``, on the half-plane; on a tree the margin at
+    the stored basepoint, which must reproduce m, p_max and margin and
+    clear 0); that each T word evaluates over the stored S to its entry,
+    with kappa the longest word; and that omega_lower = log(2r - 1) /
+    kappa. n, k, ``kappa_mode`` and ``escalation_rounds`` (beyond being
+    >= 0) are unchecked notes, and no work depends on them. No search runs,
+    so ``memory_cap`` is accepted and ignored.
 
-    Each number must be reproduced bit for bit. The only accepted mode is
-    "geometric", ``membership_heuristic`` must be false, and
-    ``epsilon_margin`` must cover ``backend.dist_roundoff``. Raises
-    InvalidCertificate on the first mismatch.
+    Each number must be reproduced bit for bit, and
+    ``membership_heuristic`` must be false. Raises InvalidCertificate on
+    the first mismatch.
     """
     if isinstance(source, FreeBasisCertificate):
         cert = source
@@ -755,11 +770,15 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     def fail(msg):
         raise InvalidCertificate(msg)
 
-    if cert.mode != "geometric":
+    if cert.mode not in ("geometric", "ping-pong"):
         fail(f"unknown mode {cert.mode!r}")
-    if cert.epsilon_margin < backend.dist_roundoff:
-        fail(f"epsilon_margin {cert.epsilon_margin!r} is below the backend's "
-             f"distance roundoff {backend.dist_roundoff!r}")
+    if cert.mode != backend.certificate_mode:
+        fail(f"mode {cert.mode!r} on a {backend.kind} backend, whose certificates "
+             f"have mode {backend.certificate_mode!r}")
+    stored = [name for name in _GEOMETRIC if getattr(cert, name) is not None]
+    want = list(_GEOMETRIC) if cert.mode == "geometric" else []
+    if stored != want:
+        fail(f"mode {cert.mode!r} stores the evidence fields {want}, this certificate {stored}")
     if cert.membership_heuristic:
         fail("membership_heuristic must be false: membership is decided exactly")
     if backend_hash(backend.config()) != cert.backend_hash:
@@ -774,19 +793,22 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
     if _letters(cert.T)[2]:
         fail("T has a repeated entry, an inverse pair or an involution")
 
-    try:
-        chk = certify_free_geometric(cert.T, cert.basepoint, backend.delta, cert.epsilon_margin)
-    except OverflowError:
-        fail("geometric quantities overflow at the stored basepoint")
-    # fail closed: NaN compares false
-    if not chk.m == cert.m:
-        fail(f"m mismatch: recomputed {chk.m!r}, stored {cert.m!r}")
-    if not chk.p_max == cert.p_max:
-        fail(f"p_max mismatch: recomputed {chk.p_max!r}, stored {cert.p_max!r}")
-    if not chk.margin == cert.margin:
-        fail(f"margin mismatch: recomputed {chk.margin!r}, stored {cert.margin!r}")
-    if not chk.valid:
-        fail("geometric margin does not clear the floor")
+    summary = {}
+    if cert.mode == "ping-pong":
+        if _free_basis_evidence(cert.T) is None:
+            fail("T and its inverses fail the integer ping-pong test")
+    else:
+        chk = certify_free_geometric(cert.T, cert.basepoint, backend.delta)
+        # fail closed: NaN compares false
+        if not chk.m == cert.m:
+            fail(f"m mismatch: recomputed {chk.m!r}, stored {cert.m!r}")
+        if not chk.p_max == cert.p_max:
+            fail(f"p_max mismatch: recomputed {chk.p_max!r}, stored {cert.p_max!r}")
+        if not chk.margin == cert.margin:
+            fail(f"margin mismatch: recomputed {chk.margin!r}, stored {cert.margin!r}")
+        if not chk.valid:
+            fail("geometric margin does not clear the floor")
+        summary["margin"] = float(chk.margin)
 
     _check_T_words(cert.S, cert.T)
     kappa = max(len(t.word) for t in cert.T)
@@ -802,6 +824,6 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
         "r": cert.r,
         "kappa": cert.kappa,
         "omega_lower": float(cert.omega_lower),
-        "margin": float(chk.margin),
+        **summary,
         "membership_heuristic": False,
     }

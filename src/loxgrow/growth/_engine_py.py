@@ -18,7 +18,7 @@ spheres are dropped once counted.
 
 When the backend's ``_free_walk`` vouches for S (distinct one-letter or
 one-syllable tree entries, closed in each factor, or a half-plane set of
-det-1 integer matrices that a ping-pong test proves a free basis),
+integer matrices that a ping-pong test proves a free basis),
 nothing is walked: the normal forms over S are a language whose only
 state is the last letter, so each sphere's slice sizes follow from the
 sphere below.

@@ -26,7 +26,7 @@ def ball_sizes(S, n_max: int, memory_cap: float = DEFAULT_MEMORY_CAP,
     its records for the next reader (``verify_theorem``'s kappa search);
     without one the counter walks afresh and keeps no sphere. Where the
     backend's ``_free_walk`` holds for S's canonicals (one-letter tree
-    sets, half-plane sets of det-1 integer matrices that pass its
+    sets, half-plane sets of integer matrices that pass its
     ping-pong test), the counter walks nothing, not even ``ball``: it
     counts normal forms by their last letter.
     """

@@ -102,8 +102,7 @@ def displacement(S, x: Point) -> DisplacementRecord:
 
 def min_displacement_search(S, budget: int = 64) -> DisplacementRecord:
     """Upper bound for inf_x max_{s in S} d(x, sx): the least value at a
-    point of ``basepoint_candidates(S, budget)``, the backend's seeds and,
-    on the plane, the axis apexes of S's loxodromic entries.
+    point of ``basepoint_candidates(S, budget)``, the backend's seeds.
 
     Deterministic: candidates come in a fixed order and ties keep the first.
     """

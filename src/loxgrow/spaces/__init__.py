@@ -20,9 +20,9 @@ _KINDS = {
 }
 
 _ALLOWED_KEYS = {
-    "free_group_tree": {"kind", "rank", "letters", "delta", "torsion_bound"},
-    "free_product_tree": {"kind", "orders", "delta", "torsion_bound"},
-    "half_plane": {"kind", "arithmetic", "delta", "torsion_bound"},
+    "free_group_tree": {"kind", "rank", "letters", "delta"},
+    "free_product_tree": {"kind", "orders", "delta"},
+    "half_plane": {"kind", "arithmetic", "delta"},
 }
 
 

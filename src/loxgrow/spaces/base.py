@@ -25,7 +25,7 @@ the closed-form word over a set of one-byte entries.
 
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, itemgetter
 from typing import Any, Optional, Tuple
 
@@ -155,9 +155,9 @@ class Backend:
 
     kind = "abstract"
     delta = 0.0
-    torsion_bound = 1
-    # worst-case roundoff of dist(); margins must absorb it
-    dist_roundoff = 0.0
+    # how the (n, k) search proves T free: the margin test at a basepoint on
+    # the trees; the half-plane's integer "ping-pong" test (``_free_walk``)
+    certificate_mode = "geometric"
 
     # -- group algebra ----------------------------------------------------
 
@@ -245,8 +245,8 @@ class Backend:
     # walk (``generic_ball_counts``' ``free``): True only when the normal
     # forms over gens are the words in which g_h may follow g_j exactly
     # when g_j g_h lies outside {1} u gens; decided with no compose. The
-    # trees test one-letter sets (ByteWordTree), the half-plane a det-1
-    # free basis by ping-pong (HalfPlane)
+    # trees test one-letter sets (ByteWordTree), the half-plane a free
+    # basis by integer ping-pong (HalfPlane)
     def _free_walk(self, gens):
         return False
 
@@ -283,15 +283,9 @@ class Backend:
         """The point stored as ``data``; raises like canonical_from_payload."""
         raise NotImplementedError
 
-    # candidate-pool hooks with sensible defaults
+    # the basepoint pool (``basepoint_candidates``)
     def _candidate_seeds(self):
         return [self.origin()]
-
-    def _point_key(self, p: Point):
-        return p.data
-
-    def _extra_candidates(self, elems):
-        return []
 
     def __repr__(self):
         return f"{type(self).__name__}({self.config()})"
@@ -366,16 +360,6 @@ class ByteWordTree(Backend):
 
 def basepoint_candidates(S, budget: int = 64):
     """Deterministic basepoint pool: the backend's seeds (``_candidate_seeds``),
-    then its extra candidates for S (``_extra_candidates``: the axis apexes
-    on the plane), deduplicated by ``_point_key`` and cut at ``budget``.
-    The pool composes no element, so it holds no point of the seeds'
-    S-orbit: no such point was the winning basepoint of any certificate
-    measured."""
-    backend = S.backend
-    pts, seen = [], set()
-    for p in chain(backend._candidate_seeds(), backend._extra_candidates(list(S))):
-        key = backend._point_key(p)
-        if key not in seen:
-            seen.add(key)
-            pts.append(p)
-    return pts[:budget]
+    cut at ``budget``. No point of their S-orbit was the winning basepoint
+    of any tree certificate measured; the half-plane search reads no point."""
+    return S.backend._candidate_seeds()[:budget]

@@ -48,7 +48,7 @@ class FreeGroupTree(ByteWordTree):
     # the code of each letter's inverse, for bytes.translate
     _inverse = bytes(c ^ 1 for c in range(256))
 
-    def __init__(self, rank, letters=None, delta=0.0, torsion_bound=1):
+    def __init__(self, rank, letters=None, delta=0.0):
         if read_int(rank, "rank") < 1:
             raise ConfigError("rank must be >= 1")
         if rank > _MAX_RANK:
@@ -67,7 +67,6 @@ class FreeGroupTree(ByteWordTree):
         self.rank = rank
         self.letters = letters
         self.delta = read_real(delta, "delta")
-        self.torsion_bound = read_int(torsion_bound, "torsion_bound")
         self._code = {c: 2 * i for i, c in enumerate(letters)}
         self._standard = [bytes((c,)) for c in range(2 * rank)]
 
@@ -77,7 +76,6 @@ class FreeGroupTree(ByteWordTree):
             "rank": self.rank,
             "letters": self.letters,
             "delta": self.delta,
-            "torsion_bound": self.torsion_bound,
         }
 
     # -- group algebra ------------------------------------------------------

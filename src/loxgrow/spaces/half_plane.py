@@ -16,9 +16,10 @@ written:
   four entries. Its det may then differ from 1, and the geometry reads it.
 
 Points are complex numbers with positive imaginary part.  The metric is
-d(z, w) = arccosh(1 + |z - w|^2 / (2 Im z Im w)); the constant delta of the
-four-point inequality defaults to 1.0 (the plane's thin-triangle constants
-lie below that; estimate_delta probes it empirically).
+d(z, w) = arccosh(1 + |z - w|^2 / (2 Im z Im w)), in floats, which no
+certificate reads: T is proved free by the integer ping-pong test
+``_free_walk`` (mode "ping-pong"), and ``delta`` (default 1.0) is read by
+the ``delta`` command only.
 """
 
 import math
@@ -28,29 +29,27 @@ from itertools import combinations
 from ..errors import ConfigError, NotInGroup
 from .base import Backend, Classification, GroupElement, Point, read_int, read_real
 
-# apply and axis_apex shift entries longer than this many bits right by a
-# common number of bits: squares of the shifted entries stay in float range
+# apply shifts entries longer than this many bits right by a common number
+# of bits: squares of the shifted entries stay in float range
 _FLOAT_BITS = 500
 
 
 class HalfPlane(Backend):
     kind = "half_plane"
+    certificate_mode = "ping-pong"
 
-    def __init__(self, arithmetic="exact_integer", delta=1.0, torsion_bound=2):
+    def __init__(self, arithmetic="exact_integer", delta=1.0):
         if arithmetic not in ("exact_integer", "float"):
             raise ConfigError(f"unknown arithmetic {arithmetic!r}")
         self.arithmetic = arithmetic
         self.exact = arithmetic == "exact_integer"
-        self.dist_roundoff = 1e-9
         self.delta = read_real(delta, "delta")
-        self.torsion_bound = read_int(torsion_bound, "torsion_bound")
 
     def config(self):
         return {
             "kind": self.kind,
             "arithmetic": self.arithmetic,
             "delta": self.delta,
-            "torsion_bound": self.torsion_bound,
         }
 
     # -- group algebra ------------------------------------------------------
@@ -163,9 +162,6 @@ class HalfPlane(Backend):
             raise ValueError("half-plane points need positive imaginary part")
         return Point(self, complex(re, im))
 
-    def _point_key(self, p):
-        return (round(p.data.real, 9), round(p.data.imag, 9))
-
     def dist(self, x, y):
         z, w = x.data, y.data
         den = 2.0 * z.imag * w.imag
@@ -223,30 +219,6 @@ class HalfPlane(Backend):
             return 2.0 * math.log(tr) - math.log(det)
         return 2.0 * math.acosh(x)
 
-    def axis_apex(self, g):
-        """One sample point on the axis of a loxodromic element."""
-        a, b, c, d, det = (float(v) for v in _scaled(g.canonical))
-        if c:
-            cen = (a - d) / (2.0 * c)
-            r = math.sqrt((a + d) ** 2 - 4.0 * det) / (2.0 * abs(c))
-            return Point(self, complex(cen, r))
-        # fixes infinity; the axis is the vertical line over the finite fixed point
-        x0 = b / (d - a)
-        return Point(self, complex(x0, 1.0))
-
-    def _extra_candidates(self, elems):
-        out = []
-        for g in sorted(elems, key=self.sort_key):
-            if self.classify(g).kind != "loxodromic":
-                continue
-            try:
-                out.append(self.axis_apex(g))
-            except (ArithmeticError, ValueError):
-                # an apex past float range, or one that the shift of
-                # _scaled rounds onto a zero divisor or a negative root
-                continue
-        return out
-
     def sample_points(self, rng, count, window=4.0, log_height=2.5):
         pts = []
         for _ in range(count):
@@ -255,25 +227,29 @@ class HalfPlane(Backend):
             pts.append(Point(self, complex(x, y)))
         return pts
 
-    # Klein's ping-pong on det-1 integer matrices. Each letter s = (a, b, c, d)
-    # gets an open region O_s that s maps the complement of closure(O_s^-1)
-    # onto: the disk |cz - a| < 1 when c != 0, as c s(z) - a = -1/(cz + d),
-    # and for the one translation pair z -> z +- t allowed, the half-planes
-    # Re z > h + t and Re z < h. When the regions are pairwise disjoint, a
+    # Klein's ping-pong on integer matrices of any det D > 0. Each letter
+    # s = (a, b, c, d) gets an open region O_s that s maps the complement of
+    # closure(O_s^-1) onto: the disk |cz - a| < sqrt(D) when c != 0, as
+    # c s(z) - a = -D/(cz + d) (Beardon, section 9.5: its isometric circle),
+    # and for the one translation pair z -> z +- t allowed (c = 0 and a = d,
+    # t = |b/a|), the half-planes Re z > h + t and Re z < h. A letter with
+    # c = 0 and a != d moves along an axis through infinity and gets no
+    # region, so the test says no. When the regions are pairwise disjoint, a
     # point x0 + iY with Y large lies outside every closure, and a reduced
     # word w, applied letter by letter from the right, moves it into O_s of
     # w's first letter s, so w != 1: gens with their inverses are a free
     # basis. Regions may be tangent: an open set disjoint from O_s misses
     # its closure too, which is all each step needs. Conjugating changes no
-    # word, so S is also tried with each parabolic letter's cusp sent to
-    # infinity. Regions ignore the sign: raw integer products, no compose.
+    # word, so S is also tried with each parabolic letter's cusp, where
+    # (a + d)^2 = 4D, sent to infinity. Regions ignore the sign: raw integer
+    # products, no compose. A letter listed twice is no free basis
     def _free_walk(self, gens):
         letters = set(gens)
-        if any(a * d - b * c != 1 for a, b, c, d in gens) or any(
+        if len(letters) < len(gens) or any(
                 g == h or h not in letters for g, h in zip(gens, map(self._invert, gens))):
             return False
         cusps = {(a - d, 2 * c) if c > 0 else (d - a, -2 * c)
-                 for a, _, c, d in gens if c and (a + d) ** 2 == 4}
+                 for a, b, c, d in gens if c and (a + d) ** 2 == 4 * (a * d - b * c)}
         return any(_ping_pong(_conjugated(gens, q)) for q in [None, *cusps])
 
     # When S's canonicals pass _free_walk they are a free basis with their
@@ -336,13 +312,36 @@ def _conjugated(mats, cusp):
 
 def _ping_pong(mats):
     """Whether the letters ``mats`` have the disjoint regions of
-    HalfPlane._free_walk: with each disk as center a/c, radius 1/c, c > 0,
-    |a1 c2 - a2 c1| >= c1 + c2 for two disks, and with the one translation
-    t allowed, (a1 + 1)/c1 - (a2 - 1)/c2 <= t for any two: all in a strip."""
-    disks = [(a, c) if c > 0 else (-a, -c) for a, _, c, _ in mats if c]
-    shifts = [abs(b) for _, b, c, _ in mats if not c]
-    if len(shifts) > 2 or any(abs(a1 * c2 - a2 * c1) < c1 + c2
-                              for (a1, c1), (a2, c2) in combinations(disks, 2)):
+    HalfPlane._free_walk. A disk is (a, c, D) with c > 0: center a/c,
+    radius sqrt(D)/c. Two disks are disjoint when |a1 c2 - a2 c1| >=
+    c2 sqrt(D1) + c1 sqrt(D2), and with the one translation t = |b/a|
+    allowed, every disk lies in one strip of width t:
+    (a1 + sqrt(D1))/c1 - (a2 - sqrt(D2))/c2 <= t for any two, each side
+    multiplied out to integers for ``_at_least``."""
+    disks, shifts = [], []
+    for a, b, c, d in mats:
+        if c:
+            disks.append((a, c, a * d - b * c) if c > 0 else (-a, -c, a * d - b * c))
+        elif a != d:
+            return False
+        else:
+            shifts.append((abs(b), abs(a)))
+    if len(shifts) > 2 or not all(_at_least(abs(a1 * c2 - a2 * c1), c2, D1, c1, D2)
+                                  for (a1, c1, D1), (a2, c2, D2) in combinations(disks, 2)):
         return False
-    return not shifts or all((a1 + 1) * c2 - (a2 - 1) * c1 <= shifts[0] * c1 * c2
-                             for a1, c1 in disks for a2, c2 in disks)
+    if not shifts:
+        return True
+    t, s = shifts[0]
+    return all(_at_least(t * c1 * c2 - s * (a1 * c2 - a2 * c1), s * c2, D1, s * c1, D2)
+               for a1, c1, D1 in disks for a2, c2, D2 in disks)
+
+
+def _at_least(L, u, D1, v, D2):
+    """Whether L >= u sqrt(D1) + v sqrt(D2), for integers u, v >= 0 and
+    D1, D2 > 0, exactly: the right side is not negative, so square once
+    for L^2 - u^2 D1 - v^2 D2 >= 2 u v sqrt(D1 D2), and, that left side
+    not negative either, square again."""
+    if L < 0:
+        return False
+    M = L * L - u * u * D1 - v * v * D2
+    return M >= 0 and M * M >= 4 * u * u * v * v * D1 * D2

@@ -10,7 +10,7 @@ the junction; ``normalize`` brings any sequence of (factor, exp) pairs to
 normal form.  Tree vertices are cosets g<a> / g<b>, stored as (rep, side)
 where rep is the normal form of a shortest coset representative (it never
 ends in a syllable of its own factor).  Edge stabilizers are trivial, so
-the tree is 0-hyperbolic and torsion_bound defaults to 1.
+the tree is 0-hyperbolic.
 
 The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 
@@ -56,7 +56,7 @@ def _junction_compose(orders):
 class FreeProductTree(ByteWordTree):
     kind = "free_product_tree"
 
-    def __init__(self, orders=(2, 3), delta=0.0, torsion_bound=1):
+    def __init__(self, orders=(2, 3), delta=0.0):
         p, q = orders
         p, q = read_int(p, "factor order"), read_int(q, "factor order")
         if p < 2 or q < 2:
@@ -75,14 +75,12 @@ class FreeProductTree(ByteWordTree):
         self._inverse = bytes(inverse)
         self._standard = [bytes(((f << 6) | e,)) for f in (0, 1) for e in range(1, self.orders[f])]
         self.delta = read_real(delta, "delta")
-        self.torsion_bound = read_int(torsion_bound, "torsion_bound")
 
     def config(self):
         return {
             "kind": self.kind,
             "orders": list(self.orders),
             "delta": self.delta,
-            "torsion_bound": self.torsion_bound,
         }
 
     # -- group algebra ------------------------------------------------------

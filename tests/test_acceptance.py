@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import PSL2Z_ELLIPTIC, SANOV
+from conftest import NON_INTEGER_FLOAT_SETS, PSL2Z_ELLIPTIC, SANOV
 from loxgrow import cli
 from loxgrow.errors import NoLoxodromicFound
 from loxgrow.freebasis import (
@@ -131,8 +131,8 @@ def _random_alternating_entry(rng, bcount):
     return "".join(parts)
 
 
-def _random_matrix_product(rng, backend, length):
-    letters = [backend.element(m) for m in SANOV]
+def _random_matrix_product(rng, backend, length, mats=SANOV):
+    letters = [backend.element(m) for m in mats]
     letters += [backend.invert(g) for g in letters]
     idx = rng.randrange(4)
     g = letters[idx]
@@ -146,6 +146,8 @@ def test_geometric_certificates_sound_against_exact_checker():
     ft2 = FreeGroupTree(2, letters="xy")
     pt23 = FreeProductTree((2, 3))
     hp = HalfPlane()
+    # Sanov's pair conjugated in floats by diag(1.1): letters of det != 1
+    hpf = HalfPlane(arithmetic="float")
 
     def sample_set(backend, rng):
         if backend is ft2:
@@ -158,27 +160,37 @@ def test_geometric_certificates_sound_against_exact_checker():
                 _random_alternating_entry(rng, rng.randint(4, 5)) for _ in range(2)
             ]
         else:
+            mats = SANOV if backend is hp else NON_INTEGER_FLOAT_SETS["sanov diag(1.1)"]
             return GeneratingSet(
                 backend,
                 [
-                    _random_matrix_product(rng, backend, rng.randint(1, 3))
+                    _random_matrix_product(rng, backend, rng.randint(1, 3), mats)
                     for _ in range(rng.randint(2, 3))
                 ],
             )
         return GeneratingSet(backend, [backend.element(w) for w in words])
 
     rng = random.Random(20260814)
-    trials, valid_certs = 0, []
+    trials, valid_certs, plane_certs = 0, [], 0
     # random entries rarely clear the margin (any shared departure direction
     # kills it), so keep sampling each backend until it has contributed its
-    # share of valid certificates; hp stays vacuous at these word lengths
-    for backend, want_valid in ((ft2, 15), (pt23, 15), (hp, 0)):
+    # share of valid certificates. The plane certifies by integer ping-pong
+    # on T and its inverses, in either spelling, det != 1 included: each T
+    # it passes must have no relation of length <= 6 either
+    for backend, want_valid in ((ft2, 15), (pt23, 15), (hp, 10), (hpf, 10)):
         done, found = 0, 0
         while done < 70 or found < want_valid:
             if done >= 1000:
                 break
             done += 1
             T = sample_set(backend, rng)
+            if isinstance(backend, HalfPlane):
+                letters = [t.canonical for t in T] + [backend.invert(t).canonical for t in T]
+                if backend._free_walk(letters):
+                    assert certify_free_exact(T, 6, memory_cap=CAP) is True
+                    plane_certs += 1
+                    found += 1
+                continue
             x = backend.origin()
             chk = certify_free_geometric(T, x)
             if chk.valid:
@@ -188,6 +200,7 @@ def test_geometric_certificates_sound_against_exact_checker():
         trials += done
     assert trials >= 200
     assert len(valid_certs) >= 30  # the soundness check must not be vacuous
+    assert plane_certs >= 20
 
     words_checked = 0
     for T, x, m in valid_certs:
@@ -207,8 +220,8 @@ def test_geometric_certificates_sound_against_exact_checker():
             words_checked += 1
     assert words_checked >= 200
     print(
-        f"PASS cross-oracle: {len(valid_certs)} valid certificates over {trials} "
-        f"seeded sets, {words_checked} word displacements"
+        f"PASS cross-oracle: {len(valid_certs)} valid tree and {plane_certs} plane "
+        f"certificates over {trials} seeded sets, {words_checked} word displacements"
     )
 
 

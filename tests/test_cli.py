@@ -261,6 +261,66 @@ def test_check_cert_rejects_a_rank_one_basis(f2_config, tmp_path, capsys):
     assert "rank 1: the bound needs a free basis of rank r >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, edit, message", [
+    # a mode on the other backend kind
+    ("half_plane", {"mode": "geometric"}, "whose certificates have mode 'ping-pong'"),
+    ("free_group_tree", {"mode": "ping-pong"}, "whose certificates have mode 'geometric'"),
+    ("half_plane", {"mode": "geometric", "basepoint": [0.0, 1.0], "m": 1.0, "p_max": 0.0,
+                    "margin": 0.0}, "whose certificates have mode 'ping-pong'"),
+    # evidence keys that do not match the mode
+    ("half_plane", {"basepoint": [0.0, 1.0]}, "this certificate ['basepoint']"),
+    ("half_plane", {"m": 1.0, "p_max": 0.0, "margin": 0.0}, "this certificate ['m'"),
+    ("free_group_tree", {"margin": None}, "this certificate ['basepoint', 'm', 'p_max']"),
+    ("free_product_tree", {"basepoint": None, "m": None}, "this certificate ['p_max'"),
+], ids=["plane-geometric", "tree-ping-pong", "plane-geometric-evidence", "plane-basepoint",
+        "plane-margins", "tree-no-margin", "tree-no-basepoint"])
+def test_check_cert_refuses_a_mode_or_evidence_of_the_other_kind(shape_certs, tmp_path, capsys,
+                                                                  kind, edit, message):
+    # None drops the key
+    payload = dict(shape_certs[kind], **edit)
+    payload = {key: value for key, value in payload.items() if value is not None}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(bad)]) == 5
+    assert message in capsys.readouterr().err
+
+
+def test_check_cert_refuses_a_plane_T_that_is_not_free(shape_certs, tmp_path, capsys):
+    # T's second entry swapped for the square of its first, with its word,
+    # kappa and omega_lower to match: every check but the ping-pong passes
+    payload = json.loads(json.dumps(shape_certs["half_plane"]))
+    backend = make_backend(payload["backend"])
+    t = payload["T"][0]
+    square = backend._compose(tuple(t["canonical"]), tuple(t["canonical"]))
+    payload["T"][1] = {"word": t["word"] * 2, "canonical": list(square),
+                       "symbols": t["symbols"] * 2}
+    kappa = max(len(e["symbols"]) for e in payload["T"])
+    payload.update(kappa=kappa, omega_lower=math.log(2 * payload["r"] - 1) / kappa)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(bad)]) == 5
+    assert "fail the integer ping-pong test" in capsys.readouterr().err
+
+
+def test_plane_certificates_hold_no_float_but_omega_lower(shape_certs):
+    # beside the backend config (its delta, which the checker does not read)
+    def floats(node, path=()):
+        if isinstance(node, float):
+            yield path
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                yield from floats(value, path + (key,))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from floats(value, path + (i,))
+
+    payload = shape_certs["half_plane"]
+    assert payload["mode"] == "ping-pong"
+    assert sorted(floats(payload)) == [("backend", "delta"), ("omega_lower",)]
+
+
 @pytest.mark.parametrize("target, value, message", [
     ("b", [[2, 1], [1, 1]], "non-normal syllable word"),
     ("b", [[-1, 1], [1, 1]], "non-normal syllable word"),
@@ -354,7 +414,8 @@ _DROP = object()
     ("half_plane", ("n",), "x"),
     ("half_plane", ("n",), 1.5),
     ("half_plane", ("n",), float),
-    ("half_plane", ("m",), str),
+    # a half-plane certificate stores no m: its one float is omega_lower
+    ("half_plane", ("omega_lower",), str),
     ("half_plane", ("T",), _DROP),
     ("free_group_tree", ("kappa",), str),
     ("free_group_tree", ("escalation_rounds",), True),
@@ -389,6 +450,8 @@ def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, 
     assert "invalid certificate" in capsys.readouterr().err
 
 
+# torsion_bound is no backend key: whatever its value, it exits 4 as an
+# unknown key, as in test_torsion_bound_is_an_unknown_backend_key
 _BAD_BACKEND_FIELDS = [
     ("half_plane", "delta", "x"),
     ("half_plane", "torsion_bound", "x"),
@@ -513,7 +576,8 @@ def test_nan_delta_exits_four_before_any_search(write_config, capsys):
 
 @pytest.mark.parametrize("kind, field, value", [
     ("half_plane", "delta", 1),
-    ("half_plane", "torsion_bound", 3),
+    # the delta of the benchmark's elliptic config, read by this command only
+    ("half_plane", "delta", 0.7),
     ("free_product_tree", "delta", 0),
     ("free_group_tree", "delta", 0.5),
 ])
@@ -525,6 +589,16 @@ def test_int_and_float_backend_parameters_still_run(write_config, capsys, kind, 
     assert main(["delta", cfg]) == 0
     reported = json.loads(capsys.readouterr().out)["backend"][field]
     assert reported == value and type(reported) is type(float(value) if field == "delta" else value)
+
+
+@pytest.mark.parametrize("kind", sorted(_SHAPE_CONFIGS))
+def test_torsion_bound_is_an_unknown_backend_key(write_config, capsys, kind):
+    # the key was read by nothing; a config that sets it now exits 4
+    backend = dict(_SHAPE_CONFIGS[kind]["backend"], torsion_bound=1)
+    cfg = write_config("old.json", {**_SHAPE_CONFIGS[kind], "backend": backend})
+    assert main(["growth", cfg]) == 4
+    assert "unknown backend keys" in capsys.readouterr().err
+    assert "torsion_bound" not in make_backend(_SHAPE_CONFIGS[kind]["backend"]).config()
 
 
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", "5", ""])
@@ -735,16 +809,25 @@ def test_classify_reads_a_trace_past_float_range(write_config, capsys):
     assert err == ""
 
 
-def test_verify_bound_with_a_trace_past_float_range_exits_documented(write_config, capsys):
-    # the loxodromic pick measures the huge letter; the (n, k) search then
-    # finds no certificate within these budgets and exits 3, as documented
-    cfg = write_config("huge.json", {
-        "backend": {"kind": "half_plane"},
-        "generators": [_HUGE, [[1, 0], [2, 1]]],
-        "budgets": {"n_max": 3, "memory_cap": 2000, "max_n": 2, "max_k": 2},
-    })
-    assert main(["verify-bound", cfg]) == 3
-    assert capsys.readouterr().err == "budget exceeded: no certificate with n <= 2, k <= 2\n"
+def test_verify_bound_with_a_trace_past_float_range_exits_documented(write_config, tmp_path,
+                                                                   capsys):
+    # the loxodromic pick measures the huge letter; the integer ping-pong
+    # test, which measures no distance, then certifies T at (n, k) = (1, 2)
+    # within the default search budgets. With n and k held to 1 the search
+    # finds no certificate and exits 3, as documented
+    config = {"backend": {"kind": "half_plane"}, "generators": [_HUGE, [[1, 0], [2, 1]]],
+              "budgets": {"n_max": 3, "memory_cap": 2000}}
+    out = tmp_path / "report.json"
+    assert main(["verify-bound", write_config("huge.json", config), "--out", str(out)]) == 0
+    cert = json.loads(out.read_text(encoding="utf-8"))["certificate"]
+    assert (cert["mode"], cert["n"], cert["k"], cert["r"]) == ("ping-pong", 1, 2, 4)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    assert main(["check-cert", str(path)]) == 0
+    capsys.readouterr()
+    config["budgets"].update(max_n=1, max_k=1)
+    assert main(["verify-bound", write_config("huge.json", config)]) == 3
+    assert capsys.readouterr().err == "budget exceeded: no certificate with n <= 1, k <= 1\n"
 
 
 # the float-Sanov config of the benchmark's certify-kappa workload (seed 0)
@@ -761,26 +844,25 @@ def _reprs(values):
 
 def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, capsys):
     # every number of the float spelling's certificate, by repr (so an int
-    # entry, -0.0 and the last digit count): a rank-4 T at (n, k) = (1, 8),
-    # as on exact Sanov, whose integer canonicals the float input loads as
+    # entry, -0.0 and the last digit count): a rank-4 T at (n, k) = (1, 3),
+    # as on exact Sanov, whose integer canonicals the float input loads as,
+    # proved free by integer ping-pong, with no basepoint or margin
     cfg = write_config("sanov-float.json", _SANOV_FLOAT)
     capsys.readouterr()
     assert main(["verify-bound", cfg]) == 0
     out = json.loads(capsys.readouterr().out)
     cert = out["certificate"]
     assert [_reprs(t["canonical"]) for t in cert["T"]] == [
-        ["83739041", "-37639840", "-18819920", "8459361"],
-        ["179739839", "112919520", "-432858160", "-271938241"],
-        ["271938241", "-112919520", "432858160", "-179739839"],
-        ["8459361", "-37639840", "-18819920", "83739041"]]
-    assert (cert["n"], cert["k"], cert["r"]) == (1, 8, 4)
-    assert (cert["kappa"], cert["kappa_mode"]) == (26, "exact")
-    assert _reprs(cert["basepoint"]) == ["0.0", "1.0"]
-    assert _reprs([cert["m"], cert["p_max"], cert["margin"]]) == [
-        "36.7197287074991", "3.5456110011537234", "0.5443550872836642"]
+        ["881", "-396", "-198", "89"],
+        ["1891", "1188", "-4554", "-2861"],
+        ["2861", "-1188", "4554", "-1891"],
+        ["89", "-396", "-198", "881"]]
+    assert (cert["mode"], cert["n"], cert["k"], cert["r"]) == ("ping-pong", 1, 3, 4)
+    assert (cert["kappa"], cert["kappa_mode"]) == (11, "exact")
+    assert not {"basepoint", "m", "p_max", "margin", "epsilon_margin"} & set(cert)
     assert _reprs([out["omega_lower"], out["omega_hat"], out["omega_upper"],
                    out["theta_hat"]]) == [
-        "0.07484269804058898", "1.0990697452177152", "1.1976006502018457",
+        "0.17690092264139212", "1.0990697452177152", "1.1976006502018457",
         "0.7928112355083471"]
     assert out["heuristic"] is False
     path = tmp_path / "cert.json"
@@ -788,11 +870,10 @@ def test_float_sanov_certificate_is_pinned_bit_for_bit(write_config, tmp_path, c
     assert main(["check-cert", str(path)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert {k: repr(v) for k, v in summary.items()} == {
-        "kappa": "26",
-        "margin": "0.5443550872836642",
+        "kappa": "11",
         "membership_heuristic": "False",
-        "mode": "'geometric'",
-        "omega_lower": "0.07484269804058898",
+        "mode": "'ping-pong'",
+        "omega_lower": "0.17690092264139212",
         "r": "4",
         "valid": "True",
         "version": repr(__version__),
@@ -838,15 +919,21 @@ def test_non_integer_float_sets_certify_or_exit_cleanly(write_config, tmp_path, 
 
 
 def test_certificates_past_the_int_text_limit_round_trip(write_config, tmp_path, capsys):
-    # {T, U} conjugated in floats by diag(0.37, 1/0.37): T's entries pass the
-    # 4300 digits that Python converts between int and text by default,
-    # so the CLI lifts that limit while a command runs, and restores it
-    cfg = write_config("cfg.json", {
-        "backend": {"kind": "half_plane", "arithmetic": "float"},
-        "generators": [[[1, 0.1369], [0.0, 1]], [[1, 0.0], [7.304601899196494, 1]]],
-        "budgets": {"n_max": 2, "memory_cap": 1000},
-    })
+    # a generator of trace 10**4300 + 1: its entries, and T's, pass the 4300
+    # digits that Python converts between int and text by default, so the
+    # CLI lifts that limit while a command runs (the config's load
+    # included), and restores it
+    big = 10**4300
     limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        cfg = write_config("cfg.json", {
+            "backend": {"kind": "half_plane"},
+            "generators": [[[big, 1], [big - 1, 1]], [[1, 0], [2, 1]]],
+            "budgets": {"n_max": 2, "memory_cap": 100},
+        })
+    finally:
+        sys.set_int_max_str_digits(limit)
     out = tmp_path / "report.json"
     assert main(["verify-bound", cfg, "--out", str(out)]) == 0
     assert sys.get_int_max_str_digits() == limit
@@ -868,20 +955,20 @@ def test_certificates_past_the_int_text_limit_round_trip(write_config, tmp_path,
 # must not drift with how verify_theorem gets its balls and words
 @pytest.mark.parametrize("backend, gens, budgets, digest", [
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, {"n_max": 3, "memory_cap": 5000},
-     "b6338961922d96c94d2bbb5eaf7504533327c350d71d0ac0e301490dfc762500"),
+     "a17114802d35e07dfd0eb0c82f652af929175bfd4ded04a75845ca560703b7ac"),
     ({"kind": "half_plane"}, SANOV, {"n_max": 8, "memory_cap": 50000},
-     "783fa55964ba01920c1263470c65056cb1ba90d299f2f9d94d6e211d518e538b"),
+     "e06a29db1041fec11969416247b4f53f78bc498adba92deec4b1648932caae21"),
     ({"kind": "half_plane", "arithmetic": "float"},
      [[[float(v) for v in row] for row in g] for g in SANOV], {"n_max": 7, "memory_cap": 20000},
-     "0c25d7fe0c4ab99b563390be381790031b03e0be0b6ede392c3ae86e617fec1d"),
+     "54ba3eb04bf9d5953149c374820a890cf0719096eaa86373ee184cc33dd2f5f3"),
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], {"n_max": 10},
-     "ce94029a20715d77e4499f1836faf3cafb3c29dc310f6cf49aeed54e3c842baa"),
+     "f736bb2dc29361d9fe44bae51ae3d4b97728efc8d171eac539e4fc61388345d8"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], {"n_max": 12},
-     "a947faf51079adb686811e1bbd60952535ccb827446ff7c38ea33a5df51656da"),
+     "fa1956bf244d393a2d3448d18b8fa059dcbf60c813991018486708fbc6eb301f"),
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], {"n_max": 10},
-     "09608ca6076c0ca363f2c3237911df6ec41e651a11516363f2bb75375e81e65b"),
+     "2749c4131128b42dbfb3a46416182fa92d2214227a78202529bdf3807e98dc8b"),
     ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], {"n_max": 8},
-     "cbf0b0fd90eb2c1ee5a194d0aae9dd641594d3a0454b086037f219cb951e0faf"),
+     "ea8d0b974d47a051e562b165bafaae65d0996bb209b6e3e855e875982419d200"),
 ], ids=["elliptic", "sanov", "sanov-float", "c2c7", "c2c3", "c2c4", "c3c3"])
 def test_verify_bound_bytes_are_pinned(write_config, tmp_path, capsys, backend, gens, budgets,
                                        digest):

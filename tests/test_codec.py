@@ -63,25 +63,25 @@ def test_points_round_trip_through_json_text(case):
 # field in test_cli
 @pytest.mark.parametrize("config, gens, cap, digest", [
     ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"], DEFAULT_MEMORY_CAP,
-     "c465564b5b6176556837c02aec0e8c5aede43555e333139f8e0a97cfa1e647d7"),
+     "3fd6f4622558a930be82aed3bd9f7f9c7e0113b3a2739bdaef12d02441f6ce2d"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "0025b1046e59670982559ce0bbae78772b64654dca786a19786595ff46d234a8"),
+     "370e53e92bc515faf7e712f5a806607975efea40e9fb5830ca04471362b5df26"),
     ({"kind": "half_plane"}, SANOV, 50_000,
-     "ea1f3a1cad43ea2ba37f3e8b969283c975041d76c5eb183fb6264f5a822e0aba"),
+     "c99b93c2b18752587715f0cf0ce41f9db8acafaedc74f1a27508123413aef4e2"),
     ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "31a604d82fa217dd610b0fc47245bbb2f903d05f12b1556e52b8581233e0750f"),
+     "40ee37ba1c46adab58258fa1629335b52e72bdd0bf60b58e7d1a606462a69aeb"),
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000,
-     "8be8d415e1870930df1b3ca775394762e5ab099ed8c52ef14fc71df25f54865c"),
+     "c4ede1e7db3aeb7cb4c0634bb4db7ea55641fa8d707d1ad4d886b17ea0e2e319"),
     # kappa 14 spelled by the one-syllable closed form, no walk
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "ed7f021c624736663718a631efe059f21a795482a4d7bb85b2f55f11757d79a2"),
+     "6db5ef2ac730c0614fb77d5a0861e6efef6ad994801ee77f35b37c7f6260c7a3"),
     # coset separation at n = 2 keeps 3 of S's 4 entries, so r = 3
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], DEFAULT_MEMORY_CAP,
-     "4ccc5bc33e2bc72ed86b073609bd9a697049a00279839205a114f6c857b447f5"),
+     "185350a930d1d712b9629290d510eab8d6e585fd7e048fbcd734ce1636bccba5"),
     # coset separation keeps 4 of S's 6 entries, so r = 4, and the normal
     # form gives a word-upper kappa
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb", "ab"], 20_000,
-     "70629a988adf2789b5e004b5642a1ae688e65a41d1e74ff9be37f5bf4c86011e"),
+     "79c72559ba107fa686f5addc3e4a7d287142e789bea6e65d53bd41432ecbb428"),
 ], ids=["f2", "c2c3", "sanov", "c3c3", "elliptic", "c2c7", "c2c4", "c2c4-ab"])
 def test_certificate_bytes_are_pinned(config, gens, cap, digest):
     S = make_generating_set(make_backend(config), gens)

@@ -1,7 +1,9 @@
-"""GroupElement and Point semantics, and the basepoint pool: seeds and
-axis apexes, which certify what the larger reference pool certifies."""
+"""GroupElement and Point semantics, and the basepoint pool: the seeds,
+which certify on the trees what the larger reference pool certifies, and
+which the half-plane, whose certificates hold no point, never reads."""
 
 import functools
+import json
 import random
 
 import pytest
@@ -77,19 +79,18 @@ def test_reprs_are_unchanged():
 
 
 def _reference_candidates(S, budget=64):
-    """The reference pool: the seeds, their orbit under S and under up to
-    ``budget`` pair products of S, then the backend's extra candidates,
-    deduplicated and cut at ``budget``. It builds a GroupElement and makes
-    an is_identity call per pair product."""
+    """The reference pool: the seeds, then their orbit under S and under up
+    to ``budget`` pair products of S, deduplicated and cut at ``budget``.
+    It builds a GroupElement and makes an is_identity call per pair
+    product. Tree points only: their data is hashable and exact."""
     backend = S.backend
     seeds = backend._candidate_seeds()
     pts = []
     seen = set()
 
     def push(p):
-        key = backend._point_key(p)
-        if key not in seen:
-            seen.add(key)
+        if p.data not in seen:
+            seen.add(p.data)
             pts.append(p)
 
     for p in seeds:
@@ -111,22 +112,20 @@ def _reference_candidates(S, budget=64):
     prods.sort(key=backend.sort_key)
     for g in elems + prods:
         for p in seeds:
-            try:
-                push(backend.apply(g, p))
-            except OverflowError:
-                continue
+            push(backend.apply(g, p))
         if len(pts) >= budget:
             break
-    for p in backend._extra_candidates(elems):
-        if len(pts) >= budget:
-            break
-        push(p)
     return pts[:budget]
+
+
+def _no_pool(S, budget=64):
+    raise AssertionError("the half-plane search read the basepoint pool")
 
 
 def _outcomes(S, monkeypatch, memory_cap, budgets=None):
     """certificate_to_json of build_free_basis, or the error's type and
-    message, with the pool and then with the reference pool in its place."""
+    message, with the pool and then with the reference pool in its place:
+    on the half-plane, a pool that fails when read."""
     def outcome():
         try:
             return certificate_to_json(build_free_basis(S, budgets, memory_cap=memory_cap))
@@ -135,7 +134,8 @@ def _outcomes(S, monkeypatch, memory_cap, budgets=None):
 
     pool = freebasis.basepoint_candidates
     new = outcome()
-    monkeypatch.setattr(freebasis, "basepoint_candidates", _reference_candidates)
+    reference = _no_pool if S.backend.kind == "half_plane" else _reference_candidates
+    monkeypatch.setattr(freebasis, "basepoint_candidates", reference)
     old = outcome()
     monkeypatch.setattr(freebasis, "basepoint_candidates", pool)
     return new, old
@@ -175,24 +175,16 @@ def _plane_words(*words):
 
 
 def test_a_T_past_the_reference_budget_writes_its_certificate(monkeypatch):
-    # nine entries give a first T of 18, whose orbit and pair products fill
-    # the reference pool's 64 points before most of its 18 apexes
+    # nine entries give a first T of 18, more letters than any pool of
+    # seeds and axis points covered; integer ping-pong proves a T free with
+    # no point, so the certificate is written with an unreadable pool and
+    # stores no basepoint
     hp = make_backend({"kind": "half_plane"})
     S = make_generating_set(hp, _plane_words("t", "u", "tu", "ut", "tU", "Ut", "ttu", "uut", "tut"))
-    scanned = []
-    scan = freebasis._scan_basepoints
-
-    def record(T, *args):
-        scanned.append(T)
-        return scan(T, *args)
-
-    monkeypatch.setattr(freebasis, "_scan_basepoints", record)
     new, old = _outcomes(S, monkeypatch, 20_000)
     assert new == old and new.startswith("{")
-    T = scanned[0]
-    reference = {hp._point_key(p) for p in _reference_candidates(T)}
-    assert len(reference) == 64
-    assert any(hp._point_key(p) not in reference for p in basepoint_candidates(T))
+    cert = json.loads(new)
+    assert cert["mode"] == "ping-pong" and "basepoint" not in cert
 
 
 def _no_compose(*args):
@@ -200,21 +192,16 @@ def _no_compose(*args):
 
 
 @pytest.mark.parametrize("arithmetic", ["exact_integer", "float"])
-def test_plane_pool_is_the_origin_then_the_apexes_in_canonical_order(arithmetic, monkeypatch):
+def test_plane_pool_is_the_origin(arithmetic, monkeypatch):
     hp = make_backend({"kind": "half_plane", "arithmetic": arithmetic})
-    # loxodromic, parabolic and elliptic entries, given out of canonical order
+    # loxodromic, parabolic and elliptic entries: none adds a point
     specs = _plane_words("tu", "u", "Ut", "tuu", "t") + [[[0, -1], [1, 0]], [[2, 1], [1, 1]]]
     if arithmetic == "float":
         specs = [[[float(v) for v in row] for row in m] for m in specs]
     T = GeneratingSet(hp, [hp.element(m) for m in specs])
-    lox = sorted((t for t in T if hp.classify(t).kind == "loxodromic"), key=hp.sort_key)
-    assert 1 < len(lox) < len(T)
-    want = [hp.origin()] + [hp.axis_apex(t) for t in lox]
     monkeypatch.setattr(hp, "_compose", _no_compose)
-    assert basepoint_candidates(T) == want
-    assert basepoint_candidates(T, 3) == want[:3]
-    # a repeated apex counts once
-    assert basepoint_candidates(GeneratingSet(hp, list(T) + list(T))) == want
+    assert basepoint_candidates(T) == [hp.origin()]
+    assert basepoint_candidates(T, 0) == []
 
 
 @pytest.mark.parametrize("config, seeds", [

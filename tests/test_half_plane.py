@@ -16,6 +16,7 @@ from loxgrow.spaces import (
     psl2z_normal_form,
     syllables_to_matrix,
 )
+from loxgrow.spaces.half_plane import _at_least, _ping_pong
 
 from conftest import power
 
@@ -110,13 +111,6 @@ def test_translation_length_past_float_range(hp, hpf):
     g = hp.element([[near, 1], [near - 1, 1]])
     assert hp.translation_length(g) == 2.0 * math.acosh((near + 1) / 2.0)
     assert hp.translation_length(g) == pytest.approx(2.0 * math.log(near + 1), rel=1e-15)
-
-
-def test_axis_apex_is_on_axis(hp):
-    g = hp.element([[2, 1], [1, 1]])
-    apex = hp.axis_apex(g)
-    tau = hp.translation_length(g)
-    assert abs(hp.dist(apex, hp.apply(g, apex)) - tau) <= 1e-9
 
 
 def test_isometry_invariance(hp):
@@ -293,8 +287,6 @@ def test_float_plane_geometry_reads_the_det(hpf):
     tr = (a + d) / math.sqrt(det)
     assert hpf.classify(g).kind == "loxodromic"
     assert abs(hpf.translation_length(g) - 2 * math.acosh(tr / 2)) <= 1e-12
-    apex = hpf.axis_apex(g)
-    assert abs(hpf.dist(apex, hpf.apply(g, apex)) - hpf.translation_length(g)) <= 1e-9
     for spec, kind in (([[0.5, 0.0], [0.0, 2.0]], "loxodromic"), ([[1.0, 0.5], [0.0, 1.0]],
                        "parabolic"), ([[0.0, -0.5], [2.0, 0.0]], "elliptic")):
         assert hpf.classify(hpf.element(spec)).kind == kind
@@ -316,5 +308,60 @@ def test_apply_shifts_entries_past_float_range(hpf):
     re, im = Fraction(b * d + a * c, den), Fraction(a * d - b * c, den)
     assert abs(z.real - float(re)) <= 1e-12 * abs(float(re))
     assert abs(z.imag - float(im)) <= 1e-12 * float(im)
-    apex = hpf.axis_apex(g)
-    assert abs(hpf.dist(apex, hpf.apply(g, apex)) - hpf.translation_length(g)) <= 1e-6
+
+
+# -- the exact comparison under the ping-pong test ------------------------------
+
+
+def _oracle_at_least(L, u, D1, v, D2):
+    """L >= u sqrt(D1) + v sqrt(D2) from integer roots: with s = 2^300,
+    r = isqrt(D s^2) gives r <= s sqrt(D) < r + 1, which decides every case
+    but a sum within u + v of s L; there the sum equals L, which for
+    u, v > 0 happens only when both D are squares, and is checked so."""
+    s = 1 << 300
+    r1, r2 = math.isqrt(D1 * s * s), math.isqrt(D2 * s * s)
+    if s * L >= u * (r1 + 1) + v * (r2 + 1):
+        return True
+    if s * L < u * r1 + v * r2:
+        return False
+    p, q = math.isqrt(D1), math.isqrt(D2)
+    assert (u == 0 or p * p == D1) and (v == 0 or q * q == D2), (L, u, D1, v, D2)
+    return L >= u * p + v * q
+
+
+def test_at_least_matches_the_integer_root_oracle():
+    rng = random.Random(34)
+    cases = []
+    for bits in (4, 12, 60, 200):
+        for _ in range(300):
+            u, v = rng.randrange(1 << bits), rng.randrange(1 << bits)
+            D1, D2 = rng.randrange(1, 1 << bits), rng.randrange(1, 1 << bits)
+            rhs = u * math.isqrt(D1) + v * math.isqrt(D2)
+            cases.append((rhs + rng.randrange(-3, 4 + 2 * (u + v)), u, D1, v, D2))
+            # exact tangency, and one below it, on square dets
+            p, q = rng.randrange(1, 1 << bits), rng.randrange(1, 1 << bits)
+            cases += [(u * p + v * q, u, p * p, v, q * q), (u * p + v * q - 1, u, p * p, v, q * q)]
+    cases += [(-1, 0, 1, 0, 1), (0, 0, 5, 0, 7), (0, 1, 1, 0, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 1)]
+    for case in cases:
+        assert _at_least(*case) == _oracle_at_least(*case), case
+    # both outcomes occur, tangency (equality) counting as disjoint
+    assert {_at_least(*c) for c in cases} == {True, False}
+    assert _at_least(5, 1, 4, 1, 9) and not _at_least(4, 1, 4, 1, 9)
+
+
+def test_ping_pong_disks_of_any_det_may_touch_but_not_overlap():
+    # a disk (a, c, det) has center a/c and radius sqrt(det)/c: det 4 and
+    # centers 0 and 4 touch, centers 0 and 3 overlap; Sanov's U^2 and U^-2
+    # touch at 0 with det 1, while U and U^-1 overlap
+    assert _at_least(4, 1, 4, 1, 4) and not _at_least(3, 1, 4, 1, 4)
+    assert _ping_pong([(1, 0, 2, 1), (1, 0, -2, 1), (1, 2, 0, 1), (1, -2, 0, 1)])
+    assert not _ping_pong([(1, 0, 1, 1), (1, 0, -1, 1), (1, 1, 0, 1), (1, -1, 0, 1)])
+    # (1, 0, 4, 4) of det 4 has the disk [-1/4, 3/4], its inverse
+    # (4, 0, -4, 1) the disk [-3/2, -1/2]: a strip of width 9/4 holds both,
+    # so the translation z -> z + b/a with a = d = 2 passes at b/a = 5/2
+    # and fails at 3/2
+    disks = [(1, 0, 4, 4), (4, 0, -4, 1)]
+    assert _ping_pong(disks + [(2, 5, 0, 2), (2, -5, 0, 2)])
+    assert not _ping_pong(disks + [(2, 3, 0, 2), (2, -3, 0, 2)])
+    # a letter with c = 0 and a != d has no region
+    assert not _ping_pong([(4, 0, 0, 1), (1, 0, 0, 4)])

@@ -64,3 +64,11 @@ def test_certificate_key_list_matches_the_payload():
     S = make_generating_set(make_backend({"kind": "free_group_tree", "rank": 2}), ["a", "b"])
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(certificate_payload(build_free_basis(S)))
+    # a half-plane certificate holds the same keys but the ones the README
+    # marks as "geometric" mode only
+    geometric = [key for key in listed if re.search(
+        rf"^\* (?:`\w+`(?:, )?)*`{key}`[^*]*`\"geometric\"` mode only", section, re.M | re.S)]
+    assert sorted(geometric) == ["basepoint", "m", "margin", "p_max"]
+    S = make_generating_set(make_backend({"kind": "half_plane"}), [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+    payload = certificate_payload(build_free_basis(S))
+    assert sorted(set(listed) - set(geometric)) == sorted(payload)

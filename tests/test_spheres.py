@@ -16,7 +16,8 @@ from loxgrow.growth._engine_py import generic_ball_counts
 from loxgrow.spaces import FreeGroupTree, FreeProductTree, HalfPlane
 from loxgrow.words import make_generating_set, product_ball_set, spheres, word_length_in_S
 
-from conftest import PSL2Z_ELLIPTIC, SANOV, reference_spheres
+from conftest import (NON_INTEGER_FLOAT_SETS, PSL2Z_ELLIPTIC, SANOV, random_generating_set,
+                      reference_spheres)
 
 TU = [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
 # Lyndon-Ullman mu = 1/2: dyadic, with no integer form
@@ -629,14 +630,20 @@ def test_free_walk_predicate(monkeypatch):
         monkeypatch.setattr(backend, "_compose", _never)
         monkeypatch.setattr(backend, "_compose_batch", _never)
     # Sanov, in either spelling, passes the ping-pong test in its own
-    # frame, but not without its inverses
+    # frame, but not without its inverses; conjugated in floats by
+    # diag(1.1), its letters have det != 1, and the disks of radius
+    # sqrt(det)/c pass as the det-1 ones do
     assert HP._free_walk([s.canonical for s in make_generating_set(HP, SANOV)])
     assert HPF._free_walk([s.canonical for s in make_generating_set(*SETS["float sanov"])])
+    S = make_generating_set(*SETS["float sanov, non-integer"])
+    assert {a * d - b * c for a, b, c, d in (s.canonical for s in S)} != {1}
+    assert HPF._free_walk([s.canonical for s in S])
     assert not HP._free_walk([(1, 2, 0, 1), (1, 0, 2, 1)])
     not_free = {name: SETS[name] for name in [
         "f2 {x,y,xy}", "c2c3 {a,b,ab}", "c2c4 {a,b}", "c2c7 {a,b}", "elliptic", "{T,U}"]}
-    # a letter of det != 1 is outside the test's integer regions
-    not_free["float sanov, non-integer"] = SETS["float sanov, non-integer"]
+    # diag(2, 1/2) moves along an axis through infinity, so it has no
+    # region in S's own frame; the test, only sufficient, says no
+    not_free["axis through infinity"] = (HPF, [[[2.0, 0.0], [0.0, 0.5]], SANOV[1]])
     not_free["sanov k=1"] = (HP, _sanov(1))
     # an order-2 element is its own inverse: not a free basis, though the
     # regions of {S, T^3} are disjoint
@@ -697,6 +704,25 @@ def test_certified_half_plane_sets_count_what_they_walk():
                 walked = generic_ball_counts(ident, gens, compose, n, cap, batch=batch)
                 assert (table.balls, table.truncated) == walked, (mats, cap, n)
     assert certified >= 60, certified
+    # float sets with no integer form, whose canonicals have det != 1: the
+    # non-integer conftest sets and 150 seeded "conjugate" sets, of which
+    # 55 pass the test with disks of radius sqrt(det)/c; to radius 5,
+    # where the entries have grown by up to 53 bits a letter
+    sets = [make_generating_set(HPF, m) for m in NON_INTEGER_FLOAT_SETS.values()]
+    rng = random.Random(34)
+    sets += [random_generating_set("conjugate", rng) for _ in range(150)]
+    certified = 0
+    for S in sets:
+        ident, gens, compose, _, batch = _encoded(S)
+        if all(a * d - b * c == 1 for a, b, c, d in gens) or not HPF._free_walk(gens):
+            continue
+        certified += 1
+        for cap in (1, 2, 1 + len(gens), 100, 10**6):
+            for n in (0, 1, 3, 5):
+                table = ball_sizes(S, n, memory_cap=cap)
+                walked = generic_ball_counts(ident, gens, compose, n, cap, batch=batch)
+                assert (table.balls, table.truncated) == walked, (gens, cap, n)
+    assert certified >= 50, certified
 
 
 def test_free_walk_frees_as_it_counts():
