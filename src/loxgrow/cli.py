@@ -17,6 +17,7 @@ results go to --out or stdout.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 
@@ -219,12 +220,31 @@ def cmd_check_cert(args) -> int:
     return 0
 
 
+def _positive_radius(text: str) -> int:
+    # --max-radius follows the rule of budgets.n_max: a positive integer
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_ignored_engine(p):
     # there is one engine; older command lines (and perfbench's traced runs)
     # still pass --engine auto|python, which is accepted and ignored
     p.add_argument("--engine", default="auto", choices=("auto", "python"), help=argparse.SUPPRESS)
 
 
+# Built once per process, on the first main() call: in-process callers (the
+# tests, perfbench, library drivers) run many commands, and building seven
+# parsers costs about 1 ms each time.  Not at import, which a one-shot
+# `loxgrow ...` pays all the same.  The parser must keep no per-call state:
+# parse_args returns a fresh Namespace, error() and --version look up
+# sys.stderr/sys.stdout when they fire, and the cmd_* defaults are module
+# functions that look up what they call at call time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="loxgrow", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"loxgrow {__version__}")
@@ -238,13 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     g = add("growth", cmd_growth, "ball counts as CSV")
-    g.add_argument("--max-radius", type=int, default=None, help="override budgets.n_max")
+    g.add_argument("--max-radius", type=_positive_radius, default=None,
+                   help="override budgets.n_max")
     _add_ignored_engine(g)
 
     add("free-basis", cmd_free_basis, "free-subgroup certificate JSON")
 
     v = add("verify-bound", cmd_verify_bound, "growth brackets + certificate summary")
-    v.add_argument("--max-radius", type=int, default=None, help="override budgets.n_max")
+    v.add_argument("--max-radius", type=_positive_radius, default=None,
+                   help="override budgets.n_max")
     _add_ignored_engine(v)
 
     add("delta", cmd_delta, "empirical four-point defect")

@@ -47,8 +47,16 @@ class GrowthTable:
         return math.log(self.balls[n]) - math.log(self.balls[n - 1])
 
     def rows(self):
-        for n in range(len(self.balls)):
-            yield (n, self.balls[n], self.sphere(n), self.upper(n), self.ratio(n))
+        # upper(n) as a running minimum and ratio(n) from the same logs: one
+        # log per row, not n + 2; min returns one of its inputs, so both
+        # columns are bit-identical to upper(n) and ratio(n)
+        yield (0, self.balls[0], self.sphere(0), None, None)
+        upper, prev = None, math.log(self.balls[0])
+        for n in range(1, len(self.balls)):
+            cur = math.log(self.balls[n])
+            upper = cur / n if upper is None else min(upper, cur / n)
+            yield (n, self.balls[n], self.sphere(n), upper, cur - prev)
+            prev = cur
 
     def to_csv(self) -> str:
         def fmt(v):

@@ -1,13 +1,19 @@
 """End-to-end command tests through cli.main(argv)."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 
 import pytest
 
+import loxgrow
 from loxgrow import __version__
 from loxgrow.cli import main
 from loxgrow.errors import ConfigError
@@ -773,6 +779,110 @@ def test_exact_check_len_budget_exits_four(write_config, capsys):
 def test_max_radius_override(f2_config, capsys):
     assert main(["growth", f2_config, "--max-radius", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + 3
+
+
+@pytest.mark.parametrize("command", ["growth", "verify-bound"])
+@pytest.mark.parametrize("radius", ["0", "-3", "two"])
+def test_max_radius_must_be_a_positive_integer(f2_config, capsys, command, radius):
+    # the rule of budgets.n_max, with a message that names the flag
+    assert main([command, f2_config, "--max-radius", radius]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: loxgrow ")
+    assert (f"error: argument --max-radius: must be a positive integer, got '{radius}'"
+            in captured.err)
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_parser_is_built_once_per_process(f2_config, capsys, monkeypatch):
+    main(["growth", f2_config])
+    built = _count_parsers(monkeypatch)
+    for argv in (["growth", f2_config], ["verify-bound", f2_config, "--max-radius", "3"],
+                 ["classify", f2_config], ["no-such-command"]):
+        main(argv)
+    assert built == []
+    capsys.readouterr()
+
+
+def test_cached_parser_reports_to_the_streams_of_each_call(f2_config):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["growth", f2_config, "--out", os.devnull]) == 0
+    for argv, message in ((["no-such-command"], "invalid choice: 'no-such-command'"),
+                          (["growth"], "the following arguments are required: config"),
+                          (["no-such-command"], "invalid choice: 'no-such-command'")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 4
+        # this call's usage and error, and nothing left from an earlier call
+        assert err.getvalue().startswith("usage: loxgrow ")
+        assert err.getvalue().count("usage:") == 1 and err.getvalue().count("error:") == 1
+        assert message in err.getvalue()
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as ei:
+            main(["--version"])
+        assert ei.value.code == 0
+        assert out.getvalue() == f"loxgrow {__version__}\n"
+
+
+def test_commands_rerun_byte_identical_in_one_process(write_config, tmp_path, capsys):
+    cfg = write_config("c23.json", {
+        "backend": {"kind": "free_product_tree", "orders": [2, 3]},
+        "generators": ["a", "b"],
+        "budgets": {"n_max": 8},
+    })
+    runs = []
+    for run in range(2):
+        outs = {}
+        for command in ("growth", "verify-bound", "free-basis"):
+            outs[command] = tmp_path / f"{command}.{run}"
+            assert main([command, cfg, "--out", str(outs[command])]) == 0
+        outs["check-cert"] = tmp_path / f"check-cert.{run}"
+        assert main(["check-cert", str(outs["free-basis"]), "--out", str(outs["check-cert"])]) == 0
+        runs.append({command: path.read_bytes() for command, path in outs.items()})
+    assert runs[0] == runs[1]
+    assert capsys.readouterr() == ("", "")
+
+
+def _run_python(*args):
+    # a fresh interpreter that imports this checkout's loxgrow
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loxgrow.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_one_shot_help_names_every_command():
+    proc = _run_python("-m", "loxgrow.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: loxgrow ")
+    for command in ("growth", "free-basis", "verify-bound", "delta", "classify", "check-cert"):
+        assert re.search(rf"^ +{command} ", proc.stdout, re.M), command
+
+
+def test_parser_is_not_built_at_import():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), "
+            "init(self, *a, **k))[1]\n"
+            "import loxgrow.cli\n"
+            "print(len(built))\n")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_verify_bound_reruns_byte_identical(write_config, tmp_path):

@@ -388,6 +388,40 @@ def test_non_integer_float_balls_match_the_rational_walk(name):
     assert ball_sizes(S, 7).balls == _fraction_balls(mats, 7)
 
 
+def _c23_balls(n_max):
+    # C2*C3 {a, b, b^-1}: spheres 1, 3, 4, then s_n = 2 s_{n-2}
+    spheres = [1, 3, 4]
+    while len(spheres) <= n_max:
+        spheres.append(2 * spheres[-2])
+    return list(accumulate(spheres[:n_max + 1]))
+
+
+def _random_balls(rng):
+    balls = [1]
+    for _ in range(rng.randint(0, 40)):
+        balls.append(balls[-1] + rng.randint(0, 10 ** rng.randint(0, 30)))
+    return balls
+
+
+@pytest.mark.parametrize("balls", [
+    _c23_balls(32),
+    [2 * 3**n - 1 for n in range(33)],
+    *(_random_balls(random.Random(seed)) for seed in range(20)),
+], ids=["c23", "f2", *(f"random{seed}" for seed in range(20))])
+def test_rows_match_the_per_radius_formulas(balls):
+    # rows() keeps a running minimum; every row must equal the old
+    # min over m <= n of log(a_m)/m and log(a_n) - log(a_{n-1}) exactly
+    table = GrowthTable(balls)
+    rows = list(table.rows())
+    assert [r[0] for r in rows] == list(range(len(balls)))
+    assert rows[0][3:] == (None, None)
+    for n, ball, sphere, upper, ratio in rows[1:]:
+        assert ball == balls[n] and sphere == balls[n] - balls[n - 1]
+        assert upper == min(math.log(balls[m]) / m for m in range(1, n + 1))
+        assert ratio == math.log(balls[n]) - math.log(balls[n - 1])
+        assert (upper, ratio) == (table.upper(n), table.ratio(n))
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         GrowthTable([2, 4])
