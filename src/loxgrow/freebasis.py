@@ -156,15 +156,18 @@ class GeometricCheck:
     margin: float
 
 
-def certify_free_geometric(T, x, delta=None) -> GeometricCheck:
-    """Ping-pong margin test at basepoint x.
+def certify_free_geometric(T, x) -> GeometricCheck:
+    """Ping-pong margin test at basepoint x, on a tree.
 
     m is the least displacement of T and its inverses; p_max the largest
     Gromov product <a^-1 x, b x>_x over ordered letter pairs with b != a^-1
-    (equal letters included). Valid means m > 0 and p_max <= m/8 - delta/2;
-    every nonempty reduced word W over T then moves x by at least |W| m / 2,
-    so <T> is free of rank #T. The search and the checker run it on the
-    trees, whose distances are integers, so the margin is exact there.
+    (equal letters included). Valid means m > 0 and p_max <= m/8: the
+    paper's criterion in a tree, whose hyperbolicity constant is 0 (Ghys
+    and de la Harpe, ch. 5). Every nonempty reduced word W over T then
+    moves x by at least |W| m / 2, so <T> is free of rank #T. Tree
+    distances are integers, so the margin is exact. Raises ConfigError on
+    a backend whose ``certificate_mode`` is not "geometric": the
+    half-plane proves T free by integer ping-pong and reads no margin.
 
     T must carry one representative per +/- pair: if two entries coincide
     or pair as inverses (or an entry is an involution), the 2#T letters are
@@ -173,16 +176,13 @@ def certify_free_geometric(T, x, delta=None) -> GeometricCheck:
 
     Each distance is computed once: d(a x, x) per letter and d(a x, b x) per
     unordered pair of distinct letters, at most 2r + r(2r - 1) dist calls
-    for r = #T. The (a^-1, b) and (b^-1, a) products then share one value;
-    dist is symmetric on every backend (bit for bit on the half-plane).
-    Every letter and pair is measured (``_margin`` with no floor), so m
-    and p_max are the least and largest of the same floats in any order.
+    for r = #T; the (a^-1, b) and (b^-1, a) products share one value.
     """
     backend = T.backend
-    if delta is None:
-        delta = backend.delta
+    if backend.certificate_mode != "geometric":
+        raise ConfigError(f"the margin test is for the trees, not {backend.kind}")
     letters, earlier, degenerate = _letters(T)
-    m, p_max, margin = _margin(backend, letters, earlier, x, delta, -math.inf)
+    m, p_max, margin = _margin(backend, letters, earlier, x, -math.inf)
     valid = m > 0 and margin >= 0 and not degenerate
     return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
 
@@ -198,20 +198,19 @@ def _letters(T):
     return letters, earlier, len(set(canon)) < len(letters)
 
 
-def _margin(backend, letters, earlier, x, delta, floor):
-    """(m, p_max, margin) at x, with margin = m/8 - delta/2 - p_max.
+def _margin(backend, letters, earlier, x, floor):
+    """(m, p_max, margin) at x, with margin = m/8 - p_max.
 
     a^-1 x runs over every translate and b over the letters != a^-1, so the
     Gromov product of each letter with each of its ``earlier`` letters
     counts once. Letters are taken in order: the displacement d(a x, x) of
     one, then its products with the earlier ones. The walk stops as soon
     as the margin of the values so far falls below ``floor`` and returns
-    those values. The stop is exact in floating point: the m so far is at
-    least the final m and the p_max so far at most the final one, and
-    m/8 - delta/2 - p_max is monotone in each, rounding included, so the
-    full margin lies below ``floor`` too. With floor -inf every distance
-    is measured."""
-    half_delta = delta / 2.0
+    those values. The stop is exact: tree distances are integers, so m/8
+    and each p are exact binary fractions and so is their difference; the
+    m so far is at least the final m and the p_max so far at most the
+    final one, so the full margin lies below ``floor`` too. With floor
+    -inf every distance is measured."""
     translates, d = [], []
     m, p_max = math.inf, 0.0
     for a, before in zip(letters, earlier):
@@ -219,20 +218,20 @@ def _margin(backend, letters, earlier, x, delta, floor):
         dx = backend.dist(ax, x)
         if dx < m:
             m = dx
-            if m / 8.0 - half_delta - p_max < floor:
-                return m, p_max, m / 8.0 - half_delta - p_max
+            if m / 8.0 - p_max < floor:
+                return m, p_max, m / 8.0 - p_max
         for i in before:
             p = 0.5 * (d[i] + dx - backend.dist(translates[i], ax))
             if p > p_max:
                 p_max = p
-                if m / 8.0 - half_delta - p_max < floor:
-                    return m, p_max, m / 8.0 - half_delta - p_max
+                if m / 8.0 - p_max < floor:
+                    return m, p_max, m / 8.0 - p_max
         translates.append(ax)
         d.append(dx)
-    return m, p_max, m / 8.0 - half_delta - p_max
+    return m, p_max, m / 8.0 - p_max
 
 
-def _scan_basepoints(T, points, delta):
+def _scan_basepoints(T, points):
     """The basepoint among ``points`` at which T passes the ping-pong test,
     or None.
 
@@ -252,7 +251,7 @@ def _scan_basepoints(T, points, delta):
     best = None  # (margin, m, point)
     for x in points:
         floor = 0.0 if best is None else max(0.0, best[0])
-        m, _, margin = _margin(backend, letters, earlier, x, delta, floor)
+        m, _, margin = _margin(backend, letters, earlier, x, floor)
         if margin >= 0.0 and (best is None or margin > best[0]):
             best = (margin, m, x)
     if best is None or not best[1] > 0:
@@ -271,10 +270,10 @@ def _free_basis_evidence(T):
     if backend.certificate_mode == "ping-pong":
         canon = [t.canonical for t in T]
         return {} if backend._free_walk(canon + [backend._invert(c) for c in canon]) else None
-    x = _scan_basepoints(T, basepoint_candidates(T), backend.delta)
+    x = _scan_basepoints(T, basepoint_candidates(T))
     if x is None:
         return None
-    check = certify_free_geometric(T, x, backend.delta)
+    check = certify_free_geometric(T, x)
     return {"basepoint": x, "m": check.m, "p_max": check.p_max, "margin": check.margin}
 
 
@@ -798,7 +797,7 @@ def check_certificate(source, backend=None, memory_cap=None) -> dict:
         if _free_basis_evidence(cert.T) is None:
             fail("T and its inverses fail the integer ping-pong test")
     else:
-        chk = certify_free_geometric(cert.T, cert.basepoint, backend.delta)
+        chk = certify_free_geometric(cert.T, cert.basepoint)
         # fail closed: NaN compares false
         if not chk.m == cert.m:
             fail(f"m mismatch: recomputed {chk.m!r}, stored {cert.m!r}")

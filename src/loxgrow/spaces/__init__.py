@@ -20,8 +20,8 @@ _KINDS = {
 }
 
 _ALLOWED_KEYS = {
-    "free_group_tree": {"kind", "rank", "letters", "delta"},
-    "free_product_tree": {"kind", "orders", "delta"},
+    "free_group_tree": {"kind", "rank", "letters"},
+    "free_product_tree": {"kind", "orders"},
     "half_plane": {"kind", "arithmetic", "delta"},
 }
 
@@ -31,7 +31,8 @@ def make_backend(config: dict) -> Backend:
 
     Raises ConfigError on any config it cannot build, a parameter of the
     wrong type included: integer parameters take ints (not true or 2.7),
-    delta a finite int or float (not "1.5", true or NaN).
+    the half-plane's delta a finite int or float (not "1.5", true or NaN).
+    The trees are 0-hyperbolic and take no delta.
     """
     if not isinstance(config, dict) or "kind" not in config:
         raise ConfigError("backend config must be a mapping with a 'kind' key")

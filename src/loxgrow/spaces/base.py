@@ -154,6 +154,7 @@ class Backend:
     """Shared glue; concrete geometry lives in the subclasses."""
 
     kind = "abstract"
+    # the ``delta`` command's configured value: the trees, 0-hyperbolic, keep 0
     delta = 0.0
     # how the (n, k) search proves T free: the margin test at a basepoint on
     # the trees; the half-plane's integer "ping-pong" test (``_free_walk``)

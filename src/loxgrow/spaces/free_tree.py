@@ -6,9 +6,9 @@ one code per letter: 2(i - 1) for the i-th generator (1-based) and
 bit, and byte order is shortlex order a < a^-1 < b < b^-1 < ...; two codes
 per generator in one byte cap the rank at 128. Certificates store words as
 signed letter indices (+i for the i-th generator, -i for its inverse). The
-tree metric is the reduced length of x^{-1} y, delta = 0, and every
-nontrivial element is loxodromic with translation length equal to its
-cyclically reduced length.
+tree metric is the reduced length of x^{-1} y; a tree is 0-hyperbolic, so
+the backend takes no delta. Every nontrivial element is loxodromic with
+translation length equal to its cyclically reduced length.
 
 The byte-word algebra shared with the free-product tree (identity, order,
 inversion, batch, free-walk test, ``classify``, spelling over the standard
@@ -19,7 +19,7 @@ entry) comes from ``base.ByteWordTree``.
 import string
 
 from ..errors import ConfigError
-from .base import ByteWordTree, GroupElement, Point, read_int, read_real, read_str
+from .base import ByteWordTree, GroupElement, Point, read_int, read_str
 
 _MAX_RANK = 128
 
@@ -48,7 +48,7 @@ class FreeGroupTree(ByteWordTree):
     # the code of each letter's inverse, for bytes.translate
     _inverse = bytes(c ^ 1 for c in range(256))
 
-    def __init__(self, rank, letters=None, delta=0.0):
+    def __init__(self, rank, letters=None):
         if read_int(rank, "rank") < 1:
             raise ConfigError("rank must be >= 1")
         if rank > _MAX_RANK:
@@ -66,7 +66,6 @@ class FreeGroupTree(ByteWordTree):
                 raise ConfigError(f"letter {c!r} has no one-letter uppercase that reads back")
         self.rank = rank
         self.letters = letters
-        self.delta = read_real(delta, "delta")
         self._code = {c: 2 * i for i, c in enumerate(letters)}
         self._standard = [bytes((c,)) for c in range(2 * rank)]
 
@@ -75,7 +74,6 @@ class FreeGroupTree(ByteWordTree):
             "kind": self.kind,
             "rank": self.rank,
             "letters": self.letters,
-            "delta": self.delta,
         }
 
     # -- group algebra ------------------------------------------------------

@@ -219,11 +219,11 @@ class HalfPlane(Backend):
             return 2.0 * math.log(tr) - math.log(det)
         return 2.0 * math.acosh(x)
 
-    def sample_points(self, rng, count, window=4.0, log_height=2.5):
+    def sample_points(self, rng, count):
         pts = []
         for _ in range(count):
-            x = rng.uniform(-window, window)
-            y = math.exp(rng.uniform(-log_height, log_height))
+            x = rng.uniform(-4.0, 4.0)
+            y = math.exp(rng.uniform(-2.5, 2.5))
             pts.append(Point(self, complex(x, y)))
         return pts
 

@@ -9,8 +9,8 @@ reads them off.  ``_compose`` takes normal forms only and merges them at
 the junction; ``normalize`` brings any sequence of (factor, exp) pairs to
 normal form.  Tree vertices are cosets g<a> / g<b>, stored as (rep, side)
 where rep is the normal form of a shortest coset representative (it never
-ends in a syllable of its own factor).  Edge stabilizers are trivial, so
-the tree is 0-hyperbolic.
+ends in a syllable of its own factor).  Edge stabilizers are trivial;
+the tree is 0-hyperbolic, so the backend takes no delta.
 
 The (2, 3) instance is the modular group PSL(2, Z) up to isomorphism.
 
@@ -23,7 +23,7 @@ closed-form word over a set of one-syllable entries) comes from
 """
 
 from ..errors import ConfigError
-from .base import ByteWordTree, GroupElement, Point, read_int, read_real
+from .base import ByteWordTree, GroupElement, Point, read_int
 
 _LETTERS = "ab"
 
@@ -56,7 +56,7 @@ def _junction_compose(orders):
 class FreeProductTree(ByteWordTree):
     kind = "free_product_tree"
 
-    def __init__(self, orders=(2, 3), delta=0.0):
+    def __init__(self, orders=(2, 3)):
         p, q = orders
         p, q = read_int(p, "factor order"), read_int(q, "factor order")
         if p < 2 or q < 2:
@@ -74,13 +74,11 @@ class FreeProductTree(ByteWordTree):
                 inverse[(f << 6) | e] = (f << 6) | (self.orders[f] - e)
         self._inverse = bytes(inverse)
         self._standard = [bytes(((f << 6) | e,)) for f in (0, 1) for e in range(1, self.orders[f])]
-        self.delta = read_real(delta, "delta")
 
     def config(self):
         return {
             "kind": self.kind,
             "orders": list(self.orders),
-            "delta": self.delta,
         }
 
     # -- group algebra ------------------------------------------------------

@@ -217,6 +217,16 @@ def test_delta_half_plane(write_config, capsys):
     assert payload["samples"] == 1000
 
 
+def test_delta_on_a_tree_reports_zero_configured(write_config, capsys):
+    # a tree is 0-hyperbolic and takes no delta key; the command reports 0
+    for kind in ("free_group_tree", "free_product_tree"):
+        cfg = write_config("delta.json", {"backend": _SHAPE_CONFIGS[kind]["backend"], "seed": 0})
+        assert main(["delta", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["delta_configured"] == 0.0 and type(payload["delta_configured"]) is float
+        assert payload["delta_empirical"] == 0.0 and "delta" not in payload["backend"]
+
+
 def test_free_basis_check_cert_round_trip(f2_config, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert main(["free-basis", f2_config, "--out", str(cert_path)]) == 0
@@ -456,8 +466,10 @@ def test_check_cert_shape_errors_exit_five(shape_certs, tmp_path, capsys, kind, 
     assert "invalid certificate" in capsys.readouterr().err
 
 
-# torsion_bound is no backend key: whatever its value, it exits 4 as an
-# unknown key, as in test_torsion_bound_is_an_unknown_backend_key
+# torsion_bound, and delta on a tree, are no backend keys: whatever the
+# value, they exit 4 as unknown keys, as in
+# test_torsion_bound_is_an_unknown_backend_key; the half-plane's delta
+# entries test the type rule
 _BAD_BACKEND_FIELDS = [
     ("half_plane", "delta", "x"),
     ("half_plane", "torsion_bound", "x"),
@@ -478,6 +490,8 @@ _BAD_BACKEND_FIELDS = [
     ("free_product_tree", "torsion_bound", 1.0),
     ("half_plane", "delta", math.nan),
     ("free_group_tree", "delta", math.inf),
+    ("half_plane", "delta", False),
+    ("half_plane", "delta", math.inf),
 ]
 
 
@@ -584,8 +598,6 @@ def test_nan_delta_exits_four_before_any_search(write_config, capsys):
     ("half_plane", "delta", 1),
     # the delta of the benchmark's elliptic config, read by this command only
     ("half_plane", "delta", 0.7),
-    ("free_product_tree", "delta", 0),
-    ("free_group_tree", "delta", 0.5),
 ])
 def test_int_and_float_backend_parameters_still_run(write_config, capsys, kind, field, value):
     # delta takes an int or a float and is reported as a float
@@ -599,12 +611,39 @@ def test_int_and_float_backend_parameters_still_run(write_config, capsys, kind, 
 
 @pytest.mark.parametrize("kind", sorted(_SHAPE_CONFIGS))
 def test_torsion_bound_is_an_unknown_backend_key(write_config, capsys, kind):
-    # the key was read by nothing; a config that sets it now exits 4
-    backend = dict(_SHAPE_CONFIGS[kind]["backend"], torsion_bound=1)
-    cfg = write_config("old.json", {**_SHAPE_CONFIGS[kind], "backend": backend})
-    assert main(["growth", cfg]) == 4
-    assert "unknown backend keys" in capsys.readouterr().err
-    assert "torsion_bound" not in make_backend(_SHAPE_CONFIGS[kind]["backend"]).config()
+    # the keys were read by nothing, or by a margin that a 0-hyperbolic
+    # tree does not need; a config that sets one now exits 4
+    for key in ["torsion_bound"] + (["delta"] if kind != "half_plane" else []):
+        backend = dict(_SHAPE_CONFIGS[kind]["backend"], **{key: 1})
+        cfg = write_config("old.json", {**_SHAPE_CONFIGS[kind], "backend": backend})
+        assert main(["growth", cfg]) == 4
+        assert f"unknown backend keys for {kind}: ['{key}']" in capsys.readouterr().err
+        assert key not in make_backend(_SHAPE_CONFIGS[kind]["backend"]).config()
+
+
+def test_check_cert_refuses_a_tree_certificate_that_stores_a_delta(tmp_path, capsys):
+    # T = {a, a^2} in Z = F1 has m 1 and p_max 1. A stored delta of -2 used
+    # to enter the margin, 1/8 + 1 - 1 = 0.125, and the certificate checked
+    # valid for omega >= log 3 / 2, where the true rate is 0. A tree takes
+    # no delta, so the stored config is refused as unbuildable.
+    backend = {"kind": "free_group_tree", "rank": 1, "letters": "a", "delta": -2.0}
+    a = {"canonical": [1], "symbols": [["a", 1]], "word": "a"}
+    payload = {
+        "format": "loxgrow-cert/2", "mode": "geometric",
+        "backend": backend, "backend_hash": backend_hash(backend),
+        "S": [a, {"canonical": [-1], "symbols": [["a", -1]], "word": "A"}],
+        "T": [a, {"canonical": [1, 1], "symbols": [["a", 1], ["a", 1]], "word": "aa"}],
+        "r": 2, "n": 1, "k": 1, "kappa": 2, "kappa_mode": "exact", "escalation_rounds": 0,
+        "basepoint": [], "m": 1.0, "p_max": 1.0, "margin": 0.125,
+        "omega_lower": math.log(3) / 2, "membership_heuristic": False,
+    }
+    path = tmp_path / "negative_delta.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check-cert", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown backend keys for free_group_tree: ['delta']" in captured.err
 
 
 @pytest.mark.parametrize("text", ["{nope", "[1, 2]", "5", ""])
@@ -1072,13 +1111,13 @@ def test_certificates_past_the_int_text_limit_round_trip(write_config, tmp_path,
      [[[float(v) for v in row] for row in g] for g in SANOV], {"n_max": 7, "memory_cap": 20000},
      "54ba3eb04bf9d5953149c374820a890cf0719096eaa86373ee184cc33dd2f5f3"),
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], {"n_max": 10},
-     "f736bb2dc29361d9fe44bae51ae3d4b97728efc8d171eac539e4fc61388345d8"),
+     "64caf959ed7059b39caa8cce313d5b51b9153b8f3e60fd8bef91865ef515a4f4"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], {"n_max": 12},
-     "fa1956bf244d393a2d3448d18b8fa059dcbf60c813991018486708fbc6eb301f"),
+     "96530af66454a494b37603e4b14342536b117bf20c0674c44c18be214ba583f0"),
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], {"n_max": 10},
-     "2749c4131128b42dbfb3a46416182fa92d2214227a78202529bdf3807e98dc8b"),
+     "82f215593b1dcf5d2fbfa6c6bdb3ed00c611a5af172d75e412728ce6e8cce87f"),
     ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], {"n_max": 8},
-     "ea8d0b974d47a051e562b165bafaae65d0996bb209b6e3e855e875982419d200"),
+     "b20ae3e79676d83c9c60a057a0f77d1de60c5b6c8f3bb794f06452f015841033"),
 ], ids=["elliptic", "sanov", "sanov-float", "c2c7", "c2c3", "c2c4", "c3c3"])
 def test_verify_bound_bytes_are_pinned(write_config, tmp_path, capsys, backend, gens, budgets,
                                        digest):

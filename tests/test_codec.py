@@ -63,25 +63,25 @@ def test_points_round_trip_through_json_text(case):
 # field in test_cli
 @pytest.mark.parametrize("config, gens, cap, digest", [
     ({"kind": "free_group_tree", "rank": 2, "letters": "xy"}, ["x", "y"], DEFAULT_MEMORY_CAP,
-     "3fd6f4622558a930be82aed3bd9f7f9c7e0113b3a2739bdaef12d02441f6ce2d"),
+     "3dd72ca875481dd5a584a8082b03825b215371c7de9b78ee0624b3ea9650bf57"),
     ({"kind": "free_product_tree", "orders": [2, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "370e53e92bc515faf7e712f5a806607975efea40e9fb5830ca04471362b5df26"),
+     "9de43fb36130245af87c34d480fb7a6ae344348b30e4784fc9894935890b47f4"),
     ({"kind": "half_plane"}, SANOV, 50_000,
      "c99b93c2b18752587715f0cf0ce41f9db8acafaedc74f1a27508123413aef4e2"),
     ({"kind": "free_product_tree", "orders": [3, 3]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "40ee37ba1c46adab58258fa1629335b52e72bdd0bf60b58e7d1a606462a69aeb"),
+     "bd067771aac54a13c68e4428e1f1485ce4bfd241f1a9ea3ac6bef68e08589939"),
     ({"kind": "half_plane", "delta": 0.7}, PSL2Z_ELLIPTIC, 5000,
      "c4ede1e7db3aeb7cb4c0634bb4db7ea55641fa8d707d1ad4d886b17ea0e2e319"),
     # kappa 14 spelled by the one-syllable closed form, no walk
     ({"kind": "free_product_tree", "orders": [2, 7]}, ["a", "b"], DEFAULT_MEMORY_CAP,
-     "6db5ef2ac730c0614fb77d5a0861e6efef6ad994801ee77f35b37c7f6260c7a3"),
+     "a9995d20557b77ef0b1a82f49031aa05fcca20990a0b10e3c98cd2112cebceff"),
     # coset separation at n = 2 keeps 3 of S's 4 entries, so r = 3
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb"], DEFAULT_MEMORY_CAP,
-     "185350a930d1d712b9629290d510eab8d6e585fd7e048fbcd734ce1636bccba5"),
+     "1207f06c1760568391fec4339671809e5c79b812c54c6f61185e587ccfdc4fc2"),
     # coset separation keeps 4 of S's 6 entries, so r = 4, and the normal
     # form gives a word-upper kappa
     ({"kind": "free_product_tree", "orders": [2, 4]}, ["a", "b", "bb", "ab"], 20_000,
-     "79c72559ba107fa686f5addc3e4a7d287142e789bea6e65d53bd41432ecbb428"),
+     "a7eefdecdcacae860b3a5d014fec3b5b22508d01ab8c612eafbd26debe46f805"),
 ], ids=["f2", "c2c3", "sanov", "c3c3", "elliptic", "c2c7", "c2c4", "c2c4-ab"])
 def test_certificate_bytes_are_pinned(config, gens, cap, digest):
     S = make_generating_set(make_backend(config), gens)

@@ -38,7 +38,7 @@ from loxgrow.freebasis import (
     verify_theorem,
 )
 from loxgrow.hypcore import gromov_product
-from loxgrow.spaces import GroupElement, HalfPlane, Point, make_backend
+from loxgrow.spaces import GroupElement, Point, make_backend
 from loxgrow.spaces.base import basepoint_candidates, reduce_symbol_word
 from loxgrow.words import GeneratingSet, make_generating_set, product_ball_set
 
@@ -186,16 +186,13 @@ def test_geometric_check_rejects_degenerate_letter_sets(ft2, pt23):
     assert certify_free_exact(raw_set(pt23, ["a"]), 2) is False
 
 
-def test_geometric_check_sanov_powers(hp):
-    A8 = power(hp.element(SANOV[0]), 8)
-    B8 = power(hp.element(SANOV[1]), 8)
-    T = GeneratingSet(hp, [A8, B8])
-    chk = certify_free_geometric(T, hp.origin(), delta=1.0)
-    assert chk.m == pytest.approx(math.acosh(129.0))
-    assert chk.p_max == pytest.approx(2.0862335235627105)
-    assert chk.margin == pytest.approx(-1.892115453381781)
-    assert not chk.valid
-    assert certify_free_exact(T, 5) is True
+def test_geometric_check_refuses_the_half_plane(hp):
+    # the plane proves T free by integer ping-pong; a margin there would
+    # rest on its configured delta, which no certificate reads
+    T = raw_set(hp, [SANOV[0], SANOV[1]])
+    with pytest.raises(ConfigError, match="margin test is for the trees"):
+        certify_free_geometric(T, hp.origin())
+    assert freebasis._free_basis_evidence(T) == {}
 
 
 def test_geometric_displacement_lower_bound(ft2):
@@ -218,7 +215,7 @@ def test_geometric_displacement_lower_bound(ft2):
         assert moved >= len(word) * chk.m / 2.0
 
 
-def reference_geometric(T, x, delta):
+def reference_geometric(T, x):
     """Reference check: one gromov_product call per ordered letter pair."""
     backend = T.backend
     letters = list(T) + [backend.invert(t) for t in T]
@@ -235,15 +232,14 @@ def reference_geometric(T, x, delta):
             p = gromov_product(ax, translates[j], x)
             if p > p_max:
                 p_max = p
-    margin = m / 8.0 - delta / 2.0 - p_max
+    margin = m / 8.0 - p_max
     valid = m > 0 and margin >= 0 and not degenerate
     return GeometricCheck(valid=valid, m=m, p_max=p_max, margin=margin)
 
 
 def _searched_T_sets(S, monkeypatch, memory_cap):
     # every T the (n, k) search tries with n <= 3 and k <= 8, each refused
-    # so that the search goes on: small and large T sets on every backend,
-    # the half-plane's too, whose search measures no distance
+    # so that the search goes on: small and large T sets
     seen = []
 
     def refuse(T):
@@ -257,17 +253,13 @@ def _searched_T_sets(S, monkeypatch, memory_cap):
     return seen
 
 
-@pytest.mark.parametrize("case", ["f2", "c2c3", "c3c3", "sanov", "sanov_float"])
+@pytest.mark.parametrize("case", ["f2", "c2c3", "c3c3"])
 def test_geometric_check_matches_per_pair_reference(case, monkeypatch):
     if case == "f2":
         backend, gens = make_backend({"kind": "free_group_tree", "rank": 2, "letters": "xy"}), ["x", "y"]
-    elif case in ("c2c3", "c3c3"):
+    else:
         orders = [2, 3] if case == "c2c3" else [3, 3]
         backend, gens = make_backend({"kind": "free_product_tree", "orders": orders}), ["a", "b"]
-    else:
-        arith = "float" if case == "sanov_float" else "exact_integer"
-        backend = make_backend({"kind": "half_plane", "arithmetic": arith})
-        gens = SANOV if backend.exact else [[[float(v) for v in row] for row in M] for M in SANOV]
     S = make_generating_set(backend, gens)
     sets = _searched_T_sets(S, monkeypatch, 50_000)
     assert sets
@@ -283,20 +275,15 @@ def test_geometric_check_matches_per_pair_reference(case, monkeypatch):
     for T in sets:
         r = len(T)
         for x in basepoint_candidates(T):
-            want = reference_geometric(T, x, backend.delta)
+            want = reference_geometric(T, x)
             monkeypatch.setattr(type(backend), "dist", counted)
             calls[0] = 0
-            got = certify_free_geometric(T, x, backend.delta)
+            got = certify_free_geometric(T, x)
             monkeypatch.setattr(type(backend), "dist", dist)
             assert calls[0] <= 2 * r + r * (2 * r - 1)
             assert (got.m, got.p_max, got.margin, got.valid) == (
                 want.m, want.p_max, want.margin, want.valid)
             checked += 1
-            if backend.kind == "half_plane":
-                pts = [x] + [backend.apply(a, x) for t in T for a in (t, backend.invert(t))]
-                for p in pts:
-                    for q in pts:
-                        assert backend.dist(p, q) == backend.dist(q, p)
     assert checked
 
 
@@ -494,15 +481,16 @@ def test_certificate_tamper_fuzz(S_f2):
         data.update(changes)
         return data
 
-    # a tree with delta 1 under a matching hash: the margin is recomputed
-    # with the stored backend's delta
+    # a tree takes no delta: one stored under a matching hash is a config
+    # error, not a margin the checker reads
     loose = dict(base["backend"], delta=1.0)
+    with pytest.raises(ConfigError, match="unknown backend keys"):
+        check_certificate(tampered(backend=loose, backend_hash=freebasis.backend_hash(loose)))
     bad_variants = [
         tampered(mode="exact_only", exact_check_len=4),
         tampered(format="loxgrow-cert/0"),
         tampered(format="loxgrow-cert/1"),
         tampered(backend_hash="0" * 16),
-        tampered(backend=loose, backend_hash=freebasis.backend_hash(loose)),
         tampered(r=cert.r + 1),
         tampered(m=cert.m + 0.5),
         tampered(p_max=cert.p_max + 0.5),
@@ -983,12 +971,12 @@ def test_checker_derives_backend_fixed_fields(honest):
 
 # -- the basepoint scan --------------------------------------------------------------
 
-def _per_basepoint_pick(T, points, delta):
+def _per_basepoint_pick(T, points):
     """The loop the scan replaces: the full check at every point, the first
     of largest margin kept; (point, check) when that check passes, else None."""
     best, best_x = None, None
     for x in points:
-        chk = certify_free_geometric(T, x, delta)
+        chk = certify_free_geometric(T, x)
         if best is None or chk.margin > best.margin:
             best, best_x = chk, x
     return (best_x, best) if best is not None and best.valid else None
@@ -997,9 +985,9 @@ def _per_basepoint_pick(T, points, delta):
 _scan = freebasis._scan_basepoints  # the tests below patch the module's name
 
 
-def _assert_scan_matches(T, points, delta):
-    want = _per_basepoint_pick(T, points, delta)
-    got = _scan(T, points, delta)
+def _assert_scan_matches(T, points):
+    want = _per_basepoint_pick(T, points)
+    got = _scan(T, points)
     if want is None:
         assert got is None
     else:
@@ -1023,13 +1011,13 @@ def _build_both_ways(S, monkeypatch, memory_cap, budgets=None):
 
     scanned = []
 
-    def checked_scan(T, points, delta):
+    def checked_scan(T, points):
         scanned.append(T)
-        _assert_scan_matches(T, points, delta)
-        return _scan(T, points, delta)
+        _assert_scan_matches(T, points)
+        return _scan(T, points)
 
-    def loop(T, points, delta):
-        picked = _per_basepoint_pick(T, points, delta)
+    def loop(T, points):
+        picked = _per_basepoint_pick(T, points)
         return None if picked is None else picked[0]
 
     monkeypatch.setattr(freebasis, "_scan_basepoints", checked_scan)
@@ -1080,10 +1068,10 @@ def test_scan_picks_what_the_loop_picks_on_random_sets(case, monkeypatch):
     assert picked >= 3
 
 
-@pytest.mark.parametrize("case", ["c2c3", "c3c3", "sanov", "sanov-float"])
+@pytest.mark.parametrize("case", ["c2c3", "c3c3"])
 def test_scan_matches_the_loop_over_shuffled_and_sampled_points(case, monkeypatch):
     # every T of the search, at its candidates plus sampled points in a
-    # seeded order, with the backend's delta and with delta 0
+    # seeded order
     config, gens, cap = _CHECK_CASES[case]
     backend = make_backend(config)
     S = make_generating_set(backend, gens)
@@ -1093,8 +1081,7 @@ def test_scan_matches_the_loop_over_shuffled_and_sampled_points(case, monkeypatc
     for T in sets:
         points = basepoint_candidates(T) + backend.sample_points(rng, 8)
         rng.shuffle(points)
-        for delta in (backend.delta, 0.0):
-            passed += _assert_scan_matches(T, points, delta) is not None
+        passed += _assert_scan_matches(T, points) is not None
     assert passed
 
 
@@ -1106,13 +1093,10 @@ def test_scan_takes_the_first_point_on_ties(ft2):
     x, X, y, xx = (ft2.apply(ft2.element(w), o) for w in ("x", "X", "y", "xx"))
     assert [certify_free_geometric(T, p).margin for p in (o, x, X, y, xx)] == [1, 0, 0, 0, -1]
     for points in ([x, X, y], [X, y, x], [y, x, X], [xx, y, X]):
-        assert _assert_scan_matches(T, points, 0.0)[0] is points[1 if points[0] is xx else 0]
-    # a later point of larger margin wins; one below the floor never does,
-    # and delta 1 lowers every margin by 1/2
-    assert _assert_scan_matches(T, [x, xx, o, X], 0.0)[0] is o
-    assert _assert_scan_matches(T, [xx], 0.0) is None
-    assert _assert_scan_matches(T, [x, X], 1.0) is None
-    assert _assert_scan_matches(T, [x, o], 1.0)[0] is o
+        assert _assert_scan_matches(T, points)[0] is points[1 if points[0] is xx else 0]
+    # a later point of larger margin wins; one below the floor never does
+    assert _assert_scan_matches(T, [x, xx, o, X])[0] is o
+    assert _assert_scan_matches(T, [xx]) is None
 
 
 def test_scan_judges_m_on_the_winner():
@@ -1121,13 +1105,13 @@ def test_scan_judges_m_on_the_winner():
     backend = make_backend({"kind": "free_product_tree", "orders": [3, 3]})
     T = raw_set(backend, ["b", "abaB"])
     fixed = Point(backend, (b"", 1))
-    chk = certify_free_geometric(T, fixed, 0.0)
+    chk = certify_free_geometric(T, fixed)
     assert (chk.m, chk.p_max, chk.margin, chk.valid) == (0, 0.0, 0.0, False)
     others = [p for p in basepoint_candidates(T) + backend.sample_points(random.Random(5), 30)
-              if certify_free_geometric(T, p, 0.0).margin < 0.0]
+              if certify_free_geometric(T, p).margin < 0.0]
     assert others
     for points in ([fixed], [fixed] + others, others + [fixed]):
-        assert _assert_scan_matches(T, points, 0.0) is None
+        assert _assert_scan_matches(T, points) is None
 
 
 def test_scan_rejects_coinciding_letters_before_any_distance(ft2, pt23, monkeypatch):
@@ -1136,83 +1120,42 @@ def test_scan_rejects_coinciding_letters_before_any_distance(ft2, pt23, monkeypa
 
     for backend, words in ((ft2, ["x", "X"]), (ft2, ["xy", "xy"]), (pt23, ["a"])):
         monkeypatch.setattr(type(backend), "dist", no_dist)
-        assert _scan(raw_set(backend, words), [backend.origin()], 0.0) is None
+        assert _scan(raw_set(backend, words), [backend.origin()]) is None
         monkeypatch.undo()
 
 
-_MARGIN_BACKENDS = {
-    **_RANDOM_BACKENDS,
-    "sanov": {"kind": "half_plane"},
-    "sanov-float": {"kind": "half_plane", "arithmetic": "float"},
-}
-
-
 def _random_T(backend, rng):
-    """2-4 random entries: short words over a, b on a tree; on the
-    half-plane, short Sanov products and, at times, a power (ab)^n large
-    enough that apply or dist overflows at some points."""
-    if not isinstance(backend, HalfPlane):
-        words = ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 4)))
-                 for _ in range(rng.randint(2, 4))]
-        return raw_set(backend, words)
-    gens = [backend.element(M if backend.exact else [[float(v) for v in row] for row in M])
-            for M in SANOV]
-    gens += [backend.invert(g) for g in gens]
-
-    def product(letters):
-        g = backend.identity()
-        for h in letters:
-            g = backend.compose(g, h)
-        return g
-
-    T = [product(rng.choices(gens, k=rng.randint(1, 5))) for _ in range(rng.randint(2, 4))]
-    if rng.random() < 0.5:
-        T[rng.randrange(len(T))] = product([gens[0], gens[1]] * rng.randint(150, 450))
-    return GeneratingSet(backend, T)
+    """2-4 random entries, short words over a, b."""
+    words = ["".join(rng.choice("aAbB") for _ in range(rng.randint(1, 4)))
+             for _ in range(rng.randint(2, 4))]
+    return raw_set(backend, words)
 
 
-@pytest.mark.parametrize("case", sorted(_MARGIN_BACKENDS))
+@pytest.mark.parametrize("case", sorted(_RANDOM_BACKENDS))
 def test_margin_stops_early_only_below_the_floor(case):
     # for every floor, _margin returns what the full walk (floor -inf)
     # returns, bit for bit, when the full margin reaches the floor, and
-    # else a margin below it; it raises OverflowError only where the full
-    # walk does
-    backend = make_backend(_MARGIN_BACKENDS[case])
+    # else a margin below it
+    backend = make_backend(_RANDOM_BACKENDS[case])
     rng = random.Random(f"margin/{case}")
-    stopped = dodged = 0
+    stopped = 0
     for _ in range(24):
         T = _random_T(backend, rng)
         letters, earlier, _ = freebasis._letters(T)
-        points = basepoint_candidates(T) + backend.sample_points(rng, 6)
-        if isinstance(backend, HalfPlane):
-            # points near the real axis and far along it, where dist overflows
-            points += backend.sample_points(rng, 3, window=1e200, log_height=700.0)
-
-        for x in points:
-            def outcome(floor):
-                try:
-                    return freebasis._margin(backend, letters, earlier, x, backend.delta, floor)
-                except OverflowError:
-                    return None
-
-            full = outcome(-math.inf)
+        for x in basepoint_candidates(T) + backend.sample_points(rng, 6):
+            full = freebasis._margin(backend, letters, earlier, x, -math.inf)
+            margin = full[2]
             floors = [-math.inf, math.inf, 0.0] + [rng.uniform(-30.0, 5.0) for _ in range(4)]
-            if full is not None:
-                margin = full[2]
-                floors += [margin, math.nextafter(margin, -math.inf),
-                           math.nextafter(margin, math.inf), margin - 0.5, margin + 0.5]
+            floors += [margin, math.nextafter(margin, -math.inf),
+                       math.nextafter(margin, math.inf), margin - 0.5, margin + 0.5]
             for floor in floors:
-                got = outcome(floor)
-                if full is not None and full[2] >= floor:
+                got = freebasis._margin(backend, letters, earlier, x, floor)
+                if margin >= floor:
                     assert repr(got) == repr(full), (case, floor)
-                    continue
-                assert got is not None or full is None, (case, floor)
-                if got is not None:
+                else:
                     assert got[2] < floor, (case, floor, got, full)
-                    stopped += full is None or repr(got) != repr(full)
-                    dodged += full is None
+                    stopped += repr(got) != repr(full)
     assert stopped
-    assert dodged or not isinstance(backend, HalfPlane)
 
 
 # counts from the scan, which drops a basepoint at the first displacement

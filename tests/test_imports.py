@@ -1,5 +1,6 @@
 """Every name that a loxgrow module imports is used in that module, and
-every private module-level name is used somewhere in the package.
+every private module-level name is used somewhere in the package; every
+backend config key is a constructor parameter and a ``config()`` entry.
 
 No linter runs in the test suite, so these are its unused-import and
 dead-helper rules. Names listed in ``__all__`` and imports on a line marked
@@ -10,6 +11,7 @@ aside): some module of the package must load it by name or import it.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -94,3 +96,18 @@ def test_the_cli_loads_no_fractions_or_decimal():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout == "[]\n"
+
+
+def test_backend_config_keys_are_the_constructor_and_config_names():
+    # a key that make_backend accepts is a constructor parameter and is
+    # hashed into certificates through config(); a parameter dropped from
+    # the constructor leaves the accepted keys and the hash with it
+    from loxgrow.spaces import _ALLOWED_KEYS, _KINDS, make_backend
+
+    assert set(_KINDS) == set(_ALLOWED_KEYS)
+    required = {"free_group_tree": {"rank": 2}}
+    for kind, cls in _KINDS.items():
+        params = set(inspect.signature(cls.__init__).parameters) - {"self"}
+        config = make_backend({"kind": kind, **required.get(kind, {})}).config()
+        assert config["kind"] == kind
+        assert params == _ALLOWED_KEYS[kind] - {"kind"} == set(config) - {"kind"}, kind
