@@ -217,14 +217,14 @@ def test_delta_half_plane(write_config, capsys):
     assert payload["samples"] == 1000
 
 
-def test_delta_on_a_tree_reports_zero_configured(write_config, capsys):
+@pytest.mark.parametrize("kind", ["free_group_tree", "free_product_tree"])
+def test_delta_on_a_tree_reports_zero_configured(write_config, capsys, kind):
     # a tree is 0-hyperbolic and takes no delta key; the command reports 0
-    for kind in ("free_group_tree", "free_product_tree"):
-        cfg = write_config("delta.json", {"backend": _SHAPE_CONFIGS[kind]["backend"], "seed": 0})
-        assert main(["delta", cfg]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["delta_configured"] == 0.0 and type(payload["delta_configured"]) is float
-        assert payload["delta_empirical"] == 0.0 and "delta" not in payload["backend"]
+    cfg = write_config("delta.json", {"backend": _SHAPE_CONFIGS[kind]["backend"], "seed": 0})
+    assert main(["delta", cfg]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["delta_configured"] == 0.0 and type(payload["delta_configured"]) is float
+    assert payload["delta_empirical"] == 0.0 and "delta" not in payload["backend"]
 
 
 def test_free_basis_check_cert_round_trip(f2_config, tmp_path, capsys):
